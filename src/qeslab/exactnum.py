@@ -519,14 +519,6 @@ def real_roots(p: ParamPoly, tol: float = 1e-12):
     return roots
 
 
-def flatten_roots(roots) -> list:
-    """Expand Root records to a flat sorted list of float values."""
-    out = []
-    for r in roots:
-        out.extend([r.value] * r.multiplicity)
-    return sorted(out)
-
-
 # ----------------------------------------------------------------------
 # exact matrices
 # ----------------------------------------------------------------------
@@ -546,7 +538,13 @@ def exact_div(a, b):
 
 
 class ExactMatrix:
-    """Dense matrix over Fraction / ParamPoly entries."""
+    """Matrix over Fraction / ParamPoly entries.
+
+    Storage is dense: ``entries`` is a tuple of row tuples, and a zero
+    entry is ``Fraction(0)``.  The matrix product skips zero factors, so
+    its cost follows the number of nonzero pairs rather than the shape;
+    the restricted generator and Hamiltonian matrices are mostly zero.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -610,16 +608,20 @@ class ExactMatrix:
         if isinstance(other, ExactMatrix):
             if self.cols != other.rows:
                 raise ValueError("matrix shapes incompatible for product")
-            cols = list(zip(*other.entries))
-            return ExactMatrix(
-                [
-                    [
-                        sum((a * b for a, b in zip(row, col)), Fraction(0))
-                        for col in cols
-                    ]
-                    for row in self.entries
-                ]
-            )
+            # row i of the product is sum_k a_ik * (row k of other); terms
+            # are added in increasing k, and a zero factor is never multiplied
+            nonzero_rows = [
+                [(j, b) for j, b in enumerate(row) if b] for row in other.entries
+            ]
+            out = []
+            for row in self.entries:
+                acc = [Fraction(0)] * other.cols
+                for a, terms in zip(row, nonzero_rows):
+                    if a:
+                        for j, b in terms:
+                            acc[j] = acc[j] + a * b
+                out.append(acc)
+            return ExactMatrix(out)
         return ExactMatrix([[e * other for e in row] for row in self.entries])
 
     def __rmul__(self, other):

@@ -272,7 +272,7 @@ def eigenvectors(spec: HamiltonianSpec, spectrum: AlgebraicSpectrum = None):
     pairs = []
     for level in spectrum.levels:
         if level.exact is not None:
-            shifted = matrix - ExactMatrix.identity(dim) * level.exact
+            shifted = matrix.scaled_identity_added(-level.exact)
             kernel = shifted.nullspace()
             doublets = tuple(
                 _normalize_doublet(*_split_doublet(list(vec), module))

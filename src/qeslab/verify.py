@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qeslab.exactnum import ExactMatrix, ParamPoly, solve_linear
+from qeslab.exactnum import ParamPoly, solve_linear
 from qeslab.generators import (
     ANTICOMM_METRIC,
     AlgebraParams,
@@ -428,20 +428,14 @@ def verify_q2_matrix(n: int, mix: MixSpec | None = None):
     for r in effs + tees + [sigma]:
         if not r.leakage_free:
             raise ValueError("shadow check needs leakage-free operators")
-    dim = module.dim
-    ident = ExactMatrix.identity(dim)
     reports = []
     nn = Fraction(n * n)
-
-    def anti(x, y):
-        return x * y + y * x
-
     for a in (1, 2, 3):
         for b in (1, 2, 3):
             gamma = ANTICOMM_METRIC.get((a, b), Fraction(0))
-            residual = anti(effs[a - 1].matrix, effs[b - 1].matrix) - ident * (
-                nn * gamma
-            )
+            residual = anticommutator(
+                effs[a - 1].matrix, effs[b - 1].matrix
+            ).scaled_identity_added(-nn * gamma)
             is_zero = all(
                 not e for row in residual.entries for e in row
             )
@@ -459,7 +453,10 @@ def verify_q2_matrix(n: int, mix: MixSpec | None = None):
                 )
             )
     for a in (1, 2, 3):
-        residual = anti(effs[a - 1].matrix, sigma.matrix) - tees[a - 1].matrix * 2
+        residual = (
+            anticommutator(effs[a - 1].matrix, sigma.matrix)
+            - tees[a - 1].matrix * 2
+        )
         is_zero = all(not e for row in residual.entries for e in row)
         reports.append(
             RelationReport(

@@ -10,6 +10,7 @@ from qeslab.exactnum import (
     ExactMatrix,
     ParamPoly,
     VariableMismatchError,
+    as_exact,
     cauchy_bound,
     isolate_real_roots,
     poly_gcd,
@@ -217,6 +218,97 @@ def test_char_poly_known_companion():
     m = ExactMatrix([[0, 0, -5], [1, 0, 2], [0, 1, 0]])
     t = ParamPoly.gen("lam")
     assert m.char_poly("lam") == t**3 - 2 * t + 5
+
+
+def dense_product(left, right):
+    """Reference product: every scalar product, summed in column order."""
+    return [
+        [
+            as_exact(sum((a * b for a, b in zip(row, col)), F(0)))
+            for col in zip(*right.entries)
+        ]
+        for row in left.entries
+    ]
+
+
+def sparse_matrix(rng, rows, cols, density, entry):
+    return ExactMatrix(
+        [
+            [entry(rng) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+    )
+
+
+def rand_c_poly(rng):
+    return ParamPoly("c", [rand_fraction(rng) for _ in range(rng.randint(1, 3))])
+
+
+def rand_lam_over_c(rng):
+    return ParamPoly("lam", [rand_c_poly(rng) for _ in range(rng.randint(1, 3))])
+
+
+def assert_same_entries(got, want):
+    # repr pins the type and the variable of every entry, not only its value
+    assert [[repr(e) for e in row] for row in got.entries] == [
+        [repr(e) for e in row] for row in want
+    ]
+
+
+def test_matrix_product_matches_dense_reference():
+    rng = random.Random(20261017)
+    cases = [
+        (12, 12, 12, 0.1, rand_fraction),
+        (3, 5, 2, 0.5, rand_fraction),
+        (6, 6, 6, 0.3, rand_c_poly),
+        (5, 4, 5, 0.4, rand_lam_over_c),
+    ]
+    for rows, inner, cols, density, entry in cases:
+        for _ in range(10):
+            left = sparse_matrix(rng, rows, inner, density, entry)
+            right = sparse_matrix(rng, inner, cols, density, entry)
+            assert_same_entries(left * right, dense_product(left, right))
+
+
+def test_matrix_product_zero_rows_and_columns():
+    rng = random.Random(41)
+    left = sparse_matrix(rng, 4, 4, 0.6, rand_c_poly)
+    right = sparse_matrix(rng, 4, 4, 0.6, rand_c_poly)
+    zero_row = ExactMatrix(
+        [[0] * 4 if i == 2 else row for i, row in enumerate(left.entries)]
+    )
+    zero_col = ExactMatrix(
+        [[0 if j == 1 else e for j, e in enumerate(row)] for row in right.entries]
+    )
+    prod = zero_row * zero_col
+    assert_same_entries(prod, dense_product(zero_row, zero_col))
+    assert all(type(e) is F and e == 0 for e in prod.entries[2])
+    assert all(type(row[1]) is F and row[1] == 0 for row in prod.entries)
+
+
+def test_matrix_product_cancelling_sum_is_a_fraction_zero():
+    c = ParamPoly.gen("c")
+    prod = ExactMatrix([[c, -c]]) * ExactMatrix([[1], [1]])
+    assert type(prod[0][0]) is F and prod[0][0] == 0
+
+
+def test_matrix_product_shape_mismatch_raises():
+    with pytest.raises(ValueError):
+        _ = ExactMatrix.zeros(3, 5) * ExactMatrix.zeros(4, 2)
+
+
+def test_char_poly_of_sparse_tridiagonal_matches_det():
+    rng = random.Random(43)
+    size = 9
+    m = ExactMatrix(
+        [
+            [rand_fraction(rng) if abs(i - j) <= 1 else 0 for j in range(size)]
+            for i in range(size)
+        ]
+    )
+    cp = m.char_poly("lam")
+    for r in (F(0), F(1, 3), F(-5, 2), F(7)):
+        assert cp(r) == (-m).scaled_identity_added(r).det()
 
 
 def test_nullspace_vectors_annihilate():
