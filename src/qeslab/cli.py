@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from qeslab import spectral, verify
 from qeslab.exactnum import ParamPoly
+from qeslab.spectral import format_sig
 
 
 def rational(text: str) -> Fraction:
@@ -34,11 +35,7 @@ def rational(text: str) -> Fraction:
 
 
 def round12(value: float) -> float:
-    return float("%.12g" % float(value))
-
-
-def fmt(value: float) -> str:
-    return "%.12g" % float(value)
+    return float(format_sig(value))
 
 
 def rat_str(value: Fraction) -> str:
@@ -168,7 +165,8 @@ def cmd_spectrum(args) -> int:
         for level in pl["levels"]:
             exact = f" exact={level['exact']}" if level["exact"] else ""
             print(
-                f"E = {fmt(level['value'])}  multiplicity={level['multiplicity']}{exact}"
+                f"E = {format_sig(level['value'])}  "
+                f"multiplicity={level['multiplicity']}{exact}"
             )
             for vec in level["vectors"]:
                 if vec["nodes"] is None:
@@ -196,27 +194,18 @@ def cmd_sweep(args) -> int:
     result = spectral.sweep(args.n, args.c_min, args.c_max, args.steps)
     if args.branches:
         two = len(result.rows[0][1]) // 2
-        header = "c," + ",".join(f"absE_{i}" for i in range(1, two + 1))
-        lines = [header]
-        for c, mags in result.abs_branches():
-            padded = list(mags) + [mags[-1]] * (two - len(mags))
-            lines.append(
-                ",".join([fmt(float(c))] + [fmt(v) for v in padded])
-            )
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    if args.out:
-        spectral.write_csv(result, args.out)
+        rows = [
+            (c, list(mags) + [mags[-1]] * (two - len(mags)))
+            for c, mags in result.abs_branches()
+        ]
+        text = spectral.csv_text("absE", rows)
     else:
-        two_n = 2 * result.n
-        print("c," + ",".join(f"E_{i}" for i in range(1, two_n + 1)))
-        for c, values in result.rows:
-            print(",".join([fmt(float(c))] + [fmt(v) for v in values]))
+        text = spectral.csv_text("E", result.rows)
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -237,10 +226,11 @@ def cmd_degeneracy(args) -> int:
 
     def render(pl):
         print(
-            f"c* = {fmt(pl['c_star'])}  gap = {fmt(pl['gap'])}  "
+            f"c* = {format_sig(pl['c_star'])}  gap = {format_sig(pl['gap'])}  "
             f"levels {pl['lower_level']} and {pl['upper_level']} collide"
         )
-        print("levels at c*: " + ", ".join(fmt(v) for v in pl["levels"]))
+        print("levels at c*: "
+              + ", ".join(format_sig(v) for v in pl["levels"]))
 
     _emit(payload, args, render)
     return 0
@@ -275,14 +265,15 @@ def cmd_crosscheck(args) -> int:
 
     def render(pl):
         print(_coupling_header(pl["n"], Fraction(pl["k0"]), Fraction(pl["c"])))
-        print(f"# grid={pl['grid_points']} box={fmt(pl['box_half_width'])}")
+        print(f"# grid={pl['grid_points']} "
+              f"box={format_sig(pl['box_half_width'])}")
         print("algebraic,numeric,abs_diff")
         for row in pl["rows"]:
-            print(
-                f"{fmt(row['algebraic'])},{fmt(row['numeric'])},{fmt(row['diff'])}"
-            )
-        print(f"max_diff = {fmt(pl['max_diff'])}")
-        print(f"boundary_amplitude = {fmt(pl['boundary_amplitude'])}")
+            print(",".join(
+                format_sig(row[key]) for key in ("algebraic", "numeric", "diff")
+            ))
+        print(f"max_diff = {format_sig(pl['max_diff'])}")
+        print(f"boundary_amplitude = {format_sig(pl['boundary_amplitude'])}")
 
     _emit(payload, args, render)
     if result.boundary_amplitude > 1e-6:

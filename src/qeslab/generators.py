@@ -21,8 +21,9 @@ from qeslab.weyl import (
     DiffOp,
     MatOp,
     ModuleSpec,
+    Span,
     anticommutator,
-    commutator,
+    anticommutator_residuals,
 )
 
 
@@ -142,6 +143,21 @@ def fermionic_gens(params: AlgebraParams) -> FermionicSet:
     return FermionicSet(params=params, to_bottom=to_bottom, to_top=to_top)
 
 
+def odd_multiplets(towers: FermionicSet):
+    """(to_top[1..delta+1], to_bottom[delta+1..1]): both odd towers in
+    multiplet order, for any gap."""
+    top = towers.params.delta + 1
+    return (
+        tuple(towers.to_top[a] for a in range(1, top + 1)),
+        tuple(towers.to_bottom[a] for a in range(top, 0, -1)),
+    )
+
+
+def mixed_multiplet(qbar, pees, even, c, d: MatOp):
+    """F_a = Qbar_a + c P_a + d E_a; `c` may be a symbolic polynomial."""
+    return tuple(q + p * c + d * e for q, p, e in zip(qbar, pees, even))
+
+
 # ----------------------------------------------------------------------
 # gap-2 triplets and their mixing
 # ----------------------------------------------------------------------
@@ -157,15 +173,13 @@ def _require_gap2(params: AlgebraParams):
 def qbar_triplet(params: AlgebraParams):
     """Differential towers in triplet order (index alpha-1)."""
     _require_gap2(params)
-    f = fermionic_gens(params)
-    return tuple(f.to_top[a] for a in (1, 2, 3))
+    return odd_multiplets(fermionic_gens(params))[0]
 
 
 def p_triplet(params: AlgebraParams):
     """Multiplication towers reversed into triplet order."""
     _require_gap2(params)
-    f = fermionic_gens(params)
-    return tuple(f.to_bottom[a] for a in (3, 2, 1))
+    return odd_multiplets(fermionic_gens(params))[1]
 
 
 def t_triplet(params: AlgebraParams):
@@ -202,12 +216,9 @@ def triplet_F(params: AlgebraParams, mix: "MixSpec" = None):
     _require_gap2(params)
     if mix is None:
         mix = DEFAULT_MIX
-    qbar = qbar_triplet(params)
-    pp = p_triplet(params)
-    tt = t_triplet(params)
-    d = mix.d_mat()
-    return tuple(
-        qbar[i] + pp[i] * mix.c_mix + d * tt[i] for i in range(3)
+    qbar, pees = odd_multiplets(fermionic_gens(params))
+    return mixed_multiplet(
+        qbar, pees, t_triplet(params), mix.c_mix, mix.d_mat()
     )
 
 
@@ -289,61 +300,27 @@ class MixDiscovery:
     metric: dict
 
 
-def _identity_obstructions(op: MatOp):
-    """(scalar, list of coefficient polynomials that must vanish).
-
-    The scalar is the (0,0)-term of the top-left entry; the returned
-    polynomials are every other coefficient, plus the difference of the
-    two diagonal constants -- all zero exactly when the operator is a
-    scalar multiple of the identity."""
-    must_vanish = []
-    for r in (0, 1):
-        for c in (0, 1):
-            for key, coeff in op.entries[r][c].terms.items():
-                if r == c and key == (0, 0):
-                    continue
-                must_vanish.append(coeff)
-    top = op.entries[0][0].coeff(0, 0)
-    bottom = op.entries[1][1].coeff(0, 0)
-    must_vanish.append(top - bottom)
-    return top, must_vanish
-
-
-def _as_c_poly(value) -> ParamPoly:
-    if isinstance(value, ParamPoly):
-        if value.var != "c" and len(value.coeffs) > 1:
-            raise ValueError("expected a polynomial in the mix constant")
-        if value.var != "c":
-            value = ParamPoly("c", value.coeffs)
-        return value
-    return ParamPoly("c", [value])
-
-
 def _common_rational_roots(polys):
-    """Exact common roots of a family of polynomials in the mix constant."""
+    """Exact common rational roots of nonzero polynomials in the mix
+    constant (constants count as degree-0 polynomials)."""
     gcd = ParamPoly.zero("c")
     for p in polys:
-        p = _as_c_poly(p)
-        if p.is_zero:
-            continue
-        if p.degree == 0:
+        if not isinstance(p, ParamPoly):
+            p = ParamPoly("c", [p])
+        gcd = poly_gcd(gcd, p)
+        if gcd.degree == 0:
             return []
-        gcd = p if gcd.is_zero else poly_gcd(gcd, p)
-        if not gcd.is_zero and gcd.degree == 0:
-            return []
-    if gcd.is_zero:
-        raise ValueError("every obstruction vanished identically")
     return [r.exact for r in real_roots(gcd) if r.exact is not None]
 
 
 def discover_mix(n: int = 5, confirm_n: int = 8) -> MixDiscovery:
     """Search (sign matrix) x (symbolic c) for a closing mix at gap 2.
 
-    For each diagonal sign matrix the mix constant is left symbolic and
-    the exact c-polynomial obstructions to every anticommutator being a
-    multiple of the identity are collected; their common rational roots
-    give the candidates.  The anticommutator table is recomputed at a
-    second degree to certify the n^2 scaling of the metric.
+    For each diagonal sign matrix the mix constant is left symbolic, every
+    anticommutator is projected onto the scalars, and the common rational
+    roots in c of the residual coefficients give the candidates.  The
+    anticommutator table is recomputed at a second degree to certify the
+    n^2 scaling of the metric.
     """
     candidates = []
     tables = {}
@@ -375,46 +352,38 @@ def discover_mix(n: int = 5, confirm_n: int = 8) -> MixDiscovery:
 
 
 def _closing_constants(n: int, d_top: Fraction, d_bottom: Fraction):
-    """Exact mix constants closing all 9 anticommutators for this sign
-    matrix, found from the symbolic-c obstruction polynomials."""
+    """Exact mix constants closing every anticommutator for this sign
+    matrix: the common rational roots in c of the residual coefficients
+    left by projecting the symbolic-c anticommutators onto the scalars."""
     params = AlgebraParams(n, TRIPLET_GAP)
-    c_sym = ParamPoly.gen("c")
-    qbar = qbar_triplet(params)
-    pp = p_triplet(params)
-    tt = t_triplet(params)
-    d = MatOp.diag(d_top, d_bottom)
-    effs = [qbar[i] + pp[i] * c_sym + d * tt[i] for i in range(3)]
-    obstructions = []
-    for i in range(3):
-        for j in range(3):
-            _, must_vanish = _identity_obstructions(
-                anticommutator(effs[i], effs[j])
-            )
-            obstructions.extend(must_vanish)
-    nonzero = [p for p in map(_as_c_poly, obstructions) if not p.is_zero]
-    if not nonzero:
+    qbar, pees = odd_multiplets(fermionic_gens(params))
+    effs = mixed_multiplet(
+        qbar, pees, t_triplet(params), ParamPoly.gen("c"),
+        MatOp.diag(d_top, d_bottom),
+    )
+    residuals = anticommutator_residuals(effs, Span([MatOp.identity()]))
+    obstructions = [
+        coeff
+        for _, residual in residuals.values()
+        for row in residual.entries
+        for entry in row
+        for coeff in entry.terms.values()
+    ]
+    if not obstructions:
         raise ValueError("anticommutators closed for every mix constant")
-    try:
-        return _common_rational_roots(nonzero)
-    except ValueError:
-        return []
+    return _common_rational_roots(obstructions)
 
 
 def _metric_table(n: int, mix: MixSpec) -> dict:
     """(alpha, beta) -> anticommutator scalar / n^2, zeros omitted."""
-    params = AlgebraParams(n, TRIPLET_GAP)
-    effs = triplet_F(params, mix)
+    effs = triplet_F(AlgebraParams(n, TRIPLET_GAP), mix)
+    residuals = anticommutator_residuals(effs, Span([MatOp.identity()]))
     table = {}
-    for i in range(3):
-        for j in range(3):
-            acom = anticommutator(effs[i], effs[j])
-            scalar, must_vanish = _identity_obstructions(acom)
-            if any(v for v in must_vanish):
-                raise ValueError(
-                    f"anticommutator ({i + 1},{j + 1}) is not scalar"
-                )
-            if scalar:
-                table[(i + 1, j + 1)] = scalar / Fraction(n * n)
+    for (a, b), ((scalar,), residual) in residuals.items():
+        if not residual.is_zero:
+            raise ValueError(f"anticommutator ({a},{b}) is not scalar")
+        if scalar:
+            table[(a, b)] = table[(b, a)] = scalar / Fraction(n * n)
     return table
 
 

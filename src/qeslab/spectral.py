@@ -167,13 +167,6 @@ def symbolic_char_poly(n: int, variable: str = "c") -> ParamPoly:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EnergyLevel:
-    value: float
-    multiplicity: int
-    exact: Fraction | None = None
-
-
-@dataclass(frozen=True)
 class AlgebraicSpectrum:
     spec: HamiltonianSpec
     char_poly: ParamPoly
@@ -199,11 +192,7 @@ def algebraic_spectrum(spec: HamiltonianSpec) -> AlgebraicSpectrum:
     bound = cauchy_bound(squarefree)
     if sturm_count(squarefree, -bound, bound) != squarefree.degree:
         raise SpectralError("characteristic polynomial has nonreal roots")
-    roots = real_roots(cp)
-    levels = tuple(
-        EnergyLevel(value=r.value, multiplicity=r.multiplicity, exact=r.exact)
-        for r in roots
-    )
+    levels = tuple(real_roots(cp))
     if sum(lv.multiplicity for lv in levels) != two_n:
         raise SpectralError("root multiplicities do not sum to the dimension")
     return AlgebraicSpectrum(spec=spec, char_poly=cp, levels=levels)
@@ -218,7 +207,7 @@ class EigenPair:
     """One level with a basis of eigenvector doublets (p_top, p_bottom),
     polynomials in x with exact or float coefficients."""
 
-    level: EnergyLevel
+    level: Root
     doublets: tuple
     exact_coeffs: bool
     defective: bool = False
@@ -319,7 +308,7 @@ class YEigenfunction:
     """Polynomial pair multiplying exp(-y^4/4); node counts are None for
     members of a degenerate subspace basis."""
 
-    level: EnergyLevel
+    level: Root
     top_y: ParamPoly
     bottom_y: ParamPoly
     nodes: tuple | None
@@ -433,16 +422,21 @@ def format_sig(value: float) -> str:
     return "%.12g" % float(value)
 
 
-def write_csv(result: SweepResult, path: str):
-    two_n = 2 * result.n
-    header = "c," + ",".join(f"E_{i}" for i in range(1, two_n + 1))
-    lines = [header]
-    for c, values in result.rows:
+def csv_text(column: str, rows) -> str:
+    """CSV of (c, values) rows under the header c,<column>_1,...; every
+    number has 12 significant digits."""
+    width = len(rows[0][1])
+    lines = ["c," + ",".join(f"{column}_{i}" for i in range(1, width + 1))]
+    for c, values in rows:
         lines.append(
             ",".join([format_sig(float(c))] + [format_sig(v) for v in values])
         )
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(result: SweepResult, path: str):
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text("E", result.rows))
 
 
 # ----------------------------------------------------------------------

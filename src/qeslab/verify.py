@@ -16,16 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qeslab.exactnum import ParamPoly, solve_linear
+from qeslab.exactnum import ParamPoly
 from qeslab.generators import (
     ANTICOMM_METRIC,
     AlgebraParams,
     DEFAULT_MIX,
     FermionicSet,
     MixSpec,
+    SIGN_MATRICES,
     bosonic_gens,
     fermionic_gens,
     lowering_word,
+    mixed_multiplet,
+    odd_multiplets,
     quintet_S,
     sl2_gens,
     t_triplet,
@@ -34,8 +37,11 @@ from qeslab.generators import (
 from qeslab.weyl import (
     DiffOp,
     MatOp,
+    Span,
     anticommutator,
+    anticommutator_residuals,
     commutator,
+    project_span,
     restrict,
 )
 
@@ -251,12 +257,12 @@ def _osp22_reports(n: int, g, f: FermionicSet):
         ("T-", g["T-"]),
         ("J", g["J"]),
     ]
-    basis = [op for _, op in basis_named]
+    even_span = Span(op for _, op in basis_named)
     reports = []
     for a in (1, 2):
         for b in (1, 2):
             acom = anticommutator(f.to_bottom[a], f.to_top[b])
-            coeffs, residual = project_span(acom, basis)
+            coeffs, residual = project_span(acom, even_span)
             span = ",".join(
                 f"{name}:{coeff}" for (name, _), coeff in zip(basis_named, coeffs)
             )
@@ -282,13 +288,10 @@ def _osp22_reports(n: int, g, f: FermionicSet):
 # ----------------------------------------------------------------------
 
 def _triplet_towers(n: int, fault: str | None):
+    """(T, Qbar, P) triplets built from the fault-injected generators."""
     params = AlgebraParams(n, 2)
     g = _named_gens(params, fault)
-    f = _towers(g, params)
-    tees = (g["T+"], g["T0"], g["T-"])
-    qbar = tuple(f.to_top[a] for a in (1, 2, 3))
-    pp = tuple(f.to_bottom[a] for a in (3, 2, 1))
-    return tees, qbar, pp
+    return (g["T+"], g["T0"], g["T-"]), *odd_multiplets(_towers(g, params))
 
 
 def verify_triplets(n: int, fault: str | None = None):
@@ -367,20 +370,18 @@ def verify_q2(n: int, mix: MixSpec | None = None, fault: str | None = None):
     """
     if mix is None:
         mix = DEFAULT_MIX
-    tees, qbar, pp = _triplet_towers(n, fault)
-    d = mix.d_mat()
-    effs = tuple(
-        qbar[i] + pp[i] * mix.c_mix + d * tees[i] for i in range(3)
-    )
+    tees, qbar, pees = _triplet_towers(n, fault)
+    effs = mixed_multiplet(qbar, pees, tees, mix.c_mix, mix.d_mat())
+    table = anticommutator_residuals(effs, Span([MatOp.identity()]))
     sigma = MatOp.sigma3()
     reports = []
     nn = Fraction(n * n)
     for a in (1, 2, 3):
         for b in (1, 2, 3):
             gamma = ANTICOMM_METRIC.get((a, b), Fraction(0))
-            residual = anticommutator(effs[a - 1], effs[b - 1]) - MatOp.identity() * (
-                nn * gamma
-            )
+            # {F_a, F_b} - n^2 gamma 1, from its projection onto the scalars
+            (scalar,), off_span = table[min(a, b), max(a, b)]
+            residual = off_span + MatOp.scalar(scalar - nn * gamma)
             reports.append(
                 _report(
                     "19",
@@ -470,68 +471,6 @@ def verify_q2_matrix(n: int, mix: MixSpec | None = None):
 
 
 # ----------------------------------------------------------------------
-# exact span projection
-# ----------------------------------------------------------------------
-
-def _op_items(op: MatOp) -> dict:
-    items = {}
-    for r in (0, 1):
-        for c in (0, 1):
-            for key, coeff in op.entries[r][c].terms.items():
-                items[(r, c) + key] = coeff
-    return items
-
-
-def _dot(a: dict, b: dict):
-    total = Fraction(0)
-    if len(a) > len(b):
-        a, b = b, a
-    for key, va in a.items():
-        vb = b.get(key)
-        if vb is not None:
-            total = total + va * vb
-    return total
-
-
-def _gram_inverse(basis_items):
-    size = len(basis_items)
-    gram = [
-        [_dot(basis_items[i], basis_items[j]) for j in range(size)]
-        for i in range(size)
-    ]
-    cols = []
-    for k in range(size):
-        unit = [Fraction(1) if i == k else Fraction(0) for i in range(size)]
-        cols.append(solve_linear(gram, unit))
-    # cols[k] is the k-th column of the inverse
-    return [[cols[j][i] for j in range(size)] for i in range(size)]
-
-
-def project_span(op: MatOp, basis):
-    """Orthogonal projection of `op` onto span(basis), coefficient-exact.
-
-    Returns (coefficients, residual).  The basis must be linearly
-    independent; inner products treat each normal-ordered matrix term
-    as an orthonormal coordinate.
-    """
-    basis_items = [_op_items(b) for b in basis]
-    ginv = _gram_inverse(basis_items)
-    return _project_with_inverse(op, basis, basis_items, ginv)
-
-
-def _project_with_inverse(op, basis, basis_items, ginv):
-    rhs = [_dot(items, _op_items(op)) for items in basis_items]
-    coeffs = [
-        sum((ginv[i][j] * rhs[j] for j in range(len(rhs))), Fraction(0))
-        for i in range(len(rhs))
-    ]
-    residual = op
-    for coeff, b in zip(coeffs, basis):
-        residual = residual - b * coeff
-    return coeffs, residual
-
-
-# ----------------------------------------------------------------------
 # gap-4 obstruction scan
 # ----------------------------------------------------------------------
 
@@ -564,14 +503,6 @@ def _quadratic_norm(op: MatOp) -> int:
     )
 
 
-DEFAULT_SCAN_SIGNS = (
-    (Fraction(1), Fraction(1)),
-    (Fraction(1), Fraction(-1)),
-    (Fraction(-1), Fraction(1)),
-    (Fraction(-1), Fraction(-1)),
-)
-
-
 def default_scan_grid():
     return tuple(Fraction(k, 4) for k in range(-12, 13))
 
@@ -589,41 +520,45 @@ def _span_basis(params: AlgebraParams):
     return basis
 
 
-def scan_point(n: int, c_mix, d_top, d_bottom) -> ObstructionReport:
-    """Exact residual analysis of one (c, d) sample at gap 4."""
+def _quintet_parts(n: int):
+    """Odd towers, even quintet and projection span of the gap-4 scan."""
     params = AlgebraParams(n, 4)
-    f = fermionic_gens(params)
-    quintet = quintet_S(params)
-    qbar = [f.to_top[a] for a in range(1, 6)]
-    pees = [f.to_bottom[6 - a] for a in range(1, 6)]
-    c_mix = Fraction(c_mix)
-    d = MatOp.diag(Fraction(d_top), Fraction(d_bottom))
-    effs = [
-        qbar[i] + pees[i] * c_mix + d * quintet[i] for i in range(5)
-    ]
-    basis = _span_basis(params)
-    basis_items = [_op_items(b) for b in basis]
-    ginv = _gram_inverse(basis_items)
+    qbar, pees = odd_multiplets(fermionic_gens(params))
+    return qbar, pees, quintet_S(params), Span(_span_basis(params))
+
+
+def _obstruction_report(residuals, c_mix, d_top, d_bottom):
+    """Total quadratic norm and first worst pair of the projection
+    residuals, evaluated at c = c_mix where they are symbolic in c."""
     total = 0
     worst = ((1, 1), -1)
-    for a in range(1, 6):
-        for b in range(a, 6):
-            acom = anticommutator(effs[a - 1], effs[b - 1])
-            _, residual = _project_with_inverse(acom, basis, basis_items, ginv)
-            norm = _quadratic_norm(residual)
-            total += norm
-            if norm > worst[1]:
-                worst = ((a, b), norm)
+    for pair, (_, residual) in residuals.items():
+        norm = _quadratic_norm(residual.eval_param(c_mix))
+        total += norm
+        if norm > worst[1]:
+            worst = (pair, norm)
     return ObstructionReport(
         c_mix=c_mix,
-        d_top=Fraction(d_top),
-        d_bottom=Fraction(d_bottom),
+        d_top=d_top,
+        d_bottom=d_bottom,
         residual_quadratic_norm=total,
         worst_pair=worst[0],
     )
 
 
-def delta4_scan(n: int = 6, c_values=None, signs=DEFAULT_SCAN_SIGNS):
+def scan_point(n: int, c_mix, d_top, d_bottom) -> ObstructionReport:
+    """Exact residual analysis of one (c, d) sample at gap 4."""
+    qbar, pees, quintet, span = _quintet_parts(n)
+    c_mix, d_top, d_bottom = map(Fraction, (c_mix, d_top, d_bottom))
+    effs = mixed_multiplet(
+        qbar, pees, quintet, c_mix, MatOp.diag(d_top, d_bottom)
+    )
+    return _obstruction_report(
+        anticommutator_residuals(effs, span), c_mix, d_top, d_bottom
+    )
+
+
+def delta4_scan(n: int = 6, c_values=None):
     """Grid certificate for the gap-4 obstruction.
 
     For each sign matrix the mix constant is kept symbolic, the fifteen
@@ -635,46 +570,17 @@ def delta4_scan(n: int = 6, c_values=None, signs=DEFAULT_SCAN_SIGNS):
     """
     if c_values is None:
         c_values = default_scan_grid()
-    params = AlgebraParams(n, 4)
-    f = fermionic_gens(params)
-    quintet = quintet_S(params)
-    qbar = [f.to_top[a] for a in range(1, 6)]
-    pees = [f.to_bottom[6 - a] for a in range(1, 6)]
-    basis = _span_basis(params)
-    basis_items = [_op_items(b) for b in basis]
-    ginv = _gram_inverse(basis_items)
+    qbar, pees, quintet, span = _quintet_parts(n)
     c_sym = ParamPoly.gen("c")
     reports = []
-    for d_top, d_bottom in signs:
-        d = MatOp.diag(d_top, d_bottom)
-        effs = [
-            qbar[i] + pees[i] * c_sym + d * quintet[i] for i in range(5)
-        ]
-        residuals = {}
-        for a in range(1, 6):
-            for b in range(a, 6):
-                acom = anticommutator(effs[a - 1], effs[b - 1])
-                _, residual = _project_with_inverse(
-                    acom, basis, basis_items, ginv
-                )
-                residuals[(a, b)] = residual
-        for c_val in c_values:
-            c_val = Fraction(c_val)
-            total = 0
-            worst = ((1, 1), -1)
-            for pair, residual in residuals.items():
-                norm = _quadratic_norm(residual.eval_param(c_val))
-                total += norm
-                if norm > worst[1]:
-                    worst = (pair, norm)
+    for d_top, d_bottom in SIGN_MATRICES:
+        effs = mixed_multiplet(
+            qbar, pees, quintet, c_sym, MatOp.diag(d_top, d_bottom)
+        )
+        residuals = anticommutator_residuals(effs, span)
+        for c_val in map(Fraction, c_values):
             reports.append(
-                ObstructionReport(
-                    c_mix=c_val,
-                    d_top=d_top,
-                    d_bottom=d_bottom,
-                    residual_quadratic_norm=total,
-                    worst_pair=worst[0],
-                )
+                _obstruction_report(residuals, c_val, d_top, d_bottom)
             )
     return reports
 

@@ -8,10 +8,12 @@ the two-term commutation rule d x = x d + 1, i.e.
     d^b x^c = sum_s  C(b, s) * c!/(c-s)! * x^(c-s) d^(b-s).
 
 ``MatOp`` wraps a 2x2 matrix of such operators acting on doublets of
-polynomials, and ``restrict`` turns a matrix operator into the exact
-matrix of its action on a finite doublet of polynomial spaces, keeping
-any components that fall outside the target space as explicit leakage
-records instead of silently dropping them.
+polynomials.  ``project_span`` projects a matrix operator exactly onto
+the span of others, and ``anticommutator_residuals`` does so for every
+anticommutator of an odd multiplet.  ``restrict`` turns a matrix
+operator into the exact matrix of its action on a finite doublet of
+polynomial spaces, keeping any components that fall outside the target
+space as explicit leakage records instead of silently dropping them.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from qeslab.exactnum import (
     ParamPoly,
     SCALAR_VARS,
     as_exact,
+    solve_linear,
 )
 
 X_VAR = "x"
@@ -391,6 +394,89 @@ def commutator(a, b):
 
 def anticommutator(a, b):
     return a * b + b * a
+
+
+# ----------------------------------------------------------------------
+# exact span projection
+# ----------------------------------------------------------------------
+
+def _op_items(op: MatOp) -> dict:
+    items = {}
+    for r in (0, 1):
+        for c in (0, 1):
+            for key, coeff in op.entries[r][c].terms.items():
+                items[(r, c) + key] = coeff
+    return items
+
+
+def _dot(a: dict, b: dict):
+    total = Fraction(0)
+    if len(a) > len(b):
+        a, b = b, a
+    for key, va in a.items():
+        vb = b.get(key)
+        if vb is not None:
+            total = total + va * vb
+    return total
+
+
+class Span:
+    """Linear span of independent MatOps, with its exact Gram inverse.
+
+    Inner products treat each normal-ordered matrix term as an
+    orthonormal coordinate.  The Gram inverse is computed once here and
+    reused by every projection onto the span.
+    """
+
+    __slots__ = ("basis", "items", "gram_inverse")
+
+    def __init__(self, basis):
+        self.basis = tuple(basis)
+        self.items = [_op_items(b) for b in self.basis]
+        size = len(self.items)
+        gram = [
+            [_dot(self.items[i], self.items[j]) for j in range(size)]
+            for i in range(size)
+        ]
+        cols = []
+        for k in range(size):
+            unit = [Fraction(1) if i == k else Fraction(0) for i in range(size)]
+            cols.append(solve_linear(gram, unit))
+        # cols[k] is the k-th column of the inverse
+        self.gram_inverse = [
+            [cols[j][i] for j in range(size)] for i in range(size)
+        ]
+
+
+def project_span(op: MatOp, span: Span):
+    """Orthogonal projection of `op` onto `span`, coefficient-exact.
+
+    Returns (coefficients, residual); coefficients may be polynomials in
+    a scalar parameter when `op` has such coefficients.
+    """
+    op_items = _op_items(op)
+    rhs = [_dot(items, op_items) for items in span.items]
+    coeffs = [
+        sum((row[j] * rhs[j] for j in range(len(rhs))), Fraction(0))
+        for row in span.gram_inverse
+    ]
+    residual = op
+    for coeff, b in zip(coeffs, span.basis):
+        residual = residual - b * coeff
+    return coeffs, residual
+
+
+def anticommutator_residuals(effs, span: Span) -> dict:
+    """{(a, b): (coeffs, residual)} for 1 <= a <= b <= len(effs).
+
+    Each anticommutator {F_a, F_b} of the odd multiplet is projected onto
+    `span`; it lies in the span exactly when its residual is zero.
+    """
+    return {
+        (a, b): project_span(anticommutator(effs[a - 1], effs[b - 1]), span)
+        for a in range(1, len(effs) + 1)
+        for b in range(a, len(effs) + 1)
+    }
 
 
 # ----------------------------------------------------------------------

@@ -156,6 +156,7 @@ def test_sweep_stdout_and_file(tmp_path, capsys):
     )
     assert code == 0
     assert path.read_text().splitlines()[0] == "c,E_1,E_2,E_3,E_4"
+    assert path.read_text() == out
 
 
 def test_sweep_branches_output(capsys):

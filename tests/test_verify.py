@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qeslab.generators import MixSpec
+from qeslab.generators import SIGN_MATRICES, MixSpec
 from qeslab.verify import (
     default_scan_grid,
     default_suite,
@@ -129,3 +129,15 @@ def test_small_scan_has_no_counterexamples():
     reports = delta4_scan(n=5, c_values=(F(-1), F(0), F(1)))
     assert len(reports) == 12
     assert all(r.residual_quadratic_norm > 0 for r in reports)
+
+
+def test_scan_point_matches_symbolic_scan():
+    # concrete-c projection against symbolic-c projection then evaluation
+    c_values = (F(-1), F(0), F(1))
+    reports = delta4_scan(n=5, c_values=c_values)
+    expected = [
+        scan_point(5, c, d_top, d_bottom)
+        for d_top, d_bottom in SIGN_MATRICES
+        for c in c_values
+    ]
+    assert reports == expected
