@@ -221,15 +221,6 @@ class ParamPoly:
     def map_coeffs(self, func) -> "ParamPoly":
         return ParamPoly(self.var, tuple(func(c) for c in self.coeffs))
 
-    def rescale_variable(self, factor, new_var: str) -> "ParamPoly":
-        """p(t) -> p(factor*s) as a polynomial in the variable `new_var`."""
-        out = []
-        scale = Fraction(1)
-        for c in self.coeffs:
-            out.append(c * scale)
-            scale = scale * factor
-        return ParamPoly(new_var, out)
-
     # --- field-coefficient operations ---------------------------------
     def _require_rational(self):
         if not all(isinstance(c, Fraction) for c in self.coeffs):
@@ -579,6 +570,10 @@ class ExactMatrix:
 
     __hash__ = None
 
+    @property
+    def is_zero(self) -> bool:
+        return not any(e for row in self.entries for e in row)
+
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._shape_match(other)
         return ExactMatrix(
@@ -640,9 +635,6 @@ class ExactMatrix:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
         return as_exact(sum((self.entries[i][i] for i in range(self.rows)), Fraction(0)))
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.entries)))
 
     def map_entries(self, func) -> "ExactMatrix":
         return ExactMatrix([[func(e) for e in row] for row in self.entries])
@@ -740,6 +732,27 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({[list(r) for r in self.entries]!r})"
+
+
+def resultant(p: ParamPoly, q: ParamPoly):
+    """res(p, q) = lc(p)^deg(q) * prod q(r) over the roots r of p.
+
+    The determinant of the Sylvester matrix, by Bareiss elimination, so
+    coefficients may be rationals or polynomials in a scalar variable.
+    """
+    if p.is_zero or q.is_zero:
+        raise ValueError("resultant with the zero polynomial")
+    m, k = p.degree, q.degree
+    if not m or not k:
+        return as_exact(p.leading() ** k * q.leading() ** m)
+
+    def shifted_rows(poly, count):
+        top_down = list(reversed(poly.coeffs))
+        return [
+            [0] * s + top_down + [0] * (count - 1 - s) for s in range(count)
+        ]
+
+    return ExactMatrix(shifted_rows(p, k) + shifted_rows(q, m)).det()
 
 
 def solve_linear(rows, rhs):

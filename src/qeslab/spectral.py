@@ -9,15 +9,16 @@ matrix differential operator h that preserves P(n) (+) P(n-2) exactly;
 its restricted 2n x 2n matrix gives the algebraic part of the spectrum
 as exact characteristic-polynomial roots.  This module builds both
 forms, extracts spectra and eigenvectors (with node counts in y),
-sweeps the coupling, locates the level collision, certifies the parity
-symmetry that forces the spectrum to be even under E -> -E, and
-cross-checks everything against a finite-difference discretization of
-the physical operator.
+sweeps the coupling, certifies the parity symmetry that puts the
+restricted matrix in the block form [[0, B], [C, 0]], computes every
+spectral quantity from det(mu - BC) with mu = E^2 (so the spectrum is
+even under E -> -E by construction), locates the exact level-collision
+locus, and cross-checks everything against a finite-difference
+discretization of the physical operator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from qeslab.exactnum import (
     Root,
     cauchy_bound,
     real_roots,
+    resultant,
     square_free_part,
     sturm_count,
 )
@@ -39,7 +41,6 @@ from qeslab.weyl import (
     ModuleSpec,
     RestrictedMatrix,
     restrict,
-    x_monomial,
 )
 
 
@@ -144,22 +145,79 @@ def restricted_hamiltonian(
     return result
 
 
+# ----------------------------------------------------------------------
+# parity block form and the characteristic polynomial
+# ----------------------------------------------------------------------
+
+def _parity_signs(module: ModuleSpec):
+    signs = []
+    for comp, power in module.basis_labels():
+        comp_sign = 1 if comp == 0 else -1
+        signs.append(comp_sign * (-1) ** power)
+    return signs
+
+
+def _parity_split(matrix: ExactMatrix, module: ModuleSpec):
+    """(B, C, stray) for M = [[0, B], [C, 0]] + stray in the basis sorted
+    by parity sign, even first.  `stray` keeps the entries of M that join
+    two basis vectors of the same parity; it is zero iff S M S = -M."""
+    signs = _parity_signs(module)
+    even = [i for i, s in enumerate(signs) if s > 0]
+    odd = [i for i, s in enumerate(signs) if s < 0]
+
+    def block(rows, cols):
+        return ExactMatrix([[matrix[i][j] for j in cols] for i in rows])
+
+    stray = ExactMatrix(
+        [
+            [e if si == sj else 0 for e, sj in zip(row, signs)]
+            for row, si in zip(matrix.entries, signs)
+        ]
+    )
+    return block(even, odd), block(odd, even), stray
+
+
+def _mu_char_poly(restricted: RestrictedMatrix) -> ParamPoly:
+    """q(mu) = det(mu - BC); the characteristic polynomial of
+    M = [[0, B], [C, 0]] is det(lam^2 - BC) = q(lam^2).  Raises
+    SpectralError if M has a nonzero same-parity entry."""
+    b, c, stray = _parity_split(restricted.matrix, restricted.module)
+    if not stray.is_zero:
+        raise SpectralError("restricted matrix is not odd under parity")
+    return (b * c).char_poly("mu")
+
+
+def _even_poly(poly: ParamPoly, var: str) -> ParamPoly:
+    """p(t) -> p(var^2) as a polynomial in `var`."""
+    coeffs = []
+    for c in poly.coeffs:
+        coeffs.append(c)
+        coeffs.append(0)
+    return ParamPoly(var, coeffs[:-1] if coeffs else ())
+
+
+def _symbolic_mu_poly(n: int, variable: str) -> ParamPoly:
+    """q(mu) with coefficients in Q[k0] or, substituting k0 = -c/(4n),
+    in Q[c]."""
+    if variable not in (K0_VAR, "c"):
+        raise ValueError("variable must be 'k0' or 'c'")
+    spec = HamiltonianSpec(n, Fraction(0))
+    q = _mu_char_poly(restricted_hamiltonian(spec, symbolic=True))
+    if variable == K0_VAR:
+        return q
+    c_sub = ParamPoly.gen("c") * Fraction(-1, 4 * n)
+    return q.map_coeffs(
+        lambda coeff: coeff(c_sub) if isinstance(coeff, ParamPoly) else coeff
+    )
+
+
 def symbolic_char_poly(n: int, variable: str = "c") -> ParamPoly:
     """Characteristic polynomial in lam, coefficients in Q[k0] or Q[c].
 
     The c-form substitutes k0 = -c/(4n), matching the coupling constant
     used for spectra and sweeps.
     """
-    spec = HamiltonianSpec(n, Fraction(0))
-    cp = restricted_hamiltonian(spec, symbolic=True).char_poly("lam")
-    if variable == K0_VAR:
-        return cp
-    if variable != "c":
-        raise ValueError("variable must be 'k0' or 'c'")
-    c_sub = ParamPoly.gen("c") * Fraction(-1, 4 * n)
-    return cp.map_coeffs(
-        lambda coeff: coeff(c_sub) if isinstance(coeff, ParamPoly) else coeff
-    )
+    return _even_poly(_symbolic_mu_poly(n, variable), "lam")
 
 
 # ----------------------------------------------------------------------
@@ -183,11 +241,8 @@ class AlgebraicSpectrum:
 
 def algebraic_spectrum(spec: HamiltonianSpec) -> AlgebraicSpectrum:
     """Exact characteristic polynomial and its certified-real roots."""
-    cp = restricted_hamiltonian(spec).char_poly("lam")
+    cp = _even_poly(_mu_char_poly(restricted_hamiltonian(spec)), "lam")
     two_n = 2 * spec.n
-    for power in range(1, cp.degree + 1, 2):
-        if cp.coeff(power):
-            raise SpectralError("spectrum is not symmetric under negation")
     squarefree = square_free_part(cp)
     bound = cauchy_bound(squarefree)
     if sturm_count(squarefree, -bound, bound) != squarefree.degree:
@@ -315,14 +370,6 @@ class YEigenfunction:
     subspace_dim: int
 
 
-def _even_y_poly(x_poly: ParamPoly) -> ParamPoly:
-    coeffs = []
-    for c in x_poly.coeffs:
-        coeffs.append(c)
-        coeffs.append(0)
-    return ParamPoly("y", coeffs[:-1] if coeffs else ())
-
-
 def _exactify(poly: ParamPoly) -> ParamPoly:
     return ParamPoly(
         poly.var,
@@ -366,8 +413,8 @@ def eigenvectors_y(spec: HamiltonianSpec, spectrum: AlgebraicSpectrum = None):
         subspace = len(pair.doublets)
         for top, bottom in pair.doublets:
             bottom_x = top.derivative() * k0 + bottom
-            top_y = _even_y_poly(top)
-            bottom_y = _even_y_poly(bottom_x)
+            top_y = _even_poly(top, "y")
+            bottom_y = _even_poly(bottom_x, "y")
             simple = pair.level.multiplicity == 1 and not pair.defective
             nodes = (
                 (component_nodes(top), component_nodes(bottom_x))
@@ -440,7 +487,7 @@ def write_csv(result: SweepResult, path: str):
 
 
 # ----------------------------------------------------------------------
-# level-collision search
+# exact level-collision locus
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -452,66 +499,41 @@ class DegeneracyResult:
     levels: tuple
 
 
-_GOLDEN = (math.sqrt(5) - 1) / 2
+def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
+    """The first exact level collision strictly inside (c_min, c_max).
 
+    The levels are E = +-sqrt(mu) over the roots mu of q(mu) = det(mu - BC),
+    symbolic in c.  Two levels meet exactly where a mu-root doubles,
+    res_mu(q, q') = 0, or where mu = 0 joins +E and -E, q(0) = 0; c* is
+    the smallest real root of q(0) * res_mu(q, q') inside the bracket.
+    The gap and levels are the exact spectrum at c* (at its float value,
+    itself a rational, when c* is irrational).
 
-def _float_levels(n: int, c: float):
-    spec = HamiltonianSpec.from_c(n, Fraction(c).limit_denominator(10**8))
-    matrix = restricted_hamiltonian(spec).matrix
-    values = np.linalg.eigvals(np.array(matrix.to_float_rows(), dtype=float))
-    if np.max(np.abs(values.imag)) > 1e-6 * max(1.0, np.max(np.abs(values))):
-        raise SpectralError("unexpected nonreal numeric eigenvalues")
-    return np.sort(values.real)
-
-
-def _min_gap(levels) -> tuple:
-    diffs = np.diff(levels)
-    idx = int(np.argmin(diffs))
-    return float(diffs[idx]), idx
-
-
-def find_degeneracy(
-    n: int, c_min, c_max, coarse_steps: int = 81, c_tol: float = 1e-7
-) -> DegeneracyResult:
-    """Minimize the smallest adjacent gap of the full sorted spectrum
-    over the coupling bracket: coarse grid, then golden-section.
-
-    Raises NoDegeneracyError when the coarse minimum sits on the
-    bracket boundary (the gap has no interior minimum to refine).
+    Raises NoDegeneracyError when no collision lies inside the bracket.
     """
-    c_lo = float(c_min)
-    c_hi = float(c_max)
-    if not c_lo < c_hi:
+    c_min = Fraction(c_min)
+    c_max = Fraction(c_max)
+    if not c_min < c_max:
         raise ValueError("empty coupling bracket")
-    grid = np.linspace(c_lo, c_hi, coarse_steps)
-    gaps = [_min_gap(_float_levels(n, c))[0] for c in grid]
-    k_star = int(np.argmin(gaps))
-    if k_star in (0, coarse_steps - 1):
-        raise NoDegeneracyError(
-            "gap minimum at the bracket boundary; no interior collision"
-        )
-    lo, hi = grid[k_star - 1], grid[k_star + 1]
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = _min_gap(_float_levels(n, x1))[0]
-    f2 = _min_gap(_float_levels(n, x2))[0]
-    while hi - lo > c_tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = _min_gap(_float_levels(n, x1))[0]
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = _min_gap(_float_levels(n, x2))[0]
-    c_star = (lo + hi) / 2
-    exact_c = Fraction(c_star).limit_denominator(10**8)
-    spectrum = algebraic_spectrum(HamiltonianSpec.from_c(n, exact_c))
-    values = spectrum.values
-    gap, idx = _min_gap(np.array(values))
+    q = _symbolic_mu_poly(n, "c")
+    locus = ParamPoly.one("c") * q.constant() * resultant(q, q.derivative())
+    if locus.is_zero:
+        raise SpectralError("levels collide at every coupling")
+    inside = [
+        root
+        for root in real_roots(locus)
+        if c_min < (root.value if root.exact is None else root.exact) < c_max
+    ]
+    if not inside:
+        raise NoDegeneracyError(f"no level collision inside ({c_min}, {c_max})")
+    root = inside[0]
+    c_star = Fraction(root.value) if root.exact is None else root.exact
+    values = algebraic_spectrum(HamiltonianSpec.from_c(n, c_star)).values
+    gaps = [b - a for a, b in zip(values, values[1:])]
+    idx = min(range(len(gaps)), key=gaps.__getitem__)
     return DegeneracyResult(
-        c_star=float(exact_c),
-        gap=gap,
+        c_star=float(c_star),
+        gap=gaps[idx],
         lower_level=idx + 1,
         upper_level=idx + 2,
         levels=tuple(values),
@@ -540,14 +562,6 @@ def hamiltonian_leakage_reports(n_max: int):
 # parity / reflection certificate
 # ----------------------------------------------------------------------
 
-def _parity_signs(module: ModuleSpec):
-    signs = []
-    for comp, power in module.basis_labels():
-        comp_sign = 1 if comp == 0 else -1
-        signs.append(comp_sign * (-1) ** power)
-    return signs
-
-
 def y4_hook(spec: HamiltonianSpec, symbolic: bool = False) -> MatOp:
     """Gauged form of an added quartic confining term.
 
@@ -563,27 +577,20 @@ def y4_hook(spec: HamiltonianSpec, symbolic: bool = False) -> MatOp:
 
 def reflection_check(n: int, with_y4_hook: bool = False):
     """Certify S M S = -M for the restricted matrix, symbolic in k0,
-    where S carries (-1)^degree on monomials and opposite block signs;
-    corollary: every odd characteristic coefficient is the zero
-    polynomial in Q[k0].  The quartic hook (when enabled) breaks the
-    pattern, so its report says so.
+    where S carries (-1)^degree on monomials and opposite block signs:
+    the parity split leaves no stray same-parity entry, which is the
+    residual otherwise.  Corollary, checked independently on the full
+    2n x 2n Faddeev-LeVerrier polynomial: every odd characteristic
+    coefficient is the zero polynomial in Q[k0].  The quartic hook (when
+    enabled) breaks the pattern, so its report says so.
     """
     spec = HamiltonianSpec(n, Fraction(0))
     op = build_hamiltonian_gauged(spec, symbolic=True)
     if with_y4_hook:
         op = op + y4_hook(spec, symbolic=True)
-    restricted = restrict(op, spec.module)
-    matrix = restricted.matrix
-    signs = _parity_signs(spec.module)
-    dim = spec.module.dim
-    residual_entries = [
-        [
-            signs[i] * matrix[i][j] * signs[j] + matrix[i][j]
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
-    anti_ok = all(not e for row in residual_entries for e in row)
+    matrix = restrict(op, spec.module).matrix
+    _, _, stray = _parity_split(matrix, spec.module)
+    anti_ok = stray.is_zero
     tag_fields = [("n", n), ("delta", 2)]
     if with_y4_hook:
         tag_fields.append(("hook", "y4"))
@@ -592,7 +599,7 @@ def reflection_check(n: int, with_y4_hook: bool = False):
             tag="33",
             fields=tuple(tag_fields),
             holds=anti_ok,
-            residual=None if anti_ok else ExactMatrix(residual_entries),
+            residual=None if anti_ok else stray,
         )
     ]
     if not with_y4_hook:

@@ -105,12 +105,6 @@ class DiffOp:
         """x d, whose eigenvectors are the monomials."""
         return cls({(1, 1): 1})
 
-    @classmethod
-    def from_x_poly(cls, poly: ParamPoly) -> "DiffOp":
-        """Multiplication operator by a polynomial in x."""
-        coeffs = _x_coeffs(poly)
-        return cls({(k, 0): c for k, c in enumerate(coeffs)})
-
     # ------------------------------------------------------------------
     @property
     def is_zero(self) -> bool:
@@ -118,14 +112,6 @@ class DiffOp:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    @property
-    def max_x_power(self) -> int:
-        return max((i for i, _ in self.terms), default=0)
-
-    @property
-    def max_d_power(self) -> int:
-        return max((j for _, j in self.terms), default=0)
 
     def coeff(self, x_power: int, d_power: int):
         return self.terms.get((x_power, d_power), Fraction(0))

@@ -15,6 +15,7 @@ from qeslab.exactnum import (
     isolate_real_roots,
     poly_gcd,
     real_roots,
+    resultant,
     solve_linear,
     square_free_decomposition,
     square_free_part,
@@ -350,10 +351,32 @@ def test_solve_linear_roundtrip():
         solved += 1
 
 
-def test_rescale_variable():
+def test_resultant_matches_root_product():
+    rng = random.Random(31)
     t = ParamPoly.gen("t")
-    p = 3 * t * t - t + 2
-    q = p.rescale_variable(F(1, 2), "s")
-    assert q.var == "s"
-    assert q == ParamPoly("s", (F(2), F(-1, 2), F(3, 4)))
-    assert q(F(4)) == p(F(2))
+    for _ in range(20):
+        lead = rand_fraction(rng) or F(1)
+        roots = [rand_fraction(rng) for _ in range(rng.randint(1, 4))]
+        p = ParamPoly("t", (lead,))
+        for r in roots:
+            p = p * (t - r)
+        q = rand_poly(rng)
+        if q.is_zero:
+            continue
+        want = lead ** q.degree
+        for r in roots:
+            want *= q(r)
+        assert resultant(p, q) == want
+    # a common root makes it vanish; constants give powers of the lead
+    assert resultant((t - 1) * (t + 2), (t - 1) * t) == 0
+    assert resultant(ParamPoly("t", (F(3),)), t * t - 5) == 9
+    with pytest.raises(ValueError):
+        resultant(ParamPoly.zero("t"), t)
+
+
+def test_resultant_with_polynomial_coefficients():
+    # q(mu) = mu^2 - s mu + p has discriminant s^2 - 4p; res(q, q') = -disc
+    c = ParamPoly.gen("c")
+    mu = ParamPoly.gen("mu")
+    q = mu * mu - (c * c * 2 + 64) * mu + c * c * (c * c + 32)
+    assert resultant(q, q.derivative()) == c * c * (-128) - 4096

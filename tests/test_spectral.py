@@ -1,5 +1,6 @@
 """Spectral pipeline: operator forms, exact spectra, nodes, cross-checks."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -254,15 +255,67 @@ def test_magnitude_branches_stay_separated_away_from_collision():
 
 
 def test_collision_search_finds_interior_minimum():
+    # c^2 = 24: a zero mode doubles at E = 0
     result = find_degeneracy(3, F(0), F(10))
-    assert abs(result.c_star - 2 * math.sqrt(6)) < 1e-3
-    assert result.gap < 0.05
+    assert abs(result.c_star - math.sqrt(24)) < 1e-10
+    assert result.gap < 1e-9
     assert (result.lower_level, result.upper_level) == (3, 4)
+
+
+def test_collision_locus_sees_interior_root_next_to_endpoint_collision():
+    # c = 0 (an endpoint) is also a collision; c^2 = 40 is the interior
+    # one, where levels 3/4 and 5/6 meet at E = -+sqrt(24)
+    result = find_degeneracy(4, F(0), F(10))
+    assert abs(result.c_star - math.sqrt(40)) < 1e-10
+    assert result.gap < 1e-9
+    values = result.levels
+    assert abs(values[2] + math.sqrt(24)) < 1e-9
+    assert abs(values[5] - values[4]) < 1e-9
 
 
 def test_collision_search_rejects_boundary_minimum():
     with pytest.raises(NoDegeneracyError):
         find_degeneracy(2, F(1, 2), F(10))
+
+
+def test_collision_at_bracket_endpoint_is_not_interior():
+    with pytest.raises(NoDegeneracyError):
+        find_degeneracy(4, F(0), F(5))
+
+
+def test_vanishing_collision_polynomial_raises(monkeypatch):
+    import qeslab.spectral as spectral_mod
+
+    mu = ParamPoly.gen("mu")
+    monkeypatch.setattr(spectral_mod, "_symbolic_mu_poly", lambda n, v: mu * mu)
+    with pytest.raises(SpectralError):
+        spectral_mod.find_degeneracy(2, F(0), F(1))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_block_char_poly_matches_full_product(n):
+    # reference: Faddeev-LeVerrier on the full 2n x 2n matrix
+    symbolic = restricted_hamiltonian(HamiltonianSpec(n, F(0)), symbolic=True)
+    assert symbolic_char_poly(n, "k0") == symbolic.matrix.char_poly("lam")
+    for c in (F(1, 8), F(17, 8), F(-7, 3)):
+        spec = HamiltonianSpec.from_c(n, c)
+        full = restricted_hamiltonian(spec).matrix.char_poly("lam")
+        assert algebraic_spectrum(spec).char_poly == full
+
+
+def test_same_parity_entry_raises_spectral_error(monkeypatch):
+    import qeslab.spectral as spectral_mod
+
+    spec = HamiltonianSpec(3, F(1, 5))
+    good = restricted_hamiltonian(spec)
+    rows = [list(r) for r in good.matrix.entries]
+    rows[1][3] = rows[1][3] + 1  # x^1 and x^3 of the top channel: both odd
+    broken = dataclasses.replace(good, matrix=ExactMatrix(rows))
+    monkeypatch.setattr(
+        spectral_mod, "restricted_hamiltonian", lambda s, symbolic=False: broken
+    )
+    with pytest.raises(SpectralError):
+        spectral_mod.algebraic_spectrum(spec)
 
 
 def test_reflection_certificates_hold():
