@@ -38,10 +38,6 @@ def round12(value: float) -> float:
     return float(format_sig(value))
 
 
-def rat_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _emit(payload: dict, args, render_text) -> None:
     if getattr(args, "format", "text") == "json":
         print(json.dumps(payload, indent=2))
@@ -59,7 +55,7 @@ def _coupling(args, n: int):
 
 
 def _coupling_header(n: int, k0: Fraction, c: Fraction) -> str:
-    return f"# n={n} c={rat_str(c)} (k0={rat_str(k0)}; c = -4*n*k0)"
+    return f"# n={n} c={c} (k0={k0}; c = -4*n*k0)"
 
 
 # ----------------------------------------------------------------------
@@ -67,10 +63,15 @@ def _coupling_header(n: int, k0: Fraction, c: Fraction) -> str:
 # ----------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    try:
+        fault = verify.check_fault(args.inject_fault, args.delta_max)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     reports = verify.default_suite(
         n_max=args.n_max,
         delta_max=args.delta_max,
-        inject_fault=args.inject_fault,
+        inject_fault=fault,
     )
     reports.extend(spectral.hamiltonian_leakage_reports(args.n_max))
     for n in range(2, min(args.n_max, 6) + 1):
@@ -101,7 +102,7 @@ def _poly_payload(poly: ParamPoly) -> dict:
 
 def _coeff_list(poly: ParamPoly):
     if all(isinstance(coeff, Fraction) for coeff in poly.coeffs):
-        return [rat_str(coeff) for coeff in poly.coeffs]
+        return [str(coeff) for coeff in poly.coeffs]
     return [round12(float(coeff)) for coeff in poly.coeffs]
 
 
@@ -140,7 +141,7 @@ def cmd_spectrum(args) -> int:
         levels.append(
             {
                 "value": round12(lv.value),
-                "exact": rat_str(lv.exact) if lv.exact is not None else None,
+                "exact": str(lv.exact) if lv.exact is not None else None,
                 "multiplicity": lv.multiplicity,
                 "vectors": [
                     {
@@ -155,8 +156,8 @@ def cmd_spectrum(args) -> int:
         )
     payload = {
         "n": args.n,
-        "c": rat_str(c),
-        "k0": rat_str(k0),
+        "c": str(c),
+        "k0": str(k0),
         "levels": levels,
     }
 
@@ -247,8 +248,8 @@ def cmd_crosscheck(args) -> int:
     )
     payload = {
         "n": args.n,
-        "c": rat_str(c),
-        "k0": rat_str(k0),
+        "c": str(c),
+        "k0": str(k0),
         "grid_points": result.grid_points,
         "box_half_width": result.box_half_width,
         "rows": [

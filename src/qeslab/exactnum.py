@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 # degree reported for the zero polynomial
 ZERO_DEGREE = -1
 
 _MAX_BISECT = 300
+ROOT_TOL = 1e-12  # real_roots narrows irrational root brackets below this
 
 # Variables that act as scalar parameters: a polynomial in one of these
 # may sit inside the coefficients of a polynomial in any non-scalar
@@ -408,14 +407,15 @@ def sturm_count(p: ParamPoly, lo: Fraction, hi: Fraction) -> int:
 
 
 def isolate_real_roots(p: ParamPoly):
-    """Disjoint rational intervals (lo, hi], one simple root of the
-    square-free part of p in each, in increasing order."""
+    """Disjoint rational intervals (lo, hi], one root of p in each, in
+    increasing order.  p must be square-free, as the factors of
+    ``square_free_decomposition`` are; otherwise the Sturm counts are
+    not root counts."""
     p._require_rational()
-    sq = square_free_part(p)
-    if sq.degree <= 0:
+    if p.degree <= 0:
         return []
-    chain = sturm_sequence(sq)
-    bound = cauchy_bound(sq)
+    chain = sturm_sequence(p)
+    bound = cauchy_bound(p)
 
     def var_at(x):
         return _variations(chain, x)
@@ -447,7 +447,7 @@ class Root:
     exact: Fraction | None = None
 
 
-def _refine_root(factor: ParamPoly, lo: Fraction, hi: Fraction, tol: float):
+def _refine_root(factor: ParamPoly, lo: Fraction, hi: Fraction):
     """Bisect a simple-root bracket with exact sign tests.
 
     The bracket is half-open, (lo, hi]; `lo` itself may be another root
@@ -471,7 +471,7 @@ def _refine_root(factor: ParamPoly, lo: Fraction, hi: Fraction, tol: float):
             step = step / 2
     sign_lo = -sign_hi
     for _ in range(_MAX_BISECT):
-        if float(hi) - float(lo) <= tol:
+        if float(hi) - float(lo) <= ROOT_TOL:
             break
         mid = (lo + hi) / 2
         fm = factor(mid)
@@ -488,10 +488,10 @@ def _refine_root(factor: ParamPoly, lo: Fraction, hi: Fraction, tol: float):
     return float(approx), None
 
 
-def real_roots(p: ParamPoly, tol: float = 1e-12):
+def real_roots(p: ParamPoly):
     """All real roots of p, sorted, with multiplicities.
 
-    Brackets are narrowed below `tol`; roots that are exactly rational
+    Brackets are narrowed below ROOT_TOL; roots that are exactly rational
     (up to denominator 1e9) are flagged with their exact value.
     """
     p._require_rational()
@@ -504,7 +504,7 @@ def real_roots(p: ParamPoly, tol: float = 1e-12):
             roots.append(Root(float(exact), mult, exact))
             continue
         for lo, hi in isolate_real_roots(factor):
-            value, exact = _refine_root(factor, lo, hi, tol)
+            value, exact = _refine_root(factor, lo, hi)
             roots.append(Root(value, mult, exact))
     roots.sort(key=lambda r: r.value)
     return roots

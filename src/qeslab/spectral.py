@@ -31,10 +31,9 @@ from qeslab.exactnum import (
     cauchy_bound,
     real_roots,
     resultant,
-    square_free_part,
     sturm_count,
 )
-from qeslab.verify import RelationReport
+from qeslab.verify import RelationReport, doublet_report
 from qeslab.weyl import (
     DiffOp,
     MatOp,
@@ -242,14 +241,11 @@ class AlgebraicSpectrum:
 def algebraic_spectrum(spec: HamiltonianSpec) -> AlgebraicSpectrum:
     """Exact characteristic polynomial and its certified-real roots."""
     cp = _even_poly(_mu_char_poly(restricted_hamiltonian(spec)), "lam")
-    two_n = 2 * spec.n
-    squarefree = square_free_part(cp)
-    bound = cauchy_bound(squarefree)
-    if sturm_count(squarefree, -bound, bound) != squarefree.degree:
-        raise SpectralError("characteristic polynomial has nonreal roots")
     levels = tuple(real_roots(cp))
-    if sum(lv.multiplicity for lv in levels) != two_n:
-        raise SpectralError("root multiplicities do not sum to the dimension")
+    # cp has degree 2n: its real roots account for every root only if
+    # none is complex
+    if sum(lv.multiplicity for lv in levels) != 2 * spec.n:
+        raise SpectralError("characteristic polynomial has nonreal roots")
     return AlgebraicSpectrum(spec=spec, char_poly=cp, levels=levels)
 
 
@@ -377,10 +373,14 @@ def _exactify(poly: ParamPoly) -> ParamPoly:
     )
 
 
-def y_node_count(x_poly: ParamPoly, guard: Fraction = Fraction(1, 10**9)) -> int:
+# x-roots within this distance of 0 count as the single y-zero y = 0
+NODE_GUARD = Fraction(1, 10**9)
+
+
+def y_node_count(x_poly: ParamPoly) -> int:
     """Distinct real y-zeros of  q(y) = x_poly(y^2).
 
-    Each x-root above the guard contributes a symmetric pair of
+    Each x-root above NODE_GUARD contributes a symmetric pair of
     y-zeros; a root inside the guard window around zero contributes the
     single zero y = 0.  Float coefficients are embedded exactly first.
     """
@@ -389,9 +389,9 @@ def y_node_count(x_poly: ParamPoly, guard: Fraction = Fraction(1, 10**9)) -> int
         raise ValueError("node count of the zero polynomial")
     if poly.degree == 0:
         return 0
-    bound = max(cauchy_bound(poly), guard * 2)
-    positive = sturm_count(poly, guard, bound)
-    at_zero = sturm_count(poly, -guard, guard)
+    bound = max(cauchy_bound(poly), NODE_GUARD * 2)
+    positive = sturm_count(poly, NODE_GUARD, bound)
+    at_zero = sturm_count(poly, -NODE_GUARD, NODE_GUARD)
     return 2 * positive + (1 if at_zero else 0)
 
 
@@ -547,14 +547,7 @@ def hamiltonian_leakage_reports(n_max: int):
     for n in range(2, n_max + 1):
         spec = HamiltonianSpec(n, Fraction(0))
         result = restrict(build_hamiltonian_gauged(spec, symbolic=True), spec.module)
-        reports.append(
-            RelationReport(
-                tag="30",
-                fields=(("n", n),),
-                holds=result.leakage_free,
-                residual=None if result.leakage_free else result.leakage,
-            )
-        )
+        reports.append(doublet_report("30", (("n", n),), result.leakage))
     return reports
 
 

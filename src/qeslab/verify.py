@@ -2,9 +2,10 @@
 
 Every check computes a normal-ordered residual (left side minus the
 expected right side) and reports holds/fails by exact zero-ness; there
-are no tolerances anywhere in this module.  A small fault-injection
-hook perturbs a single named generator coefficient so the sensitivity
-of the suite itself can be demonstrated.
+are no tolerances anywhere in this module.  Every relation family reads
+its operators from one ``GeneratorSet`` per (n, gap).  Fault injection
+perturbs a single named generator coefficient there, so the sensitivity
+of every family can be demonstrated with one switch.
 
 Report lines follow the wire format
 
@@ -23,16 +24,14 @@ from qeslab.generators import (
     DEFAULT_MIX,
     FermionicSet,
     MixSpec,
+    QUINTET_GAP,
     SIGN_MATRICES,
+    TRIPLET_GAP,
     bosonic_gens,
     fermionic_gens,
-    lowering_word,
     mixed_multiplet,
     odd_multiplets,
     quintet_S,
-    sl2_gens,
-    t_triplet,
-    triplet_F,
 )
 from qeslab.weyl import (
     DiffOp,
@@ -76,8 +75,14 @@ def _report(tag, fields, residual) -> RelationReport:
     )
 
 
+def doublet_report(tag, fields, leakage) -> RelationReport:
+    """Holds when an operator keeps its doublet: `leakage` (of its
+    restriction) is empty, else it is the residual."""
+    return RelationReport(tag, tuple(fields), not leakage, leakage or None)
+
+
 # ----------------------------------------------------------------------
-# generator construction with optional fault injection
+# the generator set of one (n, gap) point, with optional fault injection
 # ----------------------------------------------------------------------
 
 def perturb(op: MatOp) -> MatOp:
@@ -93,49 +98,84 @@ def perturb(op: MatOp) -> MatOp:
     return MatOp(rows)
 
 
-def _named_gens(params: AlgebraParams, fault: str | None):
-    """All generators keyed by fault-injection name."""
+def fault_names(delta: int) -> tuple:
+    """Names of the generators at gap `delta`, in report order: T+, T0,
+    T-, J, then Q_a and QBAR_a for a = 1..delta+1."""
+    names = ["T+", "T0", "T-", "J"]
+    for a in range(1, delta + 2):
+        names += [f"Q{a}", f"QBAR{a}"]
+    return tuple(names)
+
+
+def check_fault(name: str | None, delta_max: int) -> str | None:
+    """`name` in upper case (None stays None); ValueError unless some
+    generator at a gap up to `delta_max` carries it."""
+    if name is None:
+        return None
+    name = name.upper()
+    options = fault_names(delta_max)
+    if name not in options:
+        raise ValueError(
+            f"unknown fault target {name!r}; options: {', '.join(options)}"
+        )
+    return name
+
+
+@dataclass(frozen=True)
+class GeneratorSet:
+    """Every generator of one (n, gap) point, keyed by its fault name,
+    with at most one of them perturbed."""
+
+    params: AlgebraParams
+    named: dict
+
+    @property
+    def tees(self):
+        """(raising, Cartan, lowering)."""
+        return self.named["T+"], self.named["T0"], self.named["T-"]
+
+    @property
+    def towers(self) -> FermionicSet:
+        top = self.params.delta + 1
+        return FermionicSet(
+            params=self.params,
+            to_bottom={a: self.named[f"Q{a}"] for a in range(1, top + 1)},
+            to_top={a: self.named[f"QBAR{a}"] for a in range(1, top + 1)},
+        )
+
+    @property
+    def triplets(self):
+        """(T, Qbar, P): the three spin-1 triplets of gap 2."""
+        if self.params.delta != TRIPLET_GAP:
+            raise ValueError("triplet structure requires degree gap 2")
+        return (self.tees, *odd_multiplets(self.towers))
+
+
+def generator_set(n: int, delta: int, fault: str | None = None) -> GeneratorSet:
+    """The generators of gap `delta` on P(n - delta) (+) P(n), with the
+    one named `fault` perturbed; ValueError if it is absent at this gap."""
+    fault = check_fault(fault, delta)
+    params = AlgebraParams(n, delta)
     b = bosonic_gens(params)
     f = fermionic_gens(params)
-    named = {
-        "T+": b.raise_op,
-        "T0": b.cartan_op,
-        "T-": b.lower_op,
-        "J": b.charge_op,
-    }
-    for a in range(1, params.delta + 2):
-        named[f"Q{a}"] = f.to_bottom[a]
-        named[f"QBAR{a}"] = f.to_top[a]
+    ops = [b.raise_op, b.cartan_op, b.lower_op, b.charge_op]
+    for a in range(1, delta + 2):
+        ops += [f.to_bottom[a], f.to_top[a]]
+    named = dict(zip(fault_names(delta), ops))
     if fault is not None:
-        fault = fault.upper()
-        if fault not in named:
-            raise ValueError(
-                f"unknown fault target {fault!r}; options: {sorted(named)}"
-            )
         named[fault] = perturb(named[fault])
-    return named
-
-
-def _towers(named, params):
-    down = {
-        a: named[f"Q{a}"] for a in range(1, params.delta + 2)
-    }
-    up = {
-        a: named[f"QBAR{a}"] for a in range(1, params.delta + 2)
-    }
-    return FermionicSet(params=params, to_bottom=down, to_top=up)
+    return GeneratorSet(params=params, named=named)
 
 
 # ----------------------------------------------------------------------
 # block-diagonal relations
 # ----------------------------------------------------------------------
 
-def verify_sl2(n: int, delta: int, fault: str | None = None):
+def verify_sl2(gens: GeneratorSet):
     """The three even-triple commutators plus charge-operator centrality."""
-    params = AlgebraParams(n, delta)
-    g = _named_gens(params, fault)
-    tp, t0, tm, j = g["T+"], g["T0"], g["T-"], g["J"]
-    base = [("n", n), ("delta", delta)]
+    tp, t0, tm = gens.tees
+    j = gens.named["J"]
+    base = [("n", gens.params.n), ("delta", gens.params.delta)]
     reports = [
         _report("4", base + [("which", "pm")], commutator(tp, tm) + t0 * 2),
         _report("4", base + [("which", "zp")], commutator(t0, tp) - tp),
@@ -147,116 +187,66 @@ def verify_sl2(n: int, delta: int, fault: str | None = None):
     return reports
 
 
-def leakage_reports(n: int, delta: int, fault: str | None = None):
+def leakage_reports(gens: GeneratorSet):
     """EQ2: every generator preserves its doublet (empty leakage)."""
-    params = AlgebraParams(n, delta)
-    g = _named_gens(params, fault)
-    reports = []
-    for name, op in g.items():
-        restricted = restrict(op, params.module)
-        reports.append(
-            RelationReport(
-                tag="2",
-                fields=(("n", n), ("delta", delta), ("which", name)),
-                holds=restricted.leakage_free,
-                residual=None if restricted.leakage_free else restricted.leakage,
-            )
+    n, delta, module = gens.params.n, gens.params.delta, gens.params.module
+    return [
+        doublet_report(
+            "2", (("n", n), ("delta", delta), ("which", name)),
+            restrict(op, module).leakage,
         )
-    return reports
+        for name, op in gens.named.items()
+    ]
 
 
 # ----------------------------------------------------------------------
 # mixed (even-odd) tower relations
 # ----------------------------------------------------------------------
 
-def verify_tensor(n: int, delta: int, fault: str | None = None):
+def verify_tensor(gens: GeneratorSet):
     """Commutators of the even operators with both odd towers.
 
     The raising-with-up-tower relation (tag 11) is checked against the
     closed form found by computation, (1-alpha) * up[alpha-1]; the form
     is printed in the report so its stability is auditable.
     """
-    params = AlgebraParams(n, delta)
-    g = _named_gens(params, fault)
-    f = _towers(g, params)
-    tp, t0, tm, j = g["T+"], g["T0"], g["T-"], g["J"]
+    n, delta = gens.params.n, gens.params.delta
+    f = gens.towers
+    tp, t0, tm = gens.tees
+    j = gens.named["J"]
     half_delta = Fraction(delta, 2)
     reports = []
     for a in range(1, delta + 2):
         down = f.to_bottom[a]
         up = f.to_top[a]
+        relations = [
+            ("8", [], commutator(tp, down)
+             - f.to_bottom_or_zero(a + 1) * Fraction(-(1 - a + delta))),
+            ("9", [], commutator(t0, down) - down * (-(1 - a + half_delta))),
+            ("10", [], commutator(tm, down)
+             - f.to_bottom_or_zero(a - 1) * Fraction(a - 1)),
+            ("11", [("form", "(1-alpha)*up(alpha-1)")], commutator(tp, up)
+             - f.to_top_or_zero(a - 1) * Fraction(1 - a)),
+            ("12", [], commutator(t0, up) - up * (1 - a + half_delta)),
+            ("13", [], commutator(tm, up)
+             - f.to_top_or_zero(a + 1) * Fraction(1 - a + delta)),
+            ("14", [("which", "down")], commutator(j, down) - down * (-half_delta)),
+            ("14", [("which", "up")], commutator(j, up) - up * half_delta),
+        ]
         base = [("n", n), ("delta", delta), ("alpha", a)]
-        reports.append(
-            _report(
-                "8",
-                base,
-                commutator(tp, down)
-                - f.to_bottom_or_zero(a + 1) * Fraction(-(1 - a + delta)),
-            )
-        )
-        reports.append(
-            _report(
-                "9",
-                base,
-                commutator(t0, down) - down * (-(1 - a + half_delta)),
-            )
-        )
-        reports.append(
-            _report(
-                "10",
-                base,
-                commutator(tm, down) - f.to_bottom_or_zero(a - 1) * Fraction(a - 1),
-            )
-        )
-        reports.append(
-            _report(
-                "11",
-                base + [("form", "(1-alpha)*up(alpha-1)")],
-                commutator(tp, up) - f.to_top_or_zero(a - 1) * Fraction(1 - a),
-            )
-        )
-        reports.append(
-            _report(
-                "12",
-                base,
-                commutator(t0, up) - up * (1 - a + half_delta),
-            )
-        )
-        reports.append(
-            _report(
-                "13",
-                base,
-                commutator(tm, up) - f.to_top_or_zero(a + 1) * Fraction(1 - a + delta),
-            )
-        )
-        reports.append(
-            _report(
-                "14",
-                base + [("which", "down")],
-                commutator(j, down) - down * (-half_delta),
-            )
-        )
-        reports.append(
-            _report(
-                "14",
-                base + [("which", "up")],
-                commutator(j, up) - up * half_delta,
-            )
-        )
+        reports += [
+            _report(tag, base + extra, residual) for tag, extra, residual in relations
+        ]
     if delta == 1:
-        reports.extend(_osp22_reports(n, g, f))
+        reports.extend(_osp22_reports(gens))
     return reports
 
 
-def _osp22_reports(n: int, g, f: FermionicSet):
+def _osp22_reports(gens: GeneratorSet):
     """Gap 1: mixed anticommutators close linearly in the even span."""
-    basis_named = [
-        ("1", MatOp.identity()),
-        ("T+", g["T+"]),
-        ("T0", g["T0"]),
-        ("T-", g["T-"]),
-        ("J", g["J"]),
-    ]
+    f = gens.towers
+    basis_named = [("1", MatOp.identity())]
+    basis_named += [(name, gens.named[name]) for name in ("T+", "T0", "T-", "J")]
     even_span = Span(op for _, op in basis_named)
     reports = []
     for a in (1, 2):
@@ -267,7 +257,8 @@ def _osp22_reports(n: int, g, f: FermionicSet):
                 f"{name}:{coeff}" for (name, _), coeff in zip(basis_named, coeffs)
             )
             fields = (
-                ("n", n), ("delta", 1), ("alpha", a), ("beta", b), ("span", span)
+                ("n", gens.params.n), ("delta", 1), ("alpha", a), ("beta", b),
+                ("span", span),
             )
             reports.append(_report("OSP22", fields, residual))
     return reports
@@ -277,16 +268,9 @@ def _osp22_reports(n: int, g, f: FermionicSet):
 # gap-2 structures
 # ----------------------------------------------------------------------
 
-def _triplet_towers(n: int, fault: str | None):
-    """(T, Qbar, P) triplets built from the fault-injected generators."""
-    params = AlgebraParams(n, 2)
-    g = _named_gens(params, fault)
-    return (g["T+"], g["T0"], g["T-"]), *odd_multiplets(_towers(g, params))
-
-
-def verify_triplets(n: int, fault: str | None = None):
+def verify_triplets(gens: GeneratorSet):
     """Spin-1 transformation law of the three gap-2 triplets."""
-    tees, qbar, pp = _triplet_towers(n, fault)
+    tees, qbar, pp = gens.triplets
     towers = [("QBAR", qbar), ("P", pp), ("T", tees)]
     laws = [
         (1, lambda V, a: V[a - 2] * Fraction(1 - a) if a >= 2 else MatOp.zero()),
@@ -302,7 +286,7 @@ def verify_triplets(n: int, fault: str | None = None):
                     _report(
                         "15",
                         [
-                            ("n", n),
+                            ("n", gens.params.n),
                             ("delta", 2),
                             ("alpha", a),
                             ("beta", b),
@@ -314,11 +298,12 @@ def verify_triplets(n: int, fault: str | None = None):
     return reports
 
 
-def verify_identities(n: int):
+def verify_identities(gens: GeneratorSet):
     """Scalar intertwining identities behind the gap-2 closure.
 
-    With j_1, j_2, j_3 the raising/Cartan/lowering triple and
-    p_a = x^(3-a), w_a the differential tower words:
+    Read off the gap-2 generators: j_b(n-2) and j_b(n) are the top and
+    bottom entries of T_b, p_a = x^(3-a) is the entry of P_a, and w_a
+    the differential word of QBAR_a:
 
         j_b(n) p_a - p_a j_b(n-2)   = (b-a) p_(a+b-2)
         j_b(n-2) w_a - w_a j_b(n)   = (b-a) w_(a+b-2)
@@ -327,121 +312,107 @@ def verify_identities(n: int):
     coefficient vanishes; the computed left side is reported (it
     vanishes identically).
     """
-    if n < 2:
-        raise ValueError("need n >= 2 for the gap-2 doublet")
-    jays = {}
-    for m in (n, n - 2):
-        raising, cartan, lowering = sl2_gens(m)
-        jays[m] = {1: raising, 2: cartan, 3: lowering}
-    p_ops = {a: DiffOp.x(3 - a) if a < 3 else DiffOp.one() for a in (1, 2, 3)}
-    words = {a: lowering_word(n, 2, a) for a in (1, 2, 3)}
+    tees, qbar, pees = gens.triplets
+    top = {b: t[0][0] for b, t in enumerate(tees, 1)}
+    bottom = {b: t[1][1] for b, t in enumerate(tees, 1)}
+    p_ops = {a: p[1][0] for a, p in enumerate(pees, 1)}
+    words = {a: q[0][1] for a, q in enumerate(qbar, 1)}
     reports = []
     for a in (1, 2, 3):
         for b in (1, 2, 3):
             target = a + b - 2
             in_range = 1 <= target <= 3
             extras = [] if in_range else [("note", "lhs-vanishes")]
-            base = [("n", n), ("delta", 2), ("alpha", a), ("beta", b)] + extras
-            lhs22 = jays[n][b] * p_ops[a] - p_ops[a] * jays[n - 2][b]
+            base = [("n", gens.params.n), ("delta", 2), ("alpha", a), ("beta", b)]
+            base += extras
+            lhs22 = bottom[b] * p_ops[a] - p_ops[a] * top[b]
             rhs22 = p_ops[target] * Fraction(b - a) if in_range else DiffOp.zero()
             reports.append(_report("22", base, lhs22 - rhs22))
-            lhs23 = jays[n - 2][b] * words[a] - words[a] * jays[n][b]
+            lhs23 = top[b] * words[a] - words[a] * bottom[b]
             rhs23 = words[target] * Fraction(b - a) if in_range else DiffOp.zero()
             reports.append(_report("23", base, lhs23 - rhs23))
     return reports
 
 
-def verify_q2(n: int, mix: MixSpec | None = None, fault: str | None = None):
+def _mixed_triplet(gens: GeneratorSet, mix: MixSpec | None):
+    """(T, F) with the mixed triplet F_a = Qbar_a + c_mix P_a + d T_a."""
+    if mix is None:
+        mix = DEFAULT_MIX
+    tees, qbar, pees = gens.triplets
+    return tees, mixed_multiplet(qbar, pees, tees, mix.c_mix, mix.d_mat())
+
+
+Q2_PAIRS = tuple((a, b) for a in (1, 2, 3) for b in (1, 2, 3))
+
+
+def _metric(a: int, b: int) -> Fraction:
+    return ANTICOMM_METRIC.get((a, b), Fraction(0))
+
+
+def _q2_residuals(n: int, effs, tees, sigma):
+    """Residuals of {F_a, F_b} = n^2 metric(a, b) 1 over Q2_PAIRS, then
+    of {F_a, sigma} = 2 T_a: on operators or on their matrices."""
+    nn = Fraction(n * n)
+    anti = {
+        (a, b): anticommutator(effs[a - 1], effs[b - 1])
+        for a, b in Q2_PAIRS
+        if a <= b
+    }
+    residuals = [
+        anti[min(a, b), max(a, b)].scaled_identity_added(-nn * _metric(a, b))
+        for a, b in Q2_PAIRS
+    ]
+    return residuals + [anticommutator(f, sigma) - t * 2 for f, t in zip(effs, tees)]
+
+
+def verify_q2(gens: GeneratorSet, mix: MixSpec | None = None):
     """The closed superalgebra table for the mixed gap-2 triplet.
 
     Checks, exactly: the full 3x3 anticommutator table against
     n^2 * ANTICOMM_METRIC, the pairing of the mixed triplet with
     diag(1,-1) back onto the even triple, and the involution square.
     """
-    if mix is None:
-        mix = DEFAULT_MIX
-    tees, qbar, pees = _triplet_towers(n, fault)
-    effs = mixed_multiplet(qbar, pees, tees, mix.c_mix, mix.d_mat())
-    table = anticommutator_residuals(effs, Span([MatOp.identity()]))
+    n = gens.params.n
+    tees, effs = _mixed_triplet(gens, mix)
     sigma = MatOp.sigma3()
-    reports = []
-    nn = Fraction(n * n)
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            gamma = ANTICOMM_METRIC.get((a, b), Fraction(0))
-            # {F_a, F_b} - n^2 gamma 1, from its projection onto the scalars
-            (scalar,), off_span = table[min(a, b), max(a, b)]
-            residual = off_span + MatOp.scalar(scalar - nn * gamma)
-            reports.append(
-                _report(
-                    "19",
-                    [
-                        ("n", n),
-                        ("delta", 2),
-                        ("alpha", a),
-                        ("beta", b),
-                        ("metric", gamma),
-                    ],
-                    residual,
-                )
-            )
-    for a in (1, 2, 3):
-        reports.append(
-            _report(
-                "25",
-                [("n", n), ("delta", 2), ("alpha", a)],
-                anticommutator(effs[a - 1], sigma) - tees[a - 1] * 2,
-            )
-        )
+    residuals = _q2_residuals(n, effs, tees, sigma)
+    base = [("n", n), ("delta", 2)]
+    reports = [
+        _report("19", base + [("alpha", a), ("beta", b), ("metric", _metric(a, b))], r)
+        for (a, b), r in zip(Q2_PAIRS, residuals)
+    ]
+    reports += [
+        _report("25", base + [("alpha", a)], r)
+        for a, r in zip((1, 2, 3), residuals[len(Q2_PAIRS):])
+    ]
     reports.append(
-        _report(
-            "26",
-            [("n", n), ("delta", 2)],
-            anticommutator(sigma, sigma) - MatOp.identity() * 2,
-        )
+        _report("26", base, anticommutator(sigma, sigma) - MatOp.identity() * 2)
     )
     return reports
 
 
-def verify_q2_matrix(n: int, mix: MixSpec | None = None):
+def verify_q2_matrix(gens: GeneratorSet, mix: MixSpec | None = None):
     """Shadow of the superalgebra table on the restricted matrices.
 
-    The same relations as ``verify_q2``, but checked on the exact
-    matrices of the operators acting on the doublet basis.
+    The same relations as ``verify_q2``, on the exact matrices of the
+    same mixed triplet acting on the doublet basis.  If an operator
+    leaks out of the doublet (a fault can make it), there is no matrix
+    to check: every line fails, with the leakage as its residual.
     """
-    if mix is None:
-        mix = DEFAULT_MIX
-    params = AlgebraParams(n, 2)
-    module = params.module
-    effs = [restrict(op, module) for op in triplet_F(params, mix)]
-    tees = [restrict(op, module) for op in t_triplet(params)]
-    sigma = restrict(MatOp.sigma3(), module)
-    for r in effs + tees + [sigma]:
-        if not r.leakage_free:
-            raise ValueError("shadow check needs leakage-free operators")
-    reports = []
-    nn = Fraction(n * n)
-    anti = {
-        (a, b): anticommutator(effs[a - 1].matrix, effs[b - 1].matrix)
-        for a in (1, 2, 3)
-        for b in range(a, 4)
-    }
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            gamma = ANTICOMM_METRIC.get((a, b), Fraction(0))
-            residual = anti[min(a, b), max(a, b)].scaled_identity_added(
-                -nn * gamma
-            )
-            fields = (("n", n), ("delta", 2), ("alpha", a), ("beta", b))
-            reports.append(_report("19SHADOW", fields, residual))
-    for a in (1, 2, 3):
-        residual = (
-            anticommutator(effs[a - 1].matrix, sigma.matrix)
-            - tees[a - 1].matrix * 2
-        )
-        fields = (("n", n), ("delta", 2), ("alpha", a), ("which", "sigma"))
-        reports.append(_report("19SHADOW", fields, residual))
-    return reports
+    n = gens.params.n
+    module = gens.params.module
+    tees, effs = _mixed_triplet(gens, mix)
+    restricted = [restrict(op, module) for op in effs + tees]
+    base = (("n", n), ("delta", 2))
+    fields = [base + (("alpha", a), ("beta", b)) for a, b in Q2_PAIRS]
+    fields += [base + (("alpha", a), ("which", "sigma")) for a in (1, 2, 3)]
+    leakage = tuple(term for r in restricted for term in r.leakage)
+    if leakage:
+        return [doublet_report("19SHADOW", f, leakage) for f in fields]
+    mats = [r.matrix for r in restricted]
+    sigma = restrict(MatOp.sigma3(), module).matrix
+    residuals = _q2_residuals(n, mats[:3], mats[3:], sigma)
+    return [_report("19SHADOW", f, r) for f, r in zip(fields, residuals)]
 
 
 # ----------------------------------------------------------------------
@@ -481,11 +452,10 @@ def default_scan_grid():
     return tuple(Fraction(k, 4) for k in range(-12, 13))
 
 
-def _span_basis(params: AlgebraParams):
+def _span_basis(tees):
     """Independent basis of degree-<=1 words in the even operators,
     graded by the diagonal involution: {1, s3, T_a, s3 T_a}.  The
     charge operator lies in span{1, s3} and is therefore implied."""
-    tees = t_triplet(params)
     sigma = MatOp.sigma3()
     basis = [MatOp.identity(), sigma]
     for t in tees:
@@ -496,9 +466,9 @@ def _span_basis(params: AlgebraParams):
 
 def _quintet_parts(n: int):
     """Odd towers, even quintet and projection span of the gap-4 scan."""
-    params = AlgebraParams(n, 4)
-    qbar, pees = odd_multiplets(fermionic_gens(params))
-    return qbar, pees, quintet_S(params), Span(_span_basis(params))
+    gens = generator_set(n, QUINTET_GAP)
+    qbar, pees = odd_multiplets(gens.towers)
+    return qbar, pees, quintet_S(gens.params), Span(_span_basis(gens.tees))
 
 
 def _obstruction_report(residuals, c_mix, d_top, d_bottom):
@@ -566,21 +536,28 @@ def delta4_scan(n: int = 6, c_values=None):
 def default_suite(
     n_max: int = 12,
     delta_max: int = 4,
-    mix: MixSpec | None = None,
     inject_fault: str | None = None,
 ):
-    """Every relation suite over the (n, gap) box, as one report list."""
+    """Every relation suite over the (n, gap) box, as one report list.
+
+    One generator set is built per (n, gap) point and shared by every
+    family; the injected fault is applied at every gap where its
+    generator exists.
+    """
+    fault = check_fault(inject_fault, delta_max)
     reports = []
     for delta in range(1, delta_max + 1):
+        at_gap = fault if fault in fault_names(delta) else None
         for n in range(delta, n_max + 1):
-            reports.extend(verify_sl2(n, delta, inject_fault))
-            reports.extend(verify_tensor(n, delta, inject_fault))
-            reports.extend(leakage_reports(n, delta, inject_fault))
-            if delta == 2:
-                reports.extend(verify_triplets(n, inject_fault))
-                reports.extend(verify_identities(n))
-                reports.extend(verify_q2(n, mix, inject_fault))
-                reports.extend(verify_q2_matrix(n, mix))
+            gens = generator_set(n, delta, at_gap)
+            reports.extend(verify_sl2(gens))
+            reports.extend(verify_tensor(gens))
+            reports.extend(leakage_reports(gens))
+            if delta == TRIPLET_GAP:
+                reports.extend(verify_triplets(gens))
+                reports.extend(verify_identities(gens))
+                reports.extend(verify_q2(gens))
+                reports.extend(verify_q2_matrix(gens))
     return reports
 
 

@@ -171,14 +171,6 @@ class DiffOp:
             return DiffOp({k: other * c for k, c in self.terms.items()})
         return NotImplemented
 
-    def __pow__(self, n: int) -> "DiffOp":
-        if n < 0:
-            raise ValueError("negative power of an operator")
-        out = DiffOp.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     # ------------------------------------------------------------------
     def apply(self, poly: ParamPoly) -> ParamPoly:
         """Apply to a polynomial in x (exactly)."""
@@ -262,10 +254,6 @@ class MatOp:
         return cls(((_as_diffop(top), z), (z, _as_diffop(bottom))))
 
     @classmethod
-    def scalar(cls, value) -> "MatOp":
-        return cls.diag(value, value)
-
-    @classmethod
     def sigma3(cls) -> "MatOp":
         return cls.diag(1, -1)
 
@@ -338,14 +326,6 @@ class MatOp:
             )
         return NotImplemented
 
-    def __pow__(self, n: int) -> "MatOp":
-        if n < 0:
-            raise ValueError("negative power of an operator")
-        out = MatOp.identity()
-        for _ in range(n):
-            out = out * self
-        return out
-
     # ------------------------------------------------------------------
     def apply(self, doublet) -> tuple:
         top, bottom = doublet
@@ -358,6 +338,10 @@ class MatOp:
         return MatOp(
             tuple(tuple(e.map_coeffs(func) for e in row) for row in self.entries)
         )
+
+    def scaled_identity_added(self, scalar) -> "MatOp":
+        """self + scalar*1, as ``ExactMatrix.scaled_identity_added``."""
+        return self + MatOp.diag(scalar, scalar)
 
     def eval_param(self, value) -> "MatOp":
         return MatOp(

@@ -29,6 +29,7 @@ from qeslab.verify import (
     default_suite,
     delta4_scan,
     failures,
+    generator_set,
     leakage_reports,
     verify_q2,
     verify_q2_matrix,
@@ -65,8 +66,9 @@ def test_c02_pair_family_closes_with_discovered_mix():
     )
     bad = []
     for n in range(2, 11):
-        bad += failures(verify_q2(n, mix=discovery.selected))
-        bad += failures(verify_q2_matrix(n, mix=discovery.selected))
+        gens = generator_set(n, 2)
+        bad += failures(verify_q2(gens, mix=discovery.selected))
+        bad += failures(verify_q2_matrix(gens, mix=discovery.selected))
     ok = ok and not bad
     report(
         "C02",
@@ -213,7 +215,7 @@ def test_c10_invariance_certificates():
     bad = []
     for delta in range(1, 5):
         for n in range(max(2, delta), 13):
-            bad += failures(leakage_reports(n, delta))
+            bad += failures(leakage_reports(generator_set(n, delta)))
     ham = hamiltonian_leakage_reports(12)
     bad += [r for r in ham if not r.holds]
     ok = not bad and len(ham) == 11

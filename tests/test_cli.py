@@ -133,6 +133,13 @@ def test_verify_fault_injection_fails(capsys):
     assert "status=fails" in out
 
 
+def test_verify_unknown_fault_is_usage_error(capsys):
+    code, out, err = run(capsys, ["verify", "--inject-fault", "NOPE"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown fault target 'NOPE'; options: T+, ")
+
+
 def test_sweep_stdout_and_file(tmp_path, capsys):
     code, out, _ = run(
         capsys,

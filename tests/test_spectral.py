@@ -292,6 +292,16 @@ def test_vanishing_collision_polynomial_raises(monkeypatch):
         spectral_mod.find_degeneracy(2, F(0), F(1))
 
 
+def test_nonreal_roots_raise_spectral_error(monkeypatch):
+    import qeslab.spectral as spectral_mod
+
+    # q(mu) = mu^2 + 1 gives p(lam) = lam^4 + 1: degree 2n at n = 2, no real root
+    mu = ParamPoly.gen("mu")
+    monkeypatch.setattr(spectral_mod, "_mu_char_poly", lambda r: mu * mu + 1)
+    with pytest.raises(SpectralError, match="nonreal roots"):
+        spectral_mod.algebraic_spectrum(HamiltonianSpec(2, F(1, 8)))
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_block_char_poly_matches_full_product(n):
     # reference: Faddeev-LeVerrier on the full 2n x 2n matrix

@@ -10,6 +10,8 @@ from qeslab.verify import (
     default_suite,
     delta4_scan,
     failures,
+    fault_names,
+    generator_set,
     leakage_reports,
     perturb,
     scan_point,
@@ -31,17 +33,17 @@ def test_default_suite_holds_on_medium_box():
 
 
 def test_report_line_wire_format():
-    lines = [r.line() for r in verify_sl2(3, 1)]
+    lines = [r.line() for r in verify_sl2(generator_set(3, 1))]
     assert lines[0] == "EQ4 n=3 delta=1 which=pm status=holds"
     assert "EQ4J n=3 delta=1 which=p status=holds" in lines
-    q2_lines = [r.line() for r in verify_q2(4)]
+    q2_lines = [r.line() for r in verify_q2(generator_set(4, 2))]
     assert "EQ19 n=4 delta=2 alpha=1 beta=3 metric=-1 status=holds" in q2_lines
     assert "EQ19 n=4 delta=2 alpha=2 beta=2 metric=1/2 status=holds" in q2_lines
     assert "EQ26 n=4 delta=2 status=holds" in q2_lines
 
 
 def test_atypical_gap_one_pairing_table():
-    lines = [r.line() for r in verify_tensor(4, 1) if r.tag == "OSP22"]
+    lines = [r.line() for r in verify_tensor(generator_set(4, 1)) if r.tag == "OSP22"]
     assert lines == [
         "EQOSP22 n=4 delta=1 alpha=1 beta=1 span=1:0,T+:0,T0:1,T-:0,J:-1 status=holds",
         "EQOSP22 n=4 delta=1 alpha=1 beta=2 span=1:0,T+:0,T0:0,T-:1,J:0 status=holds",
@@ -51,7 +53,7 @@ def test_atypical_gap_one_pairing_table():
 
 
 def test_triplet_suite_covers_all_members():
-    reports = verify_triplets(5)
+    reports = verify_triplets(generator_set(5, 2))
     assert not failures(reports)
     tags = {tuple(r.fields) for r in reports if r.tag == "15"}
     assert len(tags) == 27  # three families x three members x three actions
@@ -70,6 +72,24 @@ def test_unknown_fault_name_rejected():
         default_suite(n_max=4, delta_max=1, inject_fault="NOPE")
 
 
+def test_fault_on_a_high_gap_tower_member_is_detected():
+    # Q3 exists only from gap 2 on; the suite starts at gap 1
+    assert failures(default_suite(n_max=5, delta_max=3, inject_fault="Q3"))
+
+
+def test_every_relation_family_is_reachable_by_a_fault():
+    reports = default_suite(n_max=4, delta_max=4)
+    failed = set()
+    for name in fault_names(4):
+        failed |= {r.tag for r in failures(default_suite(4, 4, name))}
+    # perturb keeps every block shape, so three tags hold under any fault:
+    # 4J: a constant diagonal J commutes with any (faulted) diagonal T;
+    # 25: the odd parts of F_a anticommute with sigma3, and d = sigma3,
+    #     so {F_a, sigma3} = 2 T_a for any faulted T;
+    # 26: {sigma3, sigma3} involves no generator.
+    assert {r.tag for r in reports} - failed == {"4J", "25", "26"}
+
+
 def test_perturb_changes_first_populated_entry():
     op = MatOp.diag(DiffOp.zero(), DiffOp.euler())
     bumped = perturb(op)
@@ -79,17 +99,17 @@ def test_perturb_changes_first_populated_entry():
 
 
 def test_wrong_mix_constant_fails():
-    reports = verify_q2(4, mix=MixSpec(F(1), F(1), F(-1)))
+    reports = verify_q2(generator_set(4, 2), mix=MixSpec(F(1), F(1), F(-1)))
     assert failures(reports)
 
 
 def test_wrong_sign_matrix_fails():
-    reports = verify_q2(4, mix=MixSpec(F(-1), F(1), F(1)))
+    reports = verify_q2(generator_set(4, 2), mix=MixSpec(F(-1), F(1), F(1)))
     assert failures(reports)
 
 
 def test_matrix_shadow_consistency():
-    reports = verify_q2_matrix(5)
+    reports = verify_q2_matrix(generator_set(5, 2))
     assert reports
     assert not failures(reports)
     assert any(r.tag == "19SHADOW" for r in reports)
@@ -97,7 +117,7 @@ def test_matrix_shadow_consistency():
 
 def test_generator_leakage_certificates_empty():
     for n, delta in ((4, 1), (6, 2), (7, 4)):
-        reports = leakage_reports(n, delta)
+        reports = leakage_reports(generator_set(n, delta))
         assert reports
         assert not failures(reports)
 
