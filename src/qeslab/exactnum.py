@@ -372,7 +372,8 @@ def _sign(value: Fraction) -> int:
     return 0
 
 
-def _variations(chain, x: Fraction) -> int:
+def sign_variations(chain, x: Fraction) -> int:
+    """Sign changes of the Sturm chain at x, zeros skipped."""
     signs = [s for s in (_sign(q(x)) for q in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
@@ -403,7 +404,7 @@ def sturm_count(p: ParamPoly, lo: Fraction, hi: Fraction) -> int:
     chain = sturm_sequence(sq)
     # dropping zero entries from the sign sequence makes the variation
     # count at a root equal its right-hand limit, so (lo, hi] comes out
-    return _variations(chain, lo) - _variations(chain, hi)
+    return sign_variations(chain, lo) - sign_variations(chain, hi)
 
 
 def isolate_real_roots(p: ParamPoly):
@@ -416,12 +417,10 @@ def isolate_real_roots(p: ParamPoly):
         return []
     chain = sturm_sequence(p)
     bound = cauchy_bound(p)
-
-    def var_at(x):
-        return _variations(chain, x)
-
     out = []
-    stack = [(-bound, bound, var_at(-bound), var_at(bound))]
+    stack = [
+        (-bound, bound, sign_variations(chain, -bound), sign_variations(chain, bound))
+    ]
     while stack:
         lo, hi, vlo, vhi = stack.pop()
         count = vlo - vhi
@@ -431,7 +430,7 @@ def isolate_real_roots(p: ParamPoly):
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        vmid = var_at(mid)
+        vmid = sign_variations(chain, mid)
         stack.append((lo, mid, vlo, vmid))
         stack.append((mid, hi, vmid, vhi))
     return sorted(out)
@@ -645,32 +644,28 @@ class ExactMatrix:
             lambda e: e(value) if isinstance(e, ParamPoly) else e
         )
 
-    def to_float_rows(self):
-        out = []
-        for row in self.entries:
-            frow = []
-            for e in row:
-                if isinstance(e, ParamPoly):
-                    raise TypeError("polynomial entry has no float value")
-                frow.append(float(e))
-            out.append(frow)
-        return out
-
     # ------------------------------------------------------------------
-    def char_poly(self, var: str = "lam") -> ParamPoly:
-        """det(var*I - self) by the Faddeev-LeVerrier recursion."""
+    def faddeev_leverrier(self):
+        """(coeffs, terms): the ascending coefficients of det(t*I - self)
+        and the matrices N_0 .. N_{n-1} with
+        adj(t*I - self) = sum_k t^(n-1-k) N_k."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of a non-square matrix")
         n = self.rows
         coeffs = [Fraction(0)] * (n + 1)
         coeffs[n] = Fraction(1)
-        aux = ExactMatrix.identity(n)
+        terms = [ExactMatrix.identity(n)]
         for k in range(1, n + 1):
-            am = self * aux
+            am = self * terms[-1]
             ck = -(am.trace() * Fraction(1, k))
             coeffs[n - k] = as_exact(ck)
-            aux = am.scaled_identity_added(ck)
-        return ParamPoly(var, coeffs)
+            if k < n:
+                terms.append(am.scaled_identity_added(ck))
+        return coeffs, terms
+
+    def char_poly(self, var: str = "lam") -> ParamPoly:
+        """det(var*I - self) by the Faddeev-LeVerrier recursion."""
+        return ParamPoly(var, self.faddeev_leverrier()[0])
 
     def det(self):
         """Bareiss fraction-free elimination (exact in an integral domain)."""

@@ -31,7 +31,9 @@ from qeslab.exactnum import (
     cauchy_bound,
     real_roots,
     resultant,
-    sturm_count,
+    sign_variations,
+    square_free_part,
+    sturm_sequence,
 )
 from qeslab.verify import RelationReport, doublet_report
 from qeslab.weyl import (
@@ -176,13 +178,19 @@ def _parity_split(matrix: ExactMatrix, module: ModuleSpec):
     return block(even, odd), block(odd, even), stray
 
 
-def _mu_char_poly(restricted: RestrictedMatrix) -> ParamPoly:
-    """q(mu) = det(mu - BC); the characteristic polynomial of
-    M = [[0, B], [C, 0]] is det(lam^2 - BC) = q(lam^2).  Raises
-    SpectralError if M has a nonzero same-parity entry."""
+def _parity_blocks(restricted: RestrictedMatrix):
+    """(B, C) of M = [[0, B], [C, 0]].  Raises SpectralError if M has a
+    nonzero same-parity entry."""
     b, c, stray = _parity_split(restricted.matrix, restricted.module)
     if not stray.is_zero:
         raise SpectralError("restricted matrix is not odd under parity")
+    return b, c
+
+
+def _mu_char_poly(restricted: RestrictedMatrix) -> ParamPoly:
+    """q(mu) = det(mu - BC); the characteristic polynomial of
+    M = [[0, B], [C, 0]] is det(lam^2 - BC) = q(lam^2)."""
+    b, c = _parity_blocks(restricted)
     return (b * c).char_poly("mu")
 
 
@@ -270,45 +278,41 @@ def _split_doublet(vector, module: ModuleSpec):
     return top, bottom
 
 
-def _trim_trailing(poly: ParamPoly, tol: float) -> ParamPoly:
-    """Drop trailing numeric-noise coefficients so the float degree is
-    honest; keeps exact coefficients untouched when tol is zero."""
-    coeffs = list(poly.coeffs)
-    while coeffs and abs(coeffs[-1]) <= tol:
-        coeffs.pop()
-    return ParamPoly(poly.var, coeffs)
-
-
-def _normalize_doublet(top: ParamPoly, bottom: ParamPoly, tol: float = 0.0):
+def _normalize_doublet(top: ParamPoly, bottom: ParamPoly):
     """Scale so the highest-degree nonzero top coefficient is +1
     (falling back to the bottom component for top-zero vectors)."""
-    if tol:
-        top = _trim_trailing(top, tol)
-        bottom = _trim_trailing(bottom, tol)
     for poly in (top, bottom):
-        if poly.is_zero:
-            continue
-        lead = poly.leading()
-        if isinstance(lead, Fraction):
-            inv = Fraction(1) / lead
+        if not poly.is_zero:
+            inv = Fraction(1) / poly.leading()
             return top * inv, bottom * inv
-        inv = 1.0 / lead
-        scale = lambda c: c * inv
-        return top.map_coeffs(scale), bottom.map_coeffs(scale)
     raise SpectralError("zero eigenvector")
 
 
+def _adjugate_column(terms, mu, j: int):
+    """Column j of adj(mu - A) = sum_k mu^(n-1-k) N_k, by Horner in mu,
+    for the Faddeev-LeVerrier matrices N_k of A."""
+    column = [0] * terms[0].rows
+    for term in terms:
+        column = [acc * mu + row[j] for acc, row in zip(column, term.entries)]
+    return column
+
+
 def eigenvectors(spec: HamiltonianSpec, spectrum: AlgebraicSpectrum = None):
-    """Eigenvector doublets per level: exact kernels at rational levels,
-    float SVD kernels otherwise; defective levels are flagged."""
+    """Eigenvector doublets per level: exact kernels at rational levels
+    (defective ones flagged).  An irrational level E must be simple, else
+    SpectralError; it is nonzero.  With E the rational value of its float
+    and mu = E^2, the largest column u of adj(mu - BC) spans the kernel of
+    mu - BC and w = C u / E completes the vector.  A float pre-pass picks
+    the column, which alone is evaluated exactly; the normalized doublet
+    is rounded to floats once."""
     if spectrum is None:
         spectrum = algebraic_spectrum(spec)
     restricted = restricted_hamiltonian(spec)
     module = restricted.module
     matrix = restricted.matrix
-    dim = module.dim
-    float_matrix = np.array(matrix.to_float_rows(), dtype=float)
-    scale = max(1.0, float(np.max(np.abs(float_matrix))))
+    b, c = _parity_blocks(restricted)
+    terms = (b * c).faddeev_leverrier()[1]
+    float_terms = [term.map_entries(float) for term in terms]
     pairs = []
     for level in spectrum.levels:
         if level.exact is not None:
@@ -327,26 +331,23 @@ def eigenvectors(spec: HamiltonianSpec, spectrum: AlgebraicSpectrum = None):
                 )
             )
             continue
-        shifted = float_matrix - level.value * np.eye(dim)
-        _, singulars, vh = np.linalg.svd(shifted)
-        tol = 1e-8 * scale
-        kernel_dim = int(np.sum(singulars <= tol))
-        take = min(level.multiplicity, kernel_dim) or 1
-        doublets = tuple(
-            _normalize_doublet(
-                *_split_doublet([float(v) for v in vh[dim - k - 1]], module),
-                tol=1e-9,
-            )
-            for k in range(take)
+        if level.multiplicity > 1:
+            raise SpectralError(f"repeated irrational level {level.value!r}")
+        e = Fraction(level.value)
+        mu = e * e
+        j = max(
+            range(b.rows),
+            key=lambda j: sum(
+                x * x for x in _adjugate_column(float_terms, float(mu), j)
+            ),
         )
-        pairs.append(
-            EigenPair(
-                level=level,
-                doublets=doublets,
-                exact_coeffs=False,
-                defective=kernel_dim < level.multiplicity,
-            )
-        )
+        u = _adjugate_column(terms, mu, j)
+        w = [row[0] / e for row in (c * ExactMatrix([[x] for x in u])).entries]
+        parts = {1: iter(u), -1: iter(w)}
+        vector = [next(parts[sign]) for sign in _parity_signs(module)]
+        top, bottom = _normalize_doublet(*_split_doublet(vector, module))
+        doublet = (top.map_coeffs(float), bottom.map_coeffs(float))
+        pairs.append(EigenPair(level=level, doublets=(doublet,), exact_coeffs=False))
     return pairs
 
 
@@ -390,9 +391,11 @@ def y_node_count(x_poly: ParamPoly) -> int:
     if poly.degree == 0:
         return 0
     bound = max(cauchy_bound(poly), NODE_GUARD * 2)
-    positive = sturm_count(poly, NODE_GUARD, bound)
-    at_zero = sturm_count(poly, -NODE_GUARD, NODE_GUARD)
-    return 2 * positive + (1 if at_zero else 0)
+    chain = sturm_sequence(square_free_part(poly))
+    below, above, at_bound = (
+        sign_variations(chain, x) for x in (-NODE_GUARD, NODE_GUARD, bound)
+    )
+    return 2 * (above - at_bound) + (1 if below > above else 0)
 
 
 def eigenvectors_y(spec: HamiltonianSpec, spectrum: AlgebraicSpectrum = None):

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from qeslab.exactnum import ExactMatrix, ParamPoly
+from qeslab.exactnum import ExactMatrix, ParamPoly, Root
 from qeslab.spectral import (
+    AlgebraicSpectrum,
     HamiltonianSpec,
     NoDegeneracyError,
     SpectralError,
@@ -150,7 +151,8 @@ def test_float_eigenvectors_match_closed_form():
 
 def test_operator_reproduces_levels_on_eigenvectors():
     # exact on rational levels, float tolerance 1e-10 otherwise
-    for n, c in ((2, F(0)), (2, F(1)), (3, F(7, 2))):
+    inputs = ((2, F(0)), (2, F(1)), (3, F(7, 2)), (4, F(19, 8)), (8, F(17, 8)))
+    for n, c in inputs:
         spec = HamiltonianSpec.from_c(n, c) if c else HamiltonianSpec(n, F(0))
         op = build_hamiltonian_gauged(spec)
         for pair in eigenvectors(spec):
@@ -167,6 +169,78 @@ def test_operator_reproduces_levels_on_eigenvectors():
                             src.coeff(k)
                         )
                         assert abs(diff) < 1e-10
+
+
+@pytest.mark.parametrize("n, c", [(4, F(19, 8)), (8, F(17, 8))])
+def test_irrational_doublets_match_float_eig_oracle(n, c):
+    # test-only oracle: numpy's dense eig of the restricted matrix, each
+    # vector scaled like the doublets (leading top coefficient +1)
+    import numpy as np
+
+    spec = HamiltonianSpec.from_c(n, c)
+    matrix = restricted_hamiltonian(spec).matrix
+    evals, evecs = np.linalg.eig(
+        np.array([[float(e) for e in row] for row in matrix.entries])
+    )
+    pairs = eigenvectors(spec)
+    assert all(p.level.exact is None and not p.exact_coeffs for p in pairs)
+    for pair in pairs:
+        (top, bottom), = pair.doublets
+        pick = int(np.argmin(np.abs(evals - pair.level.value)))
+        assert abs(evals[pick] - pair.level.value) < 1e-9
+        vec = evecs[:, pick] / evecs[top.degree, pick]
+        got = list(top.coeffs) + [0.0] * (n - top.degree) + list(bottom.coeffs)
+        got += [0.0] * (2 * n - len(got))
+        for mine, ref in zip(got, vec):
+            assert abs(mine - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_repeated_irrational_level_raises():
+    # the adjugate of mu - BC vanishes at a repeated root, so there is no
+    # vector to build; no reachable coupling gives one, so the spectrum is
+    # hand-built
+    spec = HamiltonianSpec.from_c(2, F(1))
+    doubled = AlgebraicSpectrum(
+        spec=spec,
+        char_poly=algebraic_spectrum(spec).char_poly,
+        levels=(Root(value=math.sqrt(2), multiplicity=2, exact=None),),
+    )
+    with pytest.raises(SpectralError, match="repeated irrational level"):
+        eigenvectors(spec, doubled)
+
+
+def test_eigenvectors_and_sweep_run_without_numpy(monkeypatch):
+    import qeslab.spectral as spectral_mod
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy used outside the cross-check: np.{name}")
+
+    monkeypatch.setattr(spectral_mod, "np", NoNumpy())
+    funcs = eigenvectors_y(HamiltonianSpec.from_c(4, F(19, 8)))
+    assert len(funcs) == 8 and all(f.nodes is not None for f in funcs)
+    assert len(sweep(3, 0, 1, 3).rows) == 3
+
+
+def test_one_sturm_chain_per_node_count(monkeypatch):
+    import qeslab.exactnum as exactnum_mod
+    import qeslab.spectral as spectral_mod
+
+    spec = HamiltonianSpec.from_c(8, F(17, 8))
+    spectrum = algebraic_spectrum(spec)
+    calls = []
+    original = exactnum_mod.sturm_sequence
+
+    def counted(poly):
+        calls.append(poly)
+        return original(poly)
+
+    for module in (exactnum_mod, spectral_mod):
+        monkeypatch.setattr(module, "sturm_sequence", counted, raising=False)
+    funcs = eigenvectors_y(spec, spectrum)
+    # 16 simple levels, two nonzero components each: 32 node counts
+    assert len(funcs) == 16 and all(None not in f.nodes for f in funcs)
+    assert len(calls) == 32
 
 
 def test_node_count_mapping():
