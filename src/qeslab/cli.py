@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from fractions import Fraction
 
@@ -34,6 +36,32 @@ def rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def at_least(low, kind=int):
+    """Argument type: a finite `kind` number no smaller than `low`."""
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number >= {low}, got {text}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
+def attach_negative_rationals(argv):
+    """Write "--c -3/7" as "--c=-3/7": argparse takes "-3/7" for an
+    option, since its negative-number rule covers only -N and -N.N."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and re.fullmatch(r"-\d+/\d+", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def round12(value: float) -> float:
     return float(format_sig(value))
 
@@ -45,17 +73,20 @@ def _emit(payload: dict, args, render_text) -> None:
         render_text(payload)
 
 
-def _coupling(args, n: int):
-    """Resolve the (k0, c) pair from whichever flag was given."""
-    if getattr(args, "c", None) is not None:
-        c = args.c
-        return -c / (4 * n), c
-    k0 = args.k0
-    return k0, -4 * n * k0
+def _spec(args) -> spectral.HamiltonianSpec:
+    """The operator of --n and whichever of --c / --k0 was given."""
+    if args.c is not None:
+        return spectral.HamiltonianSpec.from_c(args.n, args.c)
+    return spectral.HamiltonianSpec(args.n, args.k0)
 
 
-def _coupling_header(n: int, k0: Fraction, c: Fraction) -> str:
-    return f"# n={n} c={c} (k0={k0}; c = -4*n*k0)"
+def _coupling_fields(spec) -> dict:
+    return {"n": spec.n, "c": str(spec.c_spec), "k0": str(spec.k0)}
+
+
+def _coupling_header(payload: dict) -> str:
+    return (f"# n={payload['n']} c={payload['c']} "
+            f"(k0={payload['k0']}; c = -4*n*k0)")
 
 
 # ----------------------------------------------------------------------
@@ -91,50 +122,36 @@ def cmd_verify(args) -> int:
 # spectrum / charpoly
 # ----------------------------------------------------------------------
 
-def _poly_payload(poly: ParamPoly) -> dict:
-    coeffs = {}
-    for power in range(poly.degree + 1):
-        coeff = poly.coeff(power)
-        if isinstance(coeff, ParamPoly) or coeff:
-            coeffs[str(power)] = str(coeff)
-    return {"text": str(poly), "coefficients": coeffs}
-
-
 def _coeff_list(poly: ParamPoly):
     if all(isinstance(coeff, Fraction) for coeff in poly.coeffs):
         return [str(coeff) for coeff in poly.coeffs]
     return [round12(float(coeff)) for coeff in poly.coeffs]
 
 
-def _charpoly_payload(n: int, variable: str) -> dict:
-    poly = spectral.symbolic_char_poly(n, variable)
-    return {"n": n, "variable": variable, "char_poly": _poly_payload(poly)}
-
-
-def _render_charpoly(payload: dict) -> None:
-    print(f"# n={payload['n']} characteristic polynomial, coefficients in "
-          f"{payload['variable']}")
-    print(payload["char_poly"]["text"])
-    for power, coeff in payload["char_poly"]["coefficients"].items():
-        print(f"  lam^{power}: {coeff}")
-
-
 def cmd_charpoly(args) -> int:
-    _emit(_charpoly_payload(args.n, args.variable), args, _render_charpoly)
+    poly = spectral.symbolic_char_poly(args.n, args.variable)
+    coeffs = {str(power): str(c) for power, c in enumerate(poly.coeffs) if c}
+    payload = {
+        "n": args.n,
+        "variable": args.variable,
+        "char_poly": {"text": str(poly), "coefficients": coeffs},
+    }
+
+    def render(pl):
+        print(f"# n={pl['n']} characteristic polynomial, coefficients in "
+              f"{pl['variable']}")
+        print(pl["char_poly"]["text"])
+        for power, coeff in pl["char_poly"]["coefficients"].items():
+            print(f"  lam^{power}: {coeff}")
+
+    _emit(payload, args, render)
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    if args.charpoly:
-        _emit(_charpoly_payload(args.n, "c"), args, _render_charpoly)
-        return 0
-    if (args.c is None) == (args.k0 is None):
-        print("error: need exactly one of --c / --k0", file=sys.stderr)
-        return 2
-    k0, c = _coupling(args, args.n)
-    spec = spectral.HamiltonianSpec(args.n, k0)
+    spec = _spec(args)
     spectrum = spectral.algebraic_spectrum(spec)
-    funcs = spectral.eigenvectors_y(spec, spectrum)
+    funcs = spectral.eigenvectors_y(spectrum)
     levels = []
     for lv in spectrum.levels:
         members = [f for f in funcs if f.level is lv]
@@ -154,15 +171,10 @@ def cmd_spectrum(args) -> int:
                 ],
             }
         )
-    payload = {
-        "n": args.n,
-        "c": str(c),
-        "k0": str(k0),
-        "levels": levels,
-    }
+    payload = {**_coupling_fields(spec), "levels": levels}
 
     def render(pl):
-        print(_coupling_header(pl["n"], Fraction(pl["k0"]), Fraction(pl["c"])))
+        print(_coupling_header(pl))
         for level in pl["levels"]:
             exact = f" exact={level['exact']}" if level["exact"] else ""
             print(
@@ -211,6 +223,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_degeneracy(args) -> int:
+    if not args.c_min < args.c_max:
+        print("error: empty coupling bracket", file=sys.stderr)
+        return 2
     try:
         result = spectral.find_degeneracy(args.n, args.c_min, args.c_max)
     except spectral.NoDegeneracyError as exc:
@@ -237,27 +252,20 @@ def cmd_degeneracy(args) -> int:
     return 0
 
 
+CROSSCHECK_COLUMNS = ("algebraic", "numeric", "diff")
+
+
 def cmd_crosscheck(args) -> int:
-    if (args.c is None) == (args.k0 is None):
-        print("error: need exactly one of --c / --k0", file=sys.stderr)
-        return 2
-    k0, c = _coupling(args, args.n)
-    spec = spectral.HamiltonianSpec(args.n, k0)
+    spec = _spec(args)
     result = spectral.numeric_crosscheck(
         spec, grid_points=args.grid, box_half_width=args.box
     )
     payload = {
-        "n": args.n,
-        "c": str(c),
-        "k0": str(k0),
+        **_coupling_fields(spec),
         "grid_points": result.grid_points,
         "box_half_width": result.box_half_width,
         "rows": [
-            {
-                "algebraic": round12(r.algebraic),
-                "numeric": round12(r.numeric),
-                "diff": round12(r.diff),
-            }
+            {key: round12(getattr(r, key)) for key in CROSSCHECK_COLUMNS}
             for r in result.rows
         ],
         "max_diff": round12(result.max_diff),
@@ -265,14 +273,12 @@ def cmd_crosscheck(args) -> int:
     }
 
     def render(pl):
-        print(_coupling_header(pl["n"], Fraction(pl["k0"]), Fraction(pl["c"])))
+        print(_coupling_header(pl))
         print(f"# grid={pl['grid_points']} "
               f"box={format_sig(pl['box_half_width'])}")
         print("algebraic,numeric,abs_diff")
         for row in pl["rows"]:
-            print(",".join(
-                format_sig(row[key]) for key in ("algebraic", "numeric", "diff")
-            ))
+            print(",".join(format_sig(row[key]) for key in CROSSCHECK_COLUMNS))
         print(f"max_diff = {format_sig(pl['max_diff'])}")
         print(f"boundary_amplitude = {format_sig(pl['boundary_amplitude'])}")
 
@@ -286,15 +292,11 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_delta4_scan(args) -> int:
     reports = verify.delta4_scan(n=args.n)
-    counterexamples = [
-        r for r in reports if r.residual_quadratic_norm == 0
-    ]
+    zeros = sum(1 for r in reports if r.residual_quadratic_norm == 0)
     for report in reports:
         print(report.line())
-    print(
-        f"# points={len(reports)} counterexamples={len(counterexamples)}"
-    )
-    return 1 if counterexamples else 0
+    print(f"# points={len(reports)} counterexamples={zeros}")
+    return 1 if zeros else 0
 
 
 # ----------------------------------------------------------------------
@@ -328,8 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(func=cmd_verify)
 
-    def add_coupling(p, required=False):
-        group = p.add_mutually_exclusive_group(required=required)
+    # both doublet components of the operator pair are nonempty
+    degree = at_least(2)
+
+    def add_coupling(p):
+        group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--c", type=rational, default=None,
                            help="coupling c as an exact rational p/q")
         group.add_argument("--k0", type=rational, default=None,
@@ -338,12 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectrum = sub.add_parser(
         "spectrum", help="algebraic levels, eigenvectors and node counts"
     )
-    p_spectrum.add_argument("--n", type=int, required=True)
+    p_spectrum.add_argument("--n", type=degree, required=True)
     add_coupling(p_spectrum)
-    p_spectrum.add_argument(
-        "--charpoly", action="store_true",
-        help="print the symbolic characteristic polynomial in c instead",
-    )
     p_spectrum.add_argument("--format", choices=("text", "json"),
                             default="text")
     p_spectrum.set_defaults(func=cmd_spectrum)
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_charpoly = sub.add_parser(
         "charpoly", help="symbolic characteristic polynomial"
     )
-    p_charpoly.add_argument("--n", type=int, required=True)
+    p_charpoly.add_argument("--n", type=degree, required=True)
     p_charpoly.add_argument("--variable", choices=("c", "k0"), default="c")
     p_charpoly.add_argument("--format", choices=("text", "json"),
                             default="text")
@@ -360,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="levels on a uniform coupling grid, CSV output"
     )
-    p_sweep.add_argument("--n", type=int, required=True)
+    p_sweep.add_argument("--n", type=degree, required=True)
     p_sweep.add_argument("--c-min", type=rational, required=True)
     p_sweep.add_argument("--c-max", type=rational, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deg = sub.add_parser(
         "degeneracy", help="locate the level collision inside a coupling bracket"
     )
-    p_deg.add_argument("--n", type=int, required=True)
+    p_deg.add_argument("--n", type=degree, required=True)
     p_deg.add_argument("--c-min", type=rational, required=True)
     p_deg.add_argument("--c-max", type=rational, required=True)
     p_deg.add_argument("--format", choices=("text", "json"), default="text")
@@ -383,10 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cross = sub.add_parser(
         "crosscheck", help="finite-difference validation of the algebraic levels"
     )
-    p_cross.add_argument("--n", type=int, required=True)
-    add_coupling(p_cross, required=True)
-    p_cross.add_argument("--grid", type=int, default=800)
-    p_cross.add_argument("--box", type=float, default=4.5)
+    p_cross.add_argument("--n", type=degree, required=True)
+    add_coupling(p_cross)
+    p_cross.add_argument("--grid", type=at_least(spectral.FD_MIN_GRID),
+                         default=800)
+    p_cross.add_argument("--box", type=at_least(spectral.FD_MIN_BOX, float),
+                         default=4.5)
     p_cross.add_argument("--format", choices=("text", "json"), default="text")
     p_cross.set_defaults(func=cmd_crosscheck)
 
@@ -394,14 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
         "delta4-scan",
         help="grid certificate that the gap-4 mixed quintet never closes",
     )
-    p_scan.add_argument("--n", type=int, default=6)
+    p_scan.add_argument("--n", type=at_least(verify.QUINTET_GAP), default=6)
     p_scan.set_defaults(func=cmd_delta4_scan)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(attach_negative_rationals(argv))
     return args.func(args)
 
 

@@ -7,14 +7,14 @@ The physical operator acts on two-component wavefunctions of y:
 A similarity transformation combined with x = y^2 turns it into a
 matrix differential operator h that preserves P(n) (+) P(n-2) exactly;
 its restricted 2n x 2n matrix gives the algebraic part of the spectrum
-as exact characteristic-polynomial roots.  This module builds both
-forms, extracts spectra and eigenvectors (with node counts in y),
-sweeps the coupling, certifies the parity symmetry that puts the
-restricted matrix in the block form [[0, B], [C, 0]], computes every
-spectral quantity from det(mu - BC) with mu = E^2 (so the spectrum is
-even under E -> -E by construction), locates the exact level-collision
-locus, and cross-checks everything against a finite-difference
-discretization of the physical operator.
+as exact characteristic-polynomial roots.  This module builds h for a
+rational or a symbolic coupling, extracts spectra and eigenvectors
+(with node counts in y), sweeps the coupling, certifies the parity
+symmetry that puts the restricted matrix in the block form
+[[0, B], [C, 0]], computes every spectral quantity from det(mu - BC)
+with mu = E^2 (so the spectrum is even under E -> -E by construction),
+locates the exact level-collision locus, and cross-checks everything
+against a finite-difference discretization of the physical operator.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from qeslab.exactnum import (
     ExactMatrix,
     ParamPoly,
     Root,
+    SCALAR_VARS,
+    as_exact,
     cauchy_bound,
     real_roots,
     resultant,
@@ -58,74 +60,63 @@ K0_VAR = "k0"
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Degree n >= 2 and the coupling parameter of the operator pair."""
+    """Degree n >= 2 and the coupling k0 of the operator pair: a rational,
+    or a polynomial in k0 or c that makes every matrix built from the
+    spec symbolic in the coupling."""
 
     n: int
-    k0: Fraction
+    k0: Fraction | ParamPoly
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need n >= 2 so both components are nonempty")
-        object.__setattr__(self, "k0", Fraction(self.k0))
+        k0 = self.k0
+        k0 = as_exact(k0) if isinstance(k0, ParamPoly) else Fraction(k0)
+        if isinstance(k0, ParamPoly) and k0.var not in SCALAR_VARS:
+            raise ValueError(f"coupling polynomial in {k0.var!r}, not k0 or c")
+        object.__setattr__(self, "k0", k0)
 
     @property
-    def c_spec(self) -> Fraction:
+    def c_spec(self):
         return -4 * self.n * self.k0
 
     @classmethod
     def from_c(cls, n: int, c) -> "HamiltonianSpec":
-        return cls(n, Fraction(c) / (-4 * n))
+        return cls(n, c * Fraction(-1, 4 * n))
 
     @property
     def module(self) -> ModuleSpec:
         return ModuleSpec(self.n, self.n - 2)
 
-
-# ----------------------------------------------------------------------
-# the two operator forms
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RawHamiltonian:
-    """-d^2/dy^2 plus a polynomial 2x2 potential, kept as coefficients."""
-
-    n: int
-    k0: Fraction
-
-    @property
-    def coupling(self) -> Fraction:
-        return -4 * self.n * self.k0
-
     def channel_y2_coeff(self, channel: int) -> Fraction:
+        """The y^2 coefficient of the physical potential in one channel."""
         sign = -4 if channel == 0 else 4
         return Fraction(1 - 4 * self.n + sign)
 
     def potential_matrix(self, y):
-        """Exact 2x2 potential at a rational (or float) ordinate."""
+        """The physical 2x2 potential at a rational (or float) ordinate."""
         y2 = y * y
         y6 = y2 * y2 * y2
         top = y6 + self.channel_y2_coeff(0) * y2
         bottom = y6 + self.channel_y2_coeff(1) * y2
-        off = self.coupling
+        off = self.c_spec
         return ((top, off), (off, bottom))
 
 
-def build_hamiltonian_raw(spec: HamiltonianSpec) -> RawHamiltonian:
-    return RawHamiltonian(n=spec.n, k0=spec.k0)
+# ----------------------------------------------------------------------
+# the polynomial-space operator and its restricted matrix
+# ----------------------------------------------------------------------
 
-
-def build_hamiltonian_gauged(spec: HamiltonianSpec, symbolic: bool = False) -> MatOp:
+def build_hamiltonian_gauged(spec: HamiltonianSpec) -> MatOp:
     """The polynomial-space form h on P(n) (+) P(n-2).
 
     h = -(4x d^2 + 2d) 1 - 4n k0^2 d s3
         + 4 diag(x^2 d - n x, x^2 d - (n-2) x)
         + 4 k0 [[0, -n], [(1 + k0^2 n) d^2, 0]]
 
-    With ``symbolic`` the coupling k0 stays a formal parameter and every
-    matrix entry lives in Q[k0].
+    A symbolic spec.k0 puts every matrix entry in Q[k0] or Q[c].
     """
-    n = spec.n
-    k0 = ParamPoly.gen(K0_VAR) if symbolic else spec.k0
+    n, k0 = spec.n, spec.k0
     kinetic = DiffOp({(1, 2): -4, (0, 1): -2})
     drift = DiffOp({(0, 1): k0 * k0 * (-4 * n)})
     top = kinetic + drift + DiffOp({(2, 1): 4, (1, 0): -4 * n})
@@ -135,10 +126,8 @@ def build_hamiltonian_gauged(spec: HamiltonianSpec, symbolic: bool = False) -> M
     return MatOp(((top, upper), (lower, bottom)))
 
 
-def restricted_hamiltonian(
-    spec: HamiltonianSpec, symbolic: bool = False
-) -> RestrictedMatrix:
-    result = restrict(build_hamiltonian_gauged(spec, symbolic), spec.module)
+def restricted_hamiltonian(spec: HamiltonianSpec) -> RestrictedMatrix:
+    result = restrict(build_hamiltonian_gauged(spec), spec.module)
     if not result.leakage_free:
         raise SpectralError(
             f"operator leaks off the doublet: {[str(t) for t in result.leakage]}"
@@ -204,25 +193,17 @@ def _even_poly(poly: ParamPoly, var: str) -> ParamPoly:
 
 
 def _symbolic_mu_poly(n: int, variable: str) -> ParamPoly:
-    """q(mu) with coefficients in Q[k0] or, substituting k0 = -c/(4n),
-    in Q[c]."""
-    if variable not in (K0_VAR, "c"):
-        raise ValueError("variable must be 'k0' or 'c'")
-    spec = HamiltonianSpec(n, Fraction(0))
-    q = _mu_char_poly(restricted_hamiltonian(spec, symbolic=True))
-    if variable == K0_VAR:
-        return q
-    c_sub = ParamPoly.gen("c") * Fraction(-1, 4 * n)
-    return q.map_coeffs(
-        lambda coeff: coeff(c_sub) if isinstance(coeff, ParamPoly) else coeff
-    )
+    """q(mu) with coefficients in Q[k0], or in Q[c] with k0 = -c/(4n)."""
+    build = HamiltonianSpec.from_c if variable == "c" else HamiltonianSpec
+    spec = build(n, ParamPoly.gen(variable))
+    return _mu_char_poly(restricted_hamiltonian(spec))
 
 
 def symbolic_char_poly(n: int, variable: str = "c") -> ParamPoly:
     """Characteristic polynomial in lam, coefficients in Q[k0] or Q[c].
 
-    The c-form substitutes k0 = -c/(4n), matching the coupling constant
-    used for spectra and sweeps.
+    The c-form is built from the spec with k0 = -c/(4n), matching the
+    coupling constant used for spectra and sweeps.
     """
     return _even_poly(_symbolic_mu_poly(n, variable), "lam")
 
@@ -233,7 +214,10 @@ def symbolic_char_poly(n: int, variable: str = "c") -> ParamPoly:
 
 @dataclass(frozen=True)
 class AlgebraicSpectrum:
+    """Certified levels of one operator and its restricted matrix."""
+
     spec: HamiltonianSpec
+    restricted: RestrictedMatrix
     char_poly: ParamPoly
     levels: tuple
 
@@ -248,13 +232,14 @@ class AlgebraicSpectrum:
 
 def algebraic_spectrum(spec: HamiltonianSpec) -> AlgebraicSpectrum:
     """Exact characteristic polynomial and its certified-real roots."""
-    cp = _even_poly(_mu_char_poly(restricted_hamiltonian(spec)), "lam")
+    restricted = restricted_hamiltonian(spec)
+    cp = _even_poly(_mu_char_poly(restricted), "lam")
     levels = tuple(real_roots(cp))
     # cp has degree 2n: its real roots account for every root only if
     # none is complex
     if sum(lv.multiplicity for lv in levels) != 2 * spec.n:
         raise SpectralError("characteristic polynomial has nonreal roots")
-    return AlgebraicSpectrum(spec=spec, char_poly=cp, levels=levels)
+    return AlgebraicSpectrum(spec, restricted, cp, levels)
 
 
 # ----------------------------------------------------------------------
@@ -297,17 +282,16 @@ def _adjugate_column(terms, mu, j: int):
     return column
 
 
-def eigenvectors(spec: HamiltonianSpec, spectrum: AlgebraicSpectrum = None):
-    """Eigenvector doublets per level: exact kernels at rational levels
+def eigenvectors(spectrum: AlgebraicSpectrum):
+    """Eigenvector doublets per level of the spectrum's restricted
+    matrix: exact kernels at rational levels
     (defective ones flagged).  An irrational level E must be simple, else
     SpectralError; it is nonzero.  With E the rational value of its float
     and mu = E^2, the largest column u of adj(mu - BC) spans the kernel of
     mu - BC and w = C u / E completes the vector.  A float pre-pass picks
     the column, which alone is evaluated exactly; the normalized doublet
     is rounded to floats once."""
-    if spectrum is None:
-        spectrum = algebraic_spectrum(spec)
-    restricted = restricted_hamiltonian(spec)
+    restricted = spectrum.restricted
     module = restricted.module
     matrix = restricted.matrix
     b, c = _parity_blocks(restricted)
@@ -398,15 +382,15 @@ def y_node_count(x_poly: ParamPoly) -> int:
     return 2 * (above - at_bound) + (1 if below > above else 0)
 
 
-def eigenvectors_y(spec: HamiltonianSpec, spectrum: AlgebraicSpectrum = None):
+def eigenvectors_y(spectrum: AlgebraicSpectrum):
     """Gauge the x-doublets back to two-component functions of y.
 
     top(y) = p_top(y^2);  bottom(y) = k0 p_top'(x)|_{x=y^2} + p_bottom(y^2);
     the shared factor exp(-y^4/4) is implicit.  Node counts are skipped
     (None) for levels with multiplicity > 1.
     """
-    pairs = eigenvectors(spec, spectrum)
-    k0 = spec.k0
+    pairs = eigenvectors(spectrum)
+    k0 = spectrum.spec.k0
 
     def component_nodes(x_poly):
         return None if x_poly.is_zero else y_node_count(x_poly)
@@ -548,8 +532,8 @@ def hamiltonian_leakage_reports(n_max: int):
     symbolic in the coupling."""
     reports = []
     for n in range(2, n_max + 1):
-        spec = HamiltonianSpec(n, Fraction(0))
-        result = restrict(build_hamiltonian_gauged(spec, symbolic=True), spec.module)
+        spec = HamiltonianSpec(n, ParamPoly.gen(K0_VAR))
+        result = restrict(build_hamiltonian_gauged(spec), spec.module)
         reports.append(doublet_report("30", (("n", n),), result.leakage))
     return reports
 
@@ -558,66 +542,39 @@ def hamiltonian_leakage_reports(n_max: int):
 # parity / reflection certificate
 # ----------------------------------------------------------------------
 
-def y4_hook(spec: HamiltonianSpec, symbolic: bool = False) -> MatOp:
-    """Gauged form of an added quartic confining term.
-
-    In x-space the extra term is multiplication by x^2 conjugated by
-    the similarity transformation: [[x^2, 0], [-2 k0 x, x^2]].  It
-    spoils both the doublet invariance and the parity pattern; it
-    exists purely as a negative-test hook.
-    """
-    k0 = ParamPoly.gen(K0_VAR) if symbolic else spec.k0
-    x2 = DiffOp.x(2)
-    return MatOp(((x2, DiffOp.zero()), (DiffOp({(1, 0): k0 * (-2)}), x2)))
-
-
-def reflection_check(n: int, with_y4_hook: bool = False):
+def reflection_check(n: int):
     """Certify S M S = -M for the restricted matrix, symbolic in k0,
     where S carries (-1)^degree on monomials and opposite block signs:
     the parity split leaves no stray same-parity entry, which is the
     residual otherwise.  Corollary, checked independently on the full
     2n x 2n Faddeev-LeVerrier polynomial: every odd characteristic
-    coefficient is the zero polynomial in Q[k0].  The quartic hook (when
-    enabled) breaks the pattern, so its report says so.
+    coefficient is the zero polynomial in Q[k0].
     """
-    spec = HamiltonianSpec(n, Fraction(0))
-    op = build_hamiltonian_gauged(spec, symbolic=True)
-    if with_y4_hook:
-        op = op + y4_hook(spec, symbolic=True)
-    matrix = restrict(op, spec.module).matrix
+    spec = HamiltonianSpec(n, ParamPoly.gen(K0_VAR))
+    matrix = restrict(build_hamiltonian_gauged(spec), spec.module).matrix
     _, _, stray = _parity_split(matrix, spec.module)
-    anti_ok = stray.is_zero
-    tag_fields = [("n", n), ("delta", 2)]
-    if with_y4_hook:
-        tag_fields.append(("hook", "y4"))
-    reports = [
+    cp = matrix.char_poly("lam")
+    odd = [cp.coeff(p) for p in range(1, cp.degree + 1, 2)]
+    checks = (("33", stray.is_zero, stray), ("33EVEN", not any(odd), odd))
+    return [
         RelationReport(
-            tag="33",
-            fields=tuple(tag_fields),
-            holds=anti_ok,
-            residual=None if anti_ok else stray,
+            tag=tag,
+            fields=(("n", n), ("delta", 2)),
+            holds=holds,
+            residual=None if holds else residual,
         )
+        for tag, holds, residual in checks
     ]
-    if not with_y4_hook:
-        cp = matrix.char_poly("lam")
-        odd = [cp.coeff(p) for p in range(1, cp.degree + 1, 2)]
-        even_ok = all(
-            (not c) if isinstance(c, Fraction) else c.is_zero for c in odd
-        )
-        reports.append(
-            RelationReport(
-                tag="33EVEN",
-                fields=(("n", n), ("delta", 2)),
-                holds=even_ok,
-                residual=None if even_ok else odd,
-            )
-        )
-    return reports
 
 
 # ----------------------------------------------------------------------
 # finite-difference cross-check
 # ----------------------------------------------------------------------
+
+# the coarsest grid and the narrowest box numeric_crosscheck accepts
+FD_MIN_GRID = 200
+FD_MIN_BOX = 3.0
+
 
 @dataclass(frozen=True)
 class CrosscheckRow:
@@ -654,11 +611,10 @@ def numeric_crosscheck(
     one.  The boundary amplitude of the matched eigenvectors certifies
     the box is wide enough.
     """
-    if grid_points < 200:
-        raise ValueError("need at least 200 grid points")
-    if box_half_width < 3.0:
-        raise ValueError("box too small for the confining tail")
-    raw = build_hamiltonian_raw(spec)
+    if grid_points < FD_MIN_GRID:
+        raise ValueError(f"need at least {FD_MIN_GRID} grid points")
+    if not FD_MIN_BOX <= box_half_width < np.inf:
+        raise ValueError(f"need a finite box half-width >= {FD_MIN_BOX}")
     spectrum = algebraic_spectrum(spec)
     m = grid_points
     h = box_half_width / m
@@ -666,8 +622,8 @@ def numeric_crosscheck(
     inv_h2 = 1.0 / (h * h)
     dim = 2 * m
     fd = np.zeros((dim, dim))
-    coupling = float(raw.coupling)
-    ch_coeffs = (float(raw.channel_y2_coeff(0)), float(raw.channel_y2_coeff(1)))
+    coupling = float(spec.c_spec)
+    ch_coeffs = (float(spec.channel_y2_coeff(0)), float(spec.channel_y2_coeff(1)))
     for ch in (0, 1):
         idx = 2 * np.arange(m) + ch
         potential = ys**6 + ch_coeffs[ch] * ys**2

@@ -117,7 +117,7 @@ def test_c05_node_count_table():
     ok = True
     for c in (F(1, 2), F(1), F(4)):
         funcs = sorted(
-            eigenvectors_y(HamiltonianSpec.from_c(2, c)),
+            eigenvectors_y(algebraic_spectrum(HamiltonianSpec.from_c(2, c))),
             key=lambda f: f.level.value,
         )
         ok = ok and [f.nodes for f in funcs] == [
@@ -152,20 +152,22 @@ def test_c06_level_collision_and_branch_separation():
     )
 
 
-def test_c07_reflection_symmetry_certificates():
+def test_c07_reflection_symmetry_certificates(add_quartic_hook):
     ok = True
     for n in range(2, 7):
         reports = reflection_check(n)
         ok = ok and all(r.holds for r in reports)
         ok = ok and [r.tag for r in reports] == ["33", "33EVEN"]
-    hook = reflection_check(4, with_y4_hook=True)
-    ok = ok and len(hook) == 1 and not hook[0].holds
+    add_quartic_hook()
+    hook = reflection_check(4)
+    ok = ok and [r.tag for r in hook] == ["33", "33EVEN"]
+    ok = ok and not any(r.holds for r in hook)
     report(
         "C07",
         ok,
         "sign-flip conjugation negates the restricted matrix for n=2..6 "
         "symbolic in k0, odd characteristic coefficients vanish identically, "
-        "and the quartic test hook breaks the symmetry",
+        "and the quartic test hook breaks both certificates",
     )
 
 

@@ -68,9 +68,89 @@ def test_coupling_flags_are_exclusive(capsys):
 
 
 def test_spectrum_requires_some_coupling(capsys):
-    code, _, err = run(capsys, ["spectrum", "--n", "2"])
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--n", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "one of the arguments --c --k0 is required" in err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--c", "-3/7"), ("--k0", "-1/8"), ("--c", "-2")],
+)
+def test_negative_rational_coupling_matches_equals_form(capsys, option, value):
+    code, spaced, _ = run(capsys, ["spectrum", "--n", "2", option, value])
+    assert code == 0
+    code, joined, _ = run(capsys, ["spectrum", "--n", "2", f"{option}={value}"])
+    assert code == 0
+    assert spaced == joined
+    assert f"{option[2:]}={value}" in spaced.splitlines()[0]
+
+
+def test_negative_rational_sweep_bracket(capsys):
+    argv = ["sweep", "--n", "3", "--steps", "3"]
+    code, spaced, _ = run(capsys, argv + ["--c-min", "-1/2", "--c-max", "-1/4"])
+    assert code == 0
+    code, joined, _ = run(capsys, argv + ["--c-min=-1/2", "--c-max=-1/4"])
+    assert code == 0
+    assert spaced == joined
+    assert [line.split(",")[0] for line in spaced.splitlines()[1:]] == [
+        "-0.5", "-0.375", "-0.25",
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("spectrum --n 1 --c 0", "argument --n: must be a finite number >= 2"),
+        ("charpoly --n 1", "argument --n: must be a finite number >= 2"),
+        (
+            "sweep --n 1 --c-min 0 --c-max 1 --steps 3",
+            "argument --n: must be a finite number >= 2",
+        ),
+        ("degeneracy --n 3 --c-min 5 --c-max 1", "empty coupling bracket"),
+        (
+            "crosscheck --n 2 --c 1 --grid 100",
+            "argument --grid: must be a finite number >= 200",
+        ),
+        (
+            "crosscheck --n 2 --c 1 --box 2",
+            "argument --box: must be a finite number >= 3.0",
+        ),
+        (
+            "crosscheck --n 2 --c 1 --box nan",
+            "argument --box: must be a finite number >= 3.0",
+        ),
+        ("delta4-scan --n 3", "argument --n: must be a finite number >= 4"),
+    ],
+)
+def test_out_of_range_input_is_usage_error(capsys, command, message):
+    try:
+        code = main(command.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
     assert code == 2
-    assert "exactly one of" in err
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_spectrum_restricts_the_operator_once(capsys, monkeypatch):
+    import qeslab.spectral as spectral_mod
+
+    calls = []
+    original = spectral_mod.restricted_hamiltonian
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(spectral_mod, "restricted_hamiltonian", counted)
+    code, _, _ = run(capsys, ["spectrum", "--n", "4", "--c", "19/8"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_charpoly_text_and_json_agree(capsys):
@@ -84,14 +164,6 @@ def test_charpoly_text_and_json_agree(capsys):
     assert payload["char_poly"]["text"] in text_out
     assert payload["char_poly"]["coefficients"]["6"] == "1"
     assert payload["char_poly"]["coefficients"]["4"] == "-3*c^2 - 248"
-
-
-def test_spectrum_charpoly_flag_matches_subcommand(capsys):
-    code, via_flag, _ = run(capsys, ["spectrum", "--n", "3", "--charpoly"])
-    assert code == 0
-    code, via_sub, _ = run(capsys, ["charpoly", "--n", "3", "--variable", "c"])
-    assert code == 0
-    assert via_flag == via_sub
 
 
 def test_charpoly_alternate_variable(capsys):

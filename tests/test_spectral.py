@@ -8,13 +8,11 @@ import pytest
 
 from qeslab.exactnum import ExactMatrix, ParamPoly, Root
 from qeslab.spectral import (
-    AlgebraicSpectrum,
     HamiltonianSpec,
     NoDegeneracyError,
     SpectralError,
     algebraic_spectrum,
     build_hamiltonian_gauged,
-    build_hamiltonian_raw,
     eigenvectors,
     eigenvectors_y,
     find_degeneracy,
@@ -25,7 +23,6 @@ from qeslab.spectral import (
     sweep,
     symbolic_char_poly,
     write_csv,
-    y4_hook,
     y_node_count,
 )
 from qeslab.weyl import ModuleSpec, restrict
@@ -42,11 +39,24 @@ def test_spec_coupling_conversion():
         HamiltonianSpec(1, F(0))
 
 
+def test_symbolic_spec_is_a_polynomial_coupling():
+    c = ParamPoly.gen("c")
+    spec = HamiltonianSpec.from_c(3, c)
+    assert spec.k0 == c * F(-1, 12)
+    assert spec.c_spec == c
+    assert HamiltonianSpec(3, ParamPoly("k0", (F(2),))).k0 == F(2)
+    with pytest.raises(ValueError, match="'x'"):
+        HamiltonianSpec(3, ParamPoly.gen("x"))
+    # a symbolic spec has no numeric spectrum
+    with pytest.raises(TypeError):
+        algebraic_spectrum(HamiltonianSpec(2, ParamPoly.gen("k0")))
+
+
 def test_raw_potential_matrix_values():
-    raw = build_hamiltonian_raw(HamiltonianSpec(2, F(1)))
-    assert raw.potential_matrix(F(1)) == ((F(-10), F(-8)), (F(-8), F(-2)))
-    assert raw.potential_matrix(F(0)) == ((F(0), F(-8)), (F(-8), F(0)))
-    assert raw.coupling == F(-8)
+    spec = HamiltonianSpec(2, F(1))
+    assert spec.potential_matrix(F(1)) == ((F(-10), F(-8)), (F(-8), F(-2)))
+    assert spec.potential_matrix(F(0)) == ((F(0), F(-8)), (F(-8), F(0)))
+    assert spec.c_spec == F(-8)
 
 
 def test_restricted_matrix_decoupled_point():
@@ -126,8 +136,7 @@ def test_spectrum_is_symmetric_under_negation():
 
 
 def test_exact_eigenvectors_at_decoupled_point():
-    spec = HamiltonianSpec(2, F(0))
-    pairs = eigenvectors(spec)
+    pairs = eigenvectors(algebraic_spectrum(HamiltonianSpec(2, F(0))))
     by_exact = {p.level.exact: p for p in pairs}
     top, bottom = by_exact[F(8)].doublets[0]
     assert top == ParamPoly("x", (F(1, 2), F(-2), F(1)))
@@ -139,8 +148,7 @@ def test_exact_eigenvectors_at_decoupled_point():
 
 
 def test_float_eigenvectors_match_closed_form():
-    spec = HamiltonianSpec.from_c(2, F(1))
-    pairs = eigenvectors(spec)
+    pairs = eigenvectors(algebraic_spectrum(HamiltonianSpec.from_c(2, F(1))))
     for pair in pairs:
         e = pair.level.value
         top, _ = pair.doublets[0]
@@ -155,7 +163,7 @@ def test_operator_reproduces_levels_on_eigenvectors():
     for n, c in inputs:
         spec = HamiltonianSpec.from_c(n, c) if c else HamiltonianSpec(n, F(0))
         op = build_hamiltonian_gauged(spec)
-        for pair in eigenvectors(spec):
+        for pair in eigenvectors(algebraic_spectrum(spec)):
             level = pair.level
             for top, bottom in pair.doublets:
                 img_top, img_bottom = op.apply((top, bottom))
@@ -182,7 +190,7 @@ def test_irrational_doublets_match_float_eig_oracle(n, c):
     evals, evecs = np.linalg.eig(
         np.array([[float(e) for e in row] for row in matrix.entries])
     )
-    pairs = eigenvectors(spec)
+    pairs = eigenvectors(algebraic_spectrum(spec))
     assert all(p.level.exact is None and not p.exact_coeffs for p in pairs)
     for pair in pairs:
         (top, bottom), = pair.doublets
@@ -199,14 +207,12 @@ def test_repeated_irrational_level_raises():
     # the adjugate of mu - BC vanishes at a repeated root, so there is no
     # vector to build; no reachable coupling gives one, so the spectrum is
     # hand-built
-    spec = HamiltonianSpec.from_c(2, F(1))
-    doubled = AlgebraicSpectrum(
-        spec=spec,
-        char_poly=algebraic_spectrum(spec).char_poly,
+    doubled = dataclasses.replace(
+        algebraic_spectrum(HamiltonianSpec.from_c(2, F(1))),
         levels=(Root(value=math.sqrt(2), multiplicity=2, exact=None),),
     )
     with pytest.raises(SpectralError, match="repeated irrational level"):
-        eigenvectors(spec, doubled)
+        eigenvectors(doubled)
 
 
 def test_eigenvectors_and_sweep_run_without_numpy(monkeypatch):
@@ -217,7 +223,8 @@ def test_eigenvectors_and_sweep_run_without_numpy(monkeypatch):
             raise AssertionError(f"numpy used outside the cross-check: np.{name}")
 
     monkeypatch.setattr(spectral_mod, "np", NoNumpy())
-    funcs = eigenvectors_y(HamiltonianSpec.from_c(4, F(19, 8)))
+    spectrum = algebraic_spectrum(HamiltonianSpec.from_c(4, F(19, 8)))
+    funcs = eigenvectors_y(spectrum)
     assert len(funcs) == 8 and all(f.nodes is not None for f in funcs)
     assert len(sweep(3, 0, 1, 3).rows) == 3
 
@@ -226,8 +233,7 @@ def test_one_sturm_chain_per_node_count(monkeypatch):
     import qeslab.exactnum as exactnum_mod
     import qeslab.spectral as spectral_mod
 
-    spec = HamiltonianSpec.from_c(8, F(17, 8))
-    spectrum = algebraic_spectrum(spec)
+    spectrum = algebraic_spectrum(HamiltonianSpec.from_c(8, F(17, 8)))
     calls = []
     original = exactnum_mod.sturm_sequence
 
@@ -237,7 +243,7 @@ def test_one_sturm_chain_per_node_count(monkeypatch):
 
     for module in (exactnum_mod, spectral_mod):
         monkeypatch.setattr(module, "sturm_sequence", counted, raising=False)
-    funcs = eigenvectors_y(spec, spectrum)
+    funcs = eigenvectors_y(spectrum)
     # 16 simple levels, two nonzero components each: 32 node counts
     assert len(funcs) == 16 and all(None not in f.nodes for f in funcs)
     assert len(calls) == 32
@@ -256,20 +262,20 @@ def test_node_count_mapping():
 
 @pytest.mark.parametrize("c", [F(1, 2), F(1), F(4)])
 def test_node_table_for_small_couplings(c):
-    funcs = eigenvectors_y(HamiltonianSpec.from_c(2, c))
+    funcs = eigenvectors_y(algebraic_spectrum(HamiltonianSpec.from_c(2, c)))
     funcs.sort(key=lambda f: f.level.value)
     assert [f.nodes for f in funcs] == [(0, 0), (2, 2), (2, 0), (4, 2)]
 
 
 def test_ground_state_is_nodeless_in_both_components():
-    funcs = eigenvectors_y(HamiltonianSpec.from_c(2, F(1)))
+    funcs = eigenvectors_y(algebraic_spectrum(HamiltonianSpec.from_c(2, F(1))))
     ground = min(funcs, key=lambda f: f.level.value)
     assert ground.nodes == (0, 0)
 
 
 def test_bottom_component_closed_form():
     cf = 1.0
-    funcs = eigenvectors_y(HamiltonianSpec.from_c(2, F(1)))
+    funcs = eigenvectors_y(algebraic_spectrum(HamiltonianSpec.from_c(2, F(1))))
     for f in funcs:
         e = f.level.value
         want0 = e * (e * e - cf * cf - 64) / (32 * cf)
@@ -279,7 +285,7 @@ def test_bottom_component_closed_form():
 
 
 def test_degenerate_levels_marked_and_skipped():
-    funcs = eigenvectors_y(HamiltonianSpec(2, F(0)))
+    funcs = eigenvectors_y(algebraic_spectrum(HamiltonianSpec(2, F(0))))
     skipped = [f for f in funcs if f.nodes is None]
     assert len(skipped) == 2
     assert all(f.subspace_dim == 2 for f in skipped)
@@ -379,7 +385,7 @@ def test_nonreal_roots_raise_spectral_error(monkeypatch):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_block_char_poly_matches_full_product(n):
     # reference: Faddeev-LeVerrier on the full 2n x 2n matrix
-    symbolic = restricted_hamiltonian(HamiltonianSpec(n, F(0)), symbolic=True)
+    symbolic = restricted_hamiltonian(HamiltonianSpec(n, ParamPoly.gen("k0")))
     assert symbolic_char_poly(n, "k0") == symbolic.matrix.char_poly("lam")
     for c in (F(1, 8), F(17, 8), F(-7, 3)):
         spec = HamiltonianSpec.from_c(n, c)
@@ -396,7 +402,7 @@ def test_same_parity_entry_raises_spectral_error(monkeypatch):
     rows[1][3] = rows[1][3] + 1  # x^1 and x^3 of the top channel: both odd
     broken = dataclasses.replace(good, matrix=ExactMatrix(rows))
     monkeypatch.setattr(
-        spectral_mod, "restricted_hamiltonian", lambda s, symbolic=False: broken
+        spectral_mod, "restricted_hamiltonian", lambda s: broken
     )
     with pytest.raises(SpectralError):
         spectral_mod.algebraic_spectrum(spec)
@@ -409,15 +415,16 @@ def test_reflection_certificates_hold():
         assert all(r.holds for r in reports)
 
 
-def test_quartic_hook_breaks_reflection():
-    reports = reflection_check(4, with_y4_hook=True)
-    assert len(reports) == 1
-    assert not reports[0].holds
+def test_quartic_hook_breaks_reflection(add_quartic_hook):
+    import qeslab.spectral as spectral_mod
+
+    add_quartic_hook()
+    reports = reflection_check(4)
+    assert [r.tag for r in reports] == ["33", "33EVEN"]
+    assert not any(r.holds for r in reports)
     # ... and it also breaks the invariant subspace
-    spec = HamiltonianSpec(4, F(0))
-    hooked = build_hamiltonian_gauged(spec, symbolic=True) + y4_hook(
-        spec, symbolic=True
-    )
+    spec = HamiltonianSpec(4, ParamPoly.gen("k0"))
+    hooked = spectral_mod.build_hamiltonian_gauged(spec)
     assert not restrict(hooked, spec.module).leakage_free
 
 
@@ -454,15 +461,12 @@ def test_crosscheck_rejects_tiny_inputs():
         numeric_crosscheck(HamiltonianSpec(2, F(0)), grid_points=100)
     with pytest.raises(ValueError):
         numeric_crosscheck(HamiltonianSpec(2, F(0)), box_half_width=2.0)
+    for width in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            numeric_crosscheck(HamiltonianSpec(2, F(0)), box_half_width=width)
 
 
-def test_leaky_operator_raises_spectral_error(monkeypatch):
-    import qeslab.spectral as spectral_mod
-
-    spec = HamiltonianSpec(3, F(1, 5))
-    broken = build_hamiltonian_gauged(spec) + y4_hook(spec)
-    monkeypatch.setattr(
-        spectral_mod, "build_hamiltonian_gauged", lambda s, symbolic=False: broken
-    )
+def test_leaky_operator_raises_spectral_error(add_quartic_hook):
+    add_quartic_hook()
     with pytest.raises(SpectralError):
-        spectral_mod.restricted_hamiltonian(spec)
+        restricted_hamiltonian(HamiltonianSpec(3, F(1, 5)))
