@@ -93,7 +93,20 @@ def _coupling_header(payload: dict) -> str:
 # verify
 # ----------------------------------------------------------------------
 
+# Largest n whose reflection certificates `verify` runs.  Their full
+# 2n x 2n symbolic Faddeev-LeVerrier reference takes 0.08 s at n = 6 but
+# 0.12 / 0.24 / 0.37 s at n = 7 / 8 / 9 (2-vCPU VM, Python 3.11), and
+# lifting the cap would change the report count of the default box (2679).
+REFLECTION_N_MAX = 6
+
+
 def cmd_verify(args) -> int:
+    # gap d has points only from n = d on, the operator pair from n = 2
+    low = max(2, args.delta_max)
+    if args.n_max < low:
+        print(f"error: --n-max must be at least max(2, --delta-max) = {low}, "
+              f"got {args.n_max}", file=sys.stderr)
+        return 2
     try:
         fault = verify.check_fault(args.inject_fault, args.delta_max)
     except ValueError as exc:
@@ -105,8 +118,12 @@ def cmd_verify(args) -> int:
         inject_fault=fault,
     )
     reports.extend(spectral.hamiltonian_leakage_reports(args.n_max))
-    for n in range(2, min(args.n_max, 6) + 1):
+    for n in range(2, min(args.n_max, REFLECTION_N_MAX) + 1):
         reports.extend(spectral.reflection_check(n))
+    if args.n_max > REFLECTION_N_MAX:
+        print(f"# skipped: reflection certificates (EQ33, EQ33EVEN) for "
+              f"n={REFLECTION_N_MAX + 1}..{args.n_max}; they run up to "
+              f"n={REFLECTION_N_MAX}", file=sys.stderr)
     bad = verify.failures(reports)
     if not args.quiet:
         for report in reports:
@@ -201,8 +218,9 @@ def cmd_spectrum(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    if args.steps < 2:
-        print("error: --steps must be at least 2", file=sys.stderr)
+    if args.c_min == args.c_max:
+        print("error: empty coupling range: --c-min equals --c-max",
+              file=sys.stderr)
         return 2
     result = spectral.sweep(args.n, args.c_min, args.c_max, args.steps)
     if args.branches:
@@ -317,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run every exact relation suite over the (n, gap) box"
     )
     p_verify.add_argument("--n-max", type=int, default=12)
-    p_verify.add_argument("--delta-max", type=int, default=4)
+    p_verify.add_argument("--delta-max", type=at_least(1), default=4)
     p_verify.add_argument(
         "--inject-fault",
         metavar="NAME",
@@ -364,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n", type=degree, required=True)
     p_sweep.add_argument("--c-min", type=rational, required=True)
     p_sweep.add_argument("--c-max", type=rational, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
+    p_sweep.add_argument("--steps", type=at_least(2), required=True)
     p_sweep.add_argument("--out", default=None, help="CSV path (default stdout)")
     p_sweep.add_argument(
         "--branches", action="store_true",

@@ -5,8 +5,13 @@ lowering triple acting component-wise plus a charge operator that
 separates the two components; the odd (off-diagonal) families are two
 towers indexed by 1..gap+1: multiplication towers sending the top
 component down, and differential towers sending the bottom component
-up.  For gap 2 the towers themselves transform as spin-1 triplets, and
-one exact rational mixing of the three triplets closes into a finite
+up.  ``generator_set(n, gap, fault)`` is the one place where these
+generators exist for an (n, gap) point: a ``GeneratorSet`` keyed by
+fault name, with at most one generator perturbed, which every relation
+suite, the mix discovery and the gap-4 scan read.  At gap 2 the towers
+transform as spin-1 triplets and at gap 4 as spin-2 quintets;
+``GeneratorSet.mixed`` mixes them with the even multiplet of the same
+spin.  At gap 2 one exact rational mixing closes into a finite
 superalgebra; ``discover_mix`` finds that mixing (and the resulting
 anticommutator table) by computation instead of assuming it.
 """
@@ -14,6 +19,7 @@ anticommutator table) by computation instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from qeslab.exactnum import ParamPoly, poly_gcd, real_roots
@@ -63,34 +69,14 @@ def sl2_gens(n: int):
     return raising, cartan, lowering
 
 
-@dataclass(frozen=True)
-class BosonicSet:
-    """Block-diagonal generators preserving the doublet."""
-
-    params: AlgebraParams
-    raise_op: MatOp
-    cartan_op: MatOp
-    lower_op: MatOp
-    charge_op: MatOp
-
-    @property
-    def triple(self):
-        return (self.raise_op, self.cartan_op, self.lower_op)
-
-
-def bosonic_gens(params: AlgebraParams) -> BosonicSet:
-    top_r, top_c, top_l = sl2_gens(params.top_degree)
-    bot_r, bot_c, bot_l = sl2_gens(params.n)
+def bosonic_gens(params: AlgebraParams) -> tuple:
+    """(T+, T0, T-, J): the ladder triple acting component-wise, then the
+    charge operator separating the two components."""
+    pairs = zip(sl2_gens(params.top_degree), sl2_gens(params.n))
     charge = MatOp.diag(
         Fraction(params.n + params.delta, 2), Fraction(params.n, 2)
     )
-    return BosonicSet(
-        params=params,
-        raise_op=MatOp.diag(top_r, bot_r),
-        cartan_op=MatOp.diag(top_c, bot_c),
-        lower_op=MatOp.diag(top_l, bot_l),
-        charge_op=charge,
-    )
+    return tuple(MatOp.diag(top, bottom) for top, bottom in pairs) + (charge,)
 
 
 def lowering_word(n: int, delta: int, alpha: int) -> DiffOp:
@@ -110,83 +96,149 @@ def lowering_word(n: int, delta: int, alpha: int) -> DiffOp:
     return word
 
 
-@dataclass(frozen=True)
-class FermionicSet:
-    """Off-diagonal towers indexed 1..delta+1.
+def fermionic_gens(params: AlgebraParams) -> tuple:
+    """(Q1, QBAR1, ..., Q(delta+1), QBAR(delta+1)).
 
-    ``to_bottom[a]`` multiplies the top component by x^(a-1) and moves
-    it down; ``to_top[a]`` applies a degree-lowering differential word
-    to the bottom component and moves it up.
+    Q_a multiplies the top component by x^(a-1) and moves it down;
+    QBAR_a applies ``lowering_word(n, delta, a)`` to the bottom component
+    and moves it up.
     """
+    ops = []
+    for a in range(1, params.delta + 2):
+        ops.append(MatOp.lower_shift(DiffOp.x(a - 1) if a > 1 else 1))
+        ops.append(MatOp.raise_shift(lowering_word(params.n, params.delta, a)))
+    return tuple(ops)
+
+
+# ----------------------------------------------------------------------
+# the generator set of one (n, gap) point, with optional fault injection
+# ----------------------------------------------------------------------
+
+TRIPLET_GAP = 2
+QUINTET_GAP = 4
+
+
+def perturb(op: MatOp) -> MatOp:
+    """Bump one coefficient of the first nonzero entry by +1."""
+    rows = [list(r) for r in op.entries]
+    for r in (0, 1):
+        for c in (0, 1):
+            entry = rows[r][c]
+            if entry.terms:
+                rows[r][c] = entry + DiffOp({max(entry.terms): 1})
+                return MatOp(rows)
+    rows[0][0] = rows[0][0] + DiffOp.one()
+    return MatOp(rows)
+
+
+def fault_names(delta: int) -> tuple:
+    """Names of the generators at gap `delta`, in report order: T+, T0,
+    T-, J, then Q_a and QBAR_a for a = 1..delta+1."""
+    names = ["T+", "T0", "T-", "J"]
+    for a in range(1, delta + 2):
+        names += [f"Q{a}", f"QBAR{a}"]
+    return tuple(names)
+
+
+def check_fault(name: str | None, delta_max: int) -> str | None:
+    """`name` in upper case (None stays None); ValueError unless some
+    generator at a gap up to `delta_max` carries it."""
+    if name is None:
+        return None
+    name = name.upper()
+    options = fault_names(delta_max)
+    if name not in options:
+        raise ValueError(
+            f"unknown fault target {name!r}; options: {', '.join(options)}"
+        )
+    return name
+
+
+@dataclass(frozen=True)
+class GeneratorSet:
+    """Every generator of one (n, gap) point, keyed by its fault name,
+    with at most one of them perturbed."""
 
     params: AlgebraParams
-    to_bottom: dict
-    to_top: dict
+    named: dict
 
-    def to_bottom_or_zero(self, alpha: int) -> MatOp:
-        return self.to_bottom.get(alpha, MatOp.zero())
+    @property
+    def tees(self):
+        """(raising, Cartan, lowering)."""
+        return self.named["T+"], self.named["T0"], self.named["T-"]
 
-    def to_top_or_zero(self, alpha: int) -> MatOp:
-        return self.to_top.get(alpha, MatOp.zero())
+    def q(self, a: int) -> MatOp:
+        """Multiplication tower member Q_a; zero outside 1..delta+1."""
+        return self.named.get(f"Q{a}", MatOp.zero())
+
+    def qbar(self, a: int) -> MatOp:
+        """Differential tower member QBAR_a; zero outside 1..delta+1."""
+        return self.named.get(f"QBAR{a}", MatOp.zero())
+
+    @property
+    def odd_multiplets(self):
+        """(QBAR_1..QBAR_(delta+1), Q_(delta+1)..Q_1): both odd towers in
+        multiplet order."""
+        top = self.params.delta + 1
+        return (
+            tuple(self.qbar(a) for a in range(1, top + 1)),
+            tuple(self.q(a) for a in range(top, 0, -1)),
+        )
+
+    @property
+    def triplets(self):
+        """(T, Qbar, P): the three spin-1 triplets of gap 2."""
+        if self.params.delta != TRIPLET_GAP:
+            raise ValueError("triplet structure requires degree gap 2")
+        return (self.tees, *self.odd_multiplets)
+
+    @cached_property
+    def _even_multiplet(self):
+        if self.params.delta == TRIPLET_GAP:
+            return self.tees
+        if self.params.delta == QUINTET_GAP:
+            return quintet_S(self.tees)
+        raise ValueError("mixed multiplets exist at degree gaps 2 and 4 only")
+
+    def mixed(self, c, d: MatOp):
+        """F_a = Qbar_a + c P_a + d E_a, with E the even multiplet of the
+        odd towers' spin: the triple T at gap 2, its quintet at gap 4.
+        `c` may be a symbolic polynomial."""
+        qbar, pees = self.odd_multiplets
+        return tuple(
+            q + p * c + d * e for q, p, e in zip(qbar, pees, self._even_multiplet)
+        )
 
 
-def fermionic_gens(params: AlgebraParams) -> FermionicSet:
-    n, delta = params.n, params.delta
-    to_bottom = {
-        alpha: MatOp.lower_shift(DiffOp.x(alpha - 1) if alpha > 1 else 1)
-        for alpha in range(1, delta + 2)
-    }
-    to_top = {
-        alpha: MatOp.raise_shift(lowering_word(n, delta, alpha))
-        for alpha in range(1, delta + 2)
-    }
-    return FermionicSet(params=params, to_bottom=to_bottom, to_top=to_top)
+def generator_set(n: int, delta: int, fault: str | None = None) -> GeneratorSet:
+    """The generators of gap `delta` on P(n - delta) (+) P(n), with the
+    one named `fault` perturbed; ValueError if it is absent at this gap."""
+    fault = check_fault(fault, delta)
+    params = AlgebraParams(n, delta)
+    ops = bosonic_gens(params) + fermionic_gens(params)
+    named = dict(zip(fault_names(delta), ops))
+    if fault is not None:
+        named[fault] = perturb(named[fault])
+    return GeneratorSet(params=params, named=named)
 
 
-def odd_multiplets(towers: FermionicSet):
-    """(to_top[1..delta+1], to_bottom[delta+1..1]): both odd towers in
-    multiplet order, for any gap."""
-    top = towers.params.delta + 1
+def quintet_S(tees):
+    """Quadratic words in the even triple transforming as a 5-plet."""
+    tp, t0, tm = tees
+    half = Fraction(1, 2)
+    third = Fraction(1, 3)
     return (
-        tuple(towers.to_top[a] for a in range(1, top + 1)),
-        tuple(towers.to_bottom[a] for a in range(top, 0, -1)),
+        tp * tp,
+        anticommutator(tp, t0) * half,
+        (t0 * t0 * 2 + anticommutator(tp, tm) * half) * third,
+        anticommutator(t0, tm) * half,
+        tm * tm,
     )
-
-
-def mixed_multiplet(qbar, pees, even, c, d: MatOp):
-    """F_a = Qbar_a + c P_a + d E_a; `c` may be a symbolic polynomial."""
-    return tuple(q + p * c + d * e for q, p, e in zip(qbar, pees, even))
 
 
 # ----------------------------------------------------------------------
 # gap-2 triplets and their mixing
 # ----------------------------------------------------------------------
-
-TRIPLET_GAP = 2
-
-
-def _require_gap2(params: AlgebraParams):
-    if params.delta != TRIPLET_GAP:
-        raise ValueError("triplet structure requires degree gap 2")
-
-
-def qbar_triplet(params: AlgebraParams):
-    """Differential towers in triplet order (index alpha-1)."""
-    _require_gap2(params)
-    return odd_multiplets(fermionic_gens(params))[0]
-
-
-def p_triplet(params: AlgebraParams):
-    """Multiplication towers reversed into triplet order."""
-    _require_gap2(params)
-    return odd_multiplets(fermionic_gens(params))[1]
-
-
-def t_triplet(params: AlgebraParams):
-    """(raising, Cartan, lowering) as a triplet."""
-    b = bosonic_gens(params)
-    return b.triple
-
 
 @dataclass(frozen=True)
 class MixSpec:
@@ -211,15 +263,37 @@ class MixSpec:
         )
 
 
-def triplet_F(params: AlgebraParams, mix: "MixSpec" = None):
+# Frozen by running discover_mix (see the tests): the unique mix whose
+# anticommutator with diag(1,-1) gives +2x the even triplet.
+DEFAULT_MIX = MixSpec(Fraction(-1), Fraction(1), Fraction(-1))
+
+# Frozen anticommutator table of the mixed triplet, as discovered:
+# {F_a, F_b} = n^2 * ANTICOMM_METRIC[(a,b)] * identity (absent = 0).
+ANTICOMM_METRIC = {
+    (1, 3): Fraction(-1),
+    (3, 1): Fraction(-1),
+    (2, 2): Fraction(1, 2),
+}
+
+
+def qbar_triplet(params: AlgebraParams):
+    """Differential towers in triplet order (index alpha-1)."""
+    return generator_set(params.n, params.delta).triplets[1]
+
+
+def p_triplet(params: AlgebraParams):
+    """Multiplication towers reversed into triplet order."""
+    return generator_set(params.n, params.delta).triplets[2]
+
+
+def t_triplet(params: AlgebraParams):
+    """(raising, Cartan, lowering) as a triplet."""
+    return generator_set(params.n, params.delta).tees
+
+
+def triplet_F(params: AlgebraParams, mix: MixSpec = DEFAULT_MIX):
     """The mixed triplet  F_a = Qbar_a + c_mix P_a + d T_a."""
-    _require_gap2(params)
-    if mix is None:
-        mix = DEFAULT_MIX
-    qbar, pees = odd_multiplets(fermionic_gens(params))
-    return mixed_multiplet(
-        qbar, pees, t_triplet(params), mix.c_mix, mix.d_mat()
-    )
+    return q2_gens(params, mix).effs
 
 
 @dataclass(frozen=True)
@@ -234,40 +308,15 @@ class Q2Set:
     metric: dict
 
 
-def q2_gens(params: AlgebraParams, mix: "MixSpec" = None) -> Q2Set:
-    _require_gap2(params)
-    if mix is None:
-        mix = DEFAULT_MIX
+def q2_gens(params: AlgebraParams, mix: MixSpec = DEFAULT_MIX) -> Q2Set:
+    gens = generator_set(params.n, params.delta)
     return Q2Set(
         params=params,
         mix=mix,
-        tees=t_triplet(params),
-        effs=triplet_F(params, mix),
+        tees=gens.triplets[0],
+        effs=gens.mixed(mix.c_mix, mix.d_mat()),
         sigma=MatOp.sigma3(),
         metric=dict(ANTICOMM_METRIC),
-    )
-
-
-# ----------------------------------------------------------------------
-# gap-4 quintet
-# ----------------------------------------------------------------------
-
-QUINTET_GAP = 4
-
-
-def quintet_S(params: AlgebraParams):
-    """Quadratic words in the even triple transforming as a 5-plet."""
-    if params.delta != QUINTET_GAP:
-        raise ValueError("quintet structure requires degree gap 4")
-    tp, t0, tm = t_triplet(params)
-    half = Fraction(1, 2)
-    third = Fraction(1, 3)
-    return (
-        tp * tp,
-        anticommutator(tp, t0) * half,
-        (t0 * t0 * 2 + anticommutator(tp, tm) * half) * third,
-        anticommutator(t0, tm) * half,
-        tm * tm,
     )
 
 
@@ -324,18 +373,18 @@ def discover_mix(n: int = 5, confirm_n: int = 8) -> MixDiscovery:
     """
     candidates = []
     tables = {}
+    gens = generator_set(n, TRIPLET_GAP)
     for d_top, d_bottom in SIGN_MATRICES:
-        for c_value in _closing_constants(n, d_top, d_bottom):
+        for c_value in _closing_constants(gens, d_top, d_bottom):
             mix = MixSpec(c_value, d_top, d_bottom)
             candidates.append(mix)
-            tables[mix] = _metric_table(n, mix)
+            tables[mix] = _metric_table(gens, mix)
     selected = None
+    sigma = MatOp.sigma3()
     for mix in candidates:
-        effs = triplet_F(AlgebraParams(n, TRIPLET_GAP), mix)
-        tees = t_triplet(AlgebraParams(n, TRIPLET_GAP))
-        sigma = MatOp.sigma3()
+        effs = gens.mixed(mix.c_mix, mix.d_mat())
         if all(
-            anticommutator(effs[i], sigma) == tees[i] * 2 for i in range(3)
+            anticommutator(f, sigma) == t * 2 for f, t in zip(effs, gens.tees)
         ):
             if selected is not None:
                 raise ValueError("sign-matrix pairing test is not unique")
@@ -344,23 +393,18 @@ def discover_mix(n: int = 5, confirm_n: int = 8) -> MixDiscovery:
         raise ValueError("no candidate pairs with the grading involution")
     metric = tables[selected]
     for other_n in {confirm_n} - {n}:
-        if _metric_table(other_n, selected) != metric:
+        if _metric_table(generator_set(other_n, TRIPLET_GAP), selected) != metric:
             raise ValueError("metric table is not stable across degrees")
     return MixDiscovery(
         candidates=tuple(candidates), selected=selected, metric=metric
     )
 
 
-def _closing_constants(n: int, d_top: Fraction, d_bottom: Fraction):
+def _closing_constants(gens: GeneratorSet, d_top: Fraction, d_bottom: Fraction):
     """Exact mix constants closing every anticommutator for this sign
     matrix: the common rational roots in c of the residual coefficients
     left by projecting the symbolic-c anticommutators onto the scalars."""
-    params = AlgebraParams(n, TRIPLET_GAP)
-    qbar, pees = odd_multiplets(fermionic_gens(params))
-    effs = mixed_multiplet(
-        qbar, pees, t_triplet(params), ParamPoly.gen("c"),
-        MatOp.diag(d_top, d_bottom),
-    )
+    effs = gens.mixed(ParamPoly.gen("c"), MatOp.diag(d_top, d_bottom))
     residuals = anticommutator_residuals(effs, Span([MatOp.identity()]))
     obstructions = [
         coeff
@@ -374,27 +418,15 @@ def _closing_constants(n: int, d_top: Fraction, d_bottom: Fraction):
     return _common_rational_roots(obstructions)
 
 
-def _metric_table(n: int, mix: MixSpec) -> dict:
+def _metric_table(gens: GeneratorSet, mix: MixSpec) -> dict:
     """(alpha, beta) -> anticommutator scalar / n^2, zeros omitted."""
-    effs = triplet_F(AlgebraParams(n, TRIPLET_GAP), mix)
+    effs = gens.mixed(mix.c_mix, mix.d_mat())
     residuals = anticommutator_residuals(effs, Span([MatOp.identity()]))
+    nn = Fraction(gens.params.n ** 2)
     table = {}
     for (a, b), ((scalar,), residual) in residuals.items():
         if not residual.is_zero:
             raise ValueError(f"anticommutator ({a},{b}) is not scalar")
         if scalar:
-            table[(a, b)] = table[(b, a)] = scalar / Fraction(n * n)
+            table[(a, b)] = table[(b, a)] = scalar / nn
     return table
-
-
-# Frozen by running discover_mix (see the tests): the unique mix whose
-# anticommutator with diag(1,-1) gives +2x the even triplet.
-DEFAULT_MIX = MixSpec(Fraction(-1), Fraction(1), Fraction(-1))
-
-# Frozen anticommutator table of the mixed triplet, as discovered:
-# {F_a, F_b} = n^2 * ANTICOMM_METRIC[(a,b)] * identity (absent = 0).
-ANTICOMM_METRIC = {
-    (1, 3): Fraction(-1),
-    (3, 1): Fraction(-1),
-    (2, 2): Fraction(1, 2),
-}

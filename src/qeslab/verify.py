@@ -2,10 +2,11 @@
 
 Every check computes a normal-ordered residual (left side minus the
 expected right side) and reports holds/fails by exact zero-ness; there
-are no tolerances anywhere in this module.  Every relation family reads
-its operators from one ``GeneratorSet`` per (n, gap).  Fault injection
-perturbs a single named generator coefficient there, so the sensitivity
-of every family can be demonstrated with one switch.
+are no tolerances anywhere in this module.  Every relation family and
+the gap-4 scan read their operators from one
+``generators.generator_set`` per (n, gap).  Fault injection perturbs a
+single named generator coefficient there, so the sensitivity of every
+family can be demonstrated with one switch.
 
 Report lines follow the wire format
 
@@ -20,18 +21,15 @@ from fractions import Fraction
 from qeslab.exactnum import ParamPoly
 from qeslab.generators import (
     ANTICOMM_METRIC,
-    AlgebraParams,
     DEFAULT_MIX,
-    FermionicSet,
+    GeneratorSet,
     MixSpec,
     QUINTET_GAP,
     SIGN_MATRICES,
     TRIPLET_GAP,
-    bosonic_gens,
-    fermionic_gens,
-    mixed_multiplet,
-    odd_multiplets,
-    quintet_S,
+    check_fault,
+    fault_names,
+    generator_set,
 )
 from qeslab.weyl import (
     DiffOp,
@@ -82,92 +80,6 @@ def doublet_report(tag, fields, leakage) -> RelationReport:
 
 
 # ----------------------------------------------------------------------
-# the generator set of one (n, gap) point, with optional fault injection
-# ----------------------------------------------------------------------
-
-def perturb(op: MatOp) -> MatOp:
-    """Bump one coefficient of the first nonzero entry by +1."""
-    rows = [list(r) for r in op.entries]
-    for r in (0, 1):
-        for c in (0, 1):
-            entry = rows[r][c]
-            if entry.terms:
-                rows[r][c] = entry + DiffOp({max(entry.terms): 1})
-                return MatOp(rows)
-    rows[0][0] = rows[0][0] + DiffOp.one()
-    return MatOp(rows)
-
-
-def fault_names(delta: int) -> tuple:
-    """Names of the generators at gap `delta`, in report order: T+, T0,
-    T-, J, then Q_a and QBAR_a for a = 1..delta+1."""
-    names = ["T+", "T0", "T-", "J"]
-    for a in range(1, delta + 2):
-        names += [f"Q{a}", f"QBAR{a}"]
-    return tuple(names)
-
-
-def check_fault(name: str | None, delta_max: int) -> str | None:
-    """`name` in upper case (None stays None); ValueError unless some
-    generator at a gap up to `delta_max` carries it."""
-    if name is None:
-        return None
-    name = name.upper()
-    options = fault_names(delta_max)
-    if name not in options:
-        raise ValueError(
-            f"unknown fault target {name!r}; options: {', '.join(options)}"
-        )
-    return name
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Every generator of one (n, gap) point, keyed by its fault name,
-    with at most one of them perturbed."""
-
-    params: AlgebraParams
-    named: dict
-
-    @property
-    def tees(self):
-        """(raising, Cartan, lowering)."""
-        return self.named["T+"], self.named["T0"], self.named["T-"]
-
-    @property
-    def towers(self) -> FermionicSet:
-        top = self.params.delta + 1
-        return FermionicSet(
-            params=self.params,
-            to_bottom={a: self.named[f"Q{a}"] for a in range(1, top + 1)},
-            to_top={a: self.named[f"QBAR{a}"] for a in range(1, top + 1)},
-        )
-
-    @property
-    def triplets(self):
-        """(T, Qbar, P): the three spin-1 triplets of gap 2."""
-        if self.params.delta != TRIPLET_GAP:
-            raise ValueError("triplet structure requires degree gap 2")
-        return (self.tees, *odd_multiplets(self.towers))
-
-
-def generator_set(n: int, delta: int, fault: str | None = None) -> GeneratorSet:
-    """The generators of gap `delta` on P(n - delta) (+) P(n), with the
-    one named `fault` perturbed; ValueError if it is absent at this gap."""
-    fault = check_fault(fault, delta)
-    params = AlgebraParams(n, delta)
-    b = bosonic_gens(params)
-    f = fermionic_gens(params)
-    ops = [b.raise_op, b.cartan_op, b.lower_op, b.charge_op]
-    for a in range(1, delta + 2):
-        ops += [f.to_bottom[a], f.to_top[a]]
-    named = dict(zip(fault_names(delta), ops))
-    if fault is not None:
-        named[fault] = perturb(named[fault])
-    return GeneratorSet(params=params, named=named)
-
-
-# ----------------------------------------------------------------------
 # block-diagonal relations
 # ----------------------------------------------------------------------
 
@@ -211,25 +123,23 @@ def verify_tensor(gens: GeneratorSet):
     is printed in the report so its stability is auditable.
     """
     n, delta = gens.params.n, gens.params.delta
-    f = gens.towers
+    q, qbar = gens.q, gens.qbar
     tp, t0, tm = gens.tees
     j = gens.named["J"]
     half_delta = Fraction(delta, 2)
     reports = []
     for a in range(1, delta + 2):
-        down = f.to_bottom[a]
-        up = f.to_top[a]
+        down, up = q(a), qbar(a)
         relations = [
             ("8", [], commutator(tp, down)
-             - f.to_bottom_or_zero(a + 1) * Fraction(-(1 - a + delta))),
+             - q(a + 1) * Fraction(-(1 - a + delta))),
             ("9", [], commutator(t0, down) - down * (-(1 - a + half_delta))),
-            ("10", [], commutator(tm, down)
-             - f.to_bottom_or_zero(a - 1) * Fraction(a - 1)),
+            ("10", [], commutator(tm, down) - q(a - 1) * Fraction(a - 1)),
             ("11", [("form", "(1-alpha)*up(alpha-1)")], commutator(tp, up)
-             - f.to_top_or_zero(a - 1) * Fraction(1 - a)),
+             - qbar(a - 1) * Fraction(1 - a)),
             ("12", [], commutator(t0, up) - up * (1 - a + half_delta)),
             ("13", [], commutator(tm, up)
-             - f.to_top_or_zero(a + 1) * Fraction(1 - a + delta)),
+             - qbar(a + 1) * Fraction(1 - a + delta)),
             ("14", [("which", "down")], commutator(j, down) - down * (-half_delta)),
             ("14", [("which", "up")], commutator(j, up) - up * half_delta),
         ]
@@ -244,14 +154,13 @@ def verify_tensor(gens: GeneratorSet):
 
 def _osp22_reports(gens: GeneratorSet):
     """Gap 1: mixed anticommutators close linearly in the even span."""
-    f = gens.towers
     basis_named = [("1", MatOp.identity())]
     basis_named += [(name, gens.named[name]) for name in ("T+", "T0", "T-", "J")]
     even_span = Span(op for _, op in basis_named)
     reports = []
     for a in (1, 2):
         for b in (1, 2):
-            acom = anticommutator(f.to_bottom[a], f.to_top[b])
+            acom = anticommutator(gens.q(a), gens.qbar(b))
             coeffs, residual = project_span(acom, even_span)
             span = ",".join(
                 f"{name}:{coeff}" for (name, _), coeff in zip(basis_named, coeffs)
@@ -334,14 +243,6 @@ def verify_identities(gens: GeneratorSet):
     return reports
 
 
-def _mixed_triplet(gens: GeneratorSet, mix: MixSpec | None):
-    """(T, F) with the mixed triplet F_a = Qbar_a + c_mix P_a + d T_a."""
-    if mix is None:
-        mix = DEFAULT_MIX
-    tees, qbar, pees = gens.triplets
-    return tees, mixed_multiplet(qbar, pees, tees, mix.c_mix, mix.d_mat())
-
-
 Q2_PAIRS = tuple((a, b) for a in (1, 2, 3) for b in (1, 2, 3))
 
 
@@ -365,7 +266,7 @@ def _q2_residuals(n: int, effs, tees, sigma):
     return residuals + [anticommutator(f, sigma) - t * 2 for f, t in zip(effs, tees)]
 
 
-def verify_q2(gens: GeneratorSet, mix: MixSpec | None = None):
+def verify_q2(gens: GeneratorSet, mix: MixSpec = DEFAULT_MIX):
     """The closed superalgebra table for the mixed gap-2 triplet.
 
     Checks, exactly: the full 3x3 anticommutator table against
@@ -373,9 +274,9 @@ def verify_q2(gens: GeneratorSet, mix: MixSpec | None = None):
     diag(1,-1) back onto the even triple, and the involution square.
     """
     n = gens.params.n
-    tees, effs = _mixed_triplet(gens, mix)
+    effs = gens.mixed(mix.c_mix, mix.d_mat())
     sigma = MatOp.sigma3()
-    residuals = _q2_residuals(n, effs, tees, sigma)
+    residuals = _q2_residuals(n, effs, gens.tees, sigma)
     base = [("n", n), ("delta", 2)]
     reports = [
         _report("19", base + [("alpha", a), ("beta", b), ("metric", _metric(a, b))], r)
@@ -391,7 +292,7 @@ def verify_q2(gens: GeneratorSet, mix: MixSpec | None = None):
     return reports
 
 
-def verify_q2_matrix(gens: GeneratorSet, mix: MixSpec | None = None):
+def verify_q2_matrix(gens: GeneratorSet, mix: MixSpec = DEFAULT_MIX):
     """Shadow of the superalgebra table on the restricted matrices.
 
     The same relations as ``verify_q2``, on the exact matrices of the
@@ -401,8 +302,8 @@ def verify_q2_matrix(gens: GeneratorSet, mix: MixSpec | None = None):
     """
     n = gens.params.n
     module = gens.params.module
-    tees, effs = _mixed_triplet(gens, mix)
-    restricted = [restrict(op, module) for op in effs + tees]
+    effs = gens.mixed(mix.c_mix, mix.d_mat())
+    restricted = [restrict(op, module) for op in effs + gens.tees]
     base = (("n", n), ("delta", 2))
     fields = [base + (("alpha", a), ("beta", b)) for a, b in Q2_PAIRS]
     fields += [base + (("alpha", a), ("which", "sigma")) for a in (1, 2, 3)]
@@ -464,13 +365,6 @@ def _span_basis(tees):
     return basis
 
 
-def _quintet_parts(n: int):
-    """Odd towers, even quintet and projection span of the gap-4 scan."""
-    gens = generator_set(n, QUINTET_GAP)
-    qbar, pees = odd_multiplets(gens.towers)
-    return qbar, pees, quintet_S(gens.params), Span(_span_basis(gens.tees))
-
-
 def _obstruction_report(residuals, c_mix, d_top, d_bottom):
     """Total quadratic norm and first worst pair of the projection
     residuals, evaluated at c = c_mix where they are symbolic in c."""
@@ -492,14 +386,11 @@ def _obstruction_report(residuals, c_mix, d_top, d_bottom):
 
 def scan_point(n: int, c_mix, d_top, d_bottom) -> ObstructionReport:
     """Exact residual analysis of one (c, d) sample at gap 4."""
-    qbar, pees, quintet, span = _quintet_parts(n)
+    gens = generator_set(n, QUINTET_GAP)
     c_mix, d_top, d_bottom = map(Fraction, (c_mix, d_top, d_bottom))
-    effs = mixed_multiplet(
-        qbar, pees, quintet, c_mix, MatOp.diag(d_top, d_bottom)
-    )
-    return _obstruction_report(
-        anticommutator_residuals(effs, span), c_mix, d_top, d_bottom
-    )
+    effs = gens.mixed(c_mix, MatOp.diag(d_top, d_bottom))
+    residuals = anticommutator_residuals(effs, Span(_span_basis(gens.tees)))
+    return _obstruction_report(residuals, c_mix, d_top, d_bottom)
 
 
 def delta4_scan(n: int = 6, c_values=None):
@@ -514,13 +405,12 @@ def delta4_scan(n: int = 6, c_values=None):
     """
     if c_values is None:
         c_values = default_scan_grid()
-    qbar, pees, quintet, span = _quintet_parts(n)
+    gens = generator_set(n, QUINTET_GAP)
+    span = Span(_span_basis(gens.tees))
     c_sym = ParamPoly.gen("c")
     reports = []
     for d_top, d_bottom in SIGN_MATRICES:
-        effs = mixed_multiplet(
-            qbar, pees, quintet, c_sym, MatOp.diag(d_top, d_bottom)
-        )
+        effs = gens.mixed(c_sym, MatOp.diag(d_top, d_bottom))
         residuals = anticommutator_residuals(effs, span)
         for c_val in map(Fraction, c_values):
             reports.append(

@@ -123,6 +123,22 @@ def test_negative_rational_sweep_bracket(capsys):
             "argument --box: must be a finite number >= 3.0",
         ),
         ("delta4-scan --n 3", "argument --n: must be a finite number >= 4"),
+        (
+            "verify --delta-max 0 --quiet",
+            "argument --delta-max: must be a finite number >= 1",
+        ),
+        (
+            "verify --n-max 1",
+            "--n-max must be at least max(2, --delta-max) = 4, got 1",
+        ),
+        (
+            "verify --n-max 3 --delta-max 4",
+            "--n-max must be at least max(2, --delta-max) = 4, got 3",
+        ),
+        (
+            "sweep --n 3 --c-min 1 --c-max 1 --steps 2",
+            "empty coupling range: --c-min equals --c-max",
+        ),
     ],
 )
 def test_out_of_range_input_is_usage_error(capsys, command, message):
@@ -205,6 +221,32 @@ def test_verify_fault_injection_fails(capsys):
     assert "status=fails" in out
 
 
+def test_verify_names_the_skipped_reflection_range(capsys, monkeypatch):
+    from qeslab import cli
+
+    checked = []
+    monkeypatch.setattr(cli.verify, "default_suite", lambda **kw: [])
+    monkeypatch.setattr(
+        cli.spectral, "hamiltonian_leakage_reports", lambda n_max: []
+    )
+    monkeypatch.setattr(
+        cli.spectral, "reflection_check", lambda n: checked.append(n) or []
+    )
+    code, out, err = run(capsys, ["verify"])
+    assert code == 0
+    assert out == "# reports=0 failures=0\n"
+    assert checked == [2, 3, 4, 5, 6]
+    assert err == (
+        "# skipped: reflection certificates (EQ33, EQ33EVEN) for n=7..12; "
+        "they run up to n=6\n"
+    )
+    checked.clear()
+    code, _, err = run(capsys, ["verify", "--n-max", "5"])
+    assert code == 0
+    assert checked == [2, 3, 4, 5]
+    assert err == ""
+
+
 def test_verify_unknown_fault_is_usage_error(capsys):
     code, out, err = run(capsys, ["verify", "--inject-fault", "NOPE"])
     assert code == 2
@@ -255,12 +297,20 @@ def test_sweep_branches_output(capsys):
 
 
 def test_sweep_rejects_single_step(capsys):
-    code, _, err = run(
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--n", "2", "--c-min", "0", "--c-max", "1",
+              "--steps", "1"])
+    assert exc.value.code == 2
+    assert "argument --steps" in capsys.readouterr().err
+
+
+def test_sweep_descending_range_still_runs(capsys):
+    code, out, _ = run(
         capsys,
-        ["sweep", "--n", "2", "--c-min", "0", "--c-max", "1", "--steps", "1"],
+        ["sweep", "--n", "2", "--c-min", "1", "--c-max", "0", "--steps", "2"],
     )
-    assert code == 2
-    assert "steps" in err
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()] == ["c", "1", "0"]
 
 
 def test_degeneracy_json(capsys):

@@ -13,6 +13,7 @@ from qeslab.generators import (
     bosonic_gens,
     discover_mix,
     fermionic_gens,
+    generator_set,
     lowering_word,
     p_triplet,
     q2_gens,
@@ -50,23 +51,22 @@ def test_ladder_triple_closes_scalar_level():
 
 def test_ladder_triple_closes_matrix_level():
     params = AlgebraParams(5, 2)
-    gens = bosonic_gens(params)
-    up, mid, down = gens.triple
+    up, mid, down, charge = bosonic_gens(params)
     assert commutator(up, down) == mid * -2
     assert commutator(mid, up) == up
     assert commutator(mid, down) == down * -1
-    for t in gens.triple:
-        assert commutator(gens.charge_op, t).is_zero
+    for t in (up, mid, down):
+        assert commutator(charge, t).is_zero
 
 
 def test_charge_operator_diagonal_form():
     params = AlgebraParams(6, 2)
-    gens = bosonic_gens(params)
+    charge = bosonic_gens(params)[3]
     n, delta = params.n, params.delta
     expected = MatOp.identity() * F(2 * n + delta, 4) + MatOp.sigma3() * F(
         delta, 4
     )
-    assert gens.charge_op == expected
+    assert charge == expected
 
 
 def test_lowering_word_structure():
@@ -81,28 +81,27 @@ def test_lowering_word_structure():
 
 def test_tower_entries_live_in_single_corners():
     params = AlgebraParams(5, 3)
-    towers = fermionic_gens(params)
+    gens = generator_set(params.n, params.delta)
     for alpha in range(1, params.delta + 2):
-        down = towers.to_bottom[alpha]
-        up = towers.to_top[alpha]
+        down = gens.q(alpha)
+        up = gens.qbar(alpha)
         assert down[0][0].is_zero and down[0][1].is_zero and down[1][1].is_zero
         assert down[1][0] == DiffOp.x(alpha - 1)
         assert up[0][0].is_zero and up[1][0].is_zero and up[1][1].is_zero
         assert up[0][1] == lowering_word(params.n, params.delta, alpha)
-    assert towers.to_bottom_or_zero(0).is_zero
-    assert towers.to_top_or_zero(params.delta + 2).is_zero
+    assert gens.q(0).is_zero
+    assert gens.qbar(params.delta + 2).is_zero
 
 
 def test_tower_ladder_action_spot_checks():
     params = AlgebraParams(6, 3)
-    gens = bosonic_gens(params)
-    towers = fermionic_gens(params)
-    up, mid, down = gens.triple
+    gens = generator_set(params.n, params.delta)
+    up, mid, down = gens.tees
     delta = params.delta
     for alpha in range(1, delta + 2):
-        q = towers.to_bottom[alpha]
+        q = gens.q(alpha)
         lhs = commutator(up, q)
-        rhs = towers.to_bottom_or_zero(alpha + 1) * -(1 - alpha + delta)
+        rhs = gens.q(alpha + 1) * -(1 - alpha + delta)
         assert lhs == rhs
         lhs0 = commutator(mid, q)
         assert lhs0 == q * -(F(1) - alpha + F(delta, 2))
@@ -111,8 +110,7 @@ def test_tower_ladder_action_spot_checks():
 def test_triplets_transform_with_spin_one_weights():
     n = 5
     params = AlgebraParams(n, 2)
-    gens = bosonic_gens(params)
-    up, mid, down = gens.triple
+    up, mid, down, _ = bosonic_gens(params)
     for family in (qbar_triplet(params), p_triplet(params), t_triplet(params)):
         v = {1: family[0], 2: family[1], 3: family[2]}
         v[0] = MatOp.zero()
@@ -128,14 +126,12 @@ def test_reversed_tower_matches_triplet_order():
     towers = fermionic_gens(params)
     ps = p_triplet(params)
     for alpha in (1, 2, 3):
-        assert ps[alpha - 1] == towers.to_bottom[4 - alpha]
+        assert ps[alpha - 1] == towers[2 * (3 - alpha)]
 
 
 def test_quintet_transforms_with_spin_two_weights():
-    params = AlgebraParams(6, 4)
-    gens = bosonic_gens(AlgebraParams(6, 4))
-    up, mid, down = gens.triple
-    quintet = quintet_S(params)
+    up, mid, down, _ = bosonic_gens(AlgebraParams(6, 4))
+    quintet = quintet_S((up, mid, down))
     v = {alpha: quintet[alpha - 1] for alpha in range(1, 6)}
     v[0] = MatOp.zero()
     v[6] = MatOp.zero()
@@ -143,6 +139,24 @@ def test_quintet_transforms_with_spin_two_weights():
         assert commutator(up, v[alpha]) == v[alpha - 1] * (1 - alpha)
         assert commutator(mid, v[alpha]) == v[alpha] * (3 - alpha)
         assert commutator(down, v[alpha]) == v[alpha + 1] * (5 - alpha)
+
+
+@pytest.mark.parametrize("c", [ParamPoly.gen("c"), F(-3, 4)])
+def test_gap4_mix_is_qbar_plus_c_p_plus_d_quintet(c):
+    gens = generator_set(6, 4)
+    d = MatOp.diag(F(1), F(-1))
+    quintet = quintet_S(gens.tees)
+    # P_a is the multiplication tower in multiplet order: Q_(6-a)
+    want = tuple(
+        gens.qbar(a) + gens.q(6 - a) * c + d * quintet[a - 1]
+        for a in range(1, 6)
+    )
+    assert gens.mixed(c, d) == want
+
+
+def test_mix_needs_a_gap_with_an_even_multiplet():
+    with pytest.raises(ValueError):
+        generator_set(5, 3).mixed(F(1), MatOp.identity())
 
 
 def test_mix_spec_surface():

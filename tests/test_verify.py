@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qeslab.generators import SIGN_MATRICES, MixSpec
+from qeslab import generators, verify
+from qeslab.generators import SIGN_MATRICES, MixSpec, perturb
 from qeslab.verify import (
     default_scan_grid,
     default_suite,
@@ -13,7 +14,6 @@ from qeslab.verify import (
     fault_names,
     generator_set,
     leakage_reports,
-    perturb,
     scan_point,
     verify_q2,
     verify_q2_matrix,
@@ -88,6 +88,29 @@ def test_every_relation_family_is_reachable_by_a_fault():
     #     so {F_a, sigma3} = 2 T_a for any faulted T;
     # 26: {sigma3, sigma3} involves no generator.
     assert {r.tag for r in reports} - failed == {"4J", "25", "26"}
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls of the named generators functions under every alias
+    a qeslab module holds."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(generators, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (generators, verify):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_delta4_scan_builds_one_generator_set(monkeypatch):
+    counts = count_calls(monkeypatch, "bosonic_gens", "fermionic_gens")
+    delta4_scan(6)
+    assert counts == {"bosonic_gens": 1, "fermionic_gens": 1}
 
 
 def test_perturb_changes_first_populated_entry():
