@@ -222,6 +222,11 @@ def cmd_sweep(args) -> int:
         print("error: empty coupling range: --c-min equals --c-max",
               file=sys.stderr)
         return 2
+    try:
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     result = spectral.sweep(args.n, args.c_min, args.c_max, args.steps)
     if args.branches:
         two = len(result.rows[0][1]) // 2
@@ -232,11 +237,9 @@ def cmd_sweep(args) -> int:
         text = spectral.csv_text("absE", rows)
     else:
         text = spectral.csv_text("E", result.rows)
+    out.write(text)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        out.close()
     return 0
 
 

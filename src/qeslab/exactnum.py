@@ -638,12 +638,6 @@ class ExactMatrix:
     def map_entries(self, func) -> "ExactMatrix":
         return ExactMatrix([[func(e) for e in row] for row in self.entries])
 
-    def eval_param(self, value) -> "ExactMatrix":
-        """Substitute `value` into every polynomial entry."""
-        return self.map_entries(
-            lambda e: e(value) if isinstance(e, ParamPoly) else e
-        )
-
     # ------------------------------------------------------------------
     def faddeev_leverrier(self):
         """(coeffs, terms): the ascending coefficients of det(t*I - self)

@@ -11,9 +11,11 @@ fault name, with at most one generator perturbed, which every relation
 suite, the mix discovery and the gap-4 scan read.  At gap 2 the towers
 transform as spin-1 triplets and at gap 4 as spin-2 quintets;
 ``GeneratorSet.mixed`` mixes them with the even multiplet of the same
-spin.  At gap 2 one exact rational mixing closes into a finite
-superalgebra; ``discover_mix`` finds that mixing (and the resulting
-anticommutator table) by computation instead of assuming it.
+spin, as one ``MixSpec`` spells it.  ``sign_matrix_scan``, the one loop
+over the sign matrices, feeds both the gap-4 scan and ``discover_mix``:
+at gap 2 one exact rational mixing closes into a finite superalgebra,
+and the discovery finds that mixing (and the resulting anticommutator
+table) by computation instead of assuming it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from qeslab.exactnum import ParamPoly, poly_gcd, real_roots
+from qeslab.exactnum import ParamPoly, as_exact, poly_gcd, real_roots
 from qeslab.weyl import (
     DiffOp,
     MatOp,
@@ -200,13 +202,14 @@ class GeneratorSet:
             return quintet_S(self.tees)
         raise ValueError("mixed multiplets exist at degree gaps 2 and 4 only")
 
-    def mixed(self, c, d: MatOp):
+    def mixed(self, mix: "MixSpec"):
         """F_a = Qbar_a + c P_a + d E_a, with E the even multiplet of the
-        odd towers' spin: the triple T at gap 2, its quintet at gap 4.
-        `c` may be a symbolic polynomial."""
+        odd towers' spin: the triple T at gap 2, its quintet at gap 4."""
         qbar, pees = self.odd_multiplets
+        d = MatOp.diag(mix.d_top, mix.d_bottom)
         return tuple(
-            q + p * c + d * e for q, p, e in zip(qbar, pees, self._even_multiplet)
+            q + p * mix.c_mix + d * e
+            for q, p, e in zip(qbar, pees, self._even_multiplet)
         )
 
 
@@ -237,25 +240,28 @@ def quintet_S(tees):
 
 
 # ----------------------------------------------------------------------
-# gap-2 triplets and their mixing
+# mixing the odd towers with the even multiplet
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MixSpec:
-    """Rational mixing of the three triplets: Qbar + c_mix P + d T,
-    with d the constant diagonal matrix diag(d_top, d_bottom)."""
+    """One mix Qbar + c_mix P + d E of the odd towers with the even
+    multiplet, d the constant diagonal matrix diag(d_top, d_bottom).
+    `c_mix` is a rational or a polynomial in c (a constant polynomial
+    collapses to a Fraction)."""
 
-    c_mix: Fraction
+    c_mix: Fraction | ParamPoly
     d_top: Fraction
     d_bottom: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "c_mix", Fraction(self.c_mix))
+        c_mix = self.c_mix
+        c_mix = as_exact(c_mix) if isinstance(c_mix, ParamPoly) else Fraction(c_mix)
+        if isinstance(c_mix, ParamPoly) and c_mix.var != "c":
+            raise ValueError(f"mix constant polynomial in {c_mix.var!r}, not c")
+        object.__setattr__(self, "c_mix", c_mix)
         object.__setattr__(self, "d_top", Fraction(self.d_top))
         object.__setattr__(self, "d_bottom", Fraction(self.d_bottom))
-
-    def d_mat(self) -> MatOp:
-        return MatOp.diag(self.d_top, self.d_bottom)
 
     def label(self) -> str:
         return (
@@ -314,7 +320,7 @@ def q2_gens(params: AlgebraParams, mix: MixSpec = DEFAULT_MIX) -> Q2Set:
         params=params,
         mix=mix,
         tees=gens.triplets[0],
-        effs=gens.mixed(mix.c_mix, mix.d_mat()),
+        effs=gens.mixed(mix),
         sigma=MatOp.sigma3(),
         metric=dict(ANTICOMM_METRIC),
     )
@@ -330,6 +336,20 @@ SIGN_MATRICES = (
     (Fraction(-1), Fraction(1)),
     (Fraction(-1), Fraction(-1)),
 )
+
+
+def sign_matrix_scan(gens: GeneratorSet, span: Span):
+    """For each of SIGN_MATRICES: the mix with c symbolic, and the
+    residuals of its anticommutators projected onto `span`."""
+    for d_top, d_bottom in SIGN_MATRICES:
+        mix = MixSpec(ParamPoly.gen("c"), d_top, d_bottom)
+        yield mix, anticommutator_residuals(gens.mixed(mix), span)
+
+
+# the degree of the discovery scan, and the second degree whose metric
+# table certifies the n^2 scaling
+DISCOVERY_N = 5
+CONFIRM_N = 8
 
 
 @dataclass(frozen=True)
@@ -349,79 +369,60 @@ class MixDiscovery:
     metric: dict
 
 
-def _common_rational_roots(polys):
-    """Exact common rational roots of nonzero polynomials in the mix
-    constant (constants count as degree-0 polynomials)."""
-    gcd = ParamPoly.zero("c")
-    for p in polys:
-        if not isinstance(p, ParamPoly):
-            p = ParamPoly("c", [p])
-        gcd = poly_gcd(gcd, p)
-        if gcd.degree == 0:
-            return []
-    return [r.exact for r in real_roots(gcd) if r.exact is not None]
-
-
-def discover_mix(n: int = 5, confirm_n: int = 8) -> MixDiscovery:
+def discover_mix() -> MixDiscovery:
     """Search (sign matrix) x (symbolic c) for a closing mix at gap 2.
 
-    For each diagonal sign matrix the mix constant is left symbolic, every
-    anticommutator is projected onto the scalars, and the common rational
-    roots in c of the residual coefficients give the candidates.  The
-    anticommutator table is recomputed at a second degree to certify the
+    ``sign_matrix_scan`` projects every anticommutator onto the scalars
+    at n = DISCOVERY_N, and the common rational roots in c of the
+    residual coefficients give the candidates.  The anticommutator table
+    of the selected mix is recomputed at n = CONFIRM_N to certify the
     n^2 scaling of the metric.
     """
-    candidates = []
-    tables = {}
-    gens = generator_set(n, TRIPLET_GAP)
-    for d_top, d_bottom in SIGN_MATRICES:
-        for c_value in _closing_constants(gens, d_top, d_bottom):
-            mix = MixSpec(c_value, d_top, d_bottom)
-            candidates.append(mix)
-            tables[mix] = _metric_table(gens, mix)
-    selected = None
+    gens = generator_set(DISCOVERY_N, TRIPLET_GAP)
+    candidates = [
+        MixSpec(c_value, mix.d_top, mix.d_bottom)
+        for mix, residuals in sign_matrix_scan(gens, Span([MatOp.identity()]))
+        for c_value in _closing_constants(residuals)
+    ]
     sigma = MatOp.sigma3()
-    for mix in candidates:
-        effs = gens.mixed(mix.c_mix, mix.d_mat())
+    paired = [
+        mix
+        for mix in candidates
         if all(
-            anticommutator(f, sigma) == t * 2 for f, t in zip(effs, gens.tees)
-        ):
-            if selected is not None:
-                raise ValueError("sign-matrix pairing test is not unique")
-            selected = mix
-    if selected is None:
-        raise ValueError("no candidate pairs with the grading involution")
-    metric = tables[selected]
-    for other_n in {confirm_n} - {n}:
-        if _metric_table(generator_set(other_n, TRIPLET_GAP), selected) != metric:
-            raise ValueError("metric table is not stable across degrees")
+            anticommutator(f, sigma) == t * 2
+            for f, t in zip(gens.mixed(mix), gens.tees)
+        )
+    ]
+    if len(paired) != 1:
+        raise ValueError(f"{len(paired)} candidates pair with diag(1,-1), not 1")
+    (selected,) = paired
+    metric = _metric_table(gens, selected)
+    if _metric_table(generator_set(CONFIRM_N, TRIPLET_GAP), selected) != metric:
+        raise ValueError("metric table is not stable across degrees")
     return MixDiscovery(
         candidates=tuple(candidates), selected=selected, metric=metric
     )
 
 
-def _closing_constants(gens: GeneratorSet, d_top: Fraction, d_bottom: Fraction):
-    """Exact mix constants closing every anticommutator for this sign
-    matrix: the common rational roots in c of the residual coefficients
-    left by projecting the symbolic-c anticommutators onto the scalars."""
-    effs = gens.mixed(ParamPoly.gen("c"), MatOp.diag(d_top, d_bottom))
-    residuals = anticommutator_residuals(effs, Span([MatOp.identity()]))
-    obstructions = [
-        coeff
-        for _, residual in residuals.values()
-        for row in residual.entries
-        for entry in row
-        for coeff in entry.terms.values()
-    ]
-    if not obstructions:
+def _closing_constants(residuals):
+    """Exact mix constants closing every anticommutator: the common
+    rational roots in c of the coefficients of the symbolic-c
+    `residuals` (constants count as degree-0 polynomials)."""
+    gcd = ParamPoly.zero("c")
+    for _, residual in residuals.values():
+        for entry in (entry for row in residual.entries for entry in row):
+            for coeff in entry.terms.values():
+                gcd = poly_gcd(gcd, ParamPoly.zero("c") + coeff)
+                if gcd.degree == 0:
+                    return []
+    if gcd.is_zero:
         raise ValueError("anticommutators closed for every mix constant")
-    return _common_rational_roots(obstructions)
+    return [r.exact for r in real_roots(gcd) if r.exact is not None]
 
 
 def _metric_table(gens: GeneratorSet, mix: MixSpec) -> dict:
     """(alpha, beta) -> anticommutator scalar / n^2, zeros omitted."""
-    effs = gens.mixed(mix.c_mix, mix.d_mat())
-    residuals = anticommutator_residuals(effs, Span([MatOp.identity()]))
+    residuals = anticommutator_residuals(gens.mixed(mix), Span([MatOp.identity()]))
     nn = Fraction(gens.params.n ** 2)
     table = {}
     for (a, b), ((scalar,), residual) in residuals.items():

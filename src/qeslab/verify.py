@@ -4,7 +4,10 @@ Every check computes a normal-ordered residual (left side minus the
 expected right side) and reports holds/fails by exact zero-ness; there
 are no tolerances anywhere in this module.  Every relation family and
 the gap-4 scan read their operators from one
-``generators.generator_set`` per (n, gap).  Fault injection perturbs a
+``generators.generator_set`` per (n, gap); the q(2) checks and the gap-4
+scan spell their mix as one ``generators.MixSpec``, and the scan walks
+the sign matrices through ``generators.sign_matrix_scan``, the loop that
+also runs the gap-2 mix discovery.  Fault injection perturbs a
 single named generator coefficient there, so the sensitivity of every
 family can be demonstrated with one switch.
 
@@ -18,18 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qeslab.exactnum import ParamPoly
 from qeslab.generators import (
     ANTICOMM_METRIC,
     DEFAULT_MIX,
     GeneratorSet,
     MixSpec,
     QUINTET_GAP,
-    SIGN_MATRICES,
     TRIPLET_GAP,
     check_fault,
     fault_names,
     generator_set,
+    sign_matrix_scan,
 )
 from qeslab.weyl import (
     DiffOp,
@@ -274,7 +276,7 @@ def verify_q2(gens: GeneratorSet, mix: MixSpec = DEFAULT_MIX):
     diag(1,-1) back onto the even triple, and the involution square.
     """
     n = gens.params.n
-    effs = gens.mixed(mix.c_mix, mix.d_mat())
+    effs = gens.mixed(mix)
     sigma = MatOp.sigma3()
     residuals = _q2_residuals(n, effs, gens.tees, sigma)
     base = [("n", n), ("delta", 2)]
@@ -302,7 +304,7 @@ def verify_q2_matrix(gens: GeneratorSet, mix: MixSpec = DEFAULT_MIX):
     """
     n = gens.params.n
     module = gens.params.module
-    effs = gens.mixed(mix.c_mix, mix.d_mat())
+    effs = gens.mixed(mix)
     restricted = [restrict(op, module) for op in effs + gens.tees]
     base = (("n", n), ("delta", 2))
     fields = [base + (("alpha", a), ("beta", b)) for a, b in Q2_PAIRS]
@@ -325,15 +327,13 @@ class ObstructionReport:
     """Residual content of the mixed-quintet anticommutators at one
     sample point; a zero norm would certify a closing combination."""
 
-    c_mix: Fraction
-    d_top: Fraction
-    d_bottom: Fraction
+    mix: MixSpec
     residual_quadratic_norm: int
     worst_pair: tuple
 
     def line(self) -> str:
         return (
-            f"point c={self.c_mix} d=diag({self.d_top},{self.d_bottom}) "
+            f"point {self.mix.label()} "
             f"residual_quadratic_norm={self.residual_quadratic_norm} "
             f"worst_pair={self.worst_pair[0]}{self.worst_pair[1]}"
         )
@@ -365,58 +365,39 @@ def _span_basis(tees):
     return basis
 
 
-def _obstruction_report(residuals, c_mix, d_top, d_bottom):
+def _obstruction_report(residuals, mix: MixSpec):
     """Total quadratic norm and first worst pair of the projection
-    residuals, evaluated at c = c_mix where they are symbolic in c."""
-    total = 0
-    worst = ((1, 1), -1)
-    for pair, (_, residual) in residuals.items():
-        norm = _quadratic_norm(residual.eval_param(c_mix))
-        total += norm
-        if norm > worst[1]:
-            worst = (pair, norm)
-    return ObstructionReport(
-        c_mix=c_mix,
-        d_top=d_top,
-        d_bottom=d_bottom,
-        residual_quadratic_norm=total,
-        worst_pair=worst[0],
-    )
+    residuals, evaluated at c = mix.c_mix where they are symbolic in c."""
+    norms = {
+        pair: _quadratic_norm(residual.eval_param(mix.c_mix))
+        for pair, (_, residual) in residuals.items()
+    }
+    return ObstructionReport(mix, sum(norms.values()), max(norms, key=norms.get))
 
 
-def scan_point(n: int, c_mix, d_top, d_bottom) -> ObstructionReport:
-    """Exact residual analysis of one (c, d) sample at gap 4."""
-    gens = generator_set(n, QUINTET_GAP)
-    c_mix, d_top, d_bottom = map(Fraction, (c_mix, d_top, d_bottom))
-    effs = gens.mixed(c_mix, MatOp.diag(d_top, d_bottom))
-    residuals = anticommutator_residuals(effs, Span(_span_basis(gens.tees)))
-    return _obstruction_report(residuals, c_mix, d_top, d_bottom)
-
-
-def delta4_scan(n: int = 6, c_values=None):
-    """Grid certificate for the gap-4 obstruction.
-
-    For each sign matrix the mix constant is kept symbolic, the fifteen
-    unordered anticommutators are normal-ordered once, projected onto
-    the degree-<=1 span with an exact linear solve, and the symbolic
-    residuals are then evaluated on the grid.  Every report should have
-    a positive residual norm; a zero would be a counterexample to the
-    no-closure claim.
-    """
-    if c_values is None:
-        c_values = default_scan_grid()
+def scan_point(n: int, mix: MixSpec) -> ObstructionReport:
+    """Exact residual analysis of one rational mix at gap 4."""
     gens = generator_set(n, QUINTET_GAP)
     span = Span(_span_basis(gens.tees))
-    c_sym = ParamPoly.gen("c")
-    reports = []
-    for d_top, d_bottom in SIGN_MATRICES:
-        effs = gens.mixed(c_sym, MatOp.diag(d_top, d_bottom))
-        residuals = anticommutator_residuals(effs, span)
-        for c_val in map(Fraction, c_values):
-            reports.append(
-                _obstruction_report(residuals, c_val, d_top, d_bottom)
-            )
-    return reports
+    return _obstruction_report(anticommutator_residuals(gens.mixed(mix), span), mix)
+
+
+def delta4_scan(n: int = 6):
+    """Grid certificate for the gap-4 obstruction.
+
+    ``sign_matrix_scan`` keeps the mix constant symbolic for each sign
+    matrix, normal-orders the fifteen unordered anticommutators once and
+    projects them onto the degree-<=1 span with an exact linear solve;
+    the symbolic residuals are then evaluated on ``default_scan_grid``.
+    Every report should have a positive residual norm; a zero would be
+    a counterexample to the no-closure claim.
+    """
+    gens = generator_set(n, QUINTET_GAP)
+    return [
+        _obstruction_report(residuals, MixSpec(c_val, mix.d_top, mix.d_bottom))
+        for mix, residuals in sign_matrix_scan(gens, Span(_span_basis(gens.tees)))
+        for c_val in default_scan_grid()
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -139,11 +139,21 @@ def test_negative_rational_sweep_bracket(capsys):
             "sweep --n 3 --c-min 1 --c-max 1 --steps 2",
             "empty coupling range: --c-min equals --c-max",
         ),
+        (
+            "sweep --n 3 --c-min 0 --c-max 1 --steps 3 --out {tmp}/missing/levels.csv",
+            "[Errno 2] No such file or directory",
+        ),
     ],
 )
-def test_out_of_range_input_is_usage_error(capsys, command, message):
+def test_out_of_range_input_is_usage_error(
+    capsys, monkeypatch, tmp_path, command, message
+):
+    import qeslab.spectral as spectral_mod
+
+    sweeps = []
+    monkeypatch.setattr(spectral_mod, "sweep", lambda *args: sweeps.append(args))
     try:
-        code = main(command.split())
+        code = main(command.format(tmp=tmp_path).split())
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
@@ -151,6 +161,7 @@ def test_out_of_range_input_is_usage_error(capsys, command, message):
     assert captured.out == ""
     assert f"error: {message}" in captured.err
     assert "Traceback" not in captured.err
+    assert sweeps == []
 
 
 def test_spectrum_restricts_the_operator_once(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qeslab import generators
 from qeslab.exactnum import ParamPoly
 from qeslab.generators import (
     ANTICOMM_METRIC,
@@ -19,11 +20,13 @@ from qeslab.generators import (
     q2_gens,
     qbar_triplet,
     quintet_S,
+    sign_matrix_scan,
     sl2_gens,
     t_triplet,
     triplet_F,
 )
-from qeslab.weyl import DiffOp, MatOp, anticommutator, commutator, x_monomial
+from qeslab.verify import _span_basis
+from qeslab.weyl import DiffOp, MatOp, Span, anticommutator, commutator, x_monomial
 
 F = Fraction
 
@@ -151,22 +154,76 @@ def test_gap4_mix_is_qbar_plus_c_p_plus_d_quintet(c):
         gens.qbar(a) + gens.q(6 - a) * c + d * quintet[a - 1]
         for a in range(1, 6)
     )
-    assert gens.mixed(c, d) == want
+    assert gens.mixed(MixSpec(c, 1, -1)) == want
 
 
 def test_mix_needs_a_gap_with_an_even_multiplet():
     with pytest.raises(ValueError):
-        generator_set(5, 3).mixed(F(1), MatOp.identity())
+        generator_set(5, 3).mixed(MixSpec(1, 1, 1))
 
 
 def test_mix_spec_surface():
     mix = MixSpec(-1, 1, -1)
     assert mix.c_mix == F(-1)
     assert mix.label() == "c=-1 d=diag(1,-1)"
-    d = mix.d_mat()
-    assert d == MatOp.diag(DiffOp.one(), DiffOp.one() * -1)
     with pytest.raises(Exception):
         mix.c_mix = F(2)
+
+
+def test_mix_spec_coerces_the_mix_constant():
+    c = ParamPoly.gen("c")
+    assert MixSpec(c, 1, -1).c_mix == c
+    constant = MixSpec(ParamPoly("c", [F(3, 4)]), 1, -1).c_mix
+    assert constant == F(3, 4) and isinstance(constant, Fraction)
+    with pytest.raises(ValueError):
+        MixSpec(ParamPoly.gen("x"), 1, -1)
+
+
+def test_discovery_makes_six_projections(monkeypatch):
+    # four sign matrices, then the selected metric table at n = 5 and 8
+    calls = []
+    original = generators.anticommutator_residuals
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(generators, "anticommutator_residuals", counted)
+    discover_mix()
+    assert len(calls) == 6
+
+
+def test_gap4_quintet_closes_for_no_c():
+    # a nonzero rational residual coefficient obstructs every c in C
+    for n in (4, 5, 6):
+        gens = generator_set(n, 4)
+        scan = list(sign_matrix_scan(gens, Span(_span_basis(gens.tees))))
+        assert len(scan) == 4
+        for mix, residuals in scan:
+            assert rational_obstructions(residuals), (n, mix.label())
+
+
+def test_gap2_closing_sign_matrices_leave_no_rational_obstruction():
+    gens = generator_set(5, 2)
+    obstructed = {
+        (mix.d_top, mix.d_bottom): bool(rational_obstructions(residuals))
+        for mix, residuals in sign_matrix_scan(gens, Span(_span_basis(gens.tees)))
+    }
+    assert obstructed == {
+        (1, 1): True, (1, -1): False, (-1, 1): False, (-1, -1): True,
+    }
+
+
+def rational_obstructions(residuals):
+    """The residual coefficients that are nonzero rational constants."""
+    return [
+        coeff
+        for _, residual in residuals.values()
+        for row in residual.entries
+        for entry in row
+        for coeff in entry.terms.values()
+        if isinstance(coeff, Fraction) and coeff
+    ]
 
 
 def test_discovered_mix_is_frozen_expectation():

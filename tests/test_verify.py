@@ -146,16 +146,16 @@ def test_generator_leakage_certificates_empty():
 
 
 def test_scan_point_frozen_residuals():
-    r = scan_point(6, F(-1), F(1), F(-1))
+    r = scan_point(6, MixSpec(F(-1), F(1), F(-1)))
     assert r.residual_quadratic_norm == 70
     assert r.worst_pair == (1, 3)
-    assert scan_point(5, F(-1), F(1), F(-1)).residual_quadratic_norm == 64
-    disabled = scan_point(6, F(1), F(0), F(0))
+    assert scan_point(5, MixSpec(F(-1), F(1), F(-1))).residual_quadratic_norm == 64
+    disabled = scan_point(6, MixSpec(F(1), F(0), F(0)))
     assert disabled.residual_quadratic_norm == 96
 
 
 def test_scan_report_line_format():
-    r = scan_point(6, F(-1), F(1), F(-1))
+    r = scan_point(6, MixSpec(F(-1), F(1), F(-1)))
     assert r.line() == (
         "point c=-1 d=diag(1,-1) residual_quadratic_norm=70 worst_pair=13"
     )
@@ -169,7 +169,7 @@ def test_default_grid_shape():
 
 
 def test_small_scan_has_no_counterexamples():
-    reports = delta4_scan(n=5, c_values=(F(-1), F(0), F(1)))
+    reports = [r for r in delta4_scan(5) if r.mix.c_mix in (F(-1), F(0), F(1))]
     assert len(reports) == 12
     assert all(r.residual_quadratic_norm > 0 for r in reports)
 
@@ -177,9 +177,9 @@ def test_small_scan_has_no_counterexamples():
 def test_scan_point_matches_symbolic_scan():
     # concrete-c projection against symbolic-c projection then evaluation
     c_values = (F(-1), F(0), F(1))
-    reports = delta4_scan(n=5, c_values=c_values)
+    reports = [r for r in delta4_scan(5) if r.mix.c_mix in c_values]
     expected = [
-        scan_point(5, c, d_top, d_bottom)
+        scan_point(5, MixSpec(c, d_top, d_bottom))
         for d_top, d_bottom in SIGN_MATRICES
         for c in c_values
     ]
