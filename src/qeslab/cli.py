@@ -229,15 +229,9 @@ def cmd_sweep(args) -> int:
         return 2
     result = spectral.sweep(args.n, args.c_min, args.c_max, args.steps)
     if args.branches:
-        two = len(result.rows[0][1]) // 2
-        rows = [
-            (c, list(mags) + [mags[-1]] * (two - len(mags)))
-            for c, mags in result.abs_branches()
-        ]
-        text = spectral.csv_text("absE", rows)
+        spectral.write_csv(out, "absE", result.abs_branches())
     else:
-        text = spectral.csv_text("E", result.rows)
-    out.write(text)
+        spectral.write_csv(out, "E", result.rows)
     if args.out:
         out.close()
     return 0

@@ -691,28 +691,10 @@ class ExactMatrix:
             for e in row:
                 if not isinstance(e, Fraction):
                     raise TypeError("nullspace needs rational entries")
-        rows, cols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(cols):
-            pivot = next((i for i in range(r, rows) if m[i][c]), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = Fraction(1) / m[r][c]
-            m[r] = [v * inv for v in m[r]]
-            for i in range(rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [v - f * w for v, w in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == rows:
-                break
-        free = [c for c in range(cols) if c not in pivots]
+        pivots = _row_reduce(m, self.cols)
         basis = []
-        for f in free:
-            vec = [Fraction(0)] * cols
+        for f in (c for c in range(self.cols) if c not in pivots):
+            vec = [Fraction(0)] * self.cols
             vec[f] = Fraction(1)
             for prow, pcol in enumerate(pivots):
                 vec[pcol] = -m[prow][f]
@@ -744,19 +726,31 @@ def resultant(p: ParamPoly, q: ParamPoly):
     return ExactMatrix(shifted_rows(p, k) + shifted_rows(q, m)).det()
 
 
+def _row_reduce(m, width: int):
+    """Gauss-Jordan elimination of the rational rows `m`, in place, with
+    pivots taken in the first `width` columns only: the reduced row
+    echelon form there.  Returns the pivot columns, ascending."""
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots
+
+
 def solve_linear(rows, rhs):
     """Solve a square exact rational system; raises on singular systems."""
     n = len(rows)
     m = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            raise ValueError("singular linear system")
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = Fraction(1) / m[c][c]
-        m[c] = [v * inv for v in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[c])]
+    if len(_row_reduce(m, n)) < n:
+        raise ValueError("singular linear system")
     return tuple(m[i][n] for i in range(n))

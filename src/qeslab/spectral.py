@@ -35,14 +35,16 @@ from qeslab.exactnum import (
     resultant,
     sign_variations,
     square_free_part,
+    sturm_count,
     sturm_sequence,
 )
-from qeslab.verify import RelationReport, doublet_report
 from qeslab.weyl import (
     DiffOp,
     MatOp,
     ModuleSpec,
     RestrictedMatrix,
+    doublet_report,
+    relation_report,
     restrict,
 )
 
@@ -92,15 +94,6 @@ class HamiltonianSpec:
         """The y^2 coefficient of the physical potential in one channel."""
         sign = -4 if channel == 0 else 4
         return Fraction(1 - 4 * self.n + sign)
-
-    def potential_matrix(self, y):
-        """The physical 2x2 potential at a rational (or float) ordinate."""
-        y2 = y * y
-        y6 = y2 * y2 * y2
-        top = y6 + self.channel_y2_coeff(0) * y2
-        bottom = y6 + self.channel_y2_coeff(1) * y2
-        off = self.c_spec
-        return ((top, off), (off, bottom))
 
 
 # ----------------------------------------------------------------------
@@ -249,11 +242,10 @@ def algebraic_spectrum(spec: HamiltonianSpec) -> AlgebraicSpectrum:
 @dataclass(frozen=True)
 class EigenPair:
     """One level with a basis of eigenvector doublets (p_top, p_bottom),
-    polynomials in x with exact or float coefficients."""
+    polynomials in x: exact at a rational level, float otherwise."""
 
     level: Root
     doublets: tuple
-    exact_coeffs: bool
     defective: bool = False
 
 
@@ -306,14 +298,7 @@ def eigenvectors(spectrum: AlgebraicSpectrum):
                 _normalize_doublet(*_split_doublet(list(vec), module))
                 for vec in kernel
             )
-            pairs.append(
-                EigenPair(
-                    level=level,
-                    doublets=doublets,
-                    exact_coeffs=True,
-                    defective=len(kernel) < level.multiplicity,
-                )
-            )
+            pairs.append(EigenPair(level, doublets, len(kernel) < level.multiplicity))
             continue
         if level.multiplicity > 1:
             raise SpectralError(f"repeated irrational level {level.value!r}")
@@ -331,7 +316,7 @@ def eigenvectors(spectrum: AlgebraicSpectrum):
         vector = [next(parts[sign]) for sign in _parity_signs(module)]
         top, bottom = _normalize_doublet(*_split_doublet(vector, module))
         doublet = (top.map_coeffs(float), bottom.map_coeffs(float))
-        pairs.append(EigenPair(level=level, doublets=(doublet,), exact_coeffs=False))
+        pairs.append(EigenPair(level, (doublet,)))
     return pairs
 
 
@@ -430,13 +415,9 @@ class SweepResult:
     rows: tuple  # (c: Fraction, values: tuple of 2n floats ascending)
 
     def abs_branches(self):
-        """|E| branch triples (or n-tuples) per row: the distinct
-        magnitudes of the symmetric spectrum, ascending."""
-        out = []
-        for c, values in self.rows:
-            mags = sorted({abs(v) for v in values})
-            out.append((c, tuple(mags)))
-        return out
+        """(c, |E| n-tuple) per row: the upper half of the spectrum, which
+        is symmetric under E -> -E, so the n magnitudes ascending."""
+        return [(c, values[self.n:]) for c, values in self.rows]
 
 
 def sweep(n: int, c_min, c_max, steps: int) -> SweepResult:
@@ -456,21 +437,16 @@ def format_sig(value: float) -> str:
     return "%.12g" % float(value)
 
 
-def csv_text(column: str, rows) -> str:
-    """CSV of (c, values) rows under the header c,<column>_1,...; every
-    number has 12 significant digits."""
+def write_csv(fh, column: str, rows):
+    """Write (c, values) rows to `fh` as CSV under the header
+    c,<column>_1,...; every number has 12 significant digits."""
     width = len(rows[0][1])
     lines = ["c," + ",".join(f"{column}_{i}" for i in range(1, width + 1))]
     for c, values in rows:
         lines.append(
             ",".join([format_sig(float(c))] + [format_sig(v) for v in values])
         )
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(result: SweepResult, path: str):
-    with open(path, "w", newline="") as fh:
-        fh.write(csv_text("E", result.rows))
+    fh.write("\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -492,9 +468,10 @@ def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
     The levels are E = +-sqrt(mu) over the roots mu of q(mu) = det(mu - BC),
     symbolic in c.  Two levels meet exactly where a mu-root doubles,
     res_mu(q, q') = 0, or where mu = 0 joins +E and -E, q(0) = 0; c* is
-    the smallest real root of q(0) * res_mu(q, q') inside the bracket.
-    The gap and levels are the exact spectrum at c* (at its float value,
-    itself a rational, when c* is irrational).
+    the smallest real root of q(0) * res_mu(q, q') inside the bracket,
+    which exact Sturm counts at c_min and c_max decide.  The gap and levels
+    are the exact spectrum at c* (at its float value, itself a rational,
+    when c* is irrational).
 
     Raises NoDegeneracyError when no collision lies inside the bracket.
     """
@@ -506,14 +483,12 @@ def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
     locus = ParamPoly.one("c") * q.constant() * resultant(q, q.derivative())
     if locus.is_zero:
         raise SpectralError("levels collide at every coupling")
-    inside = [
-        root
-        for root in real_roots(locus)
-        if c_min < (root.value if root.exact is None else root.exact) < c_max
-    ]
-    if not inside:
+    if not sturm_count(locus, c_min, c_max) - (locus(c_max) == 0):
         raise NoDegeneracyError(f"no level collision inside ({c_min}, {c_max})")
-    root = inside[0]
+    roots = real_roots(locus)
+    # skip the roots at or below c_min
+    top = max(cauchy_bound(locus), c_max)
+    root = roots[len(roots) - sturm_count(locus, c_min, top)]
     c_star = Fraction(root.value) if root.exact is None else root.exact
     values = algebraic_spectrum(HamiltonianSpec.from_c(n, c_star)).values
     gaps = [b - a for a, b in zip(values, values[1:])]
@@ -547,24 +522,16 @@ def reflection_check(n: int):
     where S carries (-1)^degree on monomials and opposite block signs:
     the parity split leaves no stray same-parity entry, which is the
     residual otherwise.  Corollary, checked independently on the full
-    2n x 2n Faddeev-LeVerrier polynomial: every odd characteristic
-    coefficient is the zero polynomial in Q[k0].
+    2n x 2n Faddeev-LeVerrier polynomial: its odd part in lam is the zero
+    polynomial over Q[k0].
     """
     spec = HamiltonianSpec(n, ParamPoly.gen(K0_VAR))
     matrix = restrict(build_hamiltonian_gauged(spec), spec.module).matrix
     _, _, stray = _parity_split(matrix, spec.module)
     cp = matrix.char_poly("lam")
-    odd = [cp.coeff(p) for p in range(1, cp.degree + 1, 2)]
-    checks = (("33", stray.is_zero, stray), ("33EVEN", not any(odd), odd))
-    return [
-        RelationReport(
-            tag=tag,
-            fields=(("n", n), ("delta", 2)),
-            holds=holds,
-            residual=None if holds else residual,
-        )
-        for tag, holds, residual in checks
-    ]
+    odd = ParamPoly("lam", [c if p % 2 else 0 for p, c in enumerate(cp.coeffs)])
+    fields = (("n", n), ("delta", 2))
+    return [relation_report(t, fields, r) for t, r in (("33", stray), ("33EVEN", odd))]
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ also runs the gap-2 mix discovery.  Fault injection perturbs a
 single named generator coefficient there, so the sensitivity of every
 family can be demonstrated with one switch.
 
-Report lines follow the wire format
+Reports are ``weyl.RelationReport`` records, whose lines follow the wire
+format
 
     EQ<tag> n=<n> delta=<d> [alpha=<a>] [beta=<b>] [extras] status=<holds|fails>
 """
@@ -40,45 +41,12 @@ from qeslab.weyl import (
     anticommutator,
     anticommutator_residuals,
     commutator,
+    doublet_report,
+    failures,  # re-exported: callers read verify.failures
     project_span,
+    relation_report,
     restrict,
 )
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    """One verified relation: opaque tag, key=value fields, outcome."""
-
-    tag: str
-    fields: tuple
-    holds: bool
-    residual: object = None
-
-    @property
-    def status(self) -> str:
-        return "holds" if self.holds else "fails"
-
-    def line(self) -> str:
-        tokens = [f"EQ{self.tag}"]
-        tokens += [f"{key}={value}" for key, value in self.fields]
-        tokens.append(f"status={self.status}")
-        return " ".join(tokens)
-
-
-def _report(tag, fields, residual) -> RelationReport:
-    holds = residual.is_zero
-    return RelationReport(
-        tag=tag,
-        fields=tuple((k, v) for k, v in fields),
-        holds=holds,
-        residual=None if holds else residual,
-    )
-
-
-def doublet_report(tag, fields, leakage) -> RelationReport:
-    """Holds when an operator keeps its doublet: `leakage` (of its
-    restriction) is empty, else it is the residual."""
-    return RelationReport(tag, tuple(fields), not leakage, leakage or None)
 
 
 # ----------------------------------------------------------------------
@@ -91,12 +59,12 @@ def verify_sl2(gens: GeneratorSet):
     j = gens.named["J"]
     base = [("n", gens.params.n), ("delta", gens.params.delta)]
     reports = [
-        _report("4", base + [("which", "pm")], commutator(tp, tm) + t0 * 2),
-        _report("4", base + [("which", "zp")], commutator(t0, tp) - tp),
-        _report("4", base + [("which", "zm")], commutator(t0, tm) + tm),
-        _report("4J", base + [("which", "p")], commutator(j, tp)),
-        _report("4J", base + [("which", "z")], commutator(j, t0)),
-        _report("4J", base + [("which", "m")], commutator(j, tm)),
+        relation_report("4", base + [("which", "pm")], commutator(tp, tm) + t0 * 2),
+        relation_report("4", base + [("which", "zp")], commutator(t0, tp) - tp),
+        relation_report("4", base + [("which", "zm")], commutator(t0, tm) + tm),
+        relation_report("4J", base + [("which", "p")], commutator(j, tp)),
+        relation_report("4J", base + [("which", "z")], commutator(j, t0)),
+        relation_report("4J", base + [("which", "m")], commutator(j, tm)),
     ]
     return reports
 
@@ -147,7 +115,7 @@ def verify_tensor(gens: GeneratorSet):
         ]
         base = [("n", n), ("delta", delta), ("alpha", a)]
         reports += [
-            _report(tag, base + extra, residual) for tag, extra, residual in relations
+            relation_report(tag, base + extra, r) for tag, extra, r in relations
         ]
     if delta == 1:
         reports.extend(_osp22_reports(gens))
@@ -171,7 +139,7 @@ def _osp22_reports(gens: GeneratorSet):
                 ("n", gens.params.n), ("delta", 1), ("alpha", a), ("beta", b),
                 ("span", span),
             )
-            reports.append(_report("OSP22", fields, residual))
+            reports.append(relation_report("OSP22", fields, residual))
     return reports
 
 
@@ -194,7 +162,7 @@ def verify_triplets(gens: GeneratorSet):
             for b, expect in laws:
                 residual = commutator(tees[b - 1], tower[a - 1]) - expect(tower, a)
                 reports.append(
-                    _report(
+                    relation_report(
                         "15",
                         [
                             ("n", gens.params.n),
@@ -238,10 +206,10 @@ def verify_identities(gens: GeneratorSet):
             base += extras
             lhs22 = bottom[b] * p_ops[a] - p_ops[a] * top[b]
             rhs22 = p_ops[target] * Fraction(b - a) if in_range else DiffOp.zero()
-            reports.append(_report("22", base, lhs22 - rhs22))
+            reports.append(relation_report("22", base, lhs22 - rhs22))
             lhs23 = top[b] * words[a] - words[a] * bottom[b]
             rhs23 = words[target] * Fraction(b - a) if in_range else DiffOp.zero()
-            reports.append(_report("23", base, lhs23 - rhs23))
+            reports.append(relation_report("23", base, lhs23 - rhs23))
     return reports
 
 
@@ -281,15 +249,17 @@ def verify_q2(gens: GeneratorSet, mix: MixSpec = DEFAULT_MIX):
     residuals = _q2_residuals(n, effs, gens.tees, sigma)
     base = [("n", n), ("delta", 2)]
     reports = [
-        _report("19", base + [("alpha", a), ("beta", b), ("metric", _metric(a, b))], r)
+        relation_report(
+            "19", base + [("alpha", a), ("beta", b), ("metric", _metric(a, b))], r
+        )
         for (a, b), r in zip(Q2_PAIRS, residuals)
     ]
     reports += [
-        _report("25", base + [("alpha", a)], r)
+        relation_report("25", base + [("alpha", a)], r)
         for a, r in zip((1, 2, 3), residuals[len(Q2_PAIRS):])
     ]
     reports.append(
-        _report("26", base, anticommutator(sigma, sigma) - MatOp.identity() * 2)
+        relation_report("26", base, anticommutator(sigma, sigma) - MatOp.identity() * 2)
     )
     return reports
 
@@ -315,7 +285,7 @@ def verify_q2_matrix(gens: GeneratorSet, mix: MixSpec = DEFAULT_MIX):
     mats = [r.matrix for r in restricted]
     sigma = restrict(MatOp.sigma3(), module).matrix
     residuals = _q2_residuals(n, mats[:3], mats[3:], sigma)
-    return [_report("19SHADOW", f, r) for f, r in zip(fields, residuals)]
+    return [relation_report("19SHADOW", f, r) for f, r in zip(fields, residuals)]
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +400,3 @@ def default_suite(
                 reports.extend(verify_q2(gens))
                 reports.extend(verify_q2_matrix(gens))
     return reports
-
-
-def failures(reports):
-    return [r for r in reports if not r.holds]

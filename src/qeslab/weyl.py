@@ -14,6 +14,10 @@ anticommutator of an odd multiplet.  ``restrict`` turns a matrix
 operator into the exact matrix of its action on a finite doublet of
 polynomial spaces, keeping any components that fall outside the target
 space as explicit leakage records instead of silently dropping them.
+``RelationReport`` is the one record of an exact relation check, built
+from a residual (``relation_report``) or from leakage records
+(``doublet_report``); the relation suites and the spectral certificates
+both build their reports here.
 """
 
 from __future__ import annotations
@@ -542,3 +546,44 @@ def restrict(op: MatOp, module: ModuleSpec) -> RestrictedMatrix:
         cols.append(col)
     matrix = ExactMatrix(list(map(list, zip(*cols))))
     return RestrictedMatrix(module, matrix, tuple(leaks))
+
+
+# ----------------------------------------------------------------------
+# relation reports
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RelationReport:
+    """One verified relation: opaque tag, key=value fields, outcome."""
+
+    tag: str
+    fields: tuple
+    holds: bool
+    residual: object = None
+
+    @property
+    def status(self) -> str:
+        return "holds" if self.holds else "fails"
+
+    def line(self) -> str:
+        tokens = [f"EQ{self.tag}"]
+        tokens += [f"{key}={value}" for key, value in self.fields]
+        tokens.append(f"status={self.status}")
+        return " ".join(tokens)
+
+
+def relation_report(tag, fields, residual) -> RelationReport:
+    """Holds when `residual` (an operator, a matrix or a polynomial) is
+    exactly zero, else it is kept."""
+    holds = residual.is_zero
+    return RelationReport(tag, tuple(fields), holds, None if holds else residual)
+
+
+def doublet_report(tag, fields, leakage) -> RelationReport:
+    """Holds when an operator keeps its doublet: `leakage` (of its
+    restriction) is empty, else it is the residual."""
+    return RelationReport(tag, tuple(fields), not leakage, leakage or None)
+
+
+def failures(reports):
+    return [r for r in reports if not r.holds]

@@ -305,6 +305,15 @@ def test_sweep_branches_output(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "c,absE_1,absE_2,absE_3"
+    # at c = 0 the n = 2 spectrum is -8, 0, 0, 8: the upper half is 0, 8
+    code, out, _ = run(
+        capsys,
+        ["sweep", "--n", "2", "--c-min", "-1", "--c-max", "1", "--steps", "3",
+         "--branches"],
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert (lines[0], lines[2]) == ("c,absE_1,absE_2", "0,0,8")
 
 
 def test_sweep_rejects_single_step(capsys):
@@ -348,6 +357,22 @@ def test_degeneracy_boundary_exit(capsys):
     )
     assert code == 1
     assert "no-degeneracy" in err
+
+
+# c* = sqrt(24) = 4.89897948556635...; this c-min squared exceeds 24
+NEAR_SQRT24 = "48989794855664/10000000000000"
+
+
+@pytest.mark.parametrize(
+    "c_min, c_max, want",
+    [(NEAR_SQRT24, "10", 1), ("0", NEAR_SQRT24, 0)],
+)
+def test_degeneracy_bracket_is_decided_exactly(capsys, c_min, c_max, want):
+    code, out, _ = run(
+        capsys, ["degeneracy", "--n", "3", "--c-min", c_min, "--c-max", c_max]
+    )
+    assert code == want
+    assert out.startswith("c* = 4.89897948557") == (want == 0)
 
 
 def test_crosscheck_json(capsys):

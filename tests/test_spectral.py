@@ -35,6 +35,7 @@ def test_spec_coupling_conversion():
     assert spec.k0 == F(-1, 8)
     assert spec.c_spec == F(1)
     assert spec.module == ModuleSpec(2, 0)
+    assert HamiltonianSpec(2, F(1)).c_spec == F(-8)
     with pytest.raises(ValueError):
         HamiltonianSpec(1, F(0))
 
@@ -50,13 +51,6 @@ def test_symbolic_spec_is_a_polynomial_coupling():
     # a symbolic spec has no numeric spectrum
     with pytest.raises(TypeError):
         algebraic_spectrum(HamiltonianSpec(2, ParamPoly.gen("k0")))
-
-
-def test_raw_potential_matrix_values():
-    spec = HamiltonianSpec(2, F(1))
-    assert spec.potential_matrix(F(1)) == ((F(-10), F(-8)), (F(-8), F(-2)))
-    assert spec.potential_matrix(F(0)) == ((F(0), F(-8)), (F(-8), F(0)))
-    assert spec.c_spec == F(-8)
 
 
 def test_restricted_matrix_decoupled_point():
@@ -167,7 +161,7 @@ def test_operator_reproduces_levels_on_eigenvectors():
             level = pair.level
             for top, bottom in pair.doublets:
                 img_top, img_bottom = op.apply((top, bottom))
-                if pair.exact_coeffs and level.exact is not None:
+                if level.exact is not None:
                     assert img_top == top * level.exact
                     assert img_bottom == bottom * level.exact
                     continue
@@ -191,7 +185,7 @@ def test_irrational_doublets_match_float_eig_oracle(n, c):
         np.array([[float(e) for e in row] for row in matrix.entries])
     )
     pairs = eigenvectors(algebraic_spectrum(spec))
-    assert all(p.level.exact is None and not p.exact_coeffs for p in pairs)
+    assert all(p.level.exact is None for p in pairs)
     for pair in pairs:
         (top, bottom), = pair.doublets
         pick = int(np.argmin(np.abs(evals - pair.level.value)))
@@ -312,7 +306,8 @@ def test_sweep_endpoints_match_closed_form():
 
 def test_sweep_csv_golden_content(tmp_path):
     path = tmp_path / "levels.csv"
-    write_csv(sweep(3, F(0), F(2), 3), str(path))
+    with open(path, "w", newline="") as fh:
+        write_csv(fh, "E", sweep(3, F(0), F(2), 3).rows)
     raw = path.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().splitlines()
@@ -408,6 +403,23 @@ def test_same_parity_entry_raises_spectral_error(monkeypatch):
         spectral_mod.algebraic_spectrum(spec)
 
 
+def test_spectral_imports_nothing_from_the_suites():
+    import ast
+
+    import qeslab.spectral as spectral_mod
+
+    with open(spectral_mod.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+    assert not imported & {"qeslab.verify", "qeslab.generators"}
+
+
 def test_reflection_certificates_hold():
     for n in range(2, 7):
         reports = reflection_check(n)
@@ -422,6 +434,10 @@ def test_quartic_hook_breaks_reflection(add_quartic_hook):
     reports = reflection_check(4)
     assert [r.tag for r in reports] == ["33", "33EVEN"]
     assert not any(r.holds for r in reports)
+    # the EQ33EVEN residual is the odd part of the full char poly
+    odd = reports[1].residual
+    assert isinstance(odd, ParamPoly) and odd.var == "lam"
+    assert all(c == 0 for c in odd.coeffs[::2])
     # ... and it also breaks the invariant subspace
     spec = HamiltonianSpec(4, ParamPoly.gen("k0"))
     hooked = spectral_mod.build_hamiltonian_gauged(spec)
