@@ -6,20 +6,25 @@ coefficient tuples; coefficients are rationals or, for two-level towers
 Q[k0], say), polynomials in another variable.  The characteristic
 polynomial uses the Faddeev-LeVerrier recursion, which divides by
 integers only and therefore stays inside any coefficient ring that is a
-Q-vector space.  Real roots are isolated with Sturm sequences and
-refined by bisection with exact sign tests.
+Q-vector space.  Real roots are isolated with Sturm sequences (for an
+even p(x) = q(x^2), on q, at half the degree) and refined by bisection
+in doubles: float Horner decides a sign only when its running error
+bound, which covers the rounding of the coefficients too, excludes
+zero, and exact evaluation decides the rest.  Bisection stops at
+adjacent doubles, and the exact sign at a decimal rounding boundary
+settles the last digit when they print differently, so every digit of
+'%.12g' of a root is certified.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 # degree reported for the zero polynomial
 ZERO_DEGREE = -1
-
-_MAX_BISECT = 300
-ROOT_TOL = 1e-12  # real_roots narrows irrational root brackets below this
 
 # Variables that act as scalar parameters: a polynomial in one of these
 # may sit inside the coefficients of a polynomial in any non-scalar
@@ -296,6 +301,15 @@ def _format_term(coeff, var: str, power: int, first: bool) -> str:
     return f"{sign}{body}*{var_s}"
 
 
+def even_poly(poly: ParamPoly, var: str) -> ParamPoly:
+    """p(t) -> p(var^2) as a polynomial in `var`."""
+    coeffs = []
+    for c in poly.coeffs:
+        coeffs.append(c)
+        coeffs.append(0)
+    return ParamPoly(var, coeffs[:-1] if coeffs else ())
+
+
 # ----------------------------------------------------------------------
 # gcd / square-free machinery (rational coefficients)
 # ----------------------------------------------------------------------
@@ -407,20 +421,13 @@ def sturm_count(p: ParamPoly, lo: Fraction, hi: Fraction) -> int:
     return sign_variations(chain, lo) - sign_variations(chain, hi)
 
 
-def isolate_real_roots(p: ParamPoly):
-    """Disjoint rational intervals (lo, hi], one root of p in each, in
-    increasing order.  p must be square-free, as the factors of
-    ``square_free_decomposition`` are; otherwise the Sturm counts are
-    not root counts."""
-    p._require_rational()
-    if p.degree <= 0:
-        return []
-    chain = sturm_sequence(p)
-    bound = cauchy_bound(p)
+def _isolate(chain, lo: Fraction, hi: Fraction, at):
+    """Disjoint brackets (a, b] inside (lo, hi], in increasing order, each
+    holding exactly one x with at(x) a root of chain[0]; `at` is
+    increasing, and the chain is the Sturm chain of a square-free
+    polynomial."""
     out = []
-    stack = [
-        (-bound, bound, sign_variations(chain, -bound), sign_variations(chain, bound))
-    ]
+    stack = [(lo, hi, sign_variations(chain, at(lo)), sign_variations(chain, at(hi)))]
     while stack:
         lo, hi, vlo, vhi = stack.pop()
         count = vlo - vhi
@@ -430,80 +437,264 @@ def isolate_real_roots(p: ParamPoly):
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        vmid = sign_variations(chain, mid)
+        vmid = sign_variations(chain, at(mid))
         stack.append((lo, mid, vlo, vmid))
         stack.append((mid, hi, vmid, vhi))
     return sorted(out)
 
 
+def isolate_real_roots(p: ParamPoly):
+    """Disjoint rational intervals (lo, hi], one root of p in each, in
+    increasing order.  p must be square-free, as the factors of
+    ``square_free_decomposition`` are; otherwise the Sturm counts are
+    not root counts."""
+    p._require_rational()
+    if p.degree <= 0:
+        return []
+    bound = cauchy_bound(p)
+    return _isolate(sturm_sequence(p), -bound, bound, lambda x: x)
+
+
 @dataclass(frozen=True)
 class Root:
-    """One real root: float approximation, multiplicity, and the exact
-    rational value when the root is rational."""
+    """One real root: a float within one ulp of the root whose '%.12g'
+    is the root correctly rounded to PRINT_DIGITS significant digits,
+    the multiplicity, and the exact value when the root is known to be
+    rational."""
 
     value: float
     multiplicity: int
     exact: Fraction | None = None
 
 
-def _refine_root(factor: ParamPoly, lo: Fraction, hi: Fraction):
-    """Bisect a simple-root bracket with exact sign tests.
+# significant digits that real_roots certifies: '%.12g' of Root.value
+# is the correctly rounded value of the root
+PRINT_DIGITS = 12
+# a refined root is checked against the nearest rational of at most
+# this denominator
+EXACT_DENOMINATOR = 10**9
 
-    The bracket is half-open, (lo, hi]; `lo` itself may be another root
-    of the factor, in which case we walk inward until the sign flips.
-    Returns (float value, exact Fraction or None)."""
-    fhi = factor(hi)
-    if fhi == 0:
-        return float(hi), hi
-    sign_hi = _sign(fhi)
-    if factor(lo) == 0:
-        # lo is a neighbouring root; walk inward until the sign flips
+_UNIT_ROUNDOFF = 2.0**-53
+_MIN_NORMAL = sys.float_info.min
+_MIN_SUBNORMAL = 5e-324
+
+
+def _digits(x: float) -> str:
+    """x rounded to PRINT_DIGITS significant digits, as '%.12g' rounds."""
+    return "%.*e" % (PRINT_DIGITS - 1, x)
+
+
+def _outward(lo, hi):
+    """The nearest doubles a <= lo and b >= hi."""
+    a, b = float(lo), float(hi)
+    if a > lo:
+        a = math.nextafter(a, -math.inf)
+    if b < hi:
+        b = math.nextafter(b, math.inf)
+    return a, b
+
+
+def _midpoint(lo, hi) -> float:
+    """The double nearest (lo + hi) / 2."""
+    if type(lo) is float and type(hi) is float:
+        return (lo + hi) / 2
+    return float((Fraction(lo) + Fraction(hi)) / 2)
+
+
+def _round_between(a: float, b: float, side) -> float:
+    """Of the adjacent doubles a < b, which print differently, the one
+    that prints the correctly rounded value of a root between them.
+    side(t) is the sign of root - t at the rounding boundary t; a root
+    on the boundary rounds half to even, as '%.12g' does."""
+    low, high = _digits(a), _digits(b)
+    t = (Fraction(low) + Fraction(high)) / 2
+    s = side(t)
+    if not s:
+        s = -1 if int(low[low.index("e") - 1]) % 2 == 0 else 1
+    return b if s > 0 else a
+
+
+def _exact_value(r: Fraction) -> float:
+    """A double that prints the rational r correctly rounded (float(r)
+    itself can sit across a rounding boundary from r)."""
+    a, b = _outward(r, r)
+    if _digits(a) == _digits(b):
+        return float(r)
+    return _round_between(a, b, lambda t: _sign(r - t))
+
+
+def _float_coeffs(p: ParamPoly):
+    """p's coefficients rounded to doubles, or None when one of them
+    leaves the normal range, where rounding is not relative."""
+    try:
+        coeffs = tuple(float(c) for c in p.coeffs)
+    except OverflowError:
+        return None
+    for c, f in zip(p.coeffs, coeffs):
+        if c and not _MIN_NORMAL <= abs(f) < math.inf:
+            return None
+    return coeffs
+
+
+def _float_sign(coeffs, x: float):
+    """The sign of p(x) from Horner's rule in doubles, or None when the
+    running error bound does not exclude zero.  `coeffs` are p's
+    coefficients rounded to doubles (_float_coeffs), x is a double.
+    With d = deg p and u = 2^-53, rounding the coefficients and the 2d
+    Horner operations moves the value by at most
+    (2d + 1) u (1 + O(du)) sum |c_i| |x|^i (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 5.1), which 2(d + 1) u
+    covers; an underflow adds at most one subnormal unit per step,
+    carried by sum |x|^i."""
+    y = s = t = 0.0
+    ax = abs(x)
+    for c in reversed(coeffs):
+        y = y * x + c
+        s = s * ax + abs(c)
+        t = t * ax + 1.0
+    k = 2 * len(coeffs)
+    err = k * (_UNIT_ROUNDOFF * s + _MIN_SUBNORMAL * t)
+    if y > err:
+        return 1
+    if y < -err:
+        return -1
+    return None
+
+
+def _refine(p: ParamPoly, lo, hi, sign_lo: int):
+    """(value, exact) for the one root of the square-free p in (lo, hi),
+    where p(lo) has the sign sign_lo and p(hi) the other sign.
+
+    Bisects at doubles until no double is left inside the bracket, so
+    the value is within one ulp of the root.  The sign at a midpoint
+    comes from float Horner when its error bound decides it, else from
+    exact evaluation, so every step is exact.  If the doubles a <= lo
+    and b >= hi then print the same PRINT_DIGITS digits, every number
+    between them, the root included, rounds to that string; if not, the
+    exact sign at the rounding boundary between them decides which of
+    a and b prints the root's correctly rounded value.  A root that a
+    midpoint hits, or that is the rational of denominator at most
+    EXACT_DENOMINATOR nearest the value, checked to lie in the final
+    bracket and to be a root, is returned exactly."""
+    coeffs = _float_coeffs(p)
+    while True:
+        m = _midpoint(lo, hi)
+        if not lo < m < hi:
+            break
+        s = _float_sign(coeffs, m) if coeffs else None
+        if s is None:
+            s = _sign(p(Fraction(m)))
+            if not s:
+                return m, Fraction(m)
+        if s == sign_lo:
+            lo = m
+        else:
+            hi = m
+
+    def side(t):
+        """The sign of root - t; p has the sign sign_lo on (lo, root)."""
+        if t <= lo:
+            return 1
+        if t >= hi:
+            return -1
+        return _sign(p(t)) * sign_lo
+
+    a, b = _outward(lo, hi)
+    value = m if _digits(a) == _digits(b) else _round_between(a, b, side)
+    candidate = Fraction(value).limit_denominator(EXACT_DENOMINATOR)
+    if lo <= candidate <= hi and not p(candidate):
+        return _exact_value(candidate), candidate
+    return value, None
+
+
+def _bracket_root(p: ParamPoly, lo: Fraction, hi: Fraction):
+    """(value, exact) for the one root of the square-free p in the
+    half-open (lo, hi]; lo itself may be another root of p, in which
+    case the bracket is first walked inward until the sign flips."""
+    sign_hi = _sign(p(hi))
+    if not sign_hi:
+        return _exact_value(hi), hi
+    if not p(lo):
         step = (hi - lo) / 2
         while True:
             t = lo + step
-            ft = factor(t)
-            if ft == 0:
-                return float(t), t
-            if _sign(ft) != sign_hi:
+            s = _sign(p(t))
+            if not s:
+                return _exact_value(t), t
+            if s != sign_hi:
                 lo = t
                 break
             step = step / 2
-    sign_lo = -sign_hi
-    for _ in range(_MAX_BISECT):
-        if float(hi) - float(lo) <= ROOT_TOL:
-            break
-        mid = (lo + hi) / 2
-        fm = factor(mid)
-        if fm == 0:
-            return float(mid), mid
-        if _sign(fm) == sign_lo:
-            lo = mid
+    return _refine(p, lo, hi, -sign_hi)
+
+
+def _rational_sqrt(r: Fraction):
+    """sqrt(r) when r is the square of a rational, else None."""
+    if r < 0:
+        return None
+    num, den = math.isqrt(r.numerator), math.isqrt(r.denominator)
+    if num * num == r.numerator and den * den == r.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def _even_real_roots(p: ParamPoly):
+    """real_roots of an even p(x) = q(x^2), isolated on q, which has
+    half the degree.  A root mu > 0 of q of multiplicity m gives the
+    roots +-sqrt(mu), each of multiplicity m, and mu = 0 gives x = 0 of
+    multiplicity 2m.  Negative and complex mu give no real x and are
+    not isolated: the Sturm chain of each factor of q is read at x^2
+    for x in (0, L], L^2 above the factor's root bound."""
+    q = ParamPoly(p.var, p.coeffs[::2])
+    roots = []
+    for factor, mult in square_free_decomposition(q):
+        if not factor.constant():
+            roots.append(Root(0.0, 2 * mult, Fraction(0)))
+        sqrt = None
+        if factor.degree == 1:
+            sqrt = _rational_sqrt(-factor.coeff(0) / factor.coeff(1))
+        if sqrt:
+            found = [(_exact_value(sqrt), sqrt)]
         else:
-            hi = mid
-    approx = (lo + hi) / 2
-    candidate = Fraction(float(approx)).limit_denominator(10**9)
-    if factor(candidate) == 0:
-        return float(candidate), candidate
-    return float(approx), None
+            lifted = even_poly(factor, p.var)
+            top = Fraction(math.isqrt(math.ceil(cauchy_bound(factor))) + 1)
+            chain = sturm_sequence(factor)
+            brackets = _isolate(chain, Fraction(0), top, lambda x: x * x)
+            found = [_bracket_root(lifted, lo, hi) for lo, hi in brackets]
+        for value, exact in found:
+            roots.append(Root(value, mult, exact))
+            roots.append(Root(-value, mult, None if exact is None else -exact))
+    roots.sort(key=lambda r: r.value)
+    return roots
 
 
 def real_roots(p: ParamPoly):
     """All real roots of p, sorted, with multiplicities.
 
-    Brackets are narrowed below ROOT_TOL; roots that are exactly rational
-    (up to denominator 1e9) are flagged with their exact value.
+    Yun's square-free decomposition, then one Sturm chain per factor
+    isolates the roots exactly; an even p = q(x^2) is isolated on q, at
+    half the degree.  Each bracket is bisected in doubles with an
+    error-bounded float sign test and exact fallback, down to adjacent
+    doubles; Root.value then prints the root correctly rounded to
+    PRINT_DIGITS digits (see _refine).  A root is flagged exact when it
+    comes from a linear factor (of q, whose root must then be a
+    rational square) or when the rational of denominator at most
+    EXACT_DENOMINATOR nearest its value lies in its final bracket and is
+    checked to be a root.
     """
     p._require_rational()
     if p.is_zero:
         raise ValueError("roots of the zero polynomial")
+    if p.degree > 0 and not any(p.coeffs[1::2]):
+        return _even_real_roots(p)
     roots = []
     for factor, mult in square_free_decomposition(p):
         if factor.degree == 1:
             exact = -factor.coeff(0) / factor.coeff(1)
-            roots.append(Root(float(exact), mult, exact))
+            roots.append(Root(_exact_value(exact), mult, exact))
             continue
         for lo, hi in isolate_real_roots(factor):
-            value, exact = _refine_root(factor, lo, hi)
+            value, exact = _bracket_root(factor, lo, hi)
             roots.append(Root(value, mult, exact))
     roots.sort(key=lambda r: r.value)
     return roots

@@ -26,16 +26,17 @@ import numpy as np
 
 from qeslab.exactnum import (
     ExactMatrix,
+    PRINT_DIGITS,
     ParamPoly,
     Root,
     SCALAR_VARS,
     as_exact,
     cauchy_bound,
+    even_poly,
     real_roots,
     resultant,
     sign_variations,
     square_free_part,
-    sturm_count,
     sturm_sequence,
 )
 from qeslab.weyl import (
@@ -176,15 +177,6 @@ def _mu_char_poly(restricted: RestrictedMatrix) -> ParamPoly:
     return (b * c).char_poly("mu")
 
 
-def _even_poly(poly: ParamPoly, var: str) -> ParamPoly:
-    """p(t) -> p(var^2) as a polynomial in `var`."""
-    coeffs = []
-    for c in poly.coeffs:
-        coeffs.append(c)
-        coeffs.append(0)
-    return ParamPoly(var, coeffs[:-1] if coeffs else ())
-
-
 def _symbolic_mu_poly(n: int, variable: str) -> ParamPoly:
     """q(mu) with coefficients in Q[k0], or in Q[c] with k0 = -c/(4n)."""
     build = HamiltonianSpec.from_c if variable == "c" else HamiltonianSpec
@@ -198,7 +190,7 @@ def symbolic_char_poly(n: int, variable: str = "c") -> ParamPoly:
     The c-form is built from the spec with k0 = -c/(4n), matching the
     coupling constant used for spectra and sweeps.
     """
-    return _even_poly(_symbolic_mu_poly(n, variable), "lam")
+    return even_poly(_symbolic_mu_poly(n, variable), "lam")
 
 
 # ----------------------------------------------------------------------
@@ -224,12 +216,15 @@ class AlgebraicSpectrum:
 
 
 def algebraic_spectrum(spec: HamiltonianSpec) -> AlgebraicSpectrum:
-    """Exact characteristic polynomial and its certified-real roots."""
+    """Exact characteristic polynomial and its certified-real roots,
+    each printing correctly rounded (see exactnum.real_roots)."""
     restricted = restricted_hamiltonian(spec)
-    cp = _even_poly(_mu_char_poly(restricted), "lam")
+    cp = even_poly(_mu_char_poly(restricted), "lam")
+    # cp = q(lam^2), so real_roots isolates in mu = lam^2 on q, of degree
+    # n: each root mu >= 0 gives the levels +-sqrt(mu), and negative or
+    # complex mu give none.  The levels add up to 2n with multiplicity
+    # iff all n roots of q are real and nonnegative.
     levels = tuple(real_roots(cp))
-    # cp has degree 2n: its real roots account for every root only if
-    # none is complex
     if sum(lv.multiplicity for lv in levels) != 2 * spec.n:
         raise SpectralError("characteristic polynomial has nonreal roots")
     return AlgebraicSpectrum(spec, restricted, cp, levels)
@@ -385,8 +380,8 @@ def eigenvectors_y(spectrum: AlgebraicSpectrum):
         subspace = len(pair.doublets)
         for top, bottom in pair.doublets:
             bottom_x = top.derivative() * k0 + bottom
-            top_y = _even_poly(top, "y")
-            bottom_y = _even_poly(bottom_x, "y")
+            top_y = even_poly(top, "y")
+            bottom_y = even_poly(bottom_x, "y")
             simple = pair.level.multiplicity == 1 and not pair.defective
             nodes = (
                 (component_nodes(top), component_nodes(bottom_x))
@@ -434,7 +429,7 @@ def sweep(n: int, c_min, c_max, steps: int) -> SweepResult:
 
 
 def format_sig(value: float) -> str:
-    return "%.12g" % float(value)
+    return "%.*g" % (PRINT_DIGITS, float(value))
 
 
 def write_csv(fh, column: str, rows):
@@ -470,8 +465,8 @@ def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
     res_mu(q, q') = 0, or where mu = 0 joins +E and -E, q(0) = 0; c* is
     the smallest real root of q(0) * res_mu(q, q') inside the bracket,
     which exact Sturm counts at c_min and c_max decide.  The gap and levels
-    are the exact spectrum at c* (at its float value, itself a rational,
-    when c* is irrational).
+    are the exact spectrum at c* (at its float value, within one ulp of
+    c* and itself a rational, when c* is irrational).
 
     Raises NoDegeneracyError when no collision lies inside the bracket.
     """
@@ -483,12 +478,16 @@ def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
     locus = ParamPoly.one("c") * q.constant() * resultant(q, q.derivative())
     if locus.is_zero:
         raise SpectralError("levels collide at every coupling")
-    if not sturm_count(locus, c_min, c_max) - (locus(c_max) == 0):
+    # one Sturm chain counts the distinct roots in (c_min, c_max] and in
+    # (c_min, top], top above every root
+    chain = sturm_sequence(square_free_part(locus))
+    top = max(cauchy_bound(locus), c_max)
+    at_min, at_max, at_top = (sign_variations(chain, x) for x in (c_min, c_max, top))
+    if not at_min - at_max - (locus(c_max) == 0):
         raise NoDegeneracyError(f"no level collision inside ({c_min}, {c_max})")
     roots = real_roots(locus)
     # skip the roots at or below c_min
-    top = max(cauchy_bound(locus), c_max)
-    root = roots[len(roots) - sturm_count(locus, c_min, top)]
+    root = roots[len(roots) - (at_min - at_top)]
     c_star = Fraction(root.value) if root.exact is None else root.exact
     values = algebraic_spectrum(HamiltonianSpec.from_c(n, c_star)).values
     gaps = [b - a for a, b in zip(values, values[1:])]

@@ -1,11 +1,14 @@
 """Exact scalar layer: polynomials, root isolation, rational matrices."""
 
+import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import qeslab.exactnum as exactnum_mod
 from qeslab.exactnum import (
     ExactMatrix,
     ParamPoly,
@@ -188,6 +191,71 @@ def test_real_roots_exact_and_multiplicity():
         (F(-2), 1),
         (F(1, 3), 2),
     ]
+    # one square-free factor of degree 5: its rational roots are found by
+    # checking the nearest rational of small denominator
+    p = (t - F(7, 3)) * (t + F(123457, 1000)) * (t * t * t - 2)
+    roots = real_roots(p)
+    assert [r.exact for r in roots] == [F(-123457, 1000), None, F(7, 3)]
+    assert "%.12g" % roots[1].value == "1.25992104989"
+
+
+def _correctly_rounded(value: Decimal) -> Decimal:
+    """value rounded half to even to 12 significant digits."""
+    return Decimal(format(value, ".11e"))
+
+
+def _printed(value: float) -> Decimal:
+    return Decimal("%.12g" % value)
+
+
+def test_float_sign_filter_never_contradicts_exact_sign():
+    rng = random.Random(5)
+    t = ParamPoly.gen("t")
+    decided = 0
+    for _ in range(40):
+        roots = [F(rng.randint(-400, 400), rng.randint(1, 30)) for _ in range(4)]
+        p = (t - roots[0]) * (t - roots[1]) * (t - roots[2]) * (t * t - roots[3])
+        coeffs = exactnum_mod._float_coeffs(p)
+        for r in roots[:3]:
+            x = float(r)
+            # at and next to the roots, where Horner in doubles cancels
+            for y in (x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf),
+                      x * (1 + 1e-9), x + 0.5):
+                sign = exactnum_mod._float_sign(coeffs, y)
+                exact = p(F(y))
+                if sign is not None:
+                    decided += 1
+                    assert sign == (1 if exact > 0 else -1)
+    assert decided > 100  # the filter decides most points away from roots
+
+
+def test_values_print_correctly_rounded_across_a_rounding_boundary():
+    # 1.000000000005 lies halfway between two 12-digit decimals; its
+    # nearest double does not say on which side of it a root lies
+    tie = F("1.000000000005")
+    t = ParamPoly.gen("t")
+    tiny = F(1, 10**40)
+    for r in (tie - tiny, tie, tie + tiny):
+        (root,) = real_roots(t - r)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            want = _correctly_rounded(Decimal(r.numerator) / r.denominator)
+        assert root.exact == r
+        assert _printed(root.value) == want
+        assert abs(root.value - float(r)) <= math.ulp(float(r))
+    # irrational roots +-sqrt(s) just above and below the boundary
+    for offset in (tiny, -tiny):
+        s = (tie + offset) ** 2 + tiny * tiny
+        roots = real_roots(t * t - s)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            root_s = (Decimal(s.numerator) / s.denominator).sqrt()
+            want = [_correctly_rounded(-root_s), _correctly_rounded(root_s)]
+        assert [_printed(r.value) for r in roots] == want
+        assert [r.exact for r in roots] == [None, None]
+    # float() alone rounds across the boundary for one of them
+    printed = {_printed(float(r)) for r in (tie - tiny, tie + tiny)}
+    assert printed == {_printed(float(tie))}
 
 
 def test_cauchy_bound_is_strict():

@@ -16,6 +16,7 @@ from qeslab.spectral import (
     eigenvectors,
     eigenvectors_y,
     find_degeneracy,
+    format_sig,
     hamiltonian_leakage_reports,
     numeric_crosscheck,
     reflection_check,
@@ -375,6 +376,34 @@ def test_nonreal_roots_raise_spectral_error(monkeypatch):
     monkeypatch.setattr(spectral_mod, "_mu_char_poly", lambda r: mu * mu + 1)
     with pytest.raises(SpectralError, match="nonreal roots"):
         spectral_mod.algebraic_spectrum(HamiltonianSpec(2, F(1, 8)))
+
+
+def test_negative_mu_root_raises_spectral_error(monkeypatch):
+    import qeslab.spectral as spectral_mod
+
+    # q(mu) = (mu + 1)(mu - 4) at n = 2: mu = 4 gives the levels +-2, but
+    # mu = -1 gives the imaginary pair +-i
+    mu = ParamPoly.gen("mu")
+    monkeypatch.setattr(spectral_mod, "_mu_char_poly", lambda r: (mu + 1) * (mu - 4))
+    with pytest.raises(SpectralError, match="nonreal roots"):
+        spectral_mod.algebraic_spectrum(HamiltonianSpec(2, F(1, 8)))
+
+
+@pytest.mark.parametrize(
+    "n, c_min, c_max, steps", [(3, F(1, 8), F(81, 8), 200), (5, F(3, 8), F(83, 8), 30)]
+)
+def test_float_filter_agrees_with_exact_evaluation(monkeypatch, n, c_min, c_max, steps):
+    import qeslab.exactnum as exactnum_mod
+
+    filtered = sweep(n, c_min, c_max, steps).rows
+    # a filter that decides no sign sends every midpoint to exact evaluation
+    monkeypatch.setattr(exactnum_mod, "_float_sign", lambda coeffs, x: None)
+    exact = sweep(n, c_min, c_max, steps).rows
+    assert [[format_sig(v) for v in row] for _, row in exact] == [
+        [format_sig(v) for v in row] for _, row in filtered
+    ]
+    # the filter only decides signs, so the bisection steps are the same
+    assert exact == filtered
 
 
 @pytest.mark.parametrize("n", range(2, 9))
