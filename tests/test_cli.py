@@ -1,6 +1,9 @@
 """Command-line surface: parsing, exit codes, output contracts."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -391,6 +394,27 @@ def test_crosscheck_json(capsys):
     assert payload["max_diff"] < 5e-3
     assert payload["boundary_amplitude"] < 1e-6
     assert len(payload["rows"]) == 4
+
+
+def test_exact_paths_do_not_import_scipy():
+    # scipy is imported inside numeric_crosscheck only: its import time
+    # would otherwise land on every exact command
+    script = (
+        "import contextlib, io, sys\n"
+        "from qeslab.cli import main\n"
+        "for argv in (['spectrum', '--n', '4', '--c', '19/8'],\n"
+        "             ['sweep', '--n', '3', '--c-min', '0', '--c-max', '1', '--steps', '3'],\n"
+        "             ['charpoly', '--n', '4']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_delta4_scan_summary(capsys):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qeslab.exactnum import ExactMatrix, ParamPoly, Root
@@ -499,6 +500,71 @@ def test_crosscheck_second_order_convergence():
     )
     ratio = coarse.max_diff / fine.max_diff
     assert 3.0 < ratio < 5.0
+
+
+def _dense_fd(spec, grid_points, box_half_width=4.5):
+    """The crosscheck FD matrix built densely, as a test-only oracle."""
+    m = grid_points
+    h = box_half_width / m
+    ys = h * (np.arange(1, m + 1) - 0.5)
+    inv_h2 = 1.0 / (h * h)
+    fd = np.zeros((2 * m, 2 * m))
+    for ch in (0, 1):
+        idx = 2 * np.arange(m) + ch
+        fd[idx, idx] = 2.0 * inv_h2 + ys**6 + float(spec.channel_y2_coeff(ch)) * ys**2
+        fd[idx[0], idx[0]] -= inv_h2
+        fd[idx[:-1], idx[1:]] = -inv_h2
+        fd[idx[1:], idx[:-1]] = -inv_h2
+    even = 2 * np.arange(m)
+    fd[even, even + 1] = float(spec.c_spec)
+    fd[even + 1, even] = float(spec.c_spec)
+    return fd
+
+
+@pytest.mark.parametrize("grid", [200, 400])
+@pytest.mark.parametrize("c", [F(0), F(1), F(17, 8)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_crosscheck_matches_dense_eigh_oracle(n, c, grid):
+    spec = HamiltonianSpec.from_c(n, c)
+    result = numeric_crosscheck(spec, grid_points=grid)
+    fd = _dense_fd(spec, grid)
+    evals, evecs = np.linalg.eigh(fd)
+    picks = []
+    for target in algebraic_spectrum(spec).values:
+        nearest = np.argsort(np.abs(evals - target))
+        picks.append(next(int(i) for i in nearest if int(i) not in picks))
+    assert len(result.rows) == len(picks) == 2 * n
+    for col, (row, pick) in enumerate(zip(result.rows, picks)):
+        # the same dense index, and the same level to 1e-8
+        assert int(np.argmin(np.abs(evals - row.numeric))) == pick
+        assert abs(row.numeric - evals[pick]) < 1e-8
+        vec = result.vectors[:, col]
+        assert np.linalg.norm(fd @ vec - row.numeric * vec) < 1e-8
+    dense_vecs = evecs[:, picks]
+    dense_amp = np.max(np.abs(dense_vecs[-2:]), axis=0) / np.max(np.abs(dense_vecs), axis=0)
+    assert dense_amp.max() < 1e-6
+    assert result.boundary_amplitude < 1e-6
+
+
+def test_crosscheck_doublet_vectors_are_orthonormal():
+    # at n = 2, c = 0 the algebraic level 0 is double and matches the FD
+    # pair -2.77e-5 / -4.31e-4, far closer than any other two levels
+    result = numeric_crosscheck(HamiltonianSpec.from_c(2, F(0)), grid_points=400)
+    doublet = [i for i, row in enumerate(result.rows) if row.algebraic == 0.0]
+    assert len(doublet) == 2
+    numeric = sorted(result.rows[i].numeric for i in doublet)
+    assert numeric == pytest.approx([-4.31157e-4, -2.76866e-5], rel=1e-5)
+    pair = result.vectors[:, doublet]
+    assert np.allclose(pair.T @ pair, np.eye(2), rtol=0, atol=1e-12)
+
+
+def test_crosscheck_unconverged_vectors_raise(monkeypatch):
+    import scipy.linalg
+
+    # inverse iteration that never moves leaves a random subspace
+    monkeypatch.setattr(scipy.linalg, "solve_banded", lambda l_and_u, ab, b: b)
+    with pytest.raises(SpectralError, match="did not converge"):
+        numeric_crosscheck(HamiltonianSpec.from_c(2, F(1)), grid_points=200)
 
 
 def test_crosscheck_rejects_tiny_inputs():
