@@ -1,12 +1,15 @@
-"""End-to-end acceptance: ten checks, one printed pass/fail line each.
+"""End-to-end acceptance: ten checks, one printed pass/fail line each,
+and the golden stdout of the two relation-prover commands.
 
 Run with `pytest -s -v tests/test_acceptance.py` to see the lines.
 """
 
+import hashlib
 import math
 import time
 from fractions import Fraction
 
+from qeslab.cli import main
 from qeslab.exactnum import ParamPoly
 from qeslab.generators import (
     ANTICOMM_METRIC,
@@ -228,3 +231,22 @@ def test_c10_invariance_certificates():
         "gauged operator preserves its doublet symbolically in k0 for "
         f"n=2..12 ({len(bad)} leaks)",
     )
+
+
+# sha256 of the complete stdout: `verify` prints 2679 EQ lines and its
+# summary, `delta4-scan --n 6` 100 point lines with their norms and worst
+# pairs, then its summary.  Every span=, metric= and
+# residual_quadratic_norm= field is pinned, not only the last lines.
+GOLDEN_STDOUT = {
+    ("verify",): "e57a349bdafbdaed8a335a6245a512c39bced2f419547abfb3f20a8e0c3fb1d3",
+    ("delta4-scan", "--n", "6"):
+        "2ae8ddb0fa3a7a25c82c7fe57ff747c765de14b3bf91aa80fb25a5c71f8dd884",
+}
+
+
+def test_golden_stdout_of_verify_and_delta4_scan(capsys):
+    for argv, want in GOLDEN_STDOUT.items():
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        got = hashlib.sha256(out.encode()).hexdigest()
+        assert got == want, f"qeslab {' '.join(argv)}: stdout hash {got}"
