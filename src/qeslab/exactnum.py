@@ -43,6 +43,8 @@ class VariableMismatchError(ValueError):
 
 def as_exact(value):
     """Coerce ints to Fraction and collapse constant polynomials."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, ParamPoly) and len(value.coeffs) <= 1:
@@ -61,7 +63,7 @@ class ParamPoly:
     __slots__ = ("var", "coeffs")
 
     def __init__(self, var: str, coeffs=()):
-        cs = [as_exact(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else as_exact(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.var = var
@@ -129,7 +131,8 @@ class ParamPoly:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
+            if c:
+                out[i] = out[i] + c if out[i] else c
         return ParamPoly(self.var, out)
 
     def __add__(self, other):
@@ -175,7 +178,8 @@ class ParamPoly:
                 continue
             for j, cb in enumerate(b):
                 if cb:
-                    out[i + j] = out[i + j] + ca * cb
+                    p = ca * cb
+                    out[i + j] = out[i + j] + p if out[i + j] else p
         return ParamPoly(self.var, out)
 
     def __mul__(self, other):
@@ -721,16 +725,25 @@ def exact_div(a, b):
 class ExactMatrix:
     """Matrix over Fraction / ParamPoly entries.
 
-    Storage is dense: ``entries`` is a tuple of row tuples, and a zero
-    entry is ``Fraction(0)``.  The matrix product skips zero factors, so
-    its cost follows the number of nonzero pairs rather than the shape;
-    the restricted generator and Hamiltonian matrices are mostly zero.
+    Storage is dense: ``entries`` is a tuple of row tuples in normal
+    form, every entry a ``Fraction`` or a non-constant ``ParamPoly`` (the
+    constructor collapses ints and constant polynomials), so a zero
+    entry is always ``Fraction(0)``.  Arithmetic pays only for nonzero
+    terms: the product never multiplies a zero factor and starts each
+    output entry from its first nonzero product, and sums, differences
+    and ``scaled_identity_added`` take the other operand as it is where
+    one is zero.  Its cost follows the number of nonzero pairs rather
+    than the shape; the restricted generator and Hamiltonian matrices
+    are mostly zero.
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(as_exact(e) for e in row) for row in entries)
+        rows = tuple(
+            tuple(e if type(e) is Fraction else as_exact(e) for e in row)
+            for row in entries
+        )
         if not rows or not rows[0]:
             raise ValueError("empty matrix")
         width = len(rows[0])
@@ -768,7 +781,7 @@ class ExactMatrix:
         self._shape_match(other)
         return ExactMatrix(
             [
-                [a + b for a, b in zip(ra, rb)]
+                [(a + b if a else b) if b else a for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ]
         )
@@ -777,7 +790,7 @@ class ExactMatrix:
         self._shape_match(other)
         return ExactMatrix(
             [
-                [a - b for a, b in zip(ra, rb)]
+                [(a - b if a else -b) if b else a for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ]
         )
@@ -798,14 +811,16 @@ class ExactMatrix:
             nonzero_rows = [
                 [(j, b) for j, b in enumerate(row) if b] for row in other.entries
             ]
+            zero = Fraction(0)
             out = []
             for row in self.entries:
-                acc = [Fraction(0)] * other.cols
+                acc = {}
                 for a, terms in zip(row, nonzero_rows):
                     if a:
                         for j, b in terms:
-                            acc[j] = acc[j] + a * b
-                out.append(acc)
+                            p = a * b
+                            acc[j] = acc[j] + p if j in acc else p
+                out.append([acc.get(j, zero) for j in range(other.cols)])
             return ExactMatrix(out)
         return ExactMatrix([[e * other for e in row] for row in self.entries])
 
@@ -816,9 +831,12 @@ class ExactMatrix:
         """self + scalar*I without building an identity of the right ring."""
         if self.rows != self.cols:
             raise ValueError("square matrix required")
+        if not scalar:
+            return self
         rows = [list(r) for r in self.entries]
         for i in range(self.rows):
-            rows[i][i] = rows[i][i] + scalar
+            d = rows[i][i]
+            rows[i][i] = d + scalar if d else scalar
         return ExactMatrix(rows)
 
     def trace(self):

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from qeslab.exactnum import ParamPoly
 from qeslab.generators import (
     ANTICOMM_METRIC,
     DEFAULT_MIX,
@@ -309,16 +310,6 @@ class ObstructionReport:
         )
 
 
-def _quadratic_norm(op: MatOp) -> int:
-    return sum(
-        1
-        for row in op.entries
-        for entry in row
-        for (i, j), coeff in entry.terms.items()
-        if i + j >= 2 and coeff
-    )
-
-
 def default_scan_grid():
     return tuple(Fraction(k, 4) for k in range(-12, 13))
 
@@ -337,9 +328,19 @@ def _span_basis(tees):
 
 def _obstruction_report(residuals, mix: MixSpec):
     """Total quadratic norm and first worst pair of the projection
-    residuals, evaluated at c = mix.c_mix where they are symbolic in c."""
+    residuals: per pair, the number of quadratic (i + j >= 2) terms whose
+    coefficient is nonzero at c = mix.c_mix, read off the residual terms
+    directly (a coefficient symbolic in c is evaluated there)."""
+    c_val = mix.c_mix
     norms = {
-        pair: _quadratic_norm(residual.eval_param(mix.c_mix))
+        pair: sum(
+            1
+            for row in residual.entries
+            for entry in row
+            for (i, j), coeff in entry.terms.items()
+            if i + j >= 2
+            and (coeff(c_val) if isinstance(coeff, ParamPoly) else coeff)
+        )
         for pair, (_, residual) in residuals.items()
     }
     return ObstructionReport(mix, sum(norms.values()), max(norms, key=norms.get))

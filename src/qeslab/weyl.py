@@ -41,7 +41,7 @@ def x_monomial(power: int, coeff=1) -> ParamPoly:
     """coeff * x**power as an exact polynomial."""
     if power < 0:
         raise ValueError("negative monomial power")
-    return ParamPoly(X_VAR, [0] * power + [coeff])
+    return ParamPoly(X_VAR, [Fraction(0)] * power + [coeff])
 
 
 def _is_scalar(value) -> bool:
@@ -67,25 +67,47 @@ def _x_coeffs(poly) -> tuple:
     raise ValueError(f"expected a polynomial in {X_VAR!r}, got {poly.var!r}")
 
 
+def _normal_terms(terms: dict) -> dict:
+    """`terms` without zero coefficients, ints and constant polynomials
+    collapsed to Fraction: the normal form of ``DiffOp.terms``."""
+    clean = {}
+    for key, coeff in terms.items():
+        if type(coeff) is not Fraction:
+            coeff = as_exact(coeff)
+        if coeff:
+            clean[key] = coeff
+    return clean
+
+
 class DiffOp:
     """Normal-ordered scalar differential operator.
 
-    ``terms`` maps (x_power, d_power) -> coefficient; zero coefficients
-    are never stored.
+    ``terms`` maps (x_power, d_power) -> coefficient, in normal form: no
+    zero coefficient is stored, and every coefficient is a ``Fraction``
+    or a non-constant ``ParamPoly`` (ints and constant polynomials are
+    collapsed to ``Fraction``).  Every result of arithmetic passes
+    through the one normaliser ``_normal``, so equal operators have
+    equal ``terms`` and ``is_zero`` is an empty dict.  Sums and products
+    touch only stored terms: an empty operand is skipped, not added.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for key, coeff in (terms or {}).items():
-            i, j = key
+        checked = {}
+        for (i, j), coeff in (terms or {}).items():
             if i < 0 or j < 0:
-                raise ValueError(f"negative operator powers {key}")
-            c = as_exact(coeff)
-            if c:
-                clean[(i, j)] = c
-        self.terms = clean
+                raise ValueError(f"negative operator powers {(i, j)}")
+            checked[(i, j)] = coeff
+        self.terms = _normal_terms(checked)
+
+    @classmethod
+    def _normal(cls, terms: dict) -> "DiffOp":
+        """The operator on `terms`, whose keys are valid powers, brought
+        to normal form."""
+        op = object.__new__(cls)
+        op.terms = _normal_terms(terms)
+        return op
 
     # ------------------------------------------------------------------
     @classmethod
@@ -134,14 +156,18 @@ class DiffOp:
 
     # ------------------------------------------------------------------
     def __neg__(self) -> "DiffOp":
-        return DiffOp({k: -c for k, c in self.terms.items()})
+        return DiffOp._normal({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, DiffOp):
+            if not other.terms:
+                return self
+            if not self.terms:
+                return other
             out = dict(self.terms)
             for k, c in other.terms.items():
-                out[k] = out.get(k, Fraction(0)) + c
-            return DiffOp(out)
+                out[k] = out[k] + c if k in out else c
+            return DiffOp._normal(out)
         if _is_scalar(other):
             return self + DiffOp({(0, 0): other})
         return NotImplemented
@@ -150,6 +176,13 @@ class DiffOp:
         return self.__add__(other)
 
     def __sub__(self, other):
+        if isinstance(other, DiffOp):
+            if not other.terms:
+                return self
+            out = dict(self.terms)
+            for k, c in other.terms.items():
+                out[k] = out[k] - c if k in out else -c
+            return DiffOp._normal(out)
         return self.__add__(-other)
 
     def __rsub__(self, other):
@@ -158,43 +191,41 @@ class DiffOp:
     def __mul__(self, other):
         if isinstance(other, DiffOp):
             out = {}
+            right = list(other.terms.items())
             for (a, b), ca in self.terms.items():
-                for (c, d), cb in other.terms.items():
+                for (c, d), cb in right:
                     coeff = ca * cb
-                    for s in range(min(b, c) + 1):
-                        w = math.comb(b, s) * math.perm(c, s)
+                    key = (a + c, b + d)
+                    out[key] = out[key] + coeff if key in out else coeff
+                    # d^b x^c reorders into the s >= 1 terms as well
+                    for s in range(1, min(b, c) + 1):
+                        term = coeff * (math.comb(b, s) * math.perm(c, s))
                         key = (a + c - s, b + d - s)
-                        out[key] = out.get(key, Fraction(0)) + w * coeff
-            return DiffOp(out)
+                        out[key] = out[key] + term if key in out else term
+            return DiffOp._normal(out)
         if _is_scalar(other):
-            return DiffOp({k: c * other for k, c in self.terms.items()})
+            return DiffOp._normal({k: c * other for k, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
         if _is_scalar(other):
-            return DiffOp({k: other * c for k, c in self.terms.items()})
+            return DiffOp._normal({k: other * c for k, c in self.terms.items()})
         return NotImplemented
 
     # ------------------------------------------------------------------
     def apply(self, poly: ParamPoly) -> ParamPoly:
         """Apply to a polynomial in x (exactly)."""
-        coeffs = _x_coeffs(poly)
-        out = ParamPoly.zero(X_VAR)
+        coeffs = [(k, pk) for k, pk in enumerate(_x_coeffs(poly)) if pk]
+        out = {}
         for (i, j), c in self.terms.items():
-            for k, pk in enumerate(coeffs):
-                if k < j or not pk:
+            for k, pk in coeffs:
+                if k < j:
                     continue
-                out = out + x_monomial(k + i - j, c * pk * math.perm(k, j))
-        return out
-
-    def map_coeffs(self, func) -> "DiffOp":
-        return DiffOp({k: func(c) for k, c in self.terms.items()})
-
-    def eval_param(self, value) -> "DiffOp":
-        """Substitute a value for the scalar parameter in every coefficient."""
-        return self.map_coeffs(
-            lambda c: c(value) if isinstance(c, ParamPoly) else c
-        )
+                term = c * pk * math.perm(k, j)
+                q = k + i - j
+                out[q] = out[q] + term if q in out else term
+        zero = Fraction(0)
+        return ParamPoly(X_VAR, [out.get(q, zero) for q in range(max(out, default=-1) + 1)])
 
     # ------------------------------------------------------------------
     def __str__(self):
@@ -219,6 +250,9 @@ class DiffOp:
         return f"DiffOp({self.terms!r})"
 
 
+_ZERO = DiffOp()
+
+
 # ----------------------------------------------------------------------
 # 2x2 matrices of operators
 # ----------------------------------------------------------------------
@@ -231,8 +265,20 @@ def _as_diffop(value) -> DiffOp:
     raise TypeError(f"cannot interpret {value!r} as a scalar operator")
 
 
+def _dot2(x: DiffOp, y: DiffOp, u: DiffOp, v: DiffOp) -> DiffOp:
+    """x*y + u*v, without multiplying by an empty factor."""
+    if x.terms and y.terms:
+        return x * y + u * v if u.terms and v.terms else x * y
+    return u * v if u.terms and v.terms else _ZERO
+
+
 class MatOp:
-    """2x2 matrix of scalar operators acting on doublets (top, bottom)."""
+    """2x2 matrix of scalar operators acting on doublets (top, bottom).
+
+    Products skip every entry pair with an empty factor and sums skip an
+    empty operand; the tees are diagonal and the towers off-diagonal, so
+    most entry products of a mixed word are zero by structure.
+    """
 
     __slots__ = ("entries",)
 
@@ -241,6 +287,14 @@ class MatOp:
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("MatOp needs a 2x2 entry grid")
         self.entries = rows
+
+    @classmethod
+    def _of(cls, rows) -> "MatOp":
+        """The MatOp on `rows`, a 2x2 tuple grid of DiffOps, unchecked:
+        for results of MatOp arithmetic."""
+        op = object.__new__(cls)
+        op.entries = rows
+        return op
 
     # ------------------------------------------------------------------
     @classmethod
@@ -289,11 +343,15 @@ class MatOp:
     __hash__ = None
 
     def __neg__(self) -> "MatOp":
-        return MatOp(tuple(tuple(-e for e in row) for row in self.entries))
+        return MatOp._of(tuple(tuple(-e for e in row) for row in self.entries))
 
     def __add__(self, other):
         if isinstance(other, MatOp):
-            return MatOp(
+            if other.is_zero:
+                return self
+            if self.is_zero:
+                return other
+            return MatOp._of(
                 tuple(
                     tuple(a + b for a, b in zip(ra, rb))
                     for ra, rb in zip(self.entries, other.entries)
@@ -303,29 +361,33 @@ class MatOp:
 
     def __sub__(self, other):
         if isinstance(other, MatOp):
-            return self + (-other)
+            if other.is_zero:
+                return self
+            return MatOp._of(
+                tuple(
+                    tuple(a - b for a, b in zip(ra, rb))
+                    for ra, rb in zip(self.entries, other.entries)
+                )
+            )
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, MatOp):
-            a, b = self.entries, other.entries
-            return MatOp(
-                tuple(
-                    tuple(
-                        a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)
-                    )
-                    for i in range(2)
-                )
-            )
+            (a00, a01), (a10, a11) = self.entries
+            (b00, b01), (b10, b11) = other.entries
+            return MatOp._of((
+                (_dot2(a00, b00, a01, b10), _dot2(a00, b01, a01, b11)),
+                (_dot2(a10, b00, a11, b10), _dot2(a10, b01, a11, b11)),
+            ))
         if _is_scalar(other):
-            return MatOp(
+            return MatOp._of(
                 tuple(tuple(e * other for e in row) for row in self.entries)
             )
         return NotImplemented
 
     def __rmul__(self, other):
         if _is_scalar(other):
-            return MatOp(
+            return MatOp._of(
                 tuple(tuple(other * e for e in row) for row in self.entries)
             )
         return NotImplemented
@@ -338,19 +400,9 @@ class MatOp:
             self.entries[1][0].apply(top) + self.entries[1][1].apply(bottom),
         )
 
-    def map_coeffs(self, func) -> "MatOp":
-        return MatOp(
-            tuple(tuple(e.map_coeffs(func) for e in row) for row in self.entries)
-        )
-
     def scaled_identity_added(self, scalar) -> "MatOp":
         """self + scalar*1, as ``ExactMatrix.scaled_identity_added``."""
         return self + MatOp.diag(scalar, scalar)
-
-    def eval_param(self, value) -> "MatOp":
-        return MatOp(
-            tuple(tuple(e.eval_param(value) for e in row) for row in self.entries)
-        )
 
     def __str__(self):
         return "[[{}, {}], [{}, {}]]".format(
@@ -436,7 +488,8 @@ def project_span(op: MatOp, span: Span):
     ]
     residual = op
     for coeff, b in zip(coeffs, span.basis):
-        residual = residual - b * coeff
+        if coeff:
+            residual = residual - b * coeff
     return coeffs, residual
 
 
@@ -534,7 +587,10 @@ def restrict(op: MatOp, module: ModuleSpec) -> RestrictedMatrix:
         col = [Fraction(0)] * dim
         mono = x_monomial(power)
         for dest in (0, 1):
-            image = op.entries[dest][comp].apply(mono)
+            entry = op.entries[dest][comp]
+            if not entry.terms:
+                continue
+            image = entry.apply(mono)
             cap = module.degree_cap(dest)
             for q, cq in enumerate(image.coeffs):
                 if not cq:

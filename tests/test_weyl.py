@@ -92,15 +92,6 @@ def test_matrix_apply_acts_entrywise():
     assert out_bottom == op[1][0].apply(top) + op[1][1].apply(bottom)
 
 
-def test_symbolic_parameter_evaluates_to_rational_build():
-    k0 = ParamPoly.gen("k0")
-    symbolic = DiffOp({(1, 1): k0 * k0, (0, 0): k0 * 2})
-    direct = DiffOp({(1, 1): F(1, 4), (0, 0): F(1)})
-    assert symbolic.eval_param(F(1, 2)) == direct
-    mat = MatOp.diag(symbolic, DiffOp.one())
-    assert mat.eval_param(F(1, 2)) == MatOp.diag(direct, DiffOp.one())
-
-
 def test_module_spec_basis_layout():
     module = ModuleSpec(2, 4)
     assert module.dim == 8
