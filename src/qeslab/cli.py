@@ -95,8 +95,9 @@ def _coupling_header(payload: dict) -> str:
 
 # Largest n whose reflection certificates `verify` runs.  Their full
 # 2n x 2n symbolic Faddeev-LeVerrier reference takes 0.08 s at n = 6 but
-# 0.12 / 0.24 / 0.37 s at n = 7 / 8 / 9 (2-vCPU VM, Python 3.11), and
-# lifting the cap would change the report count of the default box (2679).
+# 0.15 / 0.25 / 0.27-0.43 s at n = 7 / 8 / 9 (medians of 5, shared 2-vCPU
+# VM, Python 3.11.7), and lifting the cap would change the report count
+# of the default box (2679).
 REFLECTION_N_MAX = 6
 
 

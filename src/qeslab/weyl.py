@@ -85,10 +85,12 @@ class DiffOp:
     ``terms`` maps (x_power, d_power) -> coefficient, in normal form: no
     zero coefficient is stored, and every coefficient is a ``Fraction``
     or a non-constant ``ParamPoly`` (ints and constant polynomials are
-    collapsed to ``Fraction``).  Every result of arithmetic passes
-    through the one normaliser ``_normal``, so equal operators have
-    equal ``terms`` and ``is_zero`` is an empty dict.  Sums and products
-    touch only stored terms: an empty operand is skipped, not added.
+    collapsed to ``Fraction``).  The constructor and every arithmetic
+    result go through the one normaliser ``_normal_terms``, so equal
+    operators have equal ``terms`` and the zero operator has none.
+    Sums and products touch only stored terms: a sum with an empty
+    operand returns the other operand, and no term is added to a zero
+    seed.
     """
 
     __slots__ = ("terms",)
@@ -197,7 +199,7 @@ class DiffOp:
                     coeff = ca * cb
                     key = (a + c, b + d)
                     out[key] = out[key] + coeff if key in out else coeff
-                    # d^b x^c reorders into the s >= 1 terms as well
+                    # the s = 0 term is above; d^b x^c also yields s >= 1
                     for s in range(1, min(b, c) + 1):
                         term = coeff * (math.comb(b, s) * math.perm(c, s))
                         key = (a + c - s, b + d - s)
@@ -225,7 +227,8 @@ class DiffOp:
                 q = k + i - j
                 out[q] = out[q] + term if q in out else term
         zero = Fraction(0)
-        return ParamPoly(X_VAR, [out.get(q, zero) for q in range(max(out, default=-1) + 1)])
+        top = max(out, default=-1)
+        return ParamPoly(X_VAR, [out.get(q, zero) for q in range(top + 1)])
 
     # ------------------------------------------------------------------
     def __str__(self):

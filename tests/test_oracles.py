@@ -7,8 +7,11 @@ recomputes the roots of q(mu) to 40 digits, against which every printed
 level must be correctly rounded.
 """
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import mpmath
 import pytest
@@ -16,7 +19,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qeslab.exactnum import ParamPoly, poly_gcd, resultant
+from qeslab.exactnum import ExactMatrix, ParamPoly, as_exact, poly_gcd, resultant
+from qeslab.generators import fault_names, generator_set
 from qeslab.spectral import (
     HamiltonianSpec,
     _symbolic_mu_poly,
@@ -25,7 +29,7 @@ from qeslab.spectral import (
     restricted_hamiltonian,
     sweep,
 )
-from qeslab.weyl import DiffOp
+from qeslab.weyl import DiffOp, MatOp, restrict
 
 F = Fraction
 
@@ -88,6 +92,179 @@ def test_diffop_product_is_associative(a, b, c):
 @given(diffops, diffops, x_polys)
 def test_diffop_product_acts_as_composition(a, b, p):
     assert (a * b).apply(p) == a.apply(b.apply(p))
+
+
+# coefficients as callers pass them: rationals, bare ints, and polynomials
+# in k0, constant and zero ones included
+k0_polys = st.lists(fractions, max_size=3).map(lambda cs: ParamPoly("k0", cs))
+raw_coeffs = st.one_of(fractions, st.integers(-3, 3), k0_polys)
+k0_diffops = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), raw_coeffs, max_size=3
+).map(DiffOp)
+nonempty_diffops = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), raw_coeffs.filter(bool),
+    min_size=1, max_size=3,
+).map(DiffOp)
+# which entries are nonempty: diagonal like the tees, off-diagonal like
+# the towers, full like a mixed word, or any pattern
+entry_masks = st.one_of(
+    st.sampled_from([(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 1)]),
+    st.tuples(*[st.booleans()] * 4),
+)
+
+
+def _masked_matop(drawn) -> MatOp:
+    mask, ops = drawn
+    cells = [op if keep else DiffOp() for keep, op in zip(mask, ops)]
+    return MatOp([cells[:2], cells[2:]])
+
+
+matops = st.tuples(
+    entry_masks, st.lists(nonempty_diffops, min_size=4, max_size=4)
+).map(_masked_matop)
+
+
+@SMALL
+@given(matops, matops, matops)
+def test_matop_product_is_associative(a, b, c):
+    assert (a * b) * c == a * (b * c)
+
+
+@SMALL
+@given(matops, matops, matops)
+def test_matop_product_distributes_over_sums(a, b, c):
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a * (b - c) == a * b - a * c
+
+
+@st.composite
+def generator_words(draw):
+    """(module, word): 2-3 generators of one generator_set(n, gap); each
+    keeps its doublet, so the word does too."""
+    delta = draw(st.integers(1, 4))
+    n = draw(st.integers(max(2, delta), 6))
+    gens = generator_set(n, delta)
+    names = draw(st.lists(st.sampled_from(fault_names(delta)), min_size=2, max_size=3))
+    return gens.params.module, [gens.named[name] for name in names]
+
+
+@SMALL
+@given(generator_words())
+def test_restrict_is_multiplicative_on_generator_words(word):
+    module, ops = word
+    whole = restrict(reduce(mul, ops), module)
+    assert whole.leakage_free
+    assert whole.matrix == reduce(mul, [restrict(op, module).matrix for op in ops])
+
+
+# ----------------------------------------------------------------------
+# hypothesis: normal form of arithmetic results
+# ----------------------------------------------------------------------
+
+def _normal_coeff(c, zero_ok=False) -> bool:
+    """A Fraction (nonzero unless zero_ok) or a non-constant ParamPoly:
+    never a bare int or a constant polynomial."""
+    if type(c) is Fraction:
+        return zero_ok or c != 0
+    return type(c) is ParamPoly and len(c.coeffs) >= 2
+
+
+def _reference_sum(a: DiffOp, b: DiffOp, sign=1) -> DiffOp:
+    """a + sign*b by the zero-seeded dict sum, through the constructor."""
+    out = dict(a.terms)
+    for k, c in b.terms.items():
+        out[k] = out.get(k, F(0)) + c * sign
+    return DiffOp(out)
+
+
+def _reference_product(a: DiffOp, b: DiffOp) -> DiffOp:
+    """a*b by the commutation rule, every term added to a zero seed."""
+    out = {}
+    for (i, j), ca in a.terms.items():
+        for (k, m), cb in b.terms.items():
+            for s in range(min(j, k) + 1):
+                key = (i + k - s, j + m - s)
+                w = math.comb(j, s) * math.perm(k, s)
+                out[key] = out.get(key, F(0)) + w * (ca * cb)
+    return DiffOp(out)
+
+
+def _assert_same_diffop(got: DiffOp, want: DiffOp):
+    assert all(_normal_coeff(c) for c in got.terms.values()), got.terms
+    assert got.terms == want.terms
+    assert got == want and got.is_zero == want.is_zero
+
+
+@SMALL
+@given(k0_diffops, k0_diffops, raw_coeffs)
+def test_diffop_results_are_normal_and_match_reference(a, b, scalar):
+    _assert_same_diffop(a + b, _reference_sum(a, b))
+    _assert_same_diffop(a - b, _reference_sum(a, b, -1))
+    _assert_same_diffop(-a, _reference_sum(DiffOp(), a, -1))
+    _assert_same_diffop(a * b, _reference_product(a, b))
+    _assert_same_diffop(a * scalar, DiffOp({k: c * scalar for k, c in a.terms.items()}))
+    assert (a - a).terms == {} and (a - a).is_zero and a - a == 0
+
+
+def _reference_matop(a: MatOp, b: MatOp, kind: str):
+    if kind == "*":
+        return [
+            [_reference_sum(_reference_product(a[i][0], b[0][j]),
+                            _reference_product(a[i][1], b[1][j]))
+             for j in (0, 1)]
+            for i in (0, 1)
+        ]
+    sign = 1 if kind == "+" else -1
+    return [[_reference_sum(a[i][j], b[i][j], sign) for j in (0, 1)] for i in (0, 1)]
+
+
+@SMALL
+@given(matops, matops)
+def test_matop_results_are_normal_and_match_reference(a, b):
+    for kind, got in (("+", a + b), ("-", a - b), ("*", a * b)):
+        want = _reference_matop(a, b, kind)
+        for i in (0, 1):
+            for j in (0, 1):
+                assert type(got[i][j]) is DiffOp
+                _assert_same_diffop(got[i][j], want[i][j])
+        assert got.is_zero == all(e.is_zero for row in want for e in row)
+
+
+exact_matrices = st.integers(1, 3).flatmap(
+    lambda size: st.lists(
+        st.lists(st.one_of(st.just(0), raw_coeffs), min_size=size, max_size=size),
+        min_size=size,
+        max_size=size,
+    )
+).map(ExactMatrix)
+
+
+@SMALL
+@given(exact_matrices, exact_matrices, raw_coeffs)
+def test_exact_matrix_results_are_normal_and_match_reference(a, b, scalar):
+    assume(a.rows == b.rows)
+    size = a.rows
+    dense = {
+        "+": [[a[i][j] + b[i][j] for j in range(size)] for i in range(size)],
+        "-": [[a[i][j] - b[i][j] for j in range(size)] for i in range(size)],
+        "*": [
+            [sum((a[i][k] * b[k][j] for k in range(size)), F(0)) for j in range(size)]
+            for i in range(size)
+        ],
+        "+s": [
+            [a[i][j] + (scalar if i == j else 0) for j in range(size)]
+            for i in range(size)
+        ],
+    }
+    results = {
+        "+": a + b, "-": a - b, "*": a * b, "+s": a.scaled_identity_added(scalar),
+    }
+    for kind, got in results.items():
+        assert all(_normal_coeff(e, zero_ok=True) for row in got.entries for e in row)
+        want = [[as_exact(e) for e in row] for row in dense[kind]]
+        assert [list(row) for row in got.entries] == want, kind
+        assert got.is_zero == (not any(e for row in want for e in row))
 
 
 @SMALL

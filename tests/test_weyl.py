@@ -92,6 +92,17 @@ def test_matrix_apply_acts_entrywise():
     assert out_bottom == op[1][0].apply(top) + op[1][1].apply(bottom)
 
 
+def test_cancellation_leaves_normal_form():
+    k0 = ParamPoly.gen("k0")
+    op = DiffOp({(1, 1): k0}) - DiffOp({(1, 1): k0}) + 3
+    assert op.terms == {(0, 0): F(3)}
+    assert type(op.terms[(0, 0)]) is Fraction
+    # a k0 coefficient cancelling to a constant collapses to a Fraction
+    op = DiffOp({(0, 1): k0 + 2}) - DiffOp({(0, 1): k0})
+    assert op.terms == {(0, 1): F(2)} and type(op.terms[(0, 1)]) is Fraction
+    assert (MatOp.diag(op, op) - MatOp.diag(op, op)).is_zero
+
+
 def test_module_spec_basis_layout():
     module = ModuleSpec(2, 4)
     assert module.dim == 8
