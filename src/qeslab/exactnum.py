@@ -63,7 +63,7 @@ class ParamPoly:
     __slots__ = ("var", "coeffs")
 
     def __init__(self, var: str, coeffs=()):
-        cs = [c if type(c) is Fraction else as_exact(c) for c in coeffs]
+        cs = list(map(as_exact, coeffs))
         while cs and not cs[-1]:
             cs.pop()
         self.var = var
@@ -215,10 +215,14 @@ class ParamPoly:
         return out
 
     def __call__(self, value):
-        """Evaluate by Horner's rule.  `value` may be exact or float."""
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * value + c
+        """Evaluate by Horner's rule, from the leading coefficient and
+        skipping zero ones.  `value` may be exact or float; a constant
+        polynomial returns its coefficient."""
+        if not self.coeffs:
+            return Fraction(0)
+        out = self.coeffs[-1]
+        for c in self.coeffs[-2::-1]:
+            out = out * value + c if c else out * value
         return as_exact(out)
 
     def derivative(self) -> "ParamPoly":
@@ -740,10 +744,7 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        rows = tuple(
-            tuple(e if type(e) is Fraction else as_exact(e) for e in row)
-            for row in entries
-        )
+        rows = tuple(tuple(map(as_exact, row)) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("empty matrix")
         width = len(rows[0])

@@ -72,8 +72,7 @@ def _normal_terms(terms: dict) -> dict:
     collapsed to Fraction: the normal form of ``DiffOp.terms``."""
     clean = {}
     for key, coeff in terms.items():
-        if type(coeff) is not Fraction:
-            coeff = as_exact(coeff)
+        coeff = as_exact(coeff)
         if coeff:
             clean[key] = coeff
     return clean

@@ -2,7 +2,9 @@
 
 sympy recomputes resultants and characteristic polynomials; hypothesis
 checks algebraic identities of operators and polynomials on small
-random inputs (a fixed, small number of deterministic examples); mpmath
+random inputs (a fixed, small number of deterministic examples), and
+that the zero-skipping kernels return normal-form results equal to
+zero-seeded reference arithmetic written out here; mpmath
 recomputes the roots of q(mu) to 40 digits, against which every printed
 level must be correctly rounded.
 """
@@ -265,6 +267,18 @@ def test_exact_matrix_results_are_normal_and_match_reference(a, b, scalar):
         want = [[as_exact(e) for e in row] for row in dense[kind]]
         assert [list(row) for row in got.entries] == want, kind
         assert got.is_zero == (not any(e for row in want for e in row))
+
+
+@SMALL
+@given(st.lists(raw_coeffs, max_size=5), fractions)
+def test_poly_eval_matches_zero_seeded_horner(coeffs, value):
+    p = ParamPoly("lam", coeffs)
+    want = F(0)
+    for c in reversed(p.coeffs):
+        want = want * value + c
+    got = p(value)
+    assert _normal_coeff(got, zero_ok=True)
+    assert got == as_exact(want)
 
 
 @SMALL
