@@ -7,13 +7,14 @@ Q[k0], say), polynomials in another variable.  The characteristic
 polynomial uses the Faddeev-LeVerrier recursion, which divides by
 integers only and therefore stays inside any coefficient ring that is a
 Q-vector space.  Real roots are isolated with Sturm sequences (for an
-even p(x) = q(x^2), on q, at half the degree) and refined by bisection
-in doubles: float Horner decides a sign only when its running error
+even p(x) = q(x^2), on q, at half the degree) and refined in doubles
+from a float Newton guess, by steps away from the guess and then
+bisection: float Horner decides a sign only when its running error
 bound, which covers the rounding of the coefficients too, excludes
-zero, and exact evaluation decides the rest.  Bisection stops at
-adjacent doubles, and the exact sign at a decimal rounding boundary
-settles the last digit when they print differently, so every digit of
-'%.12g' of a root is certified.
+zero, and exact evaluation, Horner on integers, decides the rest.
+Refinement stops at adjacent doubles, and the exact sign at a decimal
+rounding boundary settles the last digit when they print differently,
+so every digit of '%.12g' of a root is certified.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class ParamPoly:
     immutable by convention; all arithmetic returns new objects.
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "coeffs", "_integer_form")
 
     def __init__(self, var: str, coeffs=()):
         cs = list(map(as_exact, coeffs))
@@ -68,6 +69,8 @@ class ParamPoly:
             cs.pop()
         self.var = var
         self.coeffs = tuple(cs)
+        # (D, N) of _clear_denominators, built by the first exact evaluation
+        self._integer_form = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -217,9 +220,30 @@ class ParamPoly:
     def __call__(self, value):
         """Evaluate by Horner's rule, from the leading coefficient and
         skipping zero ones.  `value` may be exact or float; a constant
-        polynomial returns its coefficient."""
+        polynomial returns its coefficient.
+
+        At a Fraction a/b, with every coefficient rational, Horner runs
+        on integers: with D the least common denominator of the
+        coefficients and N_i = D c_i (built once per polynomial), y <-
+        y a + N_i b^k for k = 1 .. deg, and the value is
+        Fraction(y, D b^deg), the same normalised Fraction that rational
+        Horner gives, for one gcd instead of one per step.  Float
+        arguments and coefficients in Q[param] take the rational loop."""
         if not self.coeffs:
             return Fraction(0)
+        if type(value) is Fraction:
+            form = self._integer_form
+            if form is None:
+                form = self._integer_form = _clear_denominators(self.coeffs)
+            if form:
+                den, nums = form
+                a, b = value.numerator, value.denominator
+                y = nums[-1]
+                bk = 1
+                for c in nums[-2::-1]:
+                    bk *= b
+                    y = y * a + c * bk if c else y * a
+                return Fraction(y, den * bk)
         out = self.coeffs[-1]
         for c in self.coeffs[-2::-1]:
             out = out * value + c if c else out * value
@@ -290,6 +314,16 @@ class ParamPoly:
                 continue
             parts.append(_format_term(c, self.var, power, first=not parts))
         return "".join(parts)
+
+
+def _clear_denominators(coeffs):
+    """(D, N) with D the least common denominator of the rational
+    `coeffs` and N_i = D c_i, as ints; False when a coefficient is a
+    polynomial."""
+    if not all(type(c) is Fraction for c in coeffs):
+        return False
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
 
 
 def _format_term(coeff, var: str, power: int, first: bool) -> str:
@@ -569,31 +603,98 @@ def _float_sign(coeffs, x: float):
     return None
 
 
+def _certified_sign(p: ParamPoly, coeffs, x: float) -> int:
+    """The sign of p at the double x: float Horner when its error bound
+    decides it (coeffs from _float_coeffs, or None to skip it), else
+    exact evaluation."""
+    s = _float_sign(coeffs, x) if coeffs else None
+    return _sign(p(Fraction(x))) if s is None else s
+
+
+# a bound on the iterations of _newton_guess
+_NEWTON_STEPS = 64
+
+
+def _newton_guess(coeffs, lo, hi, sign_lo: int):
+    """A double near the one root of p in (lo, hi), not certified:
+    Newton's method in doubles on p's rounded coefficients, started at
+    the midpoint.  The float sign of p at each iterate shrinks a float
+    bracket; a step that leaves that bracket, or a zero derivative,
+    gives way to the bracket's midpoint.  Stops when a step moves by at
+    most one ulp, or after _NEWTON_STEPS iterations."""
+    a, b = float(lo), float(hi)
+    x = (a + b) / 2
+    for _ in range(_NEWTON_STEPS):
+        y = dy = 0.0
+        for c in reversed(coeffs):
+            dy = dy * x + y
+            y = y * x + c
+        if not y:
+            return x
+        if (y > 0) == (sign_lo > 0):
+            a = x
+        else:
+            b = x
+        step = x - y / dy if dy else math.nan
+        if abs(step - x) <= math.ulp(x):
+            return step
+        x = step if a < step < b else (a + b) / 2
+    return x
+
+
 def _refine(p: ParamPoly, lo, hi, sign_lo: int):
     """(value, exact) for the one root of the square-free p in (lo, hi),
     where p(lo) has the sign sign_lo and p(hi) the other sign.
 
-    Bisects at doubles until no double is left inside the bracket, so
-    the value is within one ulp of the root.  The sign at a midpoint
-    comes from float Horner when its error bound decides it, else from
-    exact evaluation, so every step is exact.  If the doubles a <= lo
-    and b >= hi then print the same PRINT_DIGITS digits, every number
-    between them, the root included, rounds to that string; if not, the
-    exact sign at the rounding boundary between them decides which of
-    a and b prints the root's correctly rounded value.  A root that a
-    midpoint hits, or that is the rational of denominator at most
-    EXACT_DENOMINATOR nearest the value, checked to lie in the final
-    bracket and to be a root, is returned exactly."""
+    Every bracket update rests on a certified sign of p at a double:
+    float Horner when its error bound decides it, else exact evaluation
+    (_certified_sign).  First a double guess from float Newton
+    (_newton_guess), which need not be right, narrows the bracket: its
+    sign moves one end to it, then steps of 1, 2, 4, ... ulps away from
+    it, towards the root, move that end until a step crosses the root
+    and moves the other end, or leaves the bracket.  Then bisection at
+    doubles runs until no double is left inside the bracket, so the
+    value is within one ulp of the root.  The final bracket is the same
+    whatever the guess: its ends are the doubles nearest the root on
+    either side, or the given ends where no double lies between them
+    and the root.  If the doubles a <= lo and b >= hi then print the
+    same PRINT_DIGITS digits, every number between them, the root
+    included, rounds to that string; if not, the exact sign at the
+    rounding boundary between them decides which of a and b prints the
+    root's correctly rounded value.  A root that a tested double hits,
+    or that is the rational of denominator at most EXACT_DENOMINATOR
+    nearest the value, checked to lie in the final bracket and to be a
+    root, is returned exactly."""
     coeffs = _float_coeffs(p)
+    guess = _newton_guess(coeffs, lo, hi, sign_lo) if coeffs else None
+    if guess is not None and lo < guess < hi:
+        s = _certified_sign(p, coeffs, guess)
+        if not s:
+            return guess, Fraction(guess)
+        up = s == sign_lo  # the root lies above the guess
+        step = math.ulp(guess)
+        t = guess
+        while True:
+            if s == sign_lo:
+                lo = t
+            else:
+                hi = t
+            if (s == sign_lo) != up:  # t is past the root
+                break
+            t = guess + step if up else guess - step
+            if not lo < t < hi:
+                break
+            s = _certified_sign(p, coeffs, t)
+            if not s:
+                return t, Fraction(t)
+            step *= 2
     while True:
         m = _midpoint(lo, hi)
         if not lo < m < hi:
             break
-        s = _float_sign(coeffs, m) if coeffs else None
-        if s is None:
-            s = _sign(p(Fraction(m)))
-            if not s:
-                return m, Fraction(m)
+        s = _certified_sign(p, coeffs, m)
+        if not s:
+            return m, Fraction(m)
         if s == sign_lo:
             lo = m
         else:
@@ -681,9 +782,11 @@ def real_roots(p: ParamPoly):
 
     Yun's square-free decomposition, then one Sturm chain per factor
     isolates the roots exactly; an even p = q(x^2) is isolated on q, at
-    half the degree.  Each bracket is bisected in doubles with an
-    error-bounded float sign test and exact fallback, down to adjacent
-    doubles; Root.value then prints the root correctly rounded to
+    half the degree.  Each bracket is narrowed around a float Newton
+    guess and then bisected in doubles, down to adjacent doubles; every
+    step takes the sign from an error-bounded float Horner test or, when
+    that cannot decide, from exact integer Horner, so the guess moves
+    no digit.  Root.value then prints the root correctly rounded to
     PRINT_DIGITS digits (see _refine).  A root is flagged exact when it
     comes from a linear factor (of q, whose root must then be a
     rational square) or when the rational of denominator at most

@@ -250,3 +250,34 @@ def test_golden_stdout_of_verify_and_delta4_scan(capsys):
         out = capsys.readouterr().out
         got = hashlib.sha256(out.encode()).hexdigest()
         assert got == want, f"qeslab {' '.join(argv)}: stdout hash {got}"
+
+
+# sha256 of the complete stdout of the commands that print levels,
+# recorded before integer Horner and the Newton guess entered root
+# refinement: every printed level and eigenvector digit is pinned, so a
+# move of Root.value by one ulp shows in the eigenvector digits of
+# `spectrum` even where the 12-digit level does not move.
+GOLDEN_LEVEL_STDOUT = {
+    ("sweep", "--n", "3", "--c-min", "1/8", "--c-max", "81/8", "--steps", "200"):
+        "961f9319647565367208ab9c4b86571a8545f8120e6ce916ba85e2adc3c71ddc",
+    ("sweep", "--n", "5", "--c-min", "3/8", "--c-max", "83/8", "--steps", "30"):
+        "a2f65bada3cdd8b2aca01f1c9ae28a1d396281bac53ede96c2b0cf6a97fd11be",
+    ("spectrum", "--n", "8", "--c", "17/8"):
+        "4b3f70aed103ebd7fa1ec9e6f82873875d05811f820e1ce37235e95b18822d2b",
+    ("spectrum", "--n", "12", "--c", "17/8"):
+        "9a9859913c16a95ceff4e1a8f62cf39d0c0b822ff3f78cd97a68cda62c3ff0ab",
+    ("degeneracy", "--n", "8", "--c-min", "0", "--c-max", "10"):
+        "7b656c0cb3a3b26af1d688e38ccce211bce63e2c08ea5e250b28ea7d7824d702",
+    # the window around the collision at c* = sqrt(24) that CI sweeps
+    ("sweep", "--n", "3", "--c-min", "48989794855/10000000000",
+     "--c-max", "48989804855/10000000000", "--steps", "50"):
+        "79eb5b36cd245f4aac7a729b417f82f828f66d3a2a8203f9e46edfc5fb22f6e5",
+}
+
+
+def test_golden_stdout_of_sweep_spectrum_and_degeneracy(capsys):
+    for argv, want in GOLDEN_LEVEL_STDOUT.items():
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        got = hashlib.sha256(out.encode()).hexdigest()
+        assert got == want, f"qeslab {' '.join(argv)}: stdout hash {got}"

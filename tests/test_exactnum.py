@@ -15,6 +15,7 @@ from qeslab.exactnum import (
     VariableMismatchError,
     as_exact,
     cauchy_bound,
+    even_poly,
     isolate_real_roots,
     poly_gcd,
     real_roots,
@@ -24,6 +25,7 @@ from qeslab.exactnum import (
     square_free_part,
     sturm_count,
 )
+from qeslab.spectral import _symbolic_mu_poly
 
 F = Fraction
 
@@ -256,6 +258,63 @@ def test_values_print_correctly_rounded_across_a_rounding_boundary():
     # float() alone rounds across the boundary for one of them
     printed = {_printed(float(r)) for r in (tie - tiny, tie + tiny)}
     assert printed == {_printed(float(tie))}
+
+
+def _sweep_char_polys(n, c_min, c_max, steps):
+    """The char poly in lam at every coupling of `sweep(n, c_min, c_max,
+    steps)`, from q(mu; c) evaluated at c."""
+    q = _symbolic_mu_poly(n, "c")
+    for k in range(steps):
+        c = c_min + (c_max - c_min) * F(k, steps - 1)
+        mu = ParamPoly("mu", [a(c) if isinstance(a, ParamPoly) else a for a in q.coeffs])
+        yield even_poly(mu, "lam")
+
+
+def _shifted_guess(ulps):
+    guess = exactnum_mod._newton_guess
+
+    def shifted(coeffs, lo, hi, sign_lo):
+        g = guess(coeffs, lo, hi, sign_lo)
+        return None if g is None else g + ulps * math.ulp(g)
+
+    return shifted
+
+
+# stand-ins for the Newton guess of _refine: none, either bracket end,
+# far from the root, and a few ulps to either side of the true guess
+GUESS_STAND_INS = {
+    "none": lambda coeffs, lo, hi, sign_lo: None,
+    "lo": lambda coeffs, lo, hi, sign_lo: float(lo),
+    "hi": lambda coeffs, lo, hi, sign_lo: float(hi),
+    "far": _shifted_guess(2**30),
+    "below": _shifted_guess(-3),
+    "above": _shifted_guess(3),
+}
+
+
+def test_refined_roots_do_not_depend_on_the_guess(monkeypatch):
+    t = ParamPoly.gen("t")
+    tie = F("1.000000000005")
+    tiny = F(1, 10**40)
+    polys = [
+        *_sweep_char_polys(3, F(1, 8), F(81, 8), 200),
+        *_sweep_char_polys(5, F(3, 8), F(83, 8), 30),
+        # square-free, two roots 2^-45 apart: 1/3 is found exact, the
+        # other root is not a rational of small denominator
+        (3 * t - 1) * (3 * t - 1 - F(3, 2**45)),
+        # the other side of the rounding boundary, and an odd quintic
+        t * t - ((tie + tiny) ** 2 + tiny * tiny),
+        (t - F(7, 3)) * (t + F(123457, 1000)) * (t * t * t - 2),
+    ]
+    want = [real_roots(p) for p in polys]
+    close = want[-3]
+    assert close[0].exact == F(1, 3) and close[1].exact is None
+    assert close[0].value < close[1].value
+    assert abs(F(close[1].value) - F(1, 3) - F(1, 2**45)) <= F(math.ulp(1 / 3))
+    for name, stand_in in GUESS_STAND_INS.items():
+        monkeypatch.setattr(exactnum_mod, "_newton_guess", stand_in)
+        for p, roots in zip(polys, want):
+            assert real_roots(p) == roots, (name, p)
 
 
 def test_cauchy_bound_is_strict():

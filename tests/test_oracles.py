@@ -18,7 +18,7 @@ from operator import mul
 import mpmath
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qeslab.exactnum import ExactMatrix, ParamPoly, as_exact, poly_gcd, resultant
@@ -279,6 +279,54 @@ def test_poly_eval_matches_zero_seeded_horner(coeffs, value):
     got = p(value)
     assert _normal_coeff(got, zero_ok=True)
     assert got == as_exact(want)
+
+
+def _zero_seeded_horner(p: ParamPoly, value):
+    want = F(0) if isinstance(value, Fraction) else 0.0
+    for c in reversed(p.coeffs):
+        want = want * value + c
+    return want
+
+
+wide_fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
+integer_horner_args = st.one_of(
+    # Fraction(float): dyadic denominators up to 2^1074
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6).map(F),
+    # decimal rationals, as the rounding-boundary test in _refine makes
+    st.integers(-10**14, 10**14).map(lambda k: F(k, 10**12)),
+    wide_fractions,
+    st.just(F(0)),
+)
+
+
+@SMALL
+@example([F(7, 3)], F(-5, 2**60))
+@example([F(7, 3)], F(0))
+@example([F(-1, 6), F(0), F(0), F(5, 4)], F(0))
+@given(st.lists(wide_fractions, max_size=8), integer_horner_args)
+def test_integer_horner_matches_zero_seeded_fraction_horner(coeffs, value):
+    p = ParamPoly("x", coeffs)
+    got = p(value)
+    assert type(got) is Fraction
+    assert got == _zero_seeded_horner(p, value)
+
+
+c_polys = st.lists(fractions, min_size=2, max_size=3).map(lambda cs: ParamPoly("c", cs))
+
+
+@SMALL
+@given(
+    st.one_of(
+        st.tuples(st.lists(st.one_of(fractions, c_polys), max_size=5), fractions),
+        st.tuples(st.lists(fractions, max_size=5), st.floats(-4, 4)),
+    )
+)
+def test_generic_horner_for_q_c_coefficients_and_float_arguments(case):
+    coeffs, value = case
+    p = ParamPoly("lam", coeffs)
+    # a constant polynomial returns its coefficient, also at a float
+    want = p.constant() if p.degree <= 0 else _zero_seeded_horner(p, value)
+    assert p(value) == as_exact(want)
 
 
 @SMALL
