@@ -356,24 +356,29 @@ def even_poly(poly: ParamPoly, var: str) -> ParamPoly:
 # gcd / square-free machinery (rational coefficients)
 # ----------------------------------------------------------------------
 
+def _remainders(a: ParamPoly, b: ParamPoly):
+    """a, b and each negated remainder of Euclid's algorithm, scaled by
+    1/|leading coefficient| (signs kept, growth checked); the last
+    member is gcd(a, b) up to a factor.  b must be nonzero."""
+    seq = [a, b]
+    while seq[-1].degree > 0:
+        rem = seq[-2] % seq[-1]
+        if rem.is_zero:
+            break
+        seq.append(rem._scale(-1 / abs(rem.leading())))
+    return seq
+
+
 def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     """Monic gcd over Q."""
-    while not b.is_zero:
-        a, b = b, a % b
-        if not b.is_zero:
-            b = b.monic()  # keeps coefficient growth in check
-    return a.monic() if not a.is_zero else a
+    return _remainders(a, b)[-1].monic() if b else a.monic()
 
 
 def square_free_part(p: ParamPoly) -> ParamPoly:
+    """Monic square-free part of p: the monic head of its Sturm chain."""
     if p.is_zero:
         raise ValueError("square-free part of the zero polynomial")
-    if p.degree <= 0:
-        return p.monic()
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.monic()
-    return (p // g).monic()
+    return sturm_sequence(p)[0].monic()
 
 
 def square_free_decomposition(p: ParamPoly):
@@ -408,16 +413,17 @@ def square_free_decomposition(p: ParamPoly):
 # ----------------------------------------------------------------------
 
 def sturm_sequence(p: ParamPoly):
-    chain = [p]
-    d = p.derivative()
-    if not d.is_zero:
-        chain.append(d)
-        while chain[-1].degree > 0:
-            rem = chain[-2] % chain[-1]
-            if rem.is_zero:
-                break
-            chain.append(-rem)
-    return chain
+    """Sturm chain of any nonzero p: the remainder sequence of (p, p'),
+    rerun on p / (last member) when that is not constant (p then has a
+    repeated root), so it is the chain of p's square-free part."""
+    while True:
+        d = p.derivative()
+        if d.is_zero:
+            return [p]
+        chain = _remainders(p, d)
+        if chain[-1].degree <= 0:
+            return chain
+        p = p // chain[-1]
 
 
 def _sign(value: Fraction) -> int:
@@ -429,8 +435,10 @@ def _sign(value: Fraction) -> int:
 
 
 def sign_variations(chain, x: Fraction) -> int:
-    """Sign changes of the Sturm chain at x, zeros skipped."""
-    signs = [s for s in (_sign(q(x)) for q in chain) if s != 0]
+    """Sign changes of the Sturm chain at x, zeros skipped; at math.inf,
+    of the leading coefficients (exact: they may exceed the double range)."""
+    values = [q.leading() for q in chain] if x == math.inf else [q(x) for q in chain]
+    signs = [s for s in map(_sign, values) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -446,7 +454,8 @@ def cauchy_bound(p: ParamPoly) -> Fraction:
 
 
 def sturm_count(p: ParamPoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in the half-open interval (lo, hi]."""
+    """Number of distinct real roots of p in the half-open interval
+    (lo, hi], from one Sturm chain; p need not be square-free."""
     p._require_rational()
     if p.is_zero:
         raise ValueError("root count of the zero polynomial")
@@ -454,10 +463,7 @@ def sturm_count(p: ParamPoly, lo: Fraction, hi: Fraction) -> int:
     hi = Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    sq = square_free_part(p)
-    if sq.degree <= 0:
-        return 0
-    chain = sturm_sequence(sq)
+    chain = sturm_sequence(p)
     # dropping zero entries from the sign sequence makes the variation
     # count at a root equal its right-hand limit, so (lo, hi] comes out
     return sign_variations(chain, lo) - sign_variations(chain, hi)
@@ -466,8 +472,7 @@ def sturm_count(p: ParamPoly, lo: Fraction, hi: Fraction) -> int:
 def _isolate(chain, lo: Fraction, hi: Fraction, at):
     """Disjoint brackets (a, b] inside (lo, hi], in increasing order, each
     holding exactly one x with at(x) a root of chain[0]; `at` is
-    increasing, and the chain is the Sturm chain of a square-free
-    polynomial."""
+    increasing, and `chain` comes from ``sturm_sequence``."""
     out = []
     stack = [(lo, hi, sign_variations(chain, at(lo)), sign_variations(chain, at(hi)))]
     while stack:
@@ -486,10 +491,8 @@ def _isolate(chain, lo: Fraction, hi: Fraction, at):
 
 
 def isolate_real_roots(p: ParamPoly):
-    """Disjoint rational intervals (lo, hi], one root of p in each, in
-    increasing order.  p must be square-free, as the factors of
-    ``square_free_decomposition`` are; otherwise the Sturm counts are
-    not root counts."""
+    """Disjoint rational intervals (lo, hi], one distinct real root of p
+    in each, in increasing order."""
     p._require_rational()
     if p.degree <= 0:
         return []

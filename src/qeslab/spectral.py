@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import inf
 
 import numpy as np
 
@@ -31,12 +32,10 @@ from qeslab.exactnum import (
     Root,
     SCALAR_VARS,
     as_exact,
-    cauchy_bound,
     even_poly,
     real_roots,
     resultant,
     sign_variations,
-    square_free_part,
     sturm_sequence,
 )
 from qeslab.weyl import (
@@ -352,14 +351,11 @@ def y_node_count(x_poly: ParamPoly) -> int:
     poly = _exactify(x_poly)
     if poly.is_zero:
         raise ValueError("node count of the zero polynomial")
-    if poly.degree == 0:
-        return 0
-    bound = max(cauchy_bound(poly), NODE_GUARD * 2)
-    chain = sturm_sequence(square_free_part(poly))
-    below, above, at_bound = (
-        sign_variations(chain, x) for x in (-NODE_GUARD, NODE_GUARD, bound)
+    chain = sturm_sequence(poly)
+    below, above, at_top = (
+        sign_variations(chain, x) for x in (-NODE_GUARD, NODE_GUARD, inf)
     )
-    return 2 * (above - at_bound) + (1 if below > above else 0)
+    return 2 * (above - at_top) + (1 if below > above else 0)
 
 
 def eigenvectors_y(spectrum: AlgebraicSpectrum):
@@ -478,11 +474,10 @@ def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
     locus = ParamPoly.one("c") * q.constant() * resultant(q, q.derivative())
     if locus.is_zero:
         raise SpectralError("levels collide at every coupling")
-    # one Sturm chain counts the distinct roots in (c_min, c_max] and in
-    # (c_min, top], top above every root
-    chain = sturm_sequence(square_free_part(locus))
-    top = max(cauchy_bound(locus), c_max)
-    at_min, at_max, at_top = (sign_variations(chain, x) for x in (c_min, c_max, top))
+    # one Sturm chain counts the distinct roots in (c_min, c_max] and
+    # above c_min
+    chain = sturm_sequence(locus)
+    at_min, at_max, at_top = (sign_variations(chain, x) for x in (c_min, c_max, inf))
     if not at_min - at_max - (locus(c_max) == 0):
         raise NoDegeneracyError(f"no level collision inside ({c_min}, {c_max})")
     roots = real_roots(locus)

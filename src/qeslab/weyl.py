@@ -574,11 +574,6 @@ class RestrictedMatrix:
     def leakage_free(self) -> bool:
         return not self.leakage
 
-    def char_poly(self, var: str = "lam") -> ParamPoly:
-        if self.leakage:
-            raise ValueError("operator does not preserve the doublet")
-        return self.matrix.char_poly(var)
-
 
 def restrict(op: MatOp, module: ModuleSpec) -> RestrictedMatrix:
     """Matrix of `op` on the doublet basis, with out-of-space leakage."""

@@ -140,6 +140,8 @@ def test_sturm_counts_on_known_intervals():
     # half-open convention: root at the left endpoint is excluded
     assert sturm_count(t * t - 1, F(1), F(2)) == 0
     assert sturm_count(t * t - 1, F(0), F(1)) == 1
+    # a repeated root counts once
+    assert sturm_count((t - 1) ** 2 * (t + 2), F(-2), F(1)) == 1
 
 
 def test_sturm_against_companion_matrix_oracle():
@@ -169,8 +171,8 @@ def test_sturm_against_companion_matrix_oracle():
 
 def test_isolation_brackets_separate_roots():
     t = ParamPoly.gen("t")
-    p = (t - 1) * (t - 2) * (t + 5)
-    brackets = isolate_real_roots(square_free_part(p))
+    p = (t - 1) ** 2 * (t - 2) * (t + 5)  # a repeated root is isolated once
+    brackets = isolate_real_roots(p)
     assert len(brackets) == 3
     for lo, hi in brackets:
         assert sturm_count(p, lo, hi) == 1

@@ -21,7 +21,17 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qeslab.exactnum import ExactMatrix, ParamPoly, as_exact, poly_gcd, resultant
+from qeslab.exactnum import (
+    ExactMatrix,
+    ParamPoly,
+    as_exact,
+    poly_gcd,
+    resultant,
+    sign_variations,
+    square_free_part,
+    sturm_count,
+    sturm_sequence,
+)
 from qeslab.generators import fault_names, generator_set
 from qeslab.spectral import (
     HamiltonianSpec,
@@ -343,6 +353,56 @@ def test_gcd_divides_both_arguments(a, b):
     assume(a or b)
     g = poly_gcd(a, b)
     assert (a % g).is_zero and (b % g).is_zero
+
+
+T = ParamPoly.gen("t")
+nonzero_fractions = fractions.filter(bool)
+
+
+@st.composite
+def factored_pairs(draw):
+    """Two polynomials in t built from one pool of small rational linear
+    and quadratic factors, each raised to a power 0-3 (at least 1 in the
+    first), times a nonzero scale; then a bracket (lo, hi], each end
+    sometimes on a rational root."""
+    factors = draw(st.lists(
+        st.one_of(
+            fractions.map(lambda r: T - r),
+            st.tuples(fractions, fractions).map(lambda bc: T * T + bc[0] * T + bc[1]),
+        ),
+        min_size=1,
+        max_size=3,
+    ))
+    a = ParamPoly.one("t") * draw(nonzero_fractions)
+    b = ParamPoly.one("t") * draw(nonzero_fractions)
+    for f in factors:
+        a = a * f ** draw(st.integers(1, 3))
+        b = b * f ** draw(st.integers(0, 3))
+    roots = [-f.constant() for f in factors if f.degree == 1]
+    ends = st.one_of(fractions, st.sampled_from(roots)) if roots else fractions
+    lo, hi = sorted(draw(st.tuples(ends, ends)))
+    return a, b, lo, hi
+
+
+def _sympy_monic(expr):
+    return sympy.Poly(expr, sympy.Symbol("t"), domain="QQ").monic()
+
+
+@SMALL
+@given(factored_pairs())
+def test_remainder_sequence_matches_sympy(case):
+    a, b, lo, hi = case
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert _sympy_monic(to_sympy(poly_gcd(a, b))) == _sympy_monic(sympy.gcd(sa, sb))
+    square_free = _sympy_monic(sympy.sqf_part(sa))
+    assert _sympy_monic(to_sympy(square_free_part(a))) == square_free
+    roots = sympy.real_roots(square_free)
+    assert sturm_count(a, lo, hi) == sum(1 for r in roots if lo < r <= hi)
+    chain = sturm_sequence(a)
+    leads = [q.leading() > 0 for q in chain]
+    at_top = sign_variations(chain, math.inf)
+    assert at_top == sum(1 for u, v in zip(leads, leads[1:]) if u != v)
+    assert sign_variations(chain, hi) - at_top == sum(1 for r in roots if r > hi)
 
 
 # ----------------------------------------------------------------------

@@ -251,6 +251,10 @@ def test_node_count_mapping():
     assert y_node_count(x * (x - 4)) == 3  # origin contributes one zero
     assert y_node_count(x * x + 1) == 0
     assert y_node_count((x - F(1, 10**12)) * (x - 4)) == 3  # guarded origin
+    assert y_node_count((x - 1) ** 2 * (x - 4)) == 4  # repeated roots
+    assert y_node_count(x ** 2 * (x - 4)) == 3
+    # coefficients beyond the double range; the root is 10**400
+    assert y_node_count(ParamPoly("x", (-(10**400), 1))) == 2
     assert y_node_count(ParamPoly("x", (F(5),))) == 0
     with pytest.raises(ValueError):
         y_node_count(ParamPoly.zero("x"))

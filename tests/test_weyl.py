@@ -128,7 +128,7 @@ def test_restrict_diagonal_operator():
     )
     assert result.matrix == expected
     lam = ParamPoly.gen("lam")
-    cp = result.char_poly("lam")
+    cp = result.matrix.char_poly("lam")
     assert cp == lam * lam * (lam - 1) ** 2 * (lam - 2) * (lam - 3)
 
 
@@ -145,8 +145,6 @@ def test_leakage_is_certified_not_raised():
     assert (1, 0, 1, 1) in terms
     for t in result.leakage:
         assert t.coeff == 1
-    with pytest.raises(ValueError):
-        result.char_poly("lam")
 
 
 def test_restriction_is_multiplicative_for_invariant_operators():
