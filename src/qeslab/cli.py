@@ -94,10 +94,10 @@ def _coupling_header(payload: dict) -> str:
 # ----------------------------------------------------------------------
 
 # Largest n whose reflection certificates `verify` runs.  Their full
-# 2n x 2n symbolic Faddeev-LeVerrier reference takes 0.08 s at n = 6 but
-# 0.15 / 0.25 / 0.27-0.43 s at n = 7 / 8 / 9 (medians of 5, shared 2-vCPU
-# VM, Python 3.11.7), and lifting the cap would change the report count
-# of the default box (2679).
+# 2n x 2n characteristic polynomial over Q[k0] takes 0.025 s at n = 6 and
+# 0.048 / 0.085 / 0.157 s at n = 7 / 8 / 9 (medians of 5, shared 2-vCPU
+# VM, Python 3.11.7); the cap stays because lifting it would change the
+# report count of the default box (2679).
 REFLECTION_N_MAX = 6
 
 

@@ -4,17 +4,19 @@ Everything here is exact over the rationals.  Polynomials are dense
 coefficient tuples; coefficients are rationals or, for two-level towers
 (a characteristic polynomial in ``lam`` whose coefficients live in
 Q[k0], say), polynomials in another variable.  The characteristic
-polynomial uses the Faddeev-LeVerrier recursion, which divides by
-integers only and therefore stays inside any coefficient ring that is a
-Q-vector space.  Real roots are isolated with Sturm sequences (for an
-even p(x) = q(x^2), on q, at half the degree) and refined in doubles
-from a float Newton guess, by steps away from the guess and then
-bisection: float Horner decides a sign only when its running error
-bound, which covers the rounding of the coefficients too, excludes
-zero, and exact evaluation, Horner on integers, decides the rest.
-Refinement stops at adjacent doubles, and the exact sign at a decimal
-rounding boundary settles the last digit when they print differently,
-so every digit of '%.12g' of a root is certified.
+polynomial of a matrix over Q or Q[t] is computed over the integers:
+denominators cleared, integer determinants at sample points by
+fraction-free Bareiss, and interpolation from forward differences, in
+lam and then in t up to a certified degree bound.  Real roots are
+isolated with Sturm sequences (for an even p(x) = q(x^2), on q, at half
+the degree) and refined in doubles from a float Newton guess, by steps
+away from the guess and then bisection: float Horner decides a sign
+only when its running error bound, which covers the rounding of the
+coefficients too, excludes zero, and exact evaluation, Horner on
+integers, decides the rest.  Refinement stops at adjacent doubles, and
+the exact sign at a decimal rounding boundary settles the last digit
+when they print differently, so every digit of '%.12g' of a root is
+certified; a root beyond the double range raises ValueError.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class ParamPoly:
     immutable by convention; all arithmetic returns new objects.
     """
 
-    __slots__ = ("var", "coeffs", "_integer_form")
+    __slots__ = ("var", "coeffs", "_integer_form", "_sturm_chain")
 
     def __init__(self, var: str, coeffs=()):
         cs = list(map(as_exact, coeffs))
@@ -71,6 +73,20 @@ class ParamPoly:
         self.coeffs = tuple(cs)
         # (D, N) of _clear_denominators, built by the first exact evaluation
         self._integer_form = None
+        # the Sturm chain, kept by square_free_decomposition when it has
+        # run the remainder sequence of a square-free polynomial
+        self._sturm_chain = None
+
+    @classmethod
+    def _of(cls, var: str, coeffs: tuple) -> "ParamPoly":
+        """Unchecked constructor for a `coeffs` tuple already in normal
+        form: every coefficient as as_exact leaves it, the last nonzero."""
+        self = object.__new__(cls)
+        self.var = var
+        self.coeffs = coeffs
+        self._integer_form = None
+        self._sturm_chain = None
+        return self
 
     # ------------------------------------------------------------------
     @classmethod
@@ -126,7 +142,7 @@ class ParamPoly:
     __hash__ = None  # mutable-free but unhashable; never used as a key
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly(self.var, tuple(-c for c in self.coeffs))
+        return ParamPoly._of(self.var, tuple(-c for c in self.coeffs))
 
     def _add_coeffs(self, oc) -> "ParamPoly":
         a, b = self.coeffs, tuple(oc)
@@ -169,7 +185,11 @@ class ParamPoly:
     def _scale(self, scalar) -> "ParamPoly":
         if not scalar:
             return ParamPoly.zero(self.var)
-        return ParamPoly(self.var, tuple(c * scalar for c in self.coeffs))
+        # a nonzero exact scalar times a nonzero coefficient is nonzero,
+        # and not a constant polynomial when either factor is not constant
+        return ParamPoly._of(
+            self.var, tuple(c * scalar if c else c for c in self.coeffs)
+        )
 
     def _mul_coeffs(self, oc) -> "ParamPoly":
         a, b = self.coeffs, tuple(oc)
@@ -250,7 +270,7 @@ class ParamPoly:
         return as_exact(out)
 
     def derivative(self) -> "ParamPoly":
-        return ParamPoly(
+        return ParamPoly._of(
             self.var, tuple(i * c for i, c in enumerate(self.coeffs))[1:]
         )
 
@@ -389,9 +409,13 @@ def square_free_decomposition(p: ParamPoly):
     if p.degree <= 0:
         return []
     dp = p.derivative()
-    g = poly_gcd(p, dp)
-    if g.degree <= 0:
+    chain = _remainders(p, dp)
+    if chain[-1].degree <= 0:
+        # p is square-free, and this is its Sturm chain: keep it for
+        # sturm_sequence instead of running the same sequence again
+        p._sturm_chain = chain
         return [(p, 1)]
+    g = chain[-1].monic()
     w = p // g
     y = dp // g
     z = y - w.derivative()
@@ -415,7 +439,10 @@ def square_free_decomposition(p: ParamPoly):
 def sturm_sequence(p: ParamPoly):
     """Sturm chain of any nonzero p: the remainder sequence of (p, p'),
     rerun on p / (last member) when that is not constant (p then has a
-    repeated root), so it is the chain of p's square-free part."""
+    repeated root), so it is the chain of p's square-free part.  A chain
+    that square_free_decomposition has kept is returned as it is."""
+    if p._sturm_chain is not None:
+        return p._sturm_chain
     while True:
         d = p.derivative()
         if d.is_zero:
@@ -522,6 +549,8 @@ EXACT_DENOMINATOR = 10**9
 _UNIT_ROUNDOFF = 2.0**-53
 _MIN_NORMAL = sys.float_info.min
 _MIN_SUBNORMAL = 5e-324
+_MAX_DOUBLE = Fraction(sys.float_info.max)
+_BEYOND_DOUBLES = "a real root lies beyond the double range (|root| > 1.8e308)"
 
 
 def _digits(x: float) -> str:
@@ -561,7 +590,10 @@ def _round_between(a: float, b: float, side) -> float:
 
 def _exact_value(r: Fraction) -> float:
     """A double that prints the rational r correctly rounded (float(r)
-    itself can sit across a rounding boundary from r)."""
+    itself can sit across a rounding boundary from r); ValueError when
+    r lies beyond the double range."""
+    if abs(r) > _MAX_DOUBLE:
+        raise ValueError(_BEYOND_DOUBLES)
     a, b = _outward(r, r)
     if _digits(a) == _digits(b):
         return float(r)
@@ -667,7 +699,22 @@ def _refine(p: ParamPoly, lo, hi, sign_lo: int):
     root's correctly rounded value.  A root that a tested double hits,
     or that is the rational of denominator at most EXACT_DENOMINATOR
     nearest the value, checked to lie in the final bracket and to be a
-    root, is returned exactly."""
+    root, is returned exactly.
+
+    Ends beyond the double range are first moved exactly to -+ the
+    largest double, by the sign of p there; a root beyond the double
+    range raises ValueError."""
+    for end in (-_MAX_DOUBLE, _MAX_DOUBLE):
+        if lo < end < hi:
+            s = _sign(p(end))
+            if not s:
+                return _exact_value(end), end
+            if s == sign_lo:
+                lo = end
+            else:
+                hi = end
+    if lo < -_MAX_DOUBLE or hi > _MAX_DOUBLE:
+        raise ValueError(_BEYOND_DOUBLES)
     coeffs = _float_coeffs(p)
     guess = _newton_guess(coeffs, lo, hi, sign_lo) if coeffs else None
     if guess is not None and lo < guess < hi:
@@ -832,6 +879,144 @@ def exact_div(a, b):
     return as_exact(q)
 
 
+def _integer_entries(entries):
+    """(t, L, rows) for a matrix over Q or Q[t]: L the least common
+    denominator of every rational coefficient of the entries, and rows
+    the entries times L as ascending tuples of int coefficients in t (a
+    rational entry has at most one).  t is the one variable of the
+    polynomial entries, None when there are none; entries in two
+    variables or with non-rational coefficients raise TypeError."""
+    t = None
+    dens = {1}
+    for row in entries:
+        for e in row:
+            if type(e) is Fraction:
+                dens.add(e.denominator)
+                continue
+            if t is None:
+                t = e.var
+            if e.var != t or not all(type(c) is Fraction for c in e.coeffs):
+                raise TypeError("char_poly needs entries in Q or in Q[t] for one variable t")
+            dens.update(c.denominator for c in e.coeffs)
+    den = math.lcm(*dens)
+    rows = [
+        [
+            ((e.numerator * (den // e.denominator),) if e else ())
+            if type(e) is Fraction
+            else tuple(c.numerator * (den // c.denominator) for c in e.coeffs)
+            for e in row
+        ]
+        for row in entries
+    ]
+    return t, den, rows
+
+
+def _int_horner(coeffs, x: int) -> int:
+    """The int polynomial with ascending `coeffs` at the int x."""
+    y = 0
+    for c in reversed(coeffs):
+        y = y * x + c
+    return y
+
+
+def _int_det(rows) -> int:
+    """Determinant of a square int matrix (a list of row lists, consumed)
+    by fraction-free Bareiss elimination with row pivoting: each step
+    eliminates the first column of the trailing block, and every
+    division by the previous pivot is exact."""
+    sign, prev = 1, 1
+    while len(rows) > 1:
+        pivot = next((i for i, row in enumerate(rows) if row[0]), None)
+        if pivot is None:
+            return 0
+        if pivot:
+            rows[0], rows[pivot] = rows[pivot], rows[0]
+            sign = -sign
+        top = rows[0]
+        p, rest = top[0], top[1:]
+        rows = [
+            [(a * p - row[0] * b) // prev for a, b in zip(row[1:], rest)]
+            if row[0]
+            else [a * p // prev for a in row[1:]]
+            for row in rows[1:]
+        ]
+        prev = p
+    return sign * rows[0][0]
+
+
+def _degree_bound(degrees) -> int:
+    """max over permutations s of sum_i degrees[i][s(i)], where a
+    negative degree marks a zero entry that no s may use and the
+    diagonal has none: the largest weight of a perfect matching, by the
+    Hungarian algorithm with potentials on the costs -degree.  It bounds
+    the degree of the determinant of a matrix whose entries have at
+    most these degrees, since it bounds every term of its expansion."""
+    n = len(degrees)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    match = [0] * (n + 1)  # match[j]: the row, from 1, matched to column j
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
+        while match[j0]:
+            used[j0] = True
+            i0 = match[j0]
+            row = degrees[i0 - 1]
+            delta, j1 = math.inf, 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                if row[j - 1] >= 0:
+                    cur = -row[j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                if minv[j] < delta:
+                    delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    return v[0]
+
+
+def _interpolate(values):
+    """Ascending coefficients, len(values) of them, of the polynomial
+    with integer coefficients and degree below len(values) that takes
+    `values` at 0, 1, 2, ...: from Newton's forward differences,
+    P(x) = sum_k (Delta^k P(0) / k!) x (x-1) ... (x-k+1), where k!
+    divides Delta^k P(0) for integer coefficients (ArithmeticError
+    otherwise), expanded to powers of x by Horner's rule."""
+    newton = []
+    diffs = list(values)
+    fact = 1
+    for k in range(len(values)):
+        fact *= k or 1
+        q, r = divmod(diffs[0], fact)
+        if r:
+            raise ArithmeticError("interpolated values of a non-integer polynomial")
+        newton.append(q)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs = []
+    for k in range(len(newton) - 1, -1, -1):
+        # coeffs <- coeffs * (x - k) + newton[k]
+        shifted = [0, *coeffs]
+        for i, c in enumerate(coeffs):
+            shifted[i] -= k * c
+        shifted[0] += newton[k]
+        coeffs = shifted
+    return coeffs
+
+
 class ExactMatrix:
     """Matrix over Fraction / ParamPoly entries.
 
@@ -956,9 +1141,12 @@ class ExactMatrix:
 
     # ------------------------------------------------------------------
     def faddeev_leverrier(self):
-        """(coeffs, terms): the ascending coefficients of det(t*I - self)
-        and the matrices N_0 .. N_{n-1} with
-        adj(t*I - self) = sum_k t^(n-1-k) N_k."""
+        """(coeffs, terms) of the Faddeev-LeVerrier recursion: the
+        ascending coefficients of det(t*I - self), which the recursion
+        needs, and the matrices N_0 .. N_{n-1} with
+        adj(t*I - self) = sum_k t^(n-1-k) N_k, which ``eigenvectors``
+        reads.  No characteristic polynomial comes from here any more:
+        ``char_poly`` is the one path for it."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of a non-square matrix")
         n = self.rows
@@ -974,8 +1162,53 @@ class ExactMatrix:
         return coeffs, terms
 
     def char_poly(self, var: str = "lam") -> ParamPoly:
-        """det(var*I - self) by the Faddeev-LeVerrier recursion."""
-        return ParamPoly(var, self.faddeev_leverrier()[0])
+        """det(var*I - self), for entries in Q or in Q[t] with t one
+        scalar variable (SCALAR_VARS), by exact evaluation and
+        interpolation over the integers.
+
+        With L the least common denominator of every rational
+        coefficient of the entries, P(x) = det(x*I - L*self) has integer
+        coefficients and det(var*I - self) = sum_k P_k var^k / L^(n-k).
+        P is monic, so it is rebuilt from the forward differences of
+        P(x) - x^n at x = 0..n-1, each an integer determinant by
+        fraction-free Bareiss.  For entries in Q[t] this runs at
+        t = 0..D, and each P_k is interpolated in t the same way.  D is
+        certified, not observed: the largest sum of entry t-degrees
+        along a permutation (_degree_bound, the diagonal counting at
+        least 0) bounds every term of the expansion of det, and it never
+        exceeds the sums of the largest t-degree of each row or of each
+        column.  Any other entry ring (two variables, nested
+        polynomials) raises TypeError."""
+        if self.rows != self.cols:
+            raise ValueError("characteristic polynomial of a non-square matrix")
+        n = self.rows
+        t, den, ints = _integer_entries(self.entries)
+        if t is not None and not nests_inside(t, var):
+            raise TypeError(f"char_poly in {var!r} of entries in Q[{t}]")
+        bound = 0
+        if t is not None:
+            degrees = [[len(e) - 1 for e in row] for row in ints]
+            for i in range(n):
+                degrees[i][i] = max(degrees[i][i], 0)
+            bound = _degree_bound(degrees)
+        samples = []
+        for point in range(bound + 1):
+            neg = [[-_int_horner(e, point) for e in row] for row in ints]
+            values = []
+            for x in range(n):  # P is monic, so P - x^n takes n values
+                shifted = [list(row) for row in neg]
+                for i in range(n):
+                    shifted[i][i] += x
+                values.append(_int_det(shifted) - x**n)
+            samples.append([*_interpolate(values), 1])
+        coeffs = []
+        for k, in_t in enumerate(zip(*samples)):
+            scale = den ** (n - k)
+            if t is None:
+                coeffs.append(Fraction(in_t[0], scale))
+            else:
+                coeffs.append(ParamPoly(t, [Fraction(c, scale) for c in _interpolate(in_t)]))
+        return ParamPoly(var, coeffs)
 
     def det(self):
         """Bareiss fraction-free elimination (exact in an integral domain)."""

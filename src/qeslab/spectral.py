@@ -515,9 +515,10 @@ def reflection_check(n: int):
     """Certify S M S = -M for the restricted matrix, symbolic in k0,
     where S carries (-1)^degree on monomials and opposite block signs:
     the parity split leaves no stray same-parity entry, which is the
-    residual otherwise.  Corollary, checked independently on the full
-    2n x 2n Faddeev-LeVerrier polynomial: its odd part in lam is the zero
-    polynomial over Q[k0].
+    residual otherwise.  Corollary, checked independently on the
+    characteristic polynomial of the full 2n x 2n matrix (not on the
+    block product BC; ExactMatrix.char_poly over Q[k0]): its odd part in
+    lam is the zero polynomial over Q[k0].
     """
     spec = HamiltonianSpec(n, ParamPoly.gen(K0_VAR))
     matrix = restrict(build_hamiltonian_gauged(spec), spec.module).matrix

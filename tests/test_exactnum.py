@@ -350,6 +350,100 @@ def test_char_poly_known_companion():
     assert m.char_poly("lam") == t**3 - 2 * t + 5
 
 
+def test_char_poly_pivots_where_the_shifted_matrix_is_singular():
+    lam = ParamPoly.gen("lam")
+    # integer eigenvalues 0..3 (and, halved, 0..3/2 with L = 2): x*I - L*A
+    # is singular at every sample point x = 0..3
+    unimodular = ExactMatrix([[3, -1, 1, -1], [-5, 7, 2, 1], [-2, 7, -1, 2], [0, 3, -1, 1]])
+    inverse = ExactMatrix(
+        [[1, -2, 6, -9], [-1, 3, -9, 14], [3, -7, 22, -34], [6, -16, 49, -75]]
+    )
+    assert (unimodular * inverse) == ExactMatrix.identity(4)
+    diagonal = ExactMatrix([[k if i == k else 0 for k in range(4)] for i in range(4)])
+    a = unimodular * diagonal * inverse
+    assert a.char_poly("lam") == lam * (lam - 1) * (lam - 2) * (lam - 3)
+    half = a * F(1, 2)
+    assert half.char_poly("lam") == lam * (lam - F(1, 2)) * (lam - 1) * (lam - F(3, 2))
+    # zero leading principal minors: the first pivot is zero at x = 0
+    assert ExactMatrix([[0, 1], [1, 0]]).char_poly("lam") == lam * lam - 1
+    cyclic = ExactMatrix([[0, 2, 0], [0, 0, 3], [5, 0, 0]])
+    assert cyclic.char_poly("lam") == lam**3 - 30
+    c = ParamPoly.gen("c")
+    assert ExactMatrix([[0, c], [c, 0]]).char_poly("lam") == lam * lam - c * c
+    # the 1 x 1 matrix and the zero matrix
+    assert ExactMatrix([[F(3, 4)]]).char_poly("lam") == lam - F(3, 4)
+    assert ExactMatrix([[c * c - 1]]).char_poly("lam") == lam - c * c + 1
+    assert ExactMatrix.zeros(3, 3).char_poly("lam") == lam**3
+
+
+def test_char_poly_rejects_other_entry_rings():
+    c, k0, x = ParamPoly.gen("c"), ParamPoly.gen("k0"), ParamPoly.gen("x")
+    cases = [
+        (ExactMatrix([[c, 0], [0, k0]]), "lam"),  # two variables
+        (ExactMatrix([[ParamPoly("lam", [c, 1]), 0], [0, 1]]), "lam"),  # a tower
+        (ExactMatrix([[x, 1], [0, 1]]), "lam"),  # not a scalar variable
+        (ExactMatrix([[c, 1], [0, 1]]), "c"),  # the entries' own variable
+    ]
+    for matrix, var in cases:
+        with pytest.raises(TypeError):
+            matrix.char_poly(var)
+
+
+def test_real_roots_runs_one_remainder_sequence_per_square_free_q(monkeypatch):
+    calls = []
+    remainders = exactnum_mod._remainders
+
+    def counted(a, b):
+        calls.append(a)
+        return remainders(a, b)
+
+    monkeypatch.setattr(exactnum_mod, "_remainders", counted)
+    t = ParamPoly.gen("t")
+    polys = [
+        *_sweep_char_polys(3, F(1, 8), F(81, 8), 5),  # even, on q
+        (t - F(7, 3)) * (t + 4) * (t * t * t - 2),  # no parity
+        3 * t - 1,  # linear
+    ]
+    for p in polys:
+        calls.clear()
+        roots = real_roots(p)
+        assert roots and len(calls) == 1, p
+    # a repeated factor needs its own sequences
+    calls.clear()
+    assert [r.multiplicity for r in real_roots((t - 1) ** 2 * (t + 2))] == [1, 2]
+    assert len(calls) > 1
+
+
+def test_real_roots_narrow_brackets_into_the_double_range():
+    # the bracket from the root bound ends near 1e400; the root does not
+    p = ParamPoly("x", (-(10**400), 0, 0, 1))
+    [root] = real_roots(p)
+    assert root.multiplicity == 1 and root.exact is None
+    below = math.nextafter(root.value, 0)
+    above = math.nextafter(root.value, math.inf)
+    assert p(F(below)) < 0 < p(F(above))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        want = Decimal(10) ** 133 * Decimal(10) ** (Decimal(1) / 3)
+    assert _printed(root.value) == _correctly_rounded(want)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (-(10**1000), 0, 0, 1),  # bisected: 10^(1000/3)
+        (10**1000, 0, 0, 1),  # negative
+        (-(10**400), 1),  # linear: exact 10^400
+        (-(10**700), 0, 1),  # even, q linear: exact 10^350
+        (-(10**701), 0, 1),  # even, bisected
+        (-2, 0, 0, 0, 0, 0, 1, 0, F(-1, 10**700)),  # one root small, one huge
+    ],
+)
+def test_real_roots_beyond_the_double_range_raise_value_error(coeffs):
+    with pytest.raises(ValueError, match="beyond the double range"):
+        real_roots(ParamPoly("x", coeffs))
+
+
 def dense_product(left, right):
     """Reference product: every scalar product, summed in column order."""
     return [

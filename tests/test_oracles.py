@@ -9,6 +9,7 @@ recomputes the roots of q(mu) to 40 digits, against which every printed
 level must be correctly rounded.
 """
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from qeslab.exactnum import (
     ExactMatrix,
     ParamPoly,
+    _degree_bound,
     as_exact,
     poly_gcd,
     resultant,
@@ -73,12 +75,15 @@ def test_collision_resultant_matches_sympy(n):
     assert sympy.expand(got - want) == 0
 
 
+def _sympy_char_poly(matrix: ExactMatrix):
+    rows = [[to_sympy(e) for e in row] for row in matrix.entries]
+    return sympy.Matrix(rows).charpoly(sympy.Symbol("lam")).as_expr()
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_restricted_char_poly_matches_sympy(n):
     matrix = restricted_hamiltonian(HamiltonianSpec.from_c(n, F(17, 8))).matrix
-    lam = sympy.Symbol("lam")
-    rows = [[to_sympy(e) for e in row] for row in matrix.entries]
-    want = sympy.Matrix(rows).charpoly(lam).as_expr()
+    want = _sympy_char_poly(matrix)
     assert sympy.expand(to_sympy(matrix.char_poly("lam")) - want) == 0
 
 
@@ -337,6 +342,84 @@ def test_generic_horner_for_q_c_coefficients_and_float_arguments(case):
     # a constant polynomial returns its coefficient, also at a float
     want = p.constant() if p.degree <= 0 else _zero_seeded_horner(p, value)
     assert p(value) == as_exact(want)
+
+
+# ----------------------------------------------------------------------
+# hypothesis and sympy: the characteristic polynomial
+# ----------------------------------------------------------------------
+
+def _square_lists(entries, max_size: int):
+    return st.integers(1, max_size).flatmap(
+        lambda size: st.lists(
+            st.lists(entries, min_size=size, max_size=size),
+            min_size=size,
+            max_size=size,
+        )
+    )
+
+
+# over Q, sizes 1-5; over Q[t] for t = c or k0, sizes 1-4 and entry
+# degrees 0-3; zero entries are frequent in both
+rational_matrices = _square_lists(st.one_of(st.just(0), fractions), 5).map(ExactMatrix)
+param_matrices = st.sampled_from(["c", "k0"]).flatmap(
+    lambda t: _square_lists(
+        st.one_of(
+            st.just(0),
+            st.lists(fractions, min_size=1, max_size=4).map(lambda cs: ParamPoly(t, cs)),
+        ),
+        4,
+    )
+).map(ExactMatrix)
+
+
+@SMALL
+@example(ExactMatrix([[0, 1], [1, 0]]))
+@given(rational_matrices)
+def test_char_poly_over_q_matches_sympy(matrix):
+    got = matrix.char_poly("lam")
+    assert sympy.expand(to_sympy(got) - _sympy_char_poly(matrix)) == 0
+
+
+@SMALL
+@given(param_matrices)
+def test_char_poly_over_q_t_matches_sympy(matrix):
+    got = matrix.char_poly("lam")
+    assert sympy.expand(to_sympy(got) - _sympy_char_poly(matrix)) == 0
+
+
+@SMALL
+@given(_square_lists(st.integers(-1, 4), 6))
+def test_degree_bound_is_the_heaviest_permutation(degrees):
+    n = len(degrees)
+    for i in range(n):
+        degrees[i][i] = max(degrees[i][i], 0)
+    want = max(
+        sum(row[j] for row, j in zip(degrees, perm))
+        for perm in itertools.permutations(range(n))
+        if all(row[j] >= 0 for row, j in zip(degrees, perm))
+    )
+    assert _degree_bound(degrees) == want
+
+
+# polynomials in lam over Q[c], interior zero coefficients included
+lam_over_c_polys = st.lists(st.one_of(fractions, c_polys), max_size=4).map(
+    lambda cs: ParamPoly("lam", cs)
+)
+
+
+@SMALL
+@given(st.one_of(t_polys, lam_over_c_polys), st.one_of(fractions.filter(bool), c_polys))
+def test_unchecked_results_equal_checked_construction(p, scalar):
+    results = [
+        (-p, [-c for c in p.coeffs]),
+        (p._scale(scalar), [c * scalar for c in p.coeffs]),
+        (p.derivative(), [k * c for k, c in enumerate(p.coeffs)][1:]),
+    ]
+    for got, coeffs in results:
+        want = ParamPoly(p.var, coeffs)
+        # repr pins the type and the variable of every coefficient
+        assert repr(got) == repr(want)
+        assert got.coeffs == want.coeffs
 
 
 @SMALL

@@ -411,15 +411,38 @@ def test_float_filter_agrees_with_exact_evaluation(monkeypatch, n, c_min, c_max,
     assert exact == filtered
 
 
+def _assert_is_char_poly(poly: ParamPoly, matrix: ExactMatrix):
+    """poly(lam) = det(lam*I - matrix), a rational matrix, at 2n + 1 values
+    of lam by Bareiss elimination: enough to fix the monic polynomial
+    of degree 2n."""
+    assert poly.degree == matrix.rows and poly.leading() == 1
+    for lam in range(-matrix.rows, matrix.rows + 1):
+        assert poly(F(lam)) == (-matrix).scaled_identity_added(F(lam)).det()
+
+
+def _at(value, k0):
+    """A rational or a polynomial in k0, at k0."""
+    return value(k0) if isinstance(value, ParamPoly) else value
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_block_char_poly_matches_full_product(n):
-    # reference: Faddeev-LeVerrier on the full 2n x 2n matrix
+    # q(lam^2) from the n x n block product BC is the char poly of the
+    # full 2n x 2n matrix M; the reference is the Bareiss determinant of
+    # lam*I - M at sample points, which shares no code with char_poly
     symbolic = restricted_hamiltonian(HamiltonianSpec(n, ParamPoly.gen("k0")))
-    assert symbolic_char_poly(n, "k0") == symbolic.matrix.char_poly("lam")
-    for c in (F(1, 8), F(17, 8), F(-7, 3)):
+    cp = symbolic_char_poly(n, "k0")
+    assert cp == symbolic.matrix.char_poly("lam")
+    k0 = F(-3, 7)
+    _assert_is_char_poly(
+        ParamPoly("lam", [_at(a, k0) for a in cp.coeffs]),
+        symbolic.matrix.map_entries(lambda e: _at(e, k0)),
+    )
+    for c in (F(17, 8), F(-7, 3)):
         spec = HamiltonianSpec.from_c(n, c)
-        full = restricted_hamiltonian(spec).matrix.char_poly("lam")
-        assert algebraic_spectrum(spec).char_poly == full
+        _assert_is_char_poly(
+            algebraic_spectrum(spec).char_poly, restricted_hamiltonian(spec).matrix
+        )
 
 
 def test_same_parity_entry_raises_spectral_error(monkeypatch):
