@@ -63,7 +63,7 @@ class ParamPoly:
     immutable by convention; all arithmetic returns new objects.
     """
 
-    __slots__ = ("var", "coeffs", "_integer_form", "_sturm_chain")
+    __slots__ = ("var", "coeffs", "_integer_form")
 
     def __init__(self, var: str, coeffs=()):
         cs = list(map(as_exact, coeffs))
@@ -73,9 +73,6 @@ class ParamPoly:
         self.coeffs = tuple(cs)
         # (D, N) of _clear_denominators, built by the first exact evaluation
         self._integer_form = None
-        # the Sturm chain, kept by square_free_decomposition when it has
-        # run the remainder sequence of a square-free polynomial
-        self._sturm_chain = None
 
     @classmethod
     def _of(cls, var: str, coeffs: tuple) -> "ParamPoly":
@@ -85,7 +82,6 @@ class ParamPoly:
         self.var = var
         self.coeffs = coeffs
         self._integer_form = None
-        self._sturm_chain = None
         return self
 
     # ------------------------------------------------------------------
@@ -402,7 +398,11 @@ def square_free_part(p: ParamPoly) -> ParamPoly:
 
 
 def square_free_decomposition(p: ParamPoly):
-    """Yun's algorithm: list of (monic square-free factor, multiplicity)."""
+    """Yun's algorithm: list of (monic square-free factor, multiplicity,
+    chain).  When p is square-free, the remainder sequence of (p, p')
+    that Yun's first gcd runs is the Sturm chain of p, and it comes back
+    as (p, 1, chain) so that real_roots does not run it again; every
+    other item carries None."""
     if p.is_zero:
         raise ValueError("square-free decomposition of the zero polynomial")
     p = p.monic()
@@ -411,10 +411,7 @@ def square_free_decomposition(p: ParamPoly):
     dp = p.derivative()
     chain = _remainders(p, dp)
     if chain[-1].degree <= 0:
-        # p is square-free, and this is its Sturm chain: keep it for
-        # sturm_sequence instead of running the same sequence again
-        p._sturm_chain = chain
-        return [(p, 1)]
+        return [(p, 1, chain)]
     g = chain[-1].monic()
     w = p // g
     y = dp // g
@@ -424,7 +421,7 @@ def square_free_decomposition(p: ParamPoly):
     while w.degree > 0:
         gi = poly_gcd(w, z)
         if gi.degree > 0:
-            out.append((gi, mult))
+            out.append((gi, mult, None))
         w = w // gi
         y = z // gi
         z = y - w.derivative()
@@ -439,10 +436,7 @@ def square_free_decomposition(p: ParamPoly):
 def sturm_sequence(p: ParamPoly):
     """Sturm chain of any nonzero p: the remainder sequence of (p, p'),
     rerun on p / (last member) when that is not constant (p then has a
-    repeated root), so it is the chain of p's square-free part.  A chain
-    that square_free_decomposition has kept is returned as it is."""
-    if p._sturm_chain is not None:
-        return p._sturm_chain
+    repeated root), so it is the chain of p's square-free part."""
     while True:
         d = p.derivative()
         if d.is_zero:
@@ -806,7 +800,7 @@ def _even_real_roots(p: ParamPoly):
     for x in (0, L], L^2 above the factor's root bound."""
     q = ParamPoly(p.var, p.coeffs[::2])
     roots = []
-    for factor, mult in square_free_decomposition(q):
+    for factor, mult, chain in square_free_decomposition(q):
         if not factor.constant():
             roots.append(Root(0.0, 2 * mult, Fraction(0)))
         sqrt = None
@@ -817,7 +811,7 @@ def _even_real_roots(p: ParamPoly):
         else:
             lifted = even_poly(factor, p.var)
             top = Fraction(math.isqrt(math.ceil(cauchy_bound(factor))) + 1)
-            chain = sturm_sequence(factor)
+            chain = chain or sturm_sequence(factor)
             brackets = _isolate(chain, Fraction(0), top, lambda x: x * x)
             found = [_bracket_root(lifted, lo, hi) for lo, hi in brackets]
         for value, exact in found:
@@ -831,6 +825,7 @@ def real_roots(p: ParamPoly):
     """All real roots of p, sorted, with multiplicities.
 
     Yun's square-free decomposition, then one Sturm chain per factor
+    (for a square-free p, the remainder sequence of Yun's first gcd)
     isolates the roots exactly; an even p = q(x^2) is isolated on q, at
     half the degree.  Each bracket is narrowed around a float Newton
     guess and then bisected in doubles, down to adjacent doubles; every
@@ -849,12 +844,14 @@ def real_roots(p: ParamPoly):
     if p.degree > 0 and not any(p.coeffs[1::2]):
         return _even_real_roots(p)
     roots = []
-    for factor, mult in square_free_decomposition(p):
+    for factor, mult, chain in square_free_decomposition(p):
         if factor.degree == 1:
             exact = -factor.coeff(0) / factor.coeff(1)
             roots.append(Root(_exact_value(exact), mult, exact))
             continue
-        for lo, hi in isolate_real_roots(factor):
+        bound = cauchy_bound(factor)
+        chain = chain or sturm_sequence(factor)
+        for lo, hi in _isolate(chain, -bound, bound, lambda x: x):
             value, exact = _bracket_root(factor, lo, hi)
             roots.append(Root(value, mult, exact))
     roots.sort(key=lambda r: r.value)

@@ -24,6 +24,7 @@ from qeslab.exactnum import (
     square_free_decomposition,
     square_free_part,
     sturm_count,
+    sturm_sequence,
 )
 from qeslab.spectral import _symbolic_mu_poly
 
@@ -122,13 +123,16 @@ def test_square_free_decomposition_rebuilds():
     p = (t - 1) ** 3 * (t + 2) ** 2 * (t - F(1, 2))
     parts = square_free_decomposition(p)
     rebuilt = ParamPoly.one("t")
-    for factor, mult in parts:
+    for factor, mult, chain in parts:
         rebuilt = rebuilt * factor**mult
+        assert chain is None
     assert rebuilt == p.monic()
-    mults = sorted(m for _, m in parts)
+    mults = sorted(m for _, m, _ in parts)
     assert mults == [1, 2, 3]
     sf = square_free_part(p)
     assert sf == ((t - 1) * (t + 2) * (t - F(1, 2))).monic()
+    # a square-free input comes back whole, with its Sturm chain
+    assert square_free_decomposition(3 * sf) == [(sf, 1, sturm_sequence(sf))]
 
 
 def test_sturm_counts_on_known_intervals():

@@ -438,7 +438,7 @@ def test_block_char_poly_matches_full_product(n):
         ParamPoly("lam", [_at(a, k0) for a in cp.coeffs]),
         symbolic.matrix.map_entries(lambda e: _at(e, k0)),
     )
-    for c in (F(17, 8), F(-7, 3)):
+    for c in (F(1, 8), F(17, 8), F(-7, 3)):
         spec = HamiltonianSpec.from_c(n, c)
         _assert_is_char_poly(
             algebraic_spectrum(spec).char_poly, restricted_hamiltonian(spec).matrix
