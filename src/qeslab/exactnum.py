@@ -3,11 +3,12 @@
 Everything here is exact over the rationals.  Polynomials are dense
 coefficient tuples; coefficients are rationals or, for two-level towers
 (a characteristic polynomial in ``lam`` whose coefficients live in
-Q[k0], say), polynomials in another variable.  The characteristic
-polynomial of a matrix over Q or Q[t] is computed over the integers:
-denominators cleared, integer determinants at sample points by
-fraction-free Bareiss, and interpolation from forward differences, in
-lam and then in t up to a certified degree bound.  Real roots are
+Q[k0], say), polynomials in another variable.  Determinants,
+resultants and characteristic polynomials of matrices over Q or Q[t]
+share one path over the integers: denominators cleared, integer
+determinants at sample points by fraction-free Bareiss, and
+interpolation from forward differences, in lam for a characteristic
+polynomial and in t up to a certified degree bound.  Real roots are
 isolated with Sturm sequences (for an even p(x) = q(x^2), on q, at half
 the degree) and refined in doubles from a float Newton guess, by steps
 away from the guess and then bisection: float Horner decides a sign
@@ -862,20 +863,6 @@ def real_roots(p: ParamPoly):
 # exact matrices
 # ----------------------------------------------------------------------
 
-def exact_div(a, b):
-    """Exact division in the coefficient ring (used by Bareiss)."""
-    if isinstance(b, Fraction):
-        return a * (Fraction(1) / b)
-    if isinstance(a, Fraction):
-        if not a:
-            return Fraction(0)
-        raise ZeroDivisionError("inexact division of a constant by a polynomial")
-    q, r = divmod(a, b)
-    if not r.is_zero:
-        raise ZeroDivisionError("inexact polynomial division")
-    return as_exact(q)
-
-
 def _integer_entries(entries):
     """(t, L, rows) for a matrix over Q or Q[t]: L the least common
     denominator of every rational coefficient of the entries, and rows
@@ -893,7 +880,7 @@ def _integer_entries(entries):
             if t is None:
                 t = e.var
             if e.var != t or not all(type(c) is Fraction for c in e.coeffs):
-                raise TypeError("char_poly needs entries in Q or in Q[t] for one variable t")
+                raise TypeError("determinants need entries in Q or in Q[t] for one variable t")
             dens.update(c.denominator for c in e.coeffs)
     den = math.lcm(*dens)
     rows = [
@@ -941,10 +928,10 @@ def _int_det(rows) -> int:
     return sign * rows[0][0]
 
 
-def _degree_bound(degrees) -> int:
+def _degree_bound(degrees):
     """max over permutations s of sum_i degrees[i][s(i)], where a
-    negative degree marks a zero entry that no s may use and the
-    diagonal has none: the largest weight of a perfect matching, by the
+    negative degree marks a zero entry that no s may use, or None when
+    every s meets one: the largest weight of a perfect matching, by the
     Hungarian algorithm with potentials on the costs -degree.  It bounds
     the degree of the determinant of a matrix whose entries have at
     most these degrees, since it bounds every term of its expansion."""
@@ -972,6 +959,8 @@ def _degree_bound(degrees) -> int:
                         minv[j], way[j] = cur, j0
                 if minv[j] < delta:
                     delta, j1 = minv[j], j
+            if delta == math.inf:  # no augmenting path, no perfect matching
+                return None
             for j in range(n + 1):
                 if used[j]:
                     u[match[j]] += delta
@@ -1012,6 +1001,25 @@ def _interpolate(values):
         shifted[0] += newton[k]
         coeffs = shifted
     return coeffs
+
+
+def _sampled_in_t(t, ints, bound, scales, compute):
+    """[r_0 / scales[0], r_1 / scales[1], ...], with r_k the polynomial
+    in t of degree at most `bound` whose value at each t = 0..bound is
+    item k of compute(rows), rows the int matrix `ints` (ascending int
+    coefficients in t, _integer_entries) at that t; compute may consume
+    rows.  Each item is a Fraction when t is None (bound 0), else a
+    ParamPoly in t.  `bound` must bound the t-degree of every item."""
+    samples = [
+        compute([[_int_horner(e, point) for e in row] for row in ints])
+        for point in range(bound + 1)
+    ]
+    if t is None:
+        return [Fraction(v, scale) for scale, v in zip(scales, samples[0])]
+    return [
+        ParamPoly(t, [Fraction(c, scale) for c in _interpolate(in_t)])
+        for scale, in_t in zip(scales, zip(*samples))
+    ]
 
 
 class ExactMatrix:
@@ -1161,21 +1169,17 @@ class ExactMatrix:
     def char_poly(self, var: str = "lam") -> ParamPoly:
         """det(var*I - self), for entries in Q or in Q[t] with t one
         scalar variable (SCALAR_VARS), by exact evaluation and
-        interpolation over the integers.
+        interpolation over the integers (_sampled_in_t).
 
         With L the least common denominator of every rational
         coefficient of the entries, P(x) = det(x*I - L*self) has integer
         coefficients and det(var*I - self) = sum_k P_k var^k / L^(n-k).
-        P is monic, so it is rebuilt from the forward differences of
-        P(x) - x^n at x = 0..n-1, each an integer determinant by
-        fraction-free Bareiss.  For entries in Q[t] this runs at
-        t = 0..D, and each P_k is interpolated in t the same way.  D is
-        certified, not observed: the largest sum of entry t-degrees
-        along a permutation (_degree_bound, the diagonal counting at
-        least 0) bounds every term of the expansion of det, and it never
-        exceeds the sums of the largest t-degree of each row or of each
-        column.  Any other entry ring (two variables, nested
-        polynomials) raises TypeError."""
+        P is monic, so at each t point it is rebuilt from the forward
+        differences of P(x) - x^n at x = 0..n-1, each an integer
+        determinant (_int_det).  The t-degree bound counts the diagonal
+        at least 0, so some permutation always avoids the zero entries.
+        Any other entry ring (two variables, nested polynomials) raises
+        TypeError."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of a non-square matrix")
         n = self.rows
@@ -1188,47 +1192,36 @@ class ExactMatrix:
             for i in range(n):
                 degrees[i][i] = max(degrees[i][i], 0)
             bound = _degree_bound(degrees)
-        samples = []
-        for point in range(bound + 1):
-            neg = [[-_int_horner(e, point) for e in row] for row in ints]
+
+        def coefficients(rows):
+            neg = [[-a for a in row] for row in rows]
             values = []
             for x in range(n):  # P is monic, so P - x^n takes n values
                 shifted = [list(row) for row in neg]
                 for i in range(n):
                     shifted[i][i] += x
                 values.append(_int_det(shifted) - x**n)
-            samples.append([*_interpolate(values), 1])
-        coeffs = []
-        for k, in_t in enumerate(zip(*samples)):
-            scale = den ** (n - k)
-            if t is None:
-                coeffs.append(Fraction(in_t[0], scale))
-            else:
-                coeffs.append(ParamPoly(t, [Fraction(c, scale) for c in _interpolate(in_t)]))
-        return ParamPoly(var, coeffs)
+            return [*_interpolate(values), 1]
+
+        scales = [den ** (n - k) for k in range(n + 1)]
+        return ParamPoly(var, _sampled_in_t(t, ints, bound, scales, coefficients))
 
     def det(self):
-        """Bareiss fraction-free elimination (exact in an integral domain)."""
+        """det(self) for entries in Q or in Q[t], t one variable: the
+        integer determinant of L*self (_int_det), L the least common
+        denominator, at each t point, interpolated in t and divided by
+        L^n (_sampled_in_t).  It is 0 when every permutation meets a zero
+        entry; any other entry ring raises TypeError."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = Fraction(1)
-        for k in range(n - 1):
-            if not a[k][k]:
-                pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
-                if pivot is None:
-                    return Fraction(0)
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                    a[i][j] = exact_div(num, prev)
-                a[i][k] = Fraction(0)
-            prev = a[k][k]
-        return as_exact(sign * a[n - 1][n - 1])
+        t, den, ints = _integer_entries(self.entries)
+        bound = 0
+        if t is not None:
+            bound = _degree_bound([[len(e) - 1 for e in row] for row in ints])
+            if bound is None:
+                return Fraction(0)
+        scales = [den**self.rows]
+        return as_exact(_sampled_in_t(t, ints, bound, scales, lambda rows: [_int_det(rows)])[0])
 
     def nullspace(self):
         """Basis of the exact kernel (rational entries only)."""
@@ -1254,8 +1247,9 @@ class ExactMatrix:
 def resultant(p: ParamPoly, q: ParamPoly):
     """res(p, q) = lc(p)^deg(q) * prod q(r) over the roots r of p.
 
-    The determinant of the Sylvester matrix, by Bareiss elimination, so
-    coefficients may be rationals or polynomials in a scalar variable.
+    The determinant of the Sylvester matrix (ExactMatrix.det), so
+    coefficients may be rationals or polynomials in one variable t, the
+    result then interpolated in t from integer determinants.
     """
     if p.is_zero or q.is_zero:
         raise ValueError("resultant with the zero polynomial")

@@ -1,12 +1,12 @@
 """Independent oracles for the exact kernels, used by tests only.
 
-sympy recomputes resultants and characteristic polynomials; hypothesis
-checks algebraic identities of operators and polynomials on small
-random inputs (a fixed, small number of deterministic examples), and
-that the zero-skipping kernels return normal-form results equal to
-zero-seeded reference arithmetic written out here; mpmath
-recomputes the roots of q(mu) to 40 digits, against which every printed
-level must be correctly rounded.
+sympy recomputes determinants, resultants and characteristic
+polynomials; hypothesis checks algebraic identities of operators and
+polynomials on small random inputs (a fixed, small number of
+deterministic examples), and that the zero-skipping kernels return
+normal-form results equal to zero-seeded reference arithmetic written
+out here; mpmath recomputes the roots of q(mu) to 40 digits, against
+which every printed level must be correctly rounded.
 """
 
 import itertools
@@ -65,7 +65,7 @@ def to_sympy(value):
 # sympy: resultants and characteristic polynomials
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_collision_resultant_matches_sympy(n):
     q = _symbolic_mu_poly(n, "c")
     expr = to_sympy(q)
@@ -345,7 +345,7 @@ def test_generic_horner_for_q_c_coefficients_and_float_arguments(case):
 
 
 # ----------------------------------------------------------------------
-# hypothesis and sympy: the characteristic polynomial
+# hypothesis and sympy: the characteristic polynomial and the determinant
 # ----------------------------------------------------------------------
 
 def _square_lists(entries, max_size: int):
@@ -387,16 +387,58 @@ def test_char_poly_over_q_t_matches_sympy(matrix):
     assert sympy.expand(to_sympy(got) - _sympy_char_poly(matrix)) == 0
 
 
+C = ParamPoly.gen("c")
+K0 = ParamPoly.gen("k0")
+
+
 @SMALL
-@given(_square_lists(st.integers(-1, 4), 6))
-def test_degree_bound_is_the_heaviest_permutation(degrees):
+@example(ExactMatrix([[1, F(2, 3)], [0, 0]]))  # a zero row
+@example(ExactMatrix([[C, 0], [2, 0]]))  # a zero column
+@example(ExactMatrix([[C, C], [0, 0]]))  # a zero row over Q[c]
+@example(ExactMatrix([[C, 0], [C, 0]]))  # a zero column over Q[c]
+# two rows nonzero only in the same column
+@example(ExactMatrix([[0, K0, 0], [0, K0 * K0 + 1, 0], [1, 2, K0]]))
+@example(ExactMatrix([[0, C, 1], [C * 3 - 1, 0, C], [F(1, 2), C * C, 0]]))  # zero diagonal
+@example(ExactMatrix([[0, 1], [1, 0]]))  # zero diagonal over Q
+@example(ExactMatrix([[K0 * F(2, 7) - 1]]))  # 1 x 1
+@example(ExactMatrix([[F(-5, 3)]]))
+@given(st.one_of(rational_matrices, param_matrices))
+def test_det_matches_sympy(matrix):
+    rows = [[to_sympy(e) for e in row] for row in matrix.entries]
+    got = matrix.det()
+    # normal form: a constant determinant is a Fraction
+    assert type(got) is Fraction or got.degree > 0
+    assert sympy.expand(to_sympy(got) - sympy.Matrix(rows).det()) == 0
+
+
+def test_det_rejects_other_entry_rings():
+    two_variables = ExactMatrix([[C, 1], [1, K0]])
+    tower = ExactMatrix([[ParamPoly("lam", [C, 1]), 0], [0, 1]])
+    for matrix in (two_variables, tower):
+        with pytest.raises(TypeError):
+            matrix.det()
+
+
+@SMALL
+@example([[1, 1], [-1, -1]], False)  # a zero row
+@example([[2, -1], [0, -1]], False)  # a zero column
+@example([[-1, 3, -1], [-1, 0, -1], [1, 2, 0]], False)  # rows 0 and 1 share one column
+@example([[-1, 2], [1, -1]], False)  # a negative diagonal with a matching
+@given(_square_lists(st.one_of(st.just(-1), st.integers(0, 4)), 6), st.booleans())
+def test_degree_bound_is_the_heaviest_permutation(degrees, floor_diagonal):
+    # a negative degree marks a zero entry; char_poly floors the diagonal
+    # at 0, det does not, and then no permutation may avoid the zeros
     n = len(degrees)
-    for i in range(n):
-        degrees[i][i] = max(degrees[i][i], 0)
+    if floor_diagonal:
+        for i in range(n):
+            degrees[i][i] = max(degrees[i][i], 0)
     want = max(
-        sum(row[j] for row, j in zip(degrees, perm))
-        for perm in itertools.permutations(range(n))
-        if all(row[j] >= 0 for row, j in zip(degrees, perm))
+        (
+            sum(row[j] for row, j in zip(degrees, perm))
+            for perm in itertools.permutations(range(n))
+            if all(row[j] >= 0 for row, j in zip(degrees, perm))
+        ),
+        default=None,
     )
     assert _degree_bound(degrees) == want
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from qeslab.exactnum import ExactMatrix, ParamPoly, Root
 from qeslab.spectral import (
@@ -413,11 +415,15 @@ def test_float_filter_agrees_with_exact_evaluation(monkeypatch, n, c_min, c_max,
 
 def _assert_is_char_poly(poly: ParamPoly, matrix: ExactMatrix):
     """poly(lam) = det(lam*I - matrix), a rational matrix, at 2n + 1 values
-    of lam by Bareiss elimination: enough to fix the monic polynomial
-    of degree 2n."""
+    of lam by sympy's exact determinant over QQ: enough to fix the monic
+    polynomial of degree 2n."""
     assert poly.degree == matrix.rows and poly.leading() == 1
-    for lam in range(-matrix.rows, matrix.rows + 1):
-        assert poly(F(lam)) == (-matrix).scaled_identity_added(F(lam)).det()
+    n = matrix.rows
+    entries = [[QQ(e.numerator, e.denominator) for e in row] for row in matrix.entries]
+    neg = -DomainMatrix(entries, (n, n), QQ)
+    for lam in range(-n, n + 1):
+        d = (neg + DomainMatrix.eye(n, QQ) * QQ(lam)).det()
+        assert poly(F(lam)) == F(int(d.numerator), int(d.denominator))
 
 
 def _at(value, k0):
@@ -428,7 +434,7 @@ def _at(value, k0):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_block_char_poly_matches_full_product(n):
     # q(lam^2) from the n x n block product BC is the char poly of the
-    # full 2n x 2n matrix M; the reference is the Bareiss determinant of
+    # full 2n x 2n matrix M; the reference is sympy's determinant of
     # lam*I - M at sample points, which shares no code with char_poly
     symbolic = restricted_hamiltonian(HamiltonianSpec(n, ParamPoly.gen("k0")))
     cp = symbolic_char_poly(n, "k0")
