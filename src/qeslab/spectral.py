@@ -8,10 +8,11 @@ A similarity transformation combined with x = y^2 turns it into a
 matrix differential operator h that preserves P(n) (+) P(n-2) exactly;
 its restricted 2n x 2n matrix gives the algebraic part of the spectrum
 as exact characteristic-polynomial roots.  This module builds h for a
-rational or a symbolic coupling, extracts spectra and eigenvectors
-(with node counts in y), sweeps the coupling, certifies the parity
-symmetry that puts the restricted matrix in the block form
-[[0, B], [C, 0]], computes every spectral quantity from det(mu - BC)
+rational or a symbolic coupling, certifies the parity symmetry that
+puts the restricted matrix in the block form [[0, B], [C, 0]] once per
+n over Q[c] (BlockForm), evaluates that form at each coupling to get
+spectra and eigenvectors (with node counts in y), sweeps the coupling,
+computes every spectral quantity from det(mu - BC)
 with mu = E^2 (so the spectrum is even under E -> -E by construction),
 locates the exact level-collision locus, and cross-checks everything
 against a finite-difference discretization of the physical operator.
@@ -120,6 +121,9 @@ def build_hamiltonian_gauged(spec: HamiltonianSpec) -> MatOp:
 
 
 def restricted_hamiltonian(spec: HamiltonianSpec) -> RestrictedMatrix:
+    """The matrix of h on P(n) (+) P(n-2); SpectralError if h leaks off
+    it.  Spectra restrict once per n, symbolic in c (block_form); at a
+    rational coupling it is the reference that the block form matches."""
     result = restrict(build_hamiltonian_gauged(spec), spec.module)
     if not result.leakage_free:
         raise SpectralError(
@@ -169,18 +173,54 @@ def _parity_blocks(restricted: RestrictedMatrix):
     return b, c
 
 
-def _mu_char_poly(restricted: RestrictedMatrix) -> ParamPoly:
-    """q(mu) = det(mu - BC); the characteristic polynomial of
-    M = [[0, B], [C, 0]] is det(lam^2 - BC) = q(lam^2)."""
+@dataclass(frozen=True)
+class BlockForm:
+    """The restricted matrix M of h at one n for every coupling, with the
+    blocks of its parity form M = [[0, B], [C, 0]] and their product BC,
+    entries in Q[c] (k0 = -c/(4n)) or in Q[k0].  block_form certifies M
+    once, no leakage and no same-parity entry, as polynomial identities,
+    so both hold at every coupling.  A numeric spectrum evaluates the
+    entries it needs at its own coupling (`coupling`, `_evaluated`)."""
+
+    variable: str
+    restricted: RestrictedMatrix
+    b: ExactMatrix
+    c: ExactMatrix
+    bc: ExactMatrix
+
+    def coupling(self, spec: HamiltonianSpec) -> Fraction:
+        """The value of `variable` for a rational spec of this degree."""
+        if isinstance(spec.k0, ParamPoly):
+            raise TypeError("a symbolic coupling has no numeric block form")
+        if spec.module != self.restricted.module:
+            raise ValueError(f"block form of {self.restricted.module}, not {spec.module}")
+        return spec.c_spec if self.variable == "c" else spec.k0
+
+
+def block_form(n: int, variable: str = "c") -> BlockForm:
+    """The certified block form of h at degree n, over Q[c] or Q[k0]: one
+    restriction, one parity split and one block product."""
+    build = HamiltonianSpec.from_c if variable == "c" else HamiltonianSpec
+    restricted = restricted_hamiltonian(build(n, ParamPoly.gen(variable)))
     b, c = _parity_blocks(restricted)
-    return (b * c).char_poly("mu")
+    return BlockForm(variable, restricted, b, c, b * c)
+
+
+def _evaluated(matrix: ExactMatrix, value: Fraction) -> ExactMatrix:
+    """`matrix` with every polynomial entry evaluated at `value`."""
+    return matrix.map_entries(lambda e: e(value) if type(e) is ParamPoly else e)
+
+
+def _mu_char_poly(bc: ExactMatrix) -> ParamPoly:
+    """q(mu) = det(mu - BC); the characteristic polynomial of
+    M = [[0, B], [C, 0]] is det(lam^2 - BC) = q(lam^2).  Every spectrum,
+    numeric or symbolic, takes its q from here."""
+    return bc.char_poly("mu")
 
 
 def _symbolic_mu_poly(n: int, variable: str) -> ParamPoly:
     """q(mu) with coefficients in Q[k0], or in Q[c] with k0 = -c/(4n)."""
-    build = HamiltonianSpec.from_c if variable == "c" else HamiltonianSpec
-    spec = build(n, ParamPoly.gen(variable))
-    return _mu_char_poly(restricted_hamiltonian(spec))
+    return _mu_char_poly(block_form(n, variable).bc)
 
 
 def symbolic_char_poly(n: int, variable: str = "c") -> ParamPoly:
@@ -198,10 +238,12 @@ def symbolic_char_poly(n: int, variable: str = "c") -> ParamPoly:
 
 @dataclass(frozen=True)
 class AlgebraicSpectrum:
-    """Certified levels of one operator and its restricted matrix."""
+    """Certified levels of one operator: `form` is the block form of its
+    degree that they were evaluated from, `bc` its BC at spec's coupling."""
 
     spec: HamiltonianSpec
-    restricted: RestrictedMatrix
+    form: BlockForm
+    bc: ExactMatrix
     char_poly: ParamPoly
     levels: tuple
 
@@ -214,11 +256,17 @@ class AlgebraicSpectrum:
         return out
 
 
-def algebraic_spectrum(spec: HamiltonianSpec) -> AlgebraicSpectrum:
+def algebraic_spectrum(
+    spec: HamiltonianSpec, form: BlockForm | None = None
+) -> AlgebraicSpectrum:
     """Exact characteristic polynomial and its certified-real roots,
-    each printing correctly rounded (see exactnum.real_roots)."""
-    restricted = restricted_hamiltonian(spec)
-    cp = even_poly(_mu_char_poly(restricted), "lam")
+    each printing correctly rounded (see exactnum.real_roots).  `form`
+    is block_form(spec.n), built here when not given; callers with many
+    couplings at one n pass it in, so the operator is restricted once."""
+    if form is None:
+        form = block_form(spec.n)
+    bc = _evaluated(form.bc, form.coupling(spec))
+    cp = even_poly(_mu_char_poly(bc), "lam")
     # cp = q(lam^2), so real_roots isolates in mu = lam^2 on q, of degree
     # n: each root mu >= 0 gives the levels +-sqrt(mu), and negative or
     # complex mu give none.  The levels add up to 2n with multiplicity
@@ -226,7 +274,7 @@ def algebraic_spectrum(spec: HamiltonianSpec) -> AlgebraicSpectrum:
     levels = tuple(real_roots(cp))
     if sum(lv.multiplicity for lv in levels) != 2 * spec.n:
         raise SpectralError("characteristic polynomial has nonreal roots")
-    return AlgebraicSpectrum(spec, restricted, cp, levels)
+    return AlgebraicSpectrum(spec, form, bc, cp, levels)
 
 
 # ----------------------------------------------------------------------
@@ -270,18 +318,20 @@ def _adjugate_column(terms, mu, j: int):
 
 def eigenvectors(spectrum: AlgebraicSpectrum):
     """Eigenvector doublets per level of the spectrum's restricted
-    matrix: exact kernels at rational levels
+    matrix, M and C evaluated from its block form and BC taken from the
+    spectrum: exact kernels of M - E at rational levels E
     (defective ones flagged).  An irrational level E must be simple, else
     SpectralError; it is nonzero.  With E the rational value of its float
     and mu = E^2, the largest column u of adj(mu - BC) spans the kernel of
     mu - BC and w = C u / E completes the vector.  A float pre-pass picks
     the column, which alone is evaluated exactly; the normalized doublet
     is rounded to floats once."""
-    restricted = spectrum.restricted
-    module = restricted.module
-    matrix = restricted.matrix
-    b, c = _parity_blocks(restricted)
-    terms = (b * c).faddeev_leverrier()[1]
+    form = spectrum.form
+    value = form.coupling(spectrum.spec)
+    module = form.restricted.module
+    matrix = _evaluated(form.restricted.matrix, value)
+    c = _evaluated(form.c, value)
+    terms = spectrum.bc.faddeev_leverrier()[1]
     float_terms = [term.map_entries(float) for term in terms]
     pairs = []
     for level in spectrum.levels:
@@ -299,7 +349,7 @@ def eigenvectors(spectrum: AlgebraicSpectrum):
         e = Fraction(level.value)
         mu = e * e
         j = max(
-            range(b.rows),
+            range(form.b.rows),
             key=lambda j: sum(
                 x * x for x in _adjugate_column(float_terms, float(mu), j)
             ),
@@ -416,10 +466,11 @@ def sweep(n: int, c_min, c_max, steps: int) -> SweepResult:
         raise ValueError("need at least two sweep steps")
     c_min = Fraction(c_min)
     c_max = Fraction(c_max)
+    form = block_form(n)
     rows = []
     for k in range(steps):
         c = c_min + (c_max - c_min) * Fraction(k, steps - 1)
-        spectrum = algebraic_spectrum(HamiltonianSpec.from_c(n, c))
+        spectrum = algebraic_spectrum(HamiltonianSpec.from_c(n, c), form)
         rows.append((c, tuple(spectrum.values)))
     return SweepResult(n=n, rows=tuple(rows))
 
@@ -462,7 +513,8 @@ def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
     the smallest real root of q(0) * res_mu(q, q') inside the bracket,
     which exact Sturm counts at c_min and c_max decide.  The gap and levels
     are the exact spectrum at c* (at its float value, within one ulp of
-    c* and itself a rational, when c* is irrational).
+    c* and itself a rational, when c* is irrational).  q and that spectrum
+    come from one block form, so the operator is restricted once.
 
     Raises NoDegeneracyError when no collision lies inside the bracket.
     """
@@ -470,7 +522,8 @@ def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
     c_max = Fraction(c_max)
     if not c_min < c_max:
         raise ValueError("empty coupling bracket")
-    q = _symbolic_mu_poly(n, "c")
+    form = block_form(n)
+    q = _mu_char_poly(form.bc)
     locus = ParamPoly.one("c") * q.constant() * resultant(q, q.derivative())
     if locus.is_zero:
         raise SpectralError("levels collide at every coupling")
@@ -484,7 +537,7 @@ def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
     # skip the roots at or below c_min
     root = roots[len(roots) - (at_min - at_top)]
     c_star = Fraction(root.value) if root.exact is None else root.exact
-    values = algebraic_spectrum(HamiltonianSpec.from_c(n, c_star)).values
+    values = algebraic_spectrum(HamiltonianSpec.from_c(n, c_star), form).values
     gaps = [b - a for a, b in zip(values, values[1:])]
     idx = min(range(len(gaps)), key=gaps.__getitem__)
     return DegeneracyResult(

@@ -167,7 +167,8 @@ def test_out_of_range_input_is_usage_error(
     assert sweeps == []
 
 
-def test_spectrum_restricts_the_operator_once(capsys, monkeypatch):
+def _restrictions(capsys, monkeypatch, argv):
+    """The specs that restricted_hamiltonian gets during one CLI run."""
     import qeslab.spectral as spectral_mod
 
     calls = []
@@ -178,9 +179,25 @@ def test_spectrum_restricts_the_operator_once(capsys, monkeypatch):
         return original(spec)
 
     monkeypatch.setattr(spectral_mod, "restricted_hamiltonian", counted)
-    code, _, _ = run(capsys, ["spectrum", "--n", "4", "--c", "19/8"])
+    code, _, _ = run(capsys, argv)
     assert code == 0
-    assert len(calls) == 1
+    return calls
+
+
+def test_spectrum_restricts_the_operator_once(capsys, monkeypatch):
+    argv = ["spectrum", "--n", "4", "--c", "19/8"]
+    assert len(_restrictions(capsys, monkeypatch, argv)) == 1
+
+
+def test_sweep_restricts_the_operator_once(capsys, monkeypatch):
+    argv = ["sweep", "--n", "3", "--c-min", "1/8", "--c-max", "81/8", "--steps", "50"]
+    assert len(_restrictions(capsys, monkeypatch, argv)) == 1
+
+
+def test_degeneracy_restricts_the_operator_once(capsys, monkeypatch):
+    # the symbolic locus and the spectrum at c* = sqrt(24) share one form
+    argv = ["degeneracy", "--n", "3", "--c-min", "39/8", "--c-max", "41/8"]
+    assert len(_restrictions(capsys, monkeypatch, argv)) == 1
 
 
 def test_charpoly_text_and_json_agree(capsys):

@@ -14,7 +14,10 @@ from qeslab.spectral import (
     HamiltonianSpec,
     NoDegeneracyError,
     SpectralError,
+    _evaluated,
+    _parity_blocks,
     algebraic_spectrum,
+    block_form,
     build_hamiltonian_gauged,
     eigenvectors,
     eigenvectors_y,
@@ -370,7 +373,7 @@ def test_vanishing_collision_polynomial_raises(monkeypatch):
     import qeslab.spectral as spectral_mod
 
     mu = ParamPoly.gen("mu")
-    monkeypatch.setattr(spectral_mod, "_symbolic_mu_poly", lambda n, v: mu * mu)
+    monkeypatch.setattr(spectral_mod, "_mu_char_poly", lambda bc: mu * mu)
     with pytest.raises(SpectralError):
         spectral_mod.find_degeneracy(2, F(0), F(1))
 
@@ -449,6 +452,29 @@ def test_block_char_poly_matches_full_product(n):
         _assert_is_char_poly(
             algebraic_spectrum(spec).char_poly, restricted_hamiltonian(spec).matrix
         )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_block_form_at_a_coupling_is_the_direct_restriction(n):
+    # the symbolic form, evaluated, against restrict at each rational
+    # coupling: the matrix, its parity blocks and their product
+    forms = {variable: block_form(n, variable) for variable in ("c", "k0")}
+    couplings = [F(0), F(1, 8), F(17, 8), F(-7, 3), F(math.sqrt(24))]
+    specs = [HamiltonianSpec.from_c(n, c) for c in couplings]
+    specs.append(HamiltonianSpec(n, F(-3, 7)))  # a --k0 spec
+    for spec in specs:
+        direct = restricted_hamiltonian(spec)
+        b, c = _parity_blocks(direct)
+        for form in forms.values():
+            value = form.coupling(spec)
+            assert _evaluated(form.restricted.matrix, value) == direct.matrix
+            assert _evaluated(form.b, value) == b
+            assert _evaluated(form.c, value) == c
+            assert _evaluated(form.bc, value) == b * c
+    assert forms["c"].coupling(specs[-1]) == F(12 * n, 7)  # c = -4n k0
+    assert forms["k0"].coupling(specs[-1]) == F(-3, 7)
+    with pytest.raises(ValueError):
+        forms["c"].coupling(HamiltonianSpec(n + 1, F(1, 8)))
 
 
 def test_same_parity_entry_raises_spectral_error(monkeypatch):
