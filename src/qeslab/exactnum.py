@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 # degree reported for the zero polynomial
@@ -337,10 +337,13 @@ def _clear_denominators(coeffs):
     """(D, N) with D the least common denominator of the rational
     `coeffs` and N_i = D c_i, as ints; False when a coefficient is a
     polynomial."""
-    if not all(type(c) is Fraction for c in coeffs):
-        return False
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
+    dens = []
+    for c in coeffs:
+        if type(c) is not Fraction:
+            return False
+        dens.append(c.denominator)
+    den = math.lcm(*dens)
+    return den, tuple([c.numerator * (den // c.denominator) for c in coeffs])
 
 
 def _format_term(coeff, var: str, power: int, first: bool) -> str:
@@ -527,11 +530,20 @@ class Root:
     """One real root: a float within one ulp of the root whose '%.12g'
     is the root correctly rounded to PRINT_DIGITS significant digits,
     the multiplicity, and the exact value when the root is known to be
-    rational."""
+    rational.  ``compare`` places the root against any rational
+    exactly: by the exact value when there is one, else by `side`, which
+    real_roots sets from the root's isolating bracket (_bracket_side)."""
 
     value: float
     multiplicity: int
     exact: Fraction | None = None
+    side: object = field(default=None, compare=False, repr=False)
+
+    def compare(self, t) -> int:
+        """The sign of root - t at the rational t, decided exactly."""
+        if self.exact is not None:
+            return _sign(self.exact - t)
+        return self.side(t)
 
 
 # significant digits that real_roots certifies: '%.12g' of Root.value
@@ -782,6 +794,27 @@ def _bracket_root(p: ParamPoly, lo: Fraction, hi: Fraction):
     return _refine(p, lo, hi, -sign_hi)
 
 
+def _bracket_side(p: ParamPoly, lo: Fraction, hi: Fraction):
+    """side(t), the sign of r - t at a rational t, for the one root r of
+    the square-free p in the isolating bracket (lo, hi], r != hi: the
+    bracket decides it for t outside, and the sign of p(t) against that
+    of p(hi) inside.  p is evaluated only when side is called there."""
+
+    def side(t):
+        if t <= lo:
+            return 1
+        if t >= hi:
+            return -1
+        return -_sign(p(t)) * _sign(p(hi))
+
+    return side
+
+
+def _negated_side(side):
+    """side(t) of -r, from side(t) of r (None stays None)."""
+    return side and (lambda t: -side(-t))
+
+
 def _rational_sqrt(r: Fraction):
     """sqrt(r) when r is the square of a rational, else None."""
     if r < 0:
@@ -808,16 +841,21 @@ def _even_real_roots(p: ParamPoly):
         if factor.degree == 1:
             sqrt = _rational_sqrt(-factor.coeff(0) / factor.coeff(1))
         if sqrt:
-            found = [(_exact_value(sqrt), sqrt)]
+            found = [(_exact_value(sqrt), sqrt, None)]
         else:
             lifted = even_poly(factor, p.var)
             top = Fraction(math.isqrt(math.ceil(cauchy_bound(factor))) + 1)
             chain = chain or sturm_sequence(factor)
             brackets = _isolate(chain, Fraction(0), top, lambda x: x * x)
-            found = [_bracket_root(lifted, lo, hi) for lo, hi in brackets]
-        for value, exact in found:
-            roots.append(Root(value, mult, exact))
-            roots.append(Root(-value, mult, None if exact is None else -exact))
+            found = [
+                _bracket_root(lifted, lo, hi) + (_bracket_side(lifted, lo, hi),)
+                for lo, hi in brackets
+            ]
+        for value, exact, side in found:
+            roots.append(Root(value, mult, exact, side))
+            roots.append(
+                Root(-value, mult, None if exact is None else -exact, _negated_side(side))
+            )
     roots.sort(key=lambda r: r.value)
     return roots
 
@@ -854,7 +892,7 @@ def real_roots(p: ParamPoly):
         chain = chain or sturm_sequence(factor)
         for lo, hi in _isolate(chain, -bound, bound, lambda x: x):
             value, exact = _bracket_root(factor, lo, hi)
-            roots.append(Root(value, mult, exact))
+            roots.append(Root(value, mult, exact, _bracket_side(factor, lo, hi)))
     roots.sort(key=lambda r: r.value)
     return roots
 
@@ -1049,6 +1087,16 @@ class ExactMatrix:
         self.rows = len(rows)
         self.cols = width
         self.entries = rows
+
+    @classmethod
+    def _of(cls, rows: tuple) -> "ExactMatrix":
+        """Unchecked constructor for `rows`, a nonempty tuple of
+        equal-length row tuples whose entries are in normal form."""
+        self = object.__new__(cls)
+        self.rows = len(rows)
+        self.cols = len(rows[0])
+        self.entries = rows
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":

@@ -45,6 +45,7 @@ from qeslab.weyl import (
     ModuleSpec,
     RestrictedMatrix,
     doublet_report,
+    leakage,
     relation_report,
     restrict,
 )
@@ -510,11 +511,13 @@ def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
     The levels are E = +-sqrt(mu) over the roots mu of q(mu) = det(mu - BC),
     symbolic in c.  Two levels meet exactly where a mu-root doubles,
     res_mu(q, q') = 0, or where mu = 0 joins +E and -E, q(0) = 0; c* is
-    the smallest real root of q(0) * res_mu(q, q') inside the bracket,
-    which exact Sturm counts at c_min and c_max decide.  The gap and levels
-    are the exact spectrum at c* (at its float value, within one ulp of
-    c* and itself a rational, when c* is irrational).  q and that spectrum
-    come from one block form, so the operator is restricted once.
+    the smallest real root of q(0) * res_mu(q, q') strictly inside the
+    bracket.  real_roots isolates the roots once, and each root's exact
+    comparison with c_min and c_max (Root.compare) decides whether it
+    lies inside.  The gap and levels are the exact spectrum at c* (at
+    its float value, within one ulp of c* and itself a rational, when c*
+    is irrational).  q and that spectrum come from one block form, so
+    the operator is restricted once.
 
     Raises NoDegeneracyError when no collision lies inside the bracket.
     """
@@ -527,15 +530,13 @@ def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
     locus = ParamPoly.one("c") * q.constant() * resultant(q, q.derivative())
     if locus.is_zero:
         raise SpectralError("levels collide at every coupling")
-    # one Sturm chain counts the distinct roots in (c_min, c_max] and
-    # above c_min
-    chain = sturm_sequence(locus)
-    at_min, at_max, at_top = (sign_variations(chain, x) for x in (c_min, c_max, inf))
-    if not at_min - at_max - (locus(c_max) == 0):
+    # a root at c_min or at c_max is not inside
+    inside = [
+        r for r in real_roots(locus) if r.compare(c_min) > 0 and r.compare(c_max) < 0
+    ]
+    if not inside:
         raise NoDegeneracyError(f"no level collision inside ({c_min}, {c_max})")
-    roots = real_roots(locus)
-    # skip the roots at or below c_min
-    root = roots[len(roots) - (at_min - at_top)]
+    root = inside[0]
     c_star = Fraction(root.value) if root.exact is None else root.exact
     values = algebraic_spectrum(HamiltonianSpec.from_c(n, c_star), form).values
     gaps = [b - a for a, b in zip(values, values[1:])]
@@ -555,8 +556,8 @@ def hamiltonian_leakage_reports(n_max: int):
     reports = []
     for n in range(2, n_max + 1):
         spec = HamiltonianSpec(n, ParamPoly.gen(K0_VAR))
-        result = restrict(build_hamiltonian_gauged(spec), spec.module)
-        reports.append(doublet_report("30", (("n", n),), result.leakage))
+        leaks = leakage(build_hamiltonian_gauged(spec), spec.module)
+        reports.append(doublet_report("30", (("n", n),), leaks))
     return reports
 
 

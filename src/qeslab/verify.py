@@ -44,6 +44,7 @@ from qeslab.weyl import (
     commutator,
     doublet_report,
     failures,  # re-exported: callers read verify.failures
+    leakage,
     project_span,
     relation_report,
     restrict,
@@ -71,12 +72,12 @@ def verify_sl2(gens: GeneratorSet):
 
 
 def leakage_reports(gens: GeneratorSet):
-    """EQ2: every generator preserves its doublet (empty leakage)."""
+    """EQ2: every generator preserves its doublet (empty leakage, found
+    without building its matrix)."""
     n, delta, module = gens.params.n, gens.params.delta, gens.params.module
     return [
         doublet_report(
-            "2", (("n", n), ("delta", delta), ("which", name)),
-            restrict(op, module).leakage,
+            "2", (("n", n), ("delta", delta), ("which", name)), leakage(op, module)
         )
         for name, op in gens.named.items()
     ]

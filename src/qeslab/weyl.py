@@ -7,13 +7,20 @@ the two-term commutation rule d x = x d + 1, i.e.
 
     d^b x^c = sum_s  C(b, s) * c!/(c-s)! * x^(c-s) d^(b-s).
 
+When both factors are over Q, that expansion runs on integers: each
+factor's coefficients are cleared of their common denominator once, and
+each output term is divided by the two denominators once.
+
 ``MatOp`` wraps a 2x2 matrix of such operators acting on doublets of
 polynomials.  ``project_span`` projects a matrix operator exactly onto
 the span of others, and ``anticommutator_residuals`` does so for every
 anticommutator of an odd multiplet.  ``restrict`` turns a matrix
 operator into the exact matrix of its action on a finite doublet of
-polynomial spaces, keeping any components that fall outside the target
-space as explicit leakage records instead of silently dropping them.
+polynomial spaces, filled term by term along each term's band, and
+keeps any components that fall outside the target space as explicit
+leakage records instead of silently dropping them.  ``leakage`` finds
+those records alone, from the few top monomials that can overshoot,
+without building the matrix.
 ``RelationReport`` is the one record of an exact relation check, built
 from a residual (``relation_report``) or from leakage records
 (``doublet_report``); the relation suites and the spectral certificates
@@ -30,6 +37,7 @@ from qeslab.exactnum import (
     ExactMatrix,
     ParamPoly,
     SCALAR_VARS,
+    _clear_denominators,
     as_exact,
     solve_linear,
 )
@@ -78,6 +86,24 @@ def _normal_terms(terms: dict) -> dict:
     return clean
 
 
+def _product_terms(left, right) -> dict:
+    """Coefficients of the normal-ordered product of the term lists
+    `left` and `right` ((i, j), coeff) over any one ring, zeros kept:
+    every term pair and every commutation step adds into one dict."""
+    out = {}
+    for (a, b), ca in left:
+        for (c, d), cb in right:
+            coeff = ca * cb
+            key = (a + c, b + d)
+            out[key] = out[key] + coeff if key in out else coeff
+            # the s = 0 term is above; d^b x^c also yields s >= 1
+            for s in range(1, min(b, c) + 1):
+                term = coeff * (math.comb(b, s) * math.perm(c, s))
+                key = (a + c - s, b + d - s)
+                out[key] = out[key] + term if key in out else term
+    return out
+
+
 class DiffOp:
     """Normal-ordered scalar differential operator.
 
@@ -85,8 +111,10 @@ class DiffOp:
     zero coefficient is stored, and every coefficient is a ``Fraction``
     or a non-constant ``ParamPoly`` (ints and constant polynomials are
     collapsed to ``Fraction``).  The constructor and every arithmetic
-    result go through the one normaliser ``_normal_terms``, so equal
-    operators have equal ``terms`` and the zero operator has none.
+    result go through the one normaliser ``_normal_terms``, except the
+    product over Q, which builds each nonzero ``Fraction`` from its
+    integer numerator directly; so equal operators have equal ``terms``
+    and the zero operator has none.
     Sums and products touch only stored terms: a sum with an empty
     operand returns the other operand, and no term is added to a zero
     seed.
@@ -103,12 +131,18 @@ class DiffOp:
         self.terms = _normal_terms(checked)
 
     @classmethod
+    def _of(cls, terms: dict) -> "DiffOp":
+        """The operator on `terms`, unchecked: its keys are valid powers
+        and its coefficients already in normal form."""
+        op = object.__new__(cls)
+        op.terms = terms
+        return op
+
+    @classmethod
     def _normal(cls, terms: dict) -> "DiffOp":
         """The operator on `terms`, whose keys are valid powers, brought
         to normal form."""
-        op = object.__new__(cls)
-        op.terms = _normal_terms(terms)
-        return op
+        return cls._of(_normal_terms(terms))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -191,19 +225,17 @@ class DiffOp:
 
     def __mul__(self, other):
         if isinstance(other, DiffOp):
-            out = {}
-            right = list(other.terms.items())
-            for (a, b), ca in self.terms.items():
-                for (c, d), cb in right:
-                    coeff = ca * cb
-                    key = (a + c, b + d)
-                    out[key] = out[key] + coeff if key in out else coeff
-                    # the s = 0 term is above; d^b x^c also yields s >= 1
-                    for s in range(1, min(b, c) + 1):
-                        term = coeff * (math.comb(b, s) * math.perm(c, s))
-                        key = (a + c - s, b + d - s)
-                        out[key] = out[key] + term if key in out else term
-            return DiffOp._normal(out)
+            left, right = self.terms, other.terms
+            cleared_a = _clear_denominators(left.values())
+            cleared_b = cleared_a and _clear_denominators(right.values())
+            if not cleared_b:
+                return DiffOp._normal(_product_terms(left.items(), list(right.items())))
+            # over Q: the expansion runs on the ints D_a c_a and D_b c_b,
+            # and each output term is divided by D_a D_b once
+            (den_a, ints_a), (den_b, ints_b) = cleared_a, cleared_b
+            out = _product_terms(zip(left, ints_a), list(zip(right, ints_b)))
+            den = den_a * den_b
+            return DiffOp._of({k: Fraction(v, den) for k, v in out.items() if v})
         if _is_scalar(other):
             return DiffOp._normal({k: c * other for k, c in self.terms.items()})
         return NotImplemented
@@ -575,30 +607,63 @@ class RestrictedMatrix:
         return not self.leakage
 
 
-def restrict(op: MatOp, module: ModuleSpec) -> RestrictedMatrix:
-    """Matrix of `op` on the doublet basis, with out-of-space leakage."""
-    dim = module.dim
-    cols = []
-    leaks = []
-    for comp, power in module.basis_labels():
-        col = [Fraction(0)] * dim
-        mono = x_monomial(power)
+def leakage(op: MatOp, module: ModuleSpec) -> tuple:
+    """The LeakageTerms of `op` on the doublet: every image coefficient
+    above its destination's degree cap, ordered by (source component,
+    power, destination, image power).  A term x^i d^j sends x^p to
+    x^(p+i-j), so an entry with largest shift i - j can overshoot the cap
+    only from the powers p > cap - shift; the entry is applied to those
+    monomials alone."""
+    tasks = []
+    for comp in (0, 1):
         for dest in (0, 1):
             entry = op.entries[dest][comp]
             if not entry.terms:
                 continue
-            image = entry.apply(mono)
             cap = module.degree_cap(dest)
-            for q, cq in enumerate(image.coeffs):
-                if not cq:
-                    continue
-                if q <= cap:
-                    col[module.basis_index(dest, q)] = cq
-                else:
-                    leaks.append(LeakageTerm(comp, power, dest, q, cq))
-        cols.append(col)
-    matrix = ExactMatrix(list(map(list, zip(*cols))))
-    return RestrictedMatrix(module, matrix, tuple(leaks))
+            first = max(cap + 1 - max(i - j for i, j in entry.terms), 0)
+            tasks += [
+                (comp, power, dest, entry, cap)
+                for power in range(first, module.degree_cap(comp) + 1)
+            ]
+    tasks.sort(key=lambda task: task[:3])
+    leaks = []
+    for comp, power, dest, entry, cap in tasks:
+        image = entry.apply(x_monomial(power)).coeffs
+        leaks += [
+            LeakageTerm(comp, power, dest, q, image[q])
+            for q in range(cap + 1, len(image))
+            if image[q]
+        ]
+    return tuple(leaks)
+
+
+def restrict(op: MatOp, module: ModuleSpec) -> RestrictedMatrix:
+    """Matrix of `op` on the doublet basis, with out-of-space leakage.
+
+    The matrix is filled by band scatter: a term c x^i d^j of the entry
+    (dest, comp) adds c p!/(p-j)! at the row of x^(p+i-j) in dest and
+    the column of x^p in comp, for every j <= p whose image stays within
+    dest's cap; cells that several terms reach are summed.  The images
+    above the cap come from ``leakage``."""
+    cells = {}
+    offsets = (0, module.top_degree + 1)
+    for comp in (0, 1):
+        source_cap = module.degree_cap(comp)
+        for dest in (0, 1):
+            cap = module.degree_cap(dest)
+            for (i, j), c in op.entries[dest][comp].terms.items():
+                # x^p -> x^(p+i-j) for j <= p <= source_cap, within the cap
+                for p in range(j, min(source_cap, cap - i + j) + 1):
+                    key = (offsets[dest] + p + i - j, offsets[comp] + p)
+                    term = c * math.perm(p, j)
+                    cells[key] = cells[key] + term if key in cells else term
+    zero = Fraction(0)
+    rows = [[zero] * module.dim for _ in range(module.dim)]
+    for (row, col), value in cells.items():
+        rows[row][col] = as_exact(value) or zero
+    matrix = ExactMatrix._of(tuple(map(tuple, rows)))
+    return RestrictedMatrix(module, matrix, leakage(op, module))
 
 
 # ----------------------------------------------------------------------

@@ -184,6 +184,30 @@ def test_isolation_brackets_separate_roots():
         assert sturm_count(p, lo, hi) == 1
 
 
+# sqrt(2) = 1.41421356237309504880...: both rationals lie within one ulp
+# of it, one on each side
+BELOW_SQRT2 = F(14142135623730950, 10**16)
+ABOVE_SQRT2 = F(14142135623730951, 10**16)
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        ParamPoly("t", (-2, 0, 1)),  # even: isolated on q(mu) = mu - 2
+        ParamPoly("t", (6, -2, -3, 1)),  # (t - 3)(t^2 - 2): the general path
+    ],
+)
+def test_root_compare_is_exact_next_to_the_root(poly):
+    roots = [r for r in real_roots(poly) if r.exact is None]
+    assert len(roots) == 2
+    neg, pos = roots
+    assert (pos.compare(BELOW_SQRT2), pos.compare(ABOVE_SQRT2)) == (1, -1)
+    assert (neg.compare(-ABOVE_SQRT2), neg.compare(-BELOW_SQRT2)) == (1, -1)
+    assert (pos.compare(F(-10)), pos.compare(F(10)), neg.compare(F(0))) == (1, -1, -1)
+    exact = [r for r in real_roots(poly * ParamPoly("t", (-3, 1))) if r.exact]
+    assert [r.compare(F(3)) for r in exact] == [0]
+
+
 def test_real_roots_exact_and_multiplicity():
     t = ParamPoly.gen("t")
     roots = real_roots(t**4 - 64 * t * t)

@@ -3,9 +3,10 @@
 sympy recomputes determinants, resultants and characteristic
 polynomials; hypothesis checks algebraic identities of operators and
 polynomials on small random inputs (a fixed, small number of
-deterministic examples), and that the zero-skipping kernels return
+deterministic examples), that the zero-skipping kernels return
 normal-form results equal to zero-seeded reference arithmetic written
-out here; mpmath recomputes the roots of q(mu) to 40 digits, against
+out here, and that ``restrict`` and ``leakage`` match the column-by-column
+construction kept here as their reference; mpmath recomputes the roots of q(mu) to 40 digits, against
 which every printed level must be correctly rounded.
 """
 
@@ -43,7 +44,15 @@ from qeslab.spectral import (
     restricted_hamiltonian,
     sweep,
 )
-from qeslab.weyl import DiffOp, MatOp, restrict
+from qeslab.weyl import (
+    DiffOp,
+    LeakageTerm,
+    MatOp,
+    ModuleSpec,
+    leakage,
+    restrict,
+    x_monomial,
+)
 
 F = Fraction
 
@@ -214,6 +223,14 @@ def _assert_same_diffop(got: DiffOp, want: DiffOp):
 
 
 @SMALL
+# both operands over Q with denominators above 1 (the cleared-integer
+# product) and a Q / Q[k0] mix (the ring product)
+@example(DiffOp({(1, 2): F(-3, 4), (0, 1): F(5, 6)}), DiffOp({(2, 0): F(2, 3)}), F(1, 2))
+@example(
+    DiffOp({(1, 1): F(1, 2), (0, 2): ParamPoly("k0", (0, 3))}),
+    DiffOp({(2, 1): F(-5, 3)}),
+    ParamPoly("k0", (1, 1)),
+)
 @given(k0_diffops, k0_diffops, raw_coeffs)
 def test_diffop_results_are_normal_and_match_reference(a, b, scalar):
     _assert_same_diffop(a + b, _reference_sum(a, b))
@@ -246,6 +263,67 @@ def test_matop_results_are_normal_and_match_reference(a, b):
                 assert type(got[i][j]) is DiffOp
                 _assert_same_diffop(got[i][j], want[i][j])
         assert got.is_zero == all(e.is_zero for row in want for e in row)
+
+
+def _reference_restrict(op: MatOp, module: ModuleSpec):
+    """(matrix, leakage) of `op` on `module`, column by column: every
+    entry applied to every basis monomial, the image coefficients above
+    the destination cap kept as leakage in that order."""
+    cols = []
+    leaks = []
+    for comp, power in module.basis_labels():
+        col = [F(0)] * module.dim
+        mono = x_monomial(power)
+        for dest in (0, 1):
+            entry = op.entries[dest][comp]
+            if not entry.terms:
+                continue
+            image = entry.apply(mono)
+            cap = module.degree_cap(dest)
+            for q, cq in enumerate(image.coeffs):
+                if not cq:
+                    continue
+                if q <= cap:
+                    col[module.basis_index(dest, q)] = cq
+                else:
+                    leaks.append(LeakageTerm(comp, power, dest, q, cq))
+        cols.append(col)
+    return ExactMatrix(list(map(list, zip(*cols)))), tuple(leaks)
+
+
+# denominators 1-6, polynomials in k0 over them, and mixes of the two;
+# x powers up to 6 shift monomials past every cap drawn below
+sixths = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+restrict_coeffs = st.one_of(
+    sixths, st.lists(sixths, max_size=3).map(lambda cs: ParamPoly("k0", cs))
+)
+restrict_diffops = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 4)), restrict_coeffs.filter(bool),
+    min_size=1, max_size=4,
+).map(DiffOp)
+restrict_matops = st.tuples(
+    entry_masks, st.lists(restrict_diffops, min_size=4, max_size=4)
+).map(_masked_matop)
+modules = st.builds(ModuleSpec, st.integers(0, 4), st.integers(0, 4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example(
+    MatOp([[DiffOp({(5, 0): F(1, 6), (0, 1): 2}), DiffOp()],
+           [DiffOp({(1, 0): ParamPoly("k0", (0, F(-2, 3)))}), DiffOp.x(3)]]),
+    ModuleSpec(1, 0),
+)
+@given(restrict_matops, modules)
+def test_restrict_and_leakage_match_column_reference(op, module):
+    want_matrix, want_leaks = _reference_restrict(op, module)
+    got = restrict(op, module)
+    assert (got.matrix.rows, got.matrix.cols) == (module.dim, module.dim)
+    assert all(type(row) is tuple for row in got.matrix.entries)
+    assert all(_normal_coeff(e, zero_ok=True) for row in got.matrix.entries for e in row)
+    assert got.matrix == want_matrix
+    assert got.leakage == want_leaks
+    assert leakage(op, module) == want_leaks
+    assert all(_normal_coeff(t.coeff) for t in want_leaks)
 
 
 exact_matrices = st.integers(1, 3).flatmap(

@@ -365,8 +365,12 @@ def test_collision_search_rejects_boundary_minimum():
 
 
 def test_collision_at_bracket_endpoint_is_not_interior():
+    # c = 0 is a collision at n = 4: not inside as c_min, nor as c_max
     with pytest.raises(NoDegeneracyError):
         find_degeneracy(4, F(0), F(5))
+    with pytest.raises(NoDegeneracyError):
+        find_degeneracy(4, F(-1), F(0))
+    assert abs(find_degeneracy(4, F(-7), F(0)).c_star + math.sqrt(40)) < 1e-12
 
 
 def test_vanishing_collision_polynomial_raises(monkeypatch):

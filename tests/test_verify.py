@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qeslab import generators, verify
+from qeslab import cli, generators, spectral, verify, weyl
 from qeslab.generators import SIGN_MATRICES, MixSpec, perturb
 from qeslab.verify import (
     default_scan_grid,
@@ -111,6 +111,28 @@ def test_delta4_scan_builds_one_generator_set(monkeypatch):
     counts = count_calls(monkeypatch, "bosonic_gens", "fermionic_gens")
     delta4_scan(6)
     assert counts == {"bosonic_gens": 1, "fermionic_gens": 1}
+
+
+def test_only_matrix_checks_restrict(monkeypatch, capsys):
+    # EQ2 and EQ30 read leakage without building a matrix; restrict runs
+    # for the q(2) shadow alone (three mixed generators, three tees and
+    # sigma3 at each gap-2 point n = 2..12), then for the five reflection
+    # certificates (n = 2..6) of `qeslab verify`
+    calls = []
+    original = weyl.restrict
+
+    def counted(op, module):
+        calls.append(module)
+        return original(op, module)
+
+    for module in (weyl, verify, spectral):
+        monkeypatch.setattr(module, "restrict", counted)
+    default_suite()
+    assert len(calls) == 7 * 11
+    calls.clear()
+    assert cli.main(["verify", "--quiet"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 7 * 11 + 5
 
 
 def test_perturb_changes_first_populated_entry():
