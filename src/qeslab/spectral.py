@@ -20,11 +20,21 @@ against a finite-difference discretization of the physical operator.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
 
-import numpy as np
+# OpenBLAS worker threads busy-wait for 2^28 cycles (about 0.08 s) after
+# the library loads and after each threaded call before they sleep.  Only
+# the FD cross-check calls BLAS, a few times per run, so that spin burns
+# a second core during every command, exact ones included, by an amount
+# that depends on scheduling.  2^4 cycles makes idle workers sleep at
+# once; an OPENBLAS_THREAD_TIMEOUT set by the caller wins, and the
+# default does nothing when numpy is already loaded.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+import numpy as np  # noqa: E402
 
 from qeslab.exactnum import (
     ExactMatrix,

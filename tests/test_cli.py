@@ -434,6 +434,28 @@ def test_exact_paths_do_not_import_scipy():
     assert out.strip() == "False"
 
 
+@pytest.mark.parametrize("given, expected", [(None, "4"), ("20", "20")])
+def test_openblas_workers_sleep_when_idle_unless_caller_says(given, expected):
+    # numpy loads with qeslab.cli; the default must be in place before it
+    # does, and a caller's own setting must win
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if given is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = given
+    script = (
+        "import os, sys\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import qeslab.cli\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == expected
+
+
 def test_delta4_scan_summary(capsys):
     code, out, _ = run(capsys, ["delta4-scan", "--n", "5"])
     assert code == 0
