@@ -600,16 +600,29 @@ def reflection_check(n: int):
 # the coarsest grid and the narrowest box numeric_crosscheck accepts
 FD_MIN_GRID = 200
 FD_MIN_BOX = 3.0
-# shifted inverse-iteration passes per matched level: the shift is a
-# band eigenvalue, within O(u ||A||) of the true one, so each pass damps
-# every other eigencomponent by O(u ||A|| / gap)
-FD_INVERSE_PASSES = 2
+# block inverse iteration runs at the algebraic level t itself, which is
+# O(h^2) from its FD eigenvalues, so each pass damps every other
+# eigencomponent by O(h^2 / gap).  Passes stop once the block residual is
+# within FD_CONVERGED_ULPS u ||A||_inf (measured: at most 10 passes for
+# n = 2..6, grids 200-1600, c in [0, 4]).  Only a block that has not
+# converged after FD_MAX_PASSES passes (a coarse grid, or levels closer
+# than the FD error) moves on to its Rayleigh quotient: a shift that near
+# an eigenvalue leaves tiny pivots near the eigenvector's nodes in the
+# unpivoted block LDL^T, and the solves there keep less of their
+# backward stability (residuals at 36-90 u ||A||_inf for n = 6, grid
+# 800, c = 3, where the shift t gives 4)
+FD_CONVERGED_ULPS = 4
+FD_MAX_PASSES = 16
 # a Ritz residual ||A v - theta v|| may reach this many units of
-# u ||A||_inf (measured: at most 4.3 for grids 200-12800); a Ritz value
-# may differ from its band eigenvalue by 2m u ||A||_inf, since the band
-# solver's rounding error grows with the dimension 2m (measured: at most
-# 0.006 2m u ||A||_inf)
+# u ||A||_inf (measured: at most 7.3 over 514 cases, n = 2..8, grids
+# 200-1600, boxes 3-8, c in [-17/8, 20])
 FD_RESIDUAL_ULPS = 64
+# the inertia window around a level t reaches twice as far from t as its
+# farthest matched Ritz value, plus the residual and this many units of
+# u ||A||_inf.  The block LDL^T count is only reliable away from an
+# eigenvalue (it flips back and forth within 1e-9, 300 u ||A||_inf, of
+# one at n = 7, grid 200, c = 21/4), so no edge sits next to a matched one
+FD_WINDOW_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -663,6 +676,112 @@ def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _block_ldl(band: np.ndarray, sigma: float):
+    """Block LDL^T of A - sigma I for the interleaved FD band of _fd_band.
+
+    A is block tridiagonal in the 2 x 2 blocks of one grid point: the
+    diagonal blocks D_i join the two channels of y_i (band[1] is zero at
+    odd columns), and the off-diagonal blocks B_i = diag(band[2, 2i],
+    band[2, 2i+1]) join y_i to y_(i+1).  The pivots are
+    S_i = D_i - sigma I - B_(i-1) S_(i-1)^-1 B_(i-1), run on Python floats.
+    Returns their inverses, as the lists (P, Q, R) of the entries
+    S_i^-1 = [[P_i, Q_i], [Q_i, R_i]], and the number of negative pivot
+    eigenvalues, which by Sylvester's law of inertia is the number of
+    eigenvalues of A below sigma.  A singular pivot raises SpectralError.
+    """
+    diag, sub, off = band.tolist()
+    g0, g1 = [0.0] + off[0:-2:2], [0.0] + off[1:-2:2]
+    inv_p, inv_q, inv_r = [], [], []
+    p = q = r = 0.0
+    negatives = 0
+    for a, c, d, b0, b1 in zip(diag[0::2], sub[0::2], diag[1::2], g0, g1):
+        a -= sigma + b0 * b0 * p
+        c -= b0 * b1 * q
+        d -= sigma + b1 * b1 * r
+        det = a * d - c * c
+        if det < 0.0:
+            negatives += 1
+        elif det > 0.0:
+            negatives += 2 if a < 0.0 else 0
+        else:
+            raise SpectralError(f"singular FD pivot at shift {sigma!r}")
+        p, q, r = d / det, -c / det, a / det
+        inv_p.append(p)
+        inv_q.append(q)
+        inv_r.append(r)
+    return (inv_p, inv_q, inv_r), negatives
+
+
+def _block_solve(
+    band: np.ndarray, sigma: float, pivots, rhs: np.ndarray
+) -> np.ndarray:
+    """X with (A - sigma I) X = rhs, for the pivot inverses `pivots` of
+    _block_ldl(band, sigma): block forward substitution with the unit
+    factor L (L_(i+1,i) = B_i S_i^-1) and the pivots, back substitution
+    with L^T, and one step of iterative refinement.  The factorization
+    does not pivot, so where the shooting solution at sigma has a node
+    near a grid point a pivot is tiny and the backward error of one
+    substitution grows (to about 480 u ||A|| at n = 6, grid 800, c = 3);
+    the refinement step brings it back to about u ||A||."""
+    inv_p, inv_q, inv_r = pivots
+    off = band[2].tolist()
+    g0, g1 = [0.0] + off[0:-2:2], [0.0] + off[1:-2:2]
+
+    def substitute(b: np.ndarray) -> np.ndarray:
+        out = []
+        for col in b.T.tolist():
+            # forward: y_i = S_i^-1 (b_i - B_(i-1) y_(i-1))
+            y0s, y1s = [], []
+            y0 = y1 = 0.0
+            for f0, f1, b0, b1, p, q, r in zip(
+                col[0::2], col[1::2], g0, g1, inv_p, inv_q, inv_r
+            ):
+                z0 = f0 - b0 * y0
+                z1 = f1 - b1 * y1
+                y0 = p * z0 + q * z1
+                y1 = q * z0 + r * z1
+                y0s.append(y0)
+                y1s.append(y1)
+            # back: x_i = y_i - S_i^-1 B_i x_(i+1), from the last point down
+            x = []
+            x0 = x1 = 0.0
+            for y0, y1, p, q, r, b0, b1 in zip(
+                *map(reversed, (y0s, y1s, inv_p, inv_q, inv_r, off[0::2], off[1::2]))
+            ):
+                u0 = b0 * x0
+                u1 = b1 * x1
+                x0 = y0 - (p * u0 + q * u1)
+                x1 = y1 - (q * u0 + r * u1)
+                x += (x1, x0)
+            out.append(x[::-1])
+        return np.array(out).T
+
+    x = substitute(rhs)
+    return x + substitute(rhs - _band_matvec(band, x) + sigma * x)
+
+
+def _inverse_iteration(
+    band: np.ndarray, shift: float, x: np.ndarray, done: np.ndarray, tol: float
+) -> np.ndarray:
+    """Block inverse iteration from the start columns x, kept orthogonal
+    to the orthonormal columns `done` and, by a QR after each pass, to one
+    another.  It runs FD_MAX_PASSES passes at most with one block LDL^T of
+    A - shift I, and as many again at the block's Rayleigh quotient if the
+    residual ||A X - X (X^T A X)|| has not fallen to tol by then; it
+    returns the orthonormal block either way."""
+    for _ in range(2):
+        pivots = _block_ldl(band, shift)[0]
+        for _ in range(FD_MAX_PASSES):
+            y = _block_solve(band, shift, pivots, x)
+            x = np.linalg.qr(y - done @ (done.T @ y))[0]
+            ax = _band_matvec(band, x)
+            rayleigh = x.T @ ax
+            if np.linalg.norm(ax - x @ rayleigh) <= tol:
+                return x
+        shift = float(np.trace(rayleigh)) / len(rayleigh)
+    return x
+
+
 def numeric_crosscheck(
     spec: HamiltonianSpec,
     grid_points: int = 800,
@@ -676,61 +795,81 @@ def numeric_crosscheck(
     the half-line with a cell-centered uniform grid (y_i = (i-1/2)h,
     h = box/grid_points): second-order central differences, reflective
     stencil across y = 0, Dirichlet wall at the outer edge.  The
-    symmetric (2 grid_points)^2 matrix has bandwidth 2 and is kept as a
-    band: all its eigenvalues come from the banded LAPACK solver, and
-    each algebraic level is greedily matched to the nearest unused one.
-    Eigenvectors are computed for the matched levels only, by shifted
-    inverse iteration and a Rayleigh-Ritz step on their span, and the
-    Ritz values are the numeric levels.  A Ritz residual beyond
-    FD_RESIDUAL_ULPS u ||A||, or a Ritz value further than 2m u ||A||
-    from its band eigenvalue, raises SpectralError.  The boundary
-    amplitude of the matched eigenvectors certifies the box is wide
-    enough.
+    symmetric (2 grid_points)^2 matrix A is block tridiagonal in 2 x 2
+    blocks, one per grid point, and is kept as a band.  Only the FD
+    eigenvectors nearest the algebraic levels are computed, by block
+    inverse iteration on Python floats (_inverse_iteration): for each
+    level t of multiplicity k, in ascending order, k seeded columns at the
+    shift t, kept orthogonal to the vectors of the levels before it, so
+    each level takes the nearest eigenvectors no earlier level took.  A
+    Rayleigh-Ritz step on the span of all 2n columns gives the numeric
+    levels as Ritz values, each algebraic level greedily matched to the
+    nearest unused one.  A Ritz residual beyond FD_RESIDUAL_ULPS u ||A||
+    raises SpectralError.  So does an inertia count: the FD eigenvalues
+    in a window around t that reaches twice as far as t's matched Ritz
+    values (FD_WINDOW_ULPS), counted by two block LDL^T factorizations
+    at its edges (_block_ldl), must be exactly the computed ones there.
+    That certifies that no FD eigenvalue left uncomputed is nearer to t
+    than its matched ones, so the matching is the greedy one over the
+    whole FD spectrum.  The boundary amplitude of the matched
+    eigenvectors certifies the box is wide enough.
     """
     if grid_points < FD_MIN_GRID:
         raise ValueError(f"need at least {FD_MIN_GRID} grid points")
     if not FD_MIN_BOX <= box_half_width < np.inf:
         raise ValueError(f"need a finite box half-width >= {FD_MIN_BOX}")
-    from scipy.linalg import eigvals_banded, solve_banded
 
     spectrum = algebraic_spectrum(spec)
     band = _fd_band(spec, grid_points, box_half_width / grid_points)
     dim = band.shape[1]
-    evals = eigvals_banded(band, lower=True)
-    picks = []
-    for target in spectrum.values:
-        nearest = np.argsort(np.abs(evals - target))
-        picks.append(next(int(i) for i in nearest if int(i) not in picks))
-    # the same matrix in the (2, 2) general band layout of solve_banded,
-    # ab[2 + i - j, j] = A[i, j]; row 2 takes the shifted diagonal
-    ab = np.zeros((5, dim))
-    ab[2:] = band
-    ab[1, 1:] = band[1, :-1]
-    ab[0, 2:] = band[2, :-2]
-    order = sorted(picks)
+    ulp = np.finfo(float).eps * _band_matvec(np.abs(band), np.ones((dim, 1))).max()
     # seeded random starts: generic, so no eigenvector is missed, and
     # every run repeats bit for bit
-    basis = np.random.default_rng(0).standard_normal((dim, len(order)))
-    for col, pick in enumerate(order):
-        ab[2] = band[0] - evals[pick]
-        for _ in range(FD_INVERSE_PASSES):
-            x = solve_banded((2, 2), ab, basis[:, col])
-            basis[:, col] = x / np.linalg.norm(x)
-    q, _ = np.linalg.qr(basis)
+    rng = np.random.default_rng(0)
+    # each level takes the FD eigenvectors nearest to it that no level
+    # before it took, as the greedy matching below does; this keeps two
+    # levels closer than the FD error from converging to one vector
+    q = np.zeros((dim, 0))
+    for level in spectrum.levels:
+        x = _inverse_iteration(
+            band, float(level.value), rng.standard_normal((dim, level.multiplicity)),
+            q, FD_CONVERGED_ULPS * ulp,
+        )
+        q = np.hstack([q, x])
+    q, _ = np.linalg.qr(q)
     aq = _band_matvec(band, q)
     ritz, w = np.linalg.eigh(q.T @ aq)
     vecs = q @ w
-    residual = np.linalg.norm(aq @ w - vecs * ritz, axis=0).max()
-    drift = np.abs(ritz - evals[order]).max()
-    ulp = np.finfo(float).eps * _band_matvec(np.abs(band), np.ones((dim, 1))).max()
-    if not (residual <= FD_RESIDUAL_ULPS * ulp and drift <= dim * ulp):
+    residuals = np.linalg.norm(aq @ w - vecs * ritz, axis=0)
+    if not residuals.max() <= FD_RESIDUAL_ULPS * ulp:
         raise SpectralError(
-            f"FD eigenvectors did not converge: residual {residual:.3g} "
-            f"(bound {FD_RESIDUAL_ULPS * ulp:.3g}), Ritz value off its band "
-            f"eigenvalue by {drift:.3g} (bound {dim * ulp:.3g})"
+            f"FD eigenvectors did not converge: residual {residuals.max():.3g} "
+            f"(bound {FD_RESIDUAL_ULPS * ulp:.3g})"
         )
+    cols = []
+    for target in spectrum.values:
+        nearest = np.argsort(np.abs(ritz - target))
+        cols.append(next(int(i) for i in nearest if int(i) not in cols))
+    # the 2n Ritz values lie within the norm of the residual block, at
+    # most its Frobenius norm, of 2n distinct FD eigenvalues (Kahan)
+    residual_norm = float(np.linalg.norm(residuals))
+    start = 0
+    for level in spectrum.levels:
+        t, k = float(level.value), level.multiplicity
+        reach = np.abs(ritz[cols[start : start + k]] - t).max()
+        start += k
+        radius = 2 * reach + residual_norm + FD_WINDOW_ULPS * ulp
+        # every FD eigenvalue within radius of t must be a computed one,
+        # and no Ritz value may sit within its residual of an edge
+        dist = np.abs(ritz - t)
+        inside = int(np.sum(dist < radius))
+        count = _block_ldl(band, t + radius)[1] - _block_ldl(band, t - radius)[1]
+        if count != inside or np.any(np.abs(dist - radius) <= residual_norm):
+            raise SpectralError(
+                f"FD inertia count {count} within {radius:.3g} of the level "
+                f"{t!r}, not the {inside} computed FD eigenvalues there"
+            )
     # the Ritz values, accurate to their residuals, are the numeric levels
-    cols = [order.index(pick) for pick in picks]
     rows = tuple(
         CrosscheckRow(
             algebraic=float(target),

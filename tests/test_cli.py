@@ -414,17 +414,22 @@ def test_crosscheck_json(capsys):
 
 
 def test_exact_paths_do_not_import_scipy():
-    # scipy is imported inside numeric_crosscheck only: its import time
-    # would otherwise land on every exact command
+    # no command needs scipy, the FD cross-check included: with the
+    # import blocked, every subcommand still runs and none loads it
     script = (
         "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
         "from qeslab.cli import main\n"
         "for argv in (['spectrum', '--n', '4', '--c', '19/8'],\n"
         "             ['sweep', '--n', '3', '--c-min', '0', '--c-max', '1', '--steps', '3'],\n"
-        "             ['charpoly', '--n', '4']):\n"
+        "             ['charpoly', '--n', '4'],\n"
+        "             ['degeneracy', '--n', '3', '--c-min', '4', '--c-max', '5'],\n"
+        "             ['verify', '--n-max', '3', '--delta-max', '2', '--quiet'],\n"
+        "             ['delta4-scan', '--n', '4'],\n"
+        "             ['crosscheck', '--n', '2', '--c', '1', '--grid', '400']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "print('scipy' in sys.modules)\n"
+        "print(sys.modules['scipy'] is not None)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -11,10 +11,15 @@ from sympy.polys.matrices import DomainMatrix
 
 from qeslab.exactnum import ExactMatrix, ParamPoly, Root
 from qeslab.spectral import (
+    FD_CONVERGED_ULPS,
     HamiltonianSpec,
     NoDegeneracyError,
     SpectralError,
+    _band_matvec,
+    _block_ldl,
+    _block_solve,
     _evaluated,
+    _fd_band,
     _parity_blocks,
     algebraic_spectrum,
     block_form,
@@ -609,6 +614,49 @@ def test_crosscheck_matches_dense_eigh_oracle(n, c, grid):
     assert result.boundary_amplitude < 1e-6
 
 
+@pytest.mark.parametrize("grid", [200, 400])
+def test_crosscheck_levels_closer_than_the_fd_error(grid):
+    # at n = 3, c = 49/10, next to the collision at c* = sqrt(24), the
+    # levels +-7.2e-4 are closer together than the FD error, and each must
+    # still take its own FD eigenvalue
+    test_crosscheck_matches_dense_eigh_oracle(3, F(49, 10), grid)
+
+
+def test_crosscheck_window_edges_keep_away_from_the_fd_levels(monkeypatch):
+    import qeslab.spectral as spectral_mod
+
+    # the block LDL^T count flips back and forth within ~1e-9 of an FD
+    # eigenvalue (n = 7, c = 21/4, grid 200), so no window edge may sit
+    # just past a matched one
+    shifts = []
+    block_ldl = spectral_mod._block_ldl
+
+    def recording(band, sigma):
+        shifts.append(sigma)
+        return block_ldl(band, sigma)
+
+    monkeypatch.setattr(spectral_mod, "_block_ldl", recording)
+    spec = HamiltonianSpec.from_c(7, F(21, 4))
+    result = numeric_crosscheck(spec, grid_points=200)
+    edges = np.array(shifts[-2 * len(algebraic_spectrum(spec).levels) :])
+    numeric = np.array([row.numeric for row in result.rows])
+    assert np.abs(edges[:, None] - numeric[None, :]).min() > 1e-6
+
+
+def test_crosscheck_stalled_block_converges_at_its_rayleigh_quotient():
+    # on the coarse grid 200 over the wide box 8 at n = 8, c = -17/8, some
+    # blocks stall at ~20 u ||A|| after FD_MAX_PASSES passes at their level
+    # and only converge at their Rayleigh quotient
+    spec = HamiltonianSpec.from_c(8, F(-17, 8))
+    result = numeric_crosscheck(spec, grid_points=200, box_half_width=8.0)
+    band = _fd_band(spec, 200, 8.0 / 200)
+    ulp = np.finfo(float).eps * _band_matvec(np.abs(band), np.ones((400, 1))).max()
+    numeric = np.array([row.numeric for row in result.rows])
+    vectors = result.vectors
+    residual = np.linalg.norm(_band_matvec(band, vectors) - vectors * numeric, axis=0)
+    assert residual.max() <= FD_CONVERGED_ULPS * ulp
+
+
 def test_crosscheck_doublet_vectors_are_orthonormal():
     # at n = 2, c = 0 the algebraic level 0 is double and matches the FD
     # pair -2.77e-5 / -4.31e-4, far closer than any other two levels
@@ -622,12 +670,90 @@ def test_crosscheck_doublet_vectors_are_orthonormal():
 
 
 def test_crosscheck_unconverged_vectors_raise(monkeypatch):
-    import scipy.linalg
+    import qeslab.spectral as spectral_mod
 
     # inverse iteration that never moves leaves a random subspace
-    monkeypatch.setattr(scipy.linalg, "solve_banded", lambda l_and_u, ab, b: b)
+    monkeypatch.setattr(
+        spectral_mod, "_block_solve", lambda band, sigma, pivots, b: b
+    )
     with pytest.raises(SpectralError, match="did not converge"):
         numeric_crosscheck(HamiltonianSpec.from_c(2, F(1)), grid_points=200)
+
+
+def test_crosscheck_inertia_count_mismatch_raises(monkeypatch):
+    import qeslab.spectral as spectral_mod
+
+    # an FD eigenvalue left uncomputed at the lowest level: every count
+    # from there up is one higher, so only that level's window sees it
+    spec = HamiltonianSpec.from_c(2, F(1))
+    lowest = algebraic_spectrum(spec).values[0]
+    block_ldl = spectral_mod._block_ldl
+
+    def one_more(band, sigma):
+        pivots, negatives = block_ldl(band, sigma)
+        return pivots, negatives + (sigma >= lowest)
+
+    monkeypatch.setattr(spectral_mod, "_block_ldl", one_more)
+    with pytest.raises(SpectralError, match="inertia count 2 .* not the 1 computed"):
+        numeric_crosscheck(spec, grid_points=200)
+
+
+def _midpoints(evals):
+    return (evals[1:] + evals[:-1]) / 2
+
+
+@pytest.mark.parametrize("grid", [200, 400])
+@pytest.mark.parametrize("c", [F(0), F(1), F(17, 8)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_ldl_counts_the_dense_eigenvalues_below_the_shift(n, c, grid):
+    spec = HamiltonianSpec.from_c(n, c)
+    evals = np.linalg.eigvalsh(_dense_fd(spec, grid))
+    band = _fd_band(spec, grid, 4.5 / grid)
+    levels = [float(v) for v in algebraic_spectrum(spec).values]
+    for sigma in levels + list(_midpoints(evals)):
+        assert _block_ldl(band, sigma)[1] == int(np.sum(evals < sigma)), sigma
+
+
+@pytest.mark.parametrize("grid", [200, 400])
+@pytest.mark.parametrize("c", [F(0), F(1), F(17, 8)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_solve_matches_dense_solve(n, c, grid):
+    spec = HamiltonianSpec.from_c(n, c)
+    fd = _dense_fd(spec, grid)
+    evals = np.linalg.eigvalsh(fd)
+    band = _fd_band(spec, grid, 4.5 / grid)
+    rhs = np.random.default_rng(1).standard_normal((2 * grid, 3))
+    # the midpoints on either side of each level's nearest FD eigenvalue,
+    # and a few across the rest of the spectrum; not the midpoint of the
+    # c = 0 doublet, 2e-4 from both, where fd - sigma I is too ill
+    # conditioned for two solvers to agree to 1e-10
+    mids = _midpoints(evals)
+    near = [int(np.argmin(np.abs(evals - v))) for v in algebraic_spectrum(spec).values]
+    shifts = [mids[i] for j in near for i in (j - 1, j) if 0 <= i < len(mids)]
+    shifts += list(mids[:: len(mids) // 5])
+    for sigma in [x for x in shifts if np.abs(evals - x).min() > 0.1]:
+        got = _block_solve(band, sigma, _block_ldl(band, sigma)[0], rhs)
+        want = np.linalg.solve(fd - sigma * np.eye(2 * grid), rhs)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), sigma
+
+
+def test_block_solve_is_backward_stable_past_a_tiny_pivot():
+    # at n = 6, c = 3, grid 800 the shift 11.5558, 1.2e-5 from an FD
+    # eigenvalue, leaves a pivot inverse ~1e5 times the median one near a
+    # node of the eigenvector; one substitution alone has a backward error
+    # of ~480 u ||A||, the refined solve of about u ||A||
+    band = _fd_band(HamiltonianSpec.from_c(6, F(3)), 800, 4.5 / 800)
+    sigma = 11.5558
+    pivots = _block_ldl(band, sigma)[0]
+    size = np.abs(np.array(pivots)).max(axis=0)
+    assert size.max() > 1e4 * np.median(size)
+    rhs = np.random.default_rng(2).standard_normal((1600, 2))
+    x = _block_solve(band, sigma, pivots, rhs)
+    norm = _band_matvec(np.abs(band), np.ones((1600, 1))).max()
+    backward = np.linalg.norm(_band_matvec(band, x) - sigma * x - rhs) / (
+        norm * np.linalg.norm(x) + np.linalg.norm(rhs)
+    )
+    assert backward < 4 * np.finfo(float).eps
 
 
 def test_crosscheck_rejects_tiny_inputs():
