@@ -1184,36 +1184,10 @@ class ExactMatrix:
             rows[i][i] = d + scalar if d else scalar
         return ExactMatrix(rows)
 
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return as_exact(sum((self.entries[i][i] for i in range(self.rows)), Fraction(0)))
-
     def map_entries(self, func) -> "ExactMatrix":
         return ExactMatrix([[func(e) for e in row] for row in self.entries])
 
     # ------------------------------------------------------------------
-    def faddeev_leverrier(self):
-        """(coeffs, terms) of the Faddeev-LeVerrier recursion: the
-        ascending coefficients of det(t*I - self), which the recursion
-        needs, and the matrices N_0 .. N_{n-1} with
-        adj(t*I - self) = sum_k t^(n-1-k) N_k, which ``eigenvectors``
-        reads.  No characteristic polynomial comes from here any more:
-        ``char_poly`` is the one path for it."""
-        if self.rows != self.cols:
-            raise ValueError("characteristic polynomial of a non-square matrix")
-        n = self.rows
-        coeffs = [Fraction(0)] * (n + 1)
-        coeffs[n] = Fraction(1)
-        terms = [ExactMatrix.identity(n)]
-        for k in range(1, n + 1):
-            am = self * terms[-1]
-            ck = -(am.trace() * Fraction(1, k))
-            coeffs[n - k] = as_exact(ck)
-            if k < n:
-                terms.append(am.scaled_identity_added(ck))
-        return coeffs, terms
-
     def char_poly(self, var: str = "lam") -> ParamPoly:
         """det(var*I - self), for entries in Q or in Q[t] with t one
         scalar variable (SCALAR_VARS), by exact evaluation and

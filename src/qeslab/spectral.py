@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
+from operator import mul
 
 # OpenBLAS worker threads busy-wait for 2^28 cycles (about 0.08 s) after
 # the library loads and after each threaded call before they sleep.  Only
@@ -42,6 +43,7 @@ from qeslab.exactnum import (
     ParamPoly,
     Root,
     SCALAR_VARS,
+    _integer_entries,
     as_exact,
     even_poly,
     real_roots,
@@ -318,32 +320,58 @@ def _normalize_doublet(top: ParamPoly, bottom: ParamPoly):
     raise SpectralError("zero eigenvector")
 
 
-def _adjugate_column(terms, mu, j: int):
-    """Column j of adj(mu - A) = sum_k mu^(n-1-k) N_k, by Horner in mu,
-    for the Faddeev-LeVerrier matrices N_k of A."""
-    column = [0] * terms[0].rows
+def _adjugate_terms(bc: ExactMatrix, q):
+    """(L, [T_0 .. T_(n-1)]) with adj(mu - BC) = sum_k mu^(n-1-k) T_k / L^k,
+    for q the ascending coefficients of det(mu - BC) and L the common
+    denominator of BC: by Cayley-Hamilton on integers, T_0 = I and
+    T_k = (L BC) T_(k-1) + L^k q_(n-k) I, where L^k q_(n-k) is a
+    coefficient of det(x - L BC), so an integer."""
+    den, rows = _integer_entries(bc.entries)[1:]
+    a = [[e[0] if e else 0 for e in row] for row in rows]
+    n = len(a)
+    terms = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for k in range(1, n):
+        shift = q[n - k] * den**k
+        if shift.denominator != 1:
+            raise ArithmeticError("det(x - L BC) has a non-integer coefficient")
+        term = [[sum(map(mul, row, col)) for col in zip(*terms[-1])] for row in a]
+        for i in range(n):
+            term[i][i] += shift.numerator
+        terms.append(term)
+    return den, terms
+
+
+def _adjugate_column(terms, x, scale, j: int):
+    """Column j of sum_k x^(n-1-k) scale^k terms[k], by Horner in x: of
+    adj(x - BC) for the T_k / L^k of _adjugate_terms and scale 1, and
+    (bL)^(n-1) times that of adj(a/b - BC) for the T_k, x = aL, scale b."""
+    column = [0] * len(terms[0])
+    weight = 1
     for term in terms:
-        column = [acc * mu + row[j] for acc, row in zip(column, term.entries)]
+        column = [acc * x + weight * row[j] for acc, row in zip(column, term)]
+        weight *= scale
     return column
 
 
 def eigenvectors(spectrum: AlgebraicSpectrum):
     """Eigenvector doublets per level of the spectrum's restricted
     matrix, M and C evaluated from its block form and BC taken from the
-    spectrum: exact kernels of M - E at rational levels E
-    (defective ones flagged).  An irrational level E must be simple, else
-    SpectralError; it is nonzero.  With E the rational value of its float
-    and mu = E^2, the largest column u of adj(mu - BC) spans the kernel of
-    mu - BC and w = C u / E completes the vector.  A float pre-pass picks
-    the column, which alone is evaluated exactly; the normalized doublet
-    is rounded to floats once."""
+    spectrum: exact kernels of M - E at rational levels E (defective ones
+    flagged).  An irrational level E must be simple, else SpectralError;
+    it is nonzero.  With E the rational value of its float and mu = E^2,
+    the largest column u of adj(mu - BC) spans the kernel of mu - BC and
+    w = C u / E completes the vector.  A float pre-pass picks the column,
+    which alone is evaluated exactly, on integers and up to a positive
+    factor; the normalized doublet is rounded to floats once."""
     form = spectrum.form
     value = form.coupling(spectrum.spec)
     module = form.restricted.module
     matrix = _evaluated(form.restricted.matrix, value)
     c = _evaluated(form.c, value)
-    terms = spectrum.bc.faddeev_leverrier()[1]
-    float_terms = [term.map_entries(float) for term in terms]
+    den, terms = _adjugate_terms(spectrum.bc, spectrum.char_poly.coeffs[::2])
+    # int true division rounds correctly: the floats of the adjugate's terms
+    scales = [den**k for k in range(len(terms))]
+    float_terms = [[[x / s for x in row] for row in t] for t, s in zip(terms, scales)]
     pairs = []
     for level in spectrum.levels:
         if level.exact is not None:
@@ -362,10 +390,10 @@ def eigenvectors(spectrum: AlgebraicSpectrum):
         j = max(
             range(form.b.rows),
             key=lambda j: sum(
-                x * x for x in _adjugate_column(float_terms, float(mu), j)
+                x * x for x in _adjugate_column(float_terms, float(mu), 1, j)
             ),
         )
-        u = _adjugate_column(terms, mu, j)
+        u = _adjugate_column(terms, mu.numerator * den, mu.denominator, j)
         w = [row[0] / e for row in (c * ExactMatrix([[x] for x in u])).entries]
         parts = {1: iter(u), -1: iter(w)}
         vector = [next(parts[sign]) for sign in _parity_signs(module)]
@@ -799,9 +827,9 @@ def numeric_crosscheck(
     blocks, one per grid point, and is kept as a band.  Only the FD
     eigenvectors nearest the algebraic levels are computed, by block
     inverse iteration on Python floats (_inverse_iteration): for each
-    level t of multiplicity k, in ascending order, k seeded columns at the
-    shift t, kept orthogonal to the vectors of the levels before it, so
-    each level takes the nearest eigenvectors no earlier level took.  A
+    level t of multiplicity k, in ascending order, k hashed start columns at
+    the shift t, kept orthogonal to the vectors of the levels before it,
+    so each level takes the nearest eigenvectors no earlier level took.  A
     Rayleigh-Ritz step on the span of all 2n columns gives the numeric
     levels as Ritz values, each algebraic level greedily matched to the
     nearest unused one.  A Ritz residual beyond FD_RESIDUAL_ULPS u ||A||
@@ -823,18 +851,15 @@ def numeric_crosscheck(
     band = _fd_band(spec, grid_points, box_half_width / grid_points)
     dim = band.shape[1]
     ulp = np.finfo(float).eps * _band_matvec(np.abs(band), np.ones((dim, 1))).max()
-    # seeded random starts: generic, so no eigenvector is missed, and
-    # every run repeats bit for bit
-    rng = np.random.default_rng(0)
     # each level takes the FD eigenvectors nearest to it that no level
     # before it took, as the greedy matching below does; this keeps two
-    # levels closer than the FD error from converging to one vector
+    # levels closer than the FD error from converging to one vector.  The
+    # starts hash their entry index, so every run repeats bit for bit
     q = np.zeros((dim, 0))
     for level in spectrum.levels:
-        x = _inverse_iteration(
-            band, float(level.value), rng.standard_normal((dim, level.multiplicity)),
-            q, FD_CONVERGED_ULPS * ulp,
-        )
+        i = np.arange(q.size, q.size + dim * level.multiplicity, dtype=np.uint64)
+        start = (i * 2654435761 % 2**32 / 2**32 - 0.5).reshape(dim, -1)
+        x = _inverse_iteration(band, float(level.value), start, q, FD_CONVERGED_ULPS * ulp)
         q = np.hstack([q, x])
     q, _ = np.linalg.qr(q)
     aq = _band_matvec(band, q)

@@ -415,7 +415,9 @@ def test_crosscheck_json(capsys):
 
 def test_exact_paths_do_not_import_scipy():
     # no command needs scipy, the FD cross-check included: with the
-    # import blocked, every subcommand still runs and none loads it
+    # import blocked, every subcommand still runs and none loads it; and
+    # none loads numpy.random, which the start columns of the FD inverse
+    # iteration do without
     script = (
         "import contextlib, io, sys\n"
         "sys.modules['scipy'] = None\n"
@@ -429,6 +431,7 @@ def test_exact_paths_do_not_import_scipy():
         "             ['crosscheck', '--n', '2', '--c', '1', '--grid', '400']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
+        "    assert 'numpy.random' not in sys.modules, argv\n"
         "print(sys.modules['scipy'] is not None)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

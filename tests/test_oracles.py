@@ -1,7 +1,7 @@
 """Independent oracles for the exact kernels, used by tests only.
 
-sympy recomputes determinants, resultants and characteristic
-polynomials; hypothesis checks algebraic identities of operators and
+sympy recomputes determinants, resultants, characteristic polynomials
+and adjugates; hypothesis checks algebraic identities of operators and
 polynomials on small random inputs (a fixed, small number of
 deterministic examples), that the zero-skipping kernels return
 normal-form results equal to zero-seeded reference arithmetic written
@@ -23,10 +23,12 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qeslab import spectral
 from qeslab.exactnum import (
     ExactMatrix,
     ParamPoly,
     _degree_bound,
+    _integer_entries,
     as_exact,
     poly_gcd,
     resultant,
@@ -38,8 +40,11 @@ from qeslab.exactnum import (
 from qeslab.generators import fault_names, generator_set
 from qeslab.spectral import (
     HamiltonianSpec,
+    _adjugate_column,
+    _adjugate_terms,
     _symbolic_mu_poly,
     algebraic_spectrum,
+    eigenvectors,
     format_sig,
     restricted_hamiltonian,
     sweep,
@@ -495,6 +500,60 @@ def test_det_rejects_other_entry_rings():
     for matrix in (two_variables, tower):
         with pytest.raises(TypeError):
             matrix.det()
+
+
+# ----------------------------------------------------------------------
+# sympy: the adjugate that eigenvectors reads
+# ----------------------------------------------------------------------
+
+@SMALL
+@example(ExactMatrix([[0, 0], [0, 0]]))
+@example(ExactMatrix([[F(1, 2), F(1, 3)], [F(-2, 5), 0]]))
+@example(ExactMatrix([[F(7, 4)]]))
+@given(rational_matrices)
+def test_adjugate_terms_match_sympy(matrix):
+    n = matrix.rows
+    den, terms = _adjugate_terms(matrix, matrix.char_poly("mu").coeffs)
+    assert all(type(e) is int for term in terms for row in term for e in row)
+    x = sympy.Symbol("x")
+    a = sympy.Matrix([[to_sympy(e) for e in row] for row in matrix.entries])
+    want = (x * sympy.eye(n) - a).adjugate()
+    got = sum(
+        (x ** (n - 1 - k) * sympy.Matrix(term) / den**k for k, term in enumerate(terms)),
+        sympy.zeros(n, n),
+    )
+    assert (got - want).expand() == sympy.zeros(n, n)
+
+
+@pytest.mark.parametrize("c", [F(0), F(17, 8), F(-3, 7)])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_eigenvector_column_is_a_positive_multiple_of_sympy_adjugate(
+    n, c, monkeypatch
+):
+    # every exact column eigenvectors evaluates, at mu = E^2 for E the
+    # float of an irrational level, is a positive multiple of column j of
+    # sympy's adj(mu - BC)
+    spectrum = algebraic_spectrum(HamiltonianSpec.from_c(n, c))
+    den = _integer_entries(spectrum.bc.entries)[1]
+    exact = []
+
+    def spy(terms, x, scale, j):
+        column = _adjugate_column(terms, x, scale, j)
+        if type(x) is int:
+            exact.append((F(x, den * scale), j, column))
+        return column
+
+    monkeypatch.setattr(spectral, "_adjugate_column", spy)
+    eigenvectors(spectrum)
+    irrational = [lv for lv in spectrum.levels if lv.exact is None]
+    assert sorted(mu for mu, _, _ in exact) == sorted(F(lv.value) ** 2 for lv in irrational)
+    bc = sympy.Matrix([[to_sympy(e) for e in row] for row in spectrum.bc.entries])
+    for mu, j, column in exact:
+        want = list((to_sympy(mu) * sympy.eye(n) - bc).adjugate()[:, j])
+        pivot = next(i for i, w in enumerate(want) if w != 0)
+        ratio = sympy.Rational(column[pivot]) / want[pivot]
+        assert ratio > 0
+        assert [sympy.Rational(u) for u in column] == [ratio * w for w in want]
 
 
 @SMALL
