@@ -8,20 +8,24 @@ resultants and characteristic polynomials of matrices over Q or Q[t]
 share one path over the integers: denominators cleared, integer
 determinants at sample points by fraction-free Bareiss, and
 interpolation from forward differences, in lam for a characteristic
-polynomial and in t up to a certified degree bound.  Real roots are
-isolated with Sturm sequences (for an even p(x) = q(x^2), on q, at half
-the degree) and refined in doubles from a float Newton guess, by steps
-away from the guess and then bisection: float Horner decides a sign
-only when its running error bound, which covers the rounding of the
-coefficients too, excludes zero, and exact evaluation, Horner on
-integers, decides the rest.  Refinement stops at adjacent doubles, and
-the exact sign at a decimal rounding boundary settles the last digit
-when they print differently, so every digit of '%.12g' of a root is
+polynomial and in t up to a certified degree bound.  Root finding runs
+on integer numerators too: square-free parts by Yun's algorithm on a
+modular gcd that trial division certifies, and real roots isolated by
+Descartes bisection in dyadic brackets (for an even p(x) = q(x^2), q is
+decomposed at half the degree and only x > 0 is isolated).  Roots are
+refined in doubles from a float Newton guess, by steps away from the
+guess and then bisection: float Horner decides a sign only when its
+running error bound, which covers the rounding of the coefficients too,
+excludes zero, and exact evaluation, Horner on integers, decides the
+rest.  Refinement stops at adjacent doubles, and the exact sign at a
+decimal rounding boundary settles the last digit when they print
+differently, so every digit of '%.12g' of a root is
 certified; a root beyond the double range raises ValueError.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -249,9 +253,7 @@ class ParamPoly:
         if not self.coeffs:
             return Fraction(0)
         if type(value) is Fraction:
-            form = self._integer_form
-            if form is None:
-                form = self._integer_form = _clear_denominators(self.coeffs)
+            form = _cleared(self)
             if form:
                 den, nums = form
                 a, b = value.numerator, value.denominator
@@ -373,7 +375,396 @@ def even_poly(poly: ParamPoly, var: str) -> ParamPoly:
 
 
 # ----------------------------------------------------------------------
-# gcd / square-free machinery (rational coefficients)
+# integer polynomials: modular gcd, square-free parts, Descartes isolation
+# ----------------------------------------------------------------------
+#
+# An int poly is a list of int coefficients, ascending, whose last one is
+# nonzero; the zero polynomial is the empty list.  A rational ParamPoly
+# enters through its cleared numerators (_cleared).
+
+def _cleared(p: ParamPoly):
+    """(D, N) of _clear_denominators for the rational p, cached on p."""
+    form = p._integer_form
+    if form is None:
+        form = p._integer_form = _clear_denominators(p.coeffs)
+    return form
+
+
+def _monic_poly(var: str, a) -> ParamPoly:
+    """a / a[-1] as a ParamPoly, for the primitive int poly a with
+    a[-1] > 0, whose cleared form is then (a[-1], a) itself."""
+    lead = a[-1]
+    poly = ParamPoly._of(var, tuple([Fraction(c, lead) for c in a]))
+    poly._integer_form = (lead, tuple(a))
+    return poly
+
+
+def _primitive(a):
+    """The int poly a over its content, with a positive leading coefficient."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [c // g for c in a]
+
+
+def _int_derivative(a):
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _int_sub(a, b):
+    out = [x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _int_divexact(a, b):
+    """a / b for the int polys a and b != 0, or None when that is not an
+    int poly."""
+    db = len(b) - 1
+    lead = b[-1]
+    rem = list(a)
+    quot = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c, r = divmod(rem[i], lead)
+        if r:
+            return None
+        if c:
+            quot[i - db] = c
+            rem[i - db : i] = [x - c * y for x, y in zip(rem[i - db : i], b)]
+    return None if any(rem[:db]) else quot
+
+
+# The moduli of _int_gcd: primes below 2^61, descending from the Mersenne
+# prime 2^61 - 1, found as they are needed.
+_PRIMES = [2**61 - 1]
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve primes as bases, which decides
+    every odd n < 3.3e24."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    for i in itertools.count():
+        if i == len(_PRIMES):
+            n = _PRIMES[-1] - 2
+            while not _is_prime(n):
+                n -= 2
+            _PRIMES.append(n)
+        yield _PRIMES[i]
+
+
+def _reduced(a, p: int):
+    out = [c % p for c in a]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _gcd_mod(a, b, p: int):
+    """The monic gcd over GF(p) of the int polys a and b, a nonzero mod p."""
+    a, b = _reduced(a, p), _reduced(b, p)
+    while b:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i] * inv % p
+            if c:
+                a[i - db : i] = [(x - c * y) % p for x, y in zip(a[i - db : i], b)]
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _int_gcd(a, b):
+    """The primitive gcd, with a positive leading coefficient, of the
+    nonzero int polys a and b: Brown's modular algorithm (J. ACM 18
+    (1971) 478).
+
+    Modulo each prime p that divides neither leading coefficient, the
+    image of the gcd divides the monic gcd mod p, so its degree bounds
+    the gcd's: degree 0 proves the gcd is 1.  A prime whose gcd has a
+    higher degree than another's is unlucky and dropped.  The images,
+    scaled to the gcd of the two leading coefficients, are combined by
+    CRT and lifted to symmetric residues.  When one more prime leaves the
+    primitive lift unchanged, trial division decides: a lift that divides
+    a and b over Z has the bound's degree, so it is the gcd."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    scale = math.gcd(a[-1], b[-1])
+    image, modulus, candidate = None, 1, None
+    for p in _primes():
+        if not a[-1] % p or not b[-1] % p:
+            continue
+        g = _gcd_mod(a, b, p)
+        if len(g) == 1:
+            return [1]
+        if image is not None and len(g) > len(image):
+            continue
+        g = [c * scale % p for c in g]
+        if image is None or len(g) < len(image):
+            image, modulus = g, p
+        else:
+            inv = pow(modulus, -1, p)
+            image = [h + modulus * ((x - h) * inv % p) for h, x in zip(image, g)]
+            modulus *= p
+        half = modulus >> 1
+        lifted = _primitive([h - modulus if h > half else h for h in image])
+        if (
+            lifted == candidate
+            and _int_divexact(a, lifted) is not None
+            and _int_divexact(b, lifted) is not None
+        ):
+            return lifted
+        candidate = lifted
+
+
+def _int_square_free(f):
+    """Yun's algorithm over Z on the primitive int poly f of degree >= 1,
+    leading coefficient positive: [(a_i, i)] with f = prod a_i^i, each a_i
+    primitive, square-free, of degree >= 1 and positive leading
+    coefficient.  Every gcd is primitive, so every division is exact over
+    Z and w and y keep Yun's common scalar."""
+    df = _int_derivative(f)
+    g = _int_gcd(f, df)
+    if len(g) == 1:
+        return [(f, 1)]
+    w = _int_divexact(f, g)
+    y = _int_divexact(df, g)
+    out = []
+    mult = 1
+    while len(w) > 1:
+        z = _int_sub(y, _int_derivative(w))
+        gi = _int_gcd(w, z) if z else w
+        if len(gi) > 1:
+            out.append((gi, mult))
+        w = _int_divexact(w, gi)
+        y = _int_divexact(z, gi)
+        mult += 1
+    return out
+
+
+def _square_free_ints(p: ParamPoly):
+    """The primitive square-free part of the nonzero rational p, as an int
+    poly with a positive leading coefficient."""
+    f = _primitive(list(_cleared(p)[1]))
+    if len(f) == 1:
+        return [1]
+    return _int_divexact(f, _int_gcd(f, _int_derivative(f)))
+
+
+def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
+    """Monic gcd over Q (zero when a and b are), by _int_gcd."""
+    a._require_rational()
+    b._require_rational()
+    if not b:
+        return a.monic()
+    if not a:
+        return b.monic()
+    return _monic_poly(a.var, _int_gcd(list(_cleared(a)[1]), list(_cleared(b)[1])))
+
+
+def square_free_part(p: ParamPoly) -> ParamPoly:
+    """Monic square-free part of p."""
+    if p.is_zero:
+        raise ValueError("square-free part of the zero polynomial")
+    p._require_rational()
+    return _monic_poly(p.var, _square_free_ints(p))
+
+
+def square_free_decomposition(p: ParamPoly):
+    """Yun's algorithm on the cleared numerators of p (_int_square_free):
+    a list of (monic square-free factor, multiplicity).  A square-free p
+    comes back as [(p.monic(), 1)] after one gcd image of degree 0, at
+    the first prime that does not divide its leading coefficient."""
+    if p.is_zero:
+        raise ValueError("square-free decomposition of the zero polynomial")
+    p._require_rational()
+    if p.degree <= 0:
+        return []
+    f = _primitive(list(_cleared(p)[1]))
+    return [(_monic_poly(p.var, a), mult) for a, mult in _int_square_free(f)]
+
+
+def _taylor_shift(a, s: int = 1):
+    """a(t + s) for the int poly a and the int s: deg a passes of
+    synthetic division, each one running sum (a plain sum when s = 1)."""
+    step = None if s == 1 else (lambda acc, c: acc * s + c)
+    out = []
+    rest = a[::-1]
+    while rest:
+        rest = list(itertools.accumulate(rest, step))
+        out.append(rest.pop())
+    return out
+
+
+def _descartes(a) -> int:
+    """min(2, V) for V the sign variations of (t + 1)^d a(1 / (t + 1)),
+    d = deg a.  By Descartes' rule V bounds the number of roots of a in
+    the open (0, 1) and has its parity, so 0 and 1 are that number.  The
+    coefficients come from the Taylor shift of a's reverse, lowest first,
+    and the shift stops at the second variation."""
+    count = last = 0
+    rest = list(a)
+    while rest:
+        rest = list(itertools.accumulate(rest))
+        c = rest.pop()
+        if c:
+            if last and (c ^ last) < 0:
+                count += 1
+                if count == 2:
+                    return 2
+            last = c
+    return count
+
+
+def _unit_roots(a):
+    """The roots in the open (0, 1) of the square-free int poly a, by
+    Vincent-Collins-Akritas bisection (Collins & Akritas, SYMSAC 1976;
+    Rouillier & Zimmermann, J. Comput. Appl. Math. 162 (2004) 33):
+    (brackets, hits).  A bracket (c, k, s) is the open
+    (c / 2^k, (c + 1) / 2^k) holding exactly one root, s the sign of a
+    just above its left end; a hit (c, k) is a root at c / 2^k exactly,
+    found at a bisection point.  Each interval carries the int poly
+    2^(k d) a((c + t) / 2^k) over its powers of two, so a halving is a
+    shift of each coefficient and the right half one Taylor shift by 1.
+    A root at an interval end is not counted in it, nor does it stop the
+    bisection from ending."""
+    brackets, hits = [], []
+    stack = [(0, 0, a)]
+    while stack:
+        c, k, q = stack.pop()
+        v = _descartes(q)
+        if v == 1:
+            s = next(x for x in q if x)
+            brackets.append((c, k, 1 if s > 0 else -1))
+        elif v:
+            d = len(q) - 1
+            left = [x << (d - i) for i, x in enumerate(q)]
+            twos = min((x & -x).bit_length() for x in left if x) - 1
+            if twos:
+                left = [x >> twos for x in left]
+            right = _taylor_shift(left)
+            if not right[0]:
+                hits.append((2 * c + 1, k + 1))
+            stack.append((2 * c + 1, k + 1, right))
+            stack.append((2 * c, k + 1, left))
+    return brackets, hits
+
+
+def _positive_root_exponent(a):
+    """e with every positive root of the int poly a below 2^e, from
+    Kioustelidis' bound 2 max |a_i / a_d|^(1 / (d - i)) over the a_i of
+    sign opposite to a_d, each ratio rounded up to a power of two by bit
+    lengths; None when no coefficient has the opposite sign, so that a
+    has no positive root."""
+    d = len(a) - 1
+    top = a[-1].bit_length() - 1  # |a_d| >= 2^top
+    negative = a[-1] < 0
+    e = None
+    for i in range(d):
+        x = a[i]
+        if x and (x < 0) != negative:
+            # |a_i / a_d| < 2^(bits - top): its (d - i)-th root is below
+            # 2^ceil((bits - top) / (d - i))
+            r = -((top - x.bit_length()) // (d - i))
+            if e is None or r > e:
+                e = r
+    return None if e is None else e + 1
+
+
+def _dyadic(m: int, k: int):
+    """m / 2^k exactly: a float when that is a double, else a Fraction."""
+    if -(2**53) < m < 2**53 and -900 < k < 900:
+        return math.ldexp(m, -k)
+    return Fraction(m, 1 << k) if k >= 0 else Fraction(m << -k)
+
+
+def _positive_roots(a):
+    """(brackets, hits) for the positive roots of the square-free int poly
+    a: _unit_roots on a(2^e t), with 2^e a power-of-two root bound
+    (_positive_root_exponent).  Bracket ends are dyadic, floats where they
+    are doubles (_dyadic); a bracket (lo, hi, s) holds one root in the
+    open (lo, hi), a of sign s on (lo, root); hits are Fractions."""
+    e = _positive_root_exponent(a)
+    if e is None:
+        return [], []
+    d = len(a) - 1
+    if e >= 0:
+        scaled = [x << (e * i) for i, x in enumerate(a)]
+    else:
+        scaled = [x << (-e * (d - i)) for i, x in enumerate(a)]
+    brackets, hits = _unit_roots(scaled)
+    return (
+        [(_dyadic(c, k - e), _dyadic(c + 1, k - e), s) for c, k, s in brackets],
+        [Fraction(_dyadic(c, k - e)) for c, k in hits],
+    )
+
+
+def count_real_roots(p: ParamPoly, ends):
+    """[n_1, n_2, ...]: n_i distinct real roots of the nonzero rational p
+    lie in the half-open (ends[i-1], ends[i]]; the ends ascend and are
+    rationals, the last may be math.inf.
+
+    On the square-free part f of p (_square_free_ints): for an interval
+    (lo, hi] with lo = a/b, the roots r of f become the roots y = br - a
+    of g(y) = b^d f((y + a)/b), one Taylor shift by a.  Up to +inf they
+    are g's positive roots (_positive_roots); else t = y/(b (hi - lo))
+    maps them to (0, 1) (_unit_roots), where a root at t = 1, a zero sum
+    of coefficients, is the root at hi."""
+    p._require_rational()
+    if p.is_zero:
+        raise ValueError("root count of the zero polynomial")
+    f = _square_free_ints(p)
+    d = len(f) - 1
+    counts = []
+    for lo, hi in zip(ends, ends[1:]):
+        lo = Fraction(lo)
+        if not lo < hi:
+            raise ValueError("empty interval")
+        a, b = lo.numerator, lo.denominator
+        g = _taylor_shift([c * b ** (d - i) for i, c in enumerate(f)], a)
+        if hi == math.inf:
+            while not g[0]:
+                g = g[1:]
+            brackets, hits = _positive_roots(g)
+            counts.append(len(brackets) + len(hits))
+            continue
+        width = b * (Fraction(hi) - lo)
+        u, v = width.numerator, width.denominator
+        g = [c * u**i * v ** (d - i) for i, c in enumerate(g)]
+        count = 0 if sum(g) else 1
+        while not g[0]:
+            g = g[1:]
+        brackets, hits = _unit_roots(g)
+        counts.append(count + len(brackets) + len(hits))
+    return counts
+
+
+# ----------------------------------------------------------------------
+# Sturm chains: sturm_sequence, sturm_count, isolate_real_roots and
+# cauchy_bound stay only because perfbench/tracer.py wraps them by name;
+# no command calls them
 # ----------------------------------------------------------------------
 
 def _remainders(a: ParamPoly, b: ParamPoly):
@@ -389,54 +780,6 @@ def _remainders(a: ParamPoly, b: ParamPoly):
     return seq
 
 
-def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Monic gcd over Q."""
-    return _remainders(a, b)[-1].monic() if b else a.monic()
-
-
-def square_free_part(p: ParamPoly) -> ParamPoly:
-    """Monic square-free part of p: the monic head of its Sturm chain."""
-    if p.is_zero:
-        raise ValueError("square-free part of the zero polynomial")
-    return sturm_sequence(p)[0].monic()
-
-
-def square_free_decomposition(p: ParamPoly):
-    """Yun's algorithm: list of (monic square-free factor, multiplicity,
-    chain).  When p is square-free, the remainder sequence of (p, p')
-    that Yun's first gcd runs is the Sturm chain of p, and it comes back
-    as (p, 1, chain) so that real_roots does not run it again; every
-    other item carries None."""
-    if p.is_zero:
-        raise ValueError("square-free decomposition of the zero polynomial")
-    p = p.monic()
-    if p.degree <= 0:
-        return []
-    dp = p.derivative()
-    chain = _remainders(p, dp)
-    if chain[-1].degree <= 0:
-        return [(p, 1, chain)]
-    g = chain[-1].monic()
-    w = p // g
-    y = dp // g
-    z = y - w.derivative()
-    out = []
-    mult = 1
-    while w.degree > 0:
-        gi = poly_gcd(w, z)
-        if gi.degree > 0:
-            out.append((gi, mult, None))
-        w = w // gi
-        y = z // gi
-        z = y - w.derivative()
-        mult += 1
-    return out
-
-
-# ----------------------------------------------------------------------
-# Sturm sequences and real roots
-# ----------------------------------------------------------------------
-
 def sturm_sequence(p: ParamPoly):
     """Sturm chain of any nonzero p: the remainder sequence of (p, p'),
     rerun on p / (last member) when that is not constant (p then has a
@@ -449,14 +792,6 @@ def sturm_sequence(p: ParamPoly):
         if chain[-1].degree <= 0:
             return chain
         p = p // chain[-1]
-
-
-def _sign(value: Fraction) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
 
 
 def sign_variations(chain, x: Fraction) -> int:
@@ -494,12 +829,17 @@ def sturm_count(p: ParamPoly, lo: Fraction, hi: Fraction) -> int:
     return sign_variations(chain, lo) - sign_variations(chain, hi)
 
 
-def _isolate(chain, lo: Fraction, hi: Fraction, at):
-    """Disjoint brackets (a, b] inside (lo, hi], in increasing order, each
-    holding exactly one x with at(x) a root of chain[0]; `at` is
-    increasing, and `chain` comes from ``sturm_sequence``."""
+def isolate_real_roots(p: ParamPoly):
+    """Disjoint rational intervals (lo, hi], one distinct real root of p
+    in each, in increasing order, by bisection of (-B, B] (cauchy_bound)
+    on Sturm counts."""
+    p._require_rational()
+    if p.degree <= 0:
+        return []
+    bound = cauchy_bound(p)
+    chain = sturm_sequence(p)
     out = []
-    stack = [(lo, hi, sign_variations(chain, at(lo)), sign_variations(chain, at(hi)))]
+    stack = [(-bound, bound, sign_variations(chain, -bound), sign_variations(chain, bound))]
     while stack:
         lo, hi, vlo, vhi = stack.pop()
         count = vlo - vhi
@@ -509,20 +849,18 @@ def _isolate(chain, lo: Fraction, hi: Fraction, at):
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        vmid = sign_variations(chain, at(mid))
+        vmid = sign_variations(chain, mid)
         stack.append((lo, mid, vlo, vmid))
         stack.append((mid, hi, vmid, vhi))
     return sorted(out)
 
 
-def isolate_real_roots(p: ParamPoly):
-    """Disjoint rational intervals (lo, hi], one distinct real root of p
-    in each, in increasing order."""
-    p._require_rational()
-    if p.degree <= 0:
-        return []
-    bound = cauchy_bound(p)
-    return _isolate(sturm_sequence(p), -bound, bound, lambda x: x)
+def _sign(value) -> int:
+    if value > 0:
+        return 1
+    if value < 0:
+        return -1
+    return 0
 
 
 @dataclass(frozen=True)
@@ -708,20 +1046,22 @@ def _refine(p: ParamPoly, lo, hi, sign_lo: int):
     nearest the value, checked to lie in the final bracket and to be a
     root, is returned exactly.
 
-    Ends beyond the double range are first moved exactly to -+ the
-    largest double, by the sign of p there; a root beyond the double
-    range raises ValueError."""
-    for end in (-_MAX_DOUBLE, _MAX_DOUBLE):
-        if lo < end < hi:
-            s = _sign(p(end))
-            if not s:
-                return _exact_value(end), end
-            if s == sign_lo:
-                lo = end
-            else:
-                hi = end
-    if lo < -_MAX_DOUBLE or hi > _MAX_DOUBLE:
-        raise ValueError(_BEYOND_DOUBLES)
+    Ends may be doubles or rationals.  Ends beyond the double range,
+    which are never doubles, are first moved exactly to -+ the largest
+    double, by the sign of p there; a root beyond the double range
+    raises ValueError."""
+    if type(lo) is not float or type(hi) is not float:
+        for end in (-_MAX_DOUBLE, _MAX_DOUBLE):
+            if lo < end < hi:
+                s = _sign(p(end))
+                if not s:
+                    return _exact_value(end), end
+                if s == sign_lo:
+                    lo = end
+                else:
+                    hi = end
+        if lo < -_MAX_DOUBLE or hi > _MAX_DOUBLE:
+            raise ValueError(_BEYOND_DOUBLES)
     coeffs = _float_coeffs(p)
     guess = _newton_guess(coeffs, lo, hi, sign_lo) if coeffs else None
     if guess is not None and lo < guess < hi:
@@ -773,39 +1113,18 @@ def _refine(p: ParamPoly, lo, hi, sign_lo: int):
     return value, None
 
 
-def _bracket_root(p: ParamPoly, lo: Fraction, hi: Fraction):
-    """(value, exact) for the one root of the square-free p in the
-    half-open (lo, hi]; lo itself may be another root of p, in which
-    case the bracket is first walked inward until the sign flips."""
-    sign_hi = _sign(p(hi))
-    if not sign_hi:
-        return _exact_value(hi), hi
-    if not p(lo):
-        step = (hi - lo) / 2
-        while True:
-            t = lo + step
-            s = _sign(p(t))
-            if not s:
-                return _exact_value(t), t
-            if s != sign_hi:
-                lo = t
-                break
-            step = step / 2
-    return _refine(p, lo, hi, -sign_hi)
-
-
-def _bracket_side(p: ParamPoly, lo: Fraction, hi: Fraction):
+def _bracket_side(p: ParamPoly, lo, hi, sign_lo: int):
     """side(t), the sign of r - t at a rational t, for the one root r of
-    the square-free p in the isolating bracket (lo, hi], r != hi: the
-    bracket decides it for t outside, and the sign of p(t) against that
-    of p(hi) inside.  p is evaluated only when side is called there."""
+    p in the open (lo, hi), where p has the sign sign_lo on (lo, r): the
+    bracket decides it for t outside, the exact sign of p(t) inside.  p
+    is evaluated only when side is called there."""
 
     def side(t):
         if t <= lo:
             return 1
         if t >= hi:
             return -1
-        return -_sign(p(t)) * _sign(p(hi))
+        return _sign(p(t)) * sign_lo
 
     return side
 
@@ -825,74 +1144,83 @@ def _rational_sqrt(r: Fraction):
     return None
 
 
-def _even_real_roots(p: ParamPoly):
-    """real_roots of an even p(x) = q(x^2), isolated on q, which has
-    half the degree.  A root mu > 0 of q of multiplicity m gives the
-    roots +-sqrt(mu), each of multiplicity m, and mu = 0 gives x = 0 of
-    multiplicity 2m.  Negative and complex mu give no real x and are
-    not isolated: the Sturm chain of each factor of q is read at x^2
-    for x in (0, L], L^2 above the factor's root bound."""
-    q = ParamPoly(p.var, p.coeffs[::2])
-    roots = []
-    for factor, mult, chain in square_free_decomposition(q):
-        if not factor.constant():
-            roots.append(Root(0.0, 2 * mult, Fraction(0)))
-        sqrt = None
-        if factor.degree == 1:
-            sqrt = _rational_sqrt(-factor.coeff(0) / factor.coeff(1))
-        if sqrt:
-            found = [(_exact_value(sqrt), sqrt, None)]
-        else:
-            lifted = even_poly(factor, p.var)
-            top = Fraction(math.isqrt(math.ceil(cauchy_bound(factor))) + 1)
-            chain = chain or sturm_sequence(factor)
-            brackets = _isolate(chain, Fraction(0), top, lambda x: x * x)
-            found = [
-                _bracket_root(lifted, lo, hi) + (_bracket_side(lifted, lo, hi),)
-                for lo, hi in brackets
-            ]
-        for value, exact, side in found:
-            roots.append(Root(value, mult, exact, side))
-            roots.append(
-                Root(-value, mult, None if exact is None else -exact, _negated_side(side))
-            )
-    roots.sort(key=lambda r: r.value)
-    return roots
+def _factor_roots(factor: ParamPoly, mult: int, var: str, even: bool, roots):
+    """Append to `roots` the real roots of the monic square-free factor
+    of multiplicity mult, a polynomial in x, or in mu = x^2 when even;
+    then a root mu > 0 gives the roots +-sqrt(mu) and mu = 0 gives x = 0
+    of multiplicity 2 mult, and negative and complex mu give none.
+
+    A root at 0 and the roots of a linear factor (of q, whose root must
+    then be a rational square) are exact.  The others are isolated on
+    the factor's numerators, lifted to x when even, by _positive_roots
+    (for odd factors also on a(-x)); a root that bisection hits exactly
+    is divided out and the rest isolated again, so no bracket end is a
+    root.  Each bracket is then refined on the factor in x (_refine)."""
+    nums = list(_cleared(factor)[1])
+    if not nums[0]:
+        roots.append(Root(0.0, 2 * mult if even else mult, Fraction(0)))
+        nums = nums[1:]
+        factor = None
+    while len(nums) > 1:
+        exact = None
+        if len(nums) == 2:
+            exact = Fraction(-nums[0], nums[1])
+            if even:
+                exact = _rational_sqrt(exact)
+        if exact is None:
+            lifted = [c for a in nums for c in (a, 0)][:-1] if even else nums
+            brackets, hits = _positive_roots(lifted)
+            if not even and not hits:
+                mirrored = [-c if i % 2 else c for i, c in enumerate(nums)]
+                below, hits = _positive_roots(mirrored)
+                brackets += [(-hi, -lo, -s) for lo, hi, s in below]
+                hits = [-h for h in hits]
+            if not hits:
+                poly = _monic_poly(var, lifted) if even else factor or _monic_poly(var, nums)
+                for lo, hi, s in brackets:
+                    value, found = _refine(poly, lo, hi, s)
+                    side = _bracket_side(poly, lo, hi, s)
+                    roots.append(Root(value, mult, found, side))
+                    if even:
+                        negated = None if found is None else -found
+                        roots.append(Root(-value, mult, negated, _negated_side(side)))
+                return
+            exact = hits[0]
+        value = _exact_value(exact)
+        roots.append(Root(value, mult, exact))
+        if even:
+            roots.append(Root(-value, mult, -exact))
+            exact *= exact
+        nums = _int_divexact(nums, [-exact.numerator, exact.denominator])
+        factor = None
 
 
 def real_roots(p: ParamPoly):
     """All real roots of p, sorted, with multiplicities.
 
-    Yun's square-free decomposition, then one Sturm chain per factor
-    (for a square-free p, the remainder sequence of Yun's first gcd)
-    isolates the roots exactly; an even p = q(x^2) is isolated on q, at
-    half the degree.  Each bracket is narrowed around a float Newton
-    guess and then bisected in doubles, down to adjacent doubles; every
-    step takes the sign from an error-bounded float Horner test or, when
-    that cannot decide, from exact integer Horner, so the guess moves
-    no digit.  Root.value then prints the root correctly rounded to
-    PRINT_DIGITS digits (see _refine).  A root is flagged exact when it
-    comes from a linear factor (of q, whose root must then be a
-    rational square) or when the rational of denominator at most
-    EXACT_DENOMINATOR nearest its value lies in its final bracket and is
-    checked to be a root.
+    Yun's square-free decomposition on integers, then Descartes
+    bisection of each factor isolates the roots exactly, in dyadic
+    brackets below a power-of-two root bound (_factor_roots); an even
+    p = q(x^2) is decomposed on q, at half the degree, and only its
+    positive roots are isolated.  Each bracket is narrowed around a float
+    Newton guess and then bisected in doubles, down to adjacent doubles;
+    every step takes the sign from an error-bounded float Horner test
+    or, when that cannot decide, from exact integer Horner, so the guess
+    moves no digit.  Root.value then prints the root correctly rounded
+    to PRINT_DIGITS digits (see _refine).  A root is flagged exact when
+    it comes from a linear factor (of q, whose root must then be a
+    rational square), when bisection hits it, or when the rational of
+    denominator at most EXACT_DENOMINATOR nearest its value lies in its
+    final bracket and is checked to be a root.
     """
     p._require_rational()
     if p.is_zero:
         raise ValueError("roots of the zero polynomial")
-    if p.degree > 0 and not any(p.coeffs[1::2]):
-        return _even_real_roots(p)
+    even = p.degree > 0 and not any(p.coeffs[1::2])
+    q = ParamPoly(p.var, p.coeffs[::2]) if even else p
     roots = []
-    for factor, mult, chain in square_free_decomposition(p):
-        if factor.degree == 1:
-            exact = -factor.coeff(0) / factor.coeff(1)
-            roots.append(Root(_exact_value(exact), mult, exact))
-            continue
-        bound = cauchy_bound(factor)
-        chain = chain or sturm_sequence(factor)
-        for lo, hi in _isolate(chain, -bound, bound, lambda x: x):
-            value, exact = _bracket_root(factor, lo, hi)
-            roots.append(Root(value, mult, exact, _bracket_side(factor, lo, hi)))
+    for factor, mult in square_free_decomposition(q):
+        _factor_roots(factor, mult, p.var, even, roots)
     roots.sort(key=lambda r: r.value)
     return roots
 

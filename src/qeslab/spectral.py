@@ -45,11 +45,10 @@ from qeslab.exactnum import (
     SCALAR_VARS,
     _integer_entries,
     as_exact,
+    count_real_roots,
     even_poly,
     real_roots,
     resultant,
-    sign_variations,
-    sturm_sequence,
 )
 from qeslab.weyl import (
     DiffOp,
@@ -362,7 +361,9 @@ def eigenvectors(spectrum: AlgebraicSpectrum):
     the largest column u of adj(mu - BC) spans the kernel of mu - BC and
     w = C u / E completes the vector.  A float pre-pass picks the column,
     which alone is evaluated exactly, on integers and up to a positive
-    factor; the normalized doublet is rounded to floats once."""
+    factor, once per mu: E and -E (the spectrum is even) share u, and
+    their w differ by sign.  The normalized doublet is rounded to floats
+    once."""
     form = spectrum.form
     value = form.coupling(spectrum.spec)
     module = form.restricted.module
@@ -373,6 +374,7 @@ def eigenvectors(spectrum: AlgebraicSpectrum):
     scales = [den**k for k in range(len(terms))]
     float_terms = [[[x / s for x in row] for row in t] for t, s in zip(terms, scales)]
     pairs = []
+    columns = {}  # mu -> u
     for level in spectrum.levels:
         if level.exact is not None:
             shifted = matrix.scaled_identity_added(-level.exact)
@@ -387,13 +389,15 @@ def eigenvectors(spectrum: AlgebraicSpectrum):
             raise SpectralError(f"repeated irrational level {level.value!r}")
         e = Fraction(level.value)
         mu = e * e
-        j = max(
-            range(form.b.rows),
-            key=lambda j: sum(
-                x * x for x in _adjugate_column(float_terms, float(mu), 1, j)
-            ),
-        )
-        u = _adjugate_column(terms, mu.numerator * den, mu.denominator, j)
+        u = columns.get(mu)
+        if u is None:
+            j = max(
+                range(form.b.rows),
+                key=lambda j: sum(
+                    x * x for x in _adjugate_column(float_terms, float(mu), 1, j)
+                ),
+            )
+            u = columns[mu] = _adjugate_column(terms, mu.numerator * den, mu.denominator, j)
         w = [row[0] / e for row in (c * ExactMatrix([[x] for x in u])).entries]
         parts = {1: iter(u), -1: iter(w)}
         vector = [next(parts[sign]) for sign in _parity_signs(module)]
@@ -434,17 +438,16 @@ def y_node_count(x_poly: ParamPoly) -> int:
     """Distinct real y-zeros of  q(y) = x_poly(y^2).
 
     Each x-root above NODE_GUARD contributes a symmetric pair of
-    y-zeros; a root inside the guard window around zero contributes the
-    single zero y = 0.  Float coefficients are embedded exactly first.
+    y-zeros; any root in the window (-NODE_GUARD, NODE_GUARD] contributes
+    the single zero y = 0.  Float coefficients are embedded exactly
+    first, and both counts come from one square-free part
+    (exactnum.count_real_roots).
     """
     poly = _exactify(x_poly)
     if poly.is_zero:
         raise ValueError("node count of the zero polynomial")
-    chain = sturm_sequence(poly)
-    below, above, at_top = (
-        sign_variations(chain, x) for x in (-NODE_GUARD, NODE_GUARD, inf)
-    )
-    return 2 * (above - at_top) + (1 if below > above else 0)
+    window, above = count_real_roots(poly, (-NODE_GUARD, NODE_GUARD, inf))
+    return 2 * above + (1 if window else 0)
 
 
 def eigenvectors_y(spectrum: AlgebraicSpectrum):

@@ -442,6 +442,40 @@ def test_exact_paths_do_not_import_scipy():
     assert out.strip() == "False"
 
 
+def test_no_command_builds_a_sturm_chain_or_a_remainder_sequence(monkeypatch, capsys):
+    # roots, square-free parts and node counts all run on the integer
+    # kernel: no subcommand builds a Sturm chain or divides polynomials
+    # over Fraction, the collision locus of n = 8 (repeated factors) and
+    # the node counts of spectrum included
+    import qeslab.exactnum as exactnum_mod
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called by a command")
+
+        return call
+
+    for name in (
+        "_remainders", "sturm_sequence", "sign_variations", "sturm_count",
+        "isolate_real_roots", "cauchy_bound",
+    ):
+        monkeypatch.setattr(exactnum_mod, name, forbidden(name))
+    monkeypatch.setattr(exactnum_mod.ParamPoly, "__divmod__", forbidden("ParamPoly.__divmod__"))
+    for argv in (
+        ["spectrum", "--n", "8", "--c", "17/8"],
+        ["spectrum", "--n", "4", "--c", "0"],
+        ["sweep", "--n", "3", "--c-min", "0", "--c-max", "10", "--steps", "20"],
+        ["charpoly", "--n", "4"],
+        ["degeneracy", "--n", "3", "--c-min", "4", "--c-max", "5"],
+        ["degeneracy", "--n", "8", "--c-min", "0", "--c-max", "10"],
+        ["verify", "--n-max", "4", "--quiet"],
+        ["delta4-scan", "--n", "4"],
+        ["crosscheck", "--n", "2", "--c", "1", "--grid", "400"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("given, expected", [(None, "4"), ("20", "20")])
 def test_openblas_workers_sleep_when_idle_unless_caller_says(given, expected):
     # numpy loads with qeslab.cli; the default must be in place before it

@@ -1,5 +1,6 @@
 """Exact scalar layer: polynomials, root isolation, rational matrices."""
 
+import itertools
 import math
 import random
 from decimal import Decimal, localcontext
@@ -26,7 +27,6 @@ from qeslab.exactnum import (
     square_free_decomposition,
     square_free_part,
     sturm_count,
-    sturm_sequence,
 )
 from qeslab.spectral import _symbolic_mu_poly
 
@@ -120,21 +120,46 @@ def test_gcd_divides_both_and_contains_common_factor():
         assert d % h.monic() == ParamPoly.zero("t")
 
 
-def test_square_free_decomposition_rebuilds():
+def test_modular_gcd_drops_unlucky_primes_and_checks_stable_lifts():
+    t = ParamPoly.gen("t")
+    p0, p1 = itertools.islice(exactnum_mod._primes(), 2)
+    # t - 1 and t - 1 - p0 agree modulo p0 only: the image of degree 1
+    # there is unlucky, and the next prime proves the gcd is 1
+    assert poly_gcd(t - 1, t - 1 - p0) == ParamPoly.one("t")
+    # modulo p1 the image (t + 2)(t - 1) has a higher degree than the
+    # lucky t + 2
+    assert poly_gcd((t + 2) * (t - 1), (t + 2) * (t - 1 - p1)) == t + 2
+    # p0 p1 + 1 lifts to 1 modulo p0 and modulo p0 p1 alike, so the
+    # candidate t + 1 is stable over two primes; trial division rejects it
+    g = t + (p0 * p1 + 1)
+    assert poly_gcd(g * (t - 1), g * (t + 2)) == g
+
+
+def test_square_free_decomposition_rebuilds(monkeypatch):
     t = ParamPoly.gen("t")
     p = (t - 1) ** 3 * (t + 2) ** 2 * (t - F(1, 2))
     parts = square_free_decomposition(p)
     rebuilt = ParamPoly.one("t")
-    for factor, mult, chain in parts:
+    for factor, mult in parts:
         rebuilt = rebuilt * factor**mult
-        assert chain is None
+        assert factor == factor.monic()
     assert rebuilt == p.monic()
-    mults = sorted(m for _, m, _ in parts)
+    mults = sorted(m for _, m in parts)
     assert mults == [1, 2, 3]
     sf = square_free_part(p)
     assert sf == ((t - 1) * (t + 2) * (t - F(1, 2))).monic()
-    # a square-free input comes back whole, with its Sturm chain
-    assert square_free_decomposition(3 * sf) == [(sf, 1, sturm_sequence(sf))]
+    # a square-free input comes back whole, certified by the gcd image
+    # of degree 0 at the first prime: one modular Euclid run, no more
+    images = []
+    gcd_mod = exactnum_mod._gcd_mod
+
+    def counted(a, b, prime):
+        images.append(gcd_mod(a, b, prime))
+        return images[-1]
+
+    monkeypatch.setattr(exactnum_mod, "_gcd_mod", counted)
+    assert square_free_decomposition(3 * sf) == [(sf, 1)]
+    assert images == [[1]]
 
 
 def test_sturm_counts_on_known_intervals():
@@ -427,29 +452,37 @@ def test_char_poly_rejects_other_entry_rings():
             matrix.char_poly(var)
 
 
-def test_real_roots_runs_one_remainder_sequence_per_square_free_q(monkeypatch):
-    calls = []
-    remainders = exactnum_mod._remainders
+def test_real_roots_certify_a_square_free_q_by_one_gcd_image(monkeypatch):
+    images = []
+    gcd_mod = exactnum_mod._gcd_mod
 
-    def counted(a, b):
-        calls.append(a)
-        return remainders(a, b)
+    def counted(a, b, prime):
+        images.append(gcd_mod(a, b, prime))
+        return images[-1]
 
-    monkeypatch.setattr(exactnum_mod, "_remainders", counted)
+    def forbidden(*args):
+        raise AssertionError("real_roots ran a Fraction remainder sequence")
+
+    monkeypatch.setattr(exactnum_mod, "_gcd_mod", counted)
+    monkeypatch.setattr(exactnum_mod, "_remainders", forbidden)
+    monkeypatch.setattr(ParamPoly, "__divmod__", forbidden)
     t = ParamPoly.gen("t")
     polys = [
         *_sweep_char_polys(3, F(1, 8), F(81, 8), 5),  # even, on q
         (t - F(7, 3)) * (t + 4) * (t * t * t - 2),  # no parity
-        3 * t - 1,  # linear
     ]
     for p in polys:
-        calls.clear()
+        images.clear()
         roots = real_roots(p)
-        assert roots and len(calls) == 1, p
-    # a repeated factor needs its own sequences
-    calls.clear()
+        # one modular Euclid run, whose gcd of degree 0 certifies q
+        assert roots and images == [[1]], p
+    # a linear p needs no gcd at all
+    images.clear()
+    assert [r.exact for r in real_roots(3 * t - 1)] == [F(1, 3)] and not images
+    # a repeated factor needs images of positive degree and more gcds
+    images.clear()
     assert [r.multiplicity for r in real_roots((t - 1) ** 2 * (t + 2))] == [1, 2]
-    assert len(calls) > 1
+    assert len(images) > 1 and any(len(g) > 1 for g in images)
 
 
 def test_real_roots_narrow_brackets_into_the_double_range():

@@ -1,7 +1,8 @@
 """Independent oracles for the exact kernels, used by tests only.
 
-sympy recomputes determinants, resultants, characteristic polynomials
-and adjugates; hypothesis checks algebraic identities of operators and
+sympy recomputes determinants, resultants, characteristic polynomials,
+adjugates, gcds, square-free decompositions, real roots and root
+counts; hypothesis checks algebraic identities of operators and
 polynomials on small random inputs (a fixed, small number of
 deterministic examples), that the zero-skipping kernels return
 normal-form results equal to zero-seeded reference arithmetic written
@@ -23,16 +24,19 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qeslab import spectral
+from qeslab import exactnum, spectral
 from qeslab.exactnum import (
     ExactMatrix,
     ParamPoly,
     _degree_bound,
     _integer_entries,
     as_exact,
+    count_real_roots,
     poly_gcd,
+    real_roots,
     resultant,
     sign_variations,
+    square_free_decomposition,
     square_free_part,
     sturm_count,
     sturm_sequence,
@@ -530,9 +534,9 @@ def test_adjugate_terms_match_sympy(matrix):
 def test_eigenvector_column_is_a_positive_multiple_of_sympy_adjugate(
     n, c, monkeypatch
 ):
-    # every exact column eigenvectors evaluates, at mu = E^2 for E the
-    # float of an irrational level, is a positive multiple of column j of
-    # sympy's adj(mu - BC)
+    # every exact column eigenvectors evaluates, once at each mu = E^2
+    # for E the float of an irrational level (E and -E share it), is a
+    # positive multiple of column j of sympy's adj(mu - BC)
     spectrum = algebraic_spectrum(HamiltonianSpec.from_c(n, c))
     den = _integer_entries(spectrum.bc.entries)[1]
     exact = []
@@ -546,7 +550,7 @@ def test_eigenvector_column_is_a_positive_multiple_of_sympy_adjugate(
     monkeypatch.setattr(spectral, "_adjugate_column", spy)
     eigenvectors(spectrum)
     irrational = [lv for lv in spectrum.levels if lv.exact is None]
-    assert sorted(mu for mu, _, _ in exact) == sorted(F(lv.value) ** 2 for lv in irrational)
+    assert sorted(mu for mu, _, _ in exact) == sorted({F(lv.value) ** 2 for lv in irrational})
     bc = sympy.Matrix([[to_sympy(e) for e in row] for row in spectrum.bc.entries])
     for mu, j, column in exact:
         want = list((to_sympy(mu) * sympy.eye(n) - bc).adjugate()[:, j])
@@ -665,6 +669,151 @@ def test_remainder_sequence_matches_sympy(case):
     at_top = sign_variations(chain, math.inf)
     assert at_top == sum(1 for u, v in zip(leads, leads[1:]) if u != v)
     assert sign_variations(chain, hi) - at_top == sum(1 for r in roots if r > hi)
+
+
+# ----------------------------------------------------------------------
+# sympy: the integer root kernel (modular gcd, Yun, Descartes isolation)
+# ----------------------------------------------------------------------
+
+FIRST_PRIME = exactnum._PRIMES[0]
+# roots far above 2^61 in numerator and denominator
+huge_fractions = st.builds(
+    Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**90)
+)
+# roots on the dyadic points that bisection visits
+dyadic_fractions = st.builds(
+    lambda m, k: Fraction(m, 2**k), st.integers(-64, 64), st.integers(0, 6)
+)
+kernel_roots = st.one_of(fractions, dyadic_fractions, huge_fractions)
+
+
+@st.composite
+def kernel_polys(draw):
+    """A product of one to three linear and quadratic factors in t, each
+    to a power 1-3, times a nonzero scale.  Roots come from small
+    rationals, dyadic rationals and rationals of 200-bit numerators; a
+    linear factor may have the first prime of _int_gcd as its leading
+    coefficient, so that prime divides the leading coefficient of the
+    product's numerators."""
+    linear = st.tuples(kernel_roots, st.sampled_from([1, FIRST_PRIME])).map(
+        lambda rl: rl[1] * T - rl[0]
+    )
+    quadratic = st.tuples(kernel_roots, kernel_roots).map(
+        lambda bc: T * T + bc[0] * T + bc[1]
+    )
+    factors = draw(st.lists(st.one_of(linear, quadratic), min_size=1, max_size=3))
+    p = ParamPoly.one("t") * draw(nonzero_fractions)
+    for f in factors:
+        p = p * f ** draw(st.integers(1, 3))
+    return p
+
+
+KERNEL_EXAMPLES = [
+    (2 * T - 1) * (4 * T - 3),  # both roots on bisection points
+    (4 * T * T - 1) * (16 * T * T - 9),  # even: x = 1/2, 3/4 hit in x
+    (2 * T - 1) ** 2 * (4 * T - 3) * (T * T - 2),
+    (FIRST_PRIME * T - 1) * (T - 2) ** 2,  # the first prime is skipped
+    (FIRST_PRIME * T * T - 3) ** 2 * (T + 1),
+    (T - Fraction(2**200 + 1, 3)) ** 2 * (T * T - Fraction(3, 2**150)),
+    T**3 * (T - 1) ** 2,  # a multiple root at 0
+]
+
+
+def _sympy_poly(p: ParamPoly):
+    return sympy.Poly(to_sympy(p), sympy.Symbol("t"), domain="QQ")
+
+
+def _kernel_examples(arguments=lambda p: (p,)):
+    """Decorate a test with one example per KERNEL_EXAMPLES entry, its
+    arguments made from the polynomial by `arguments`."""
+
+    def decorate(test):
+        for p in KERNEL_EXAMPLES:
+            test = example(*arguments(p))(test)
+        return test
+
+    return decorate
+
+
+def _monic_coeffs(poly: sympy.Poly):
+    return tuple(poly.monic().all_coeffs())
+
+
+@SMALL
+@_kernel_examples()
+@given(kernel_polys())
+def test_modular_gcd_and_yun_match_sympy(p):
+    sp = _sympy_poly(p)
+    gcd = poly_gcd(p, p.derivative())
+    assert _monic_coeffs(_sympy_poly(gcd)) == _monic_coeffs(sympy.gcd(sp, sp.diff()))
+    got = sorted(
+        (_monic_coeffs(_sympy_poly(f)), m) for f, m in square_free_decomposition(p)
+    )
+    want = sorted((_monic_coeffs(f), m) for f, m in sp.sqf_list()[1])
+    assert got == want
+    assert all(f == f.monic() for f, _ in square_free_decomposition(p))
+
+
+@SMALL
+@_kernel_examples(lambda p: (p, p * (T - Fraction(1, 2)) * (T * T - 3)))
+@given(kernel_polys(), kernel_polys())
+def test_modular_gcd_of_two_polynomials_matches_sympy(a, b):
+    want = sympy.gcd(_sympy_poly(a), _sympy_poly(b))
+    assert _monic_coeffs(_sympy_poly(poly_gcd(a, b))) == _monic_coeffs(want)
+
+
+def _rational(x) -> sympy.Rational:
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _close_to(value: float, root) -> bool:
+    """value within one ulp of the real algebraic sympy root."""
+    return abs(sympy.N(root - _rational(value), 60)) <= _rational(math.ulp(value))
+
+
+@SMALL
+@_kernel_examples(lambda p: (p, False))
+@_kernel_examples(lambda p: (p, True))
+@given(kernel_polys(), st.booleans())
+def test_descartes_isolation_matches_sympy_real_roots(p, lift):
+    if lift:
+        p = exactnum.even_poly(p, "t")  # the even path, isolated in x > 0
+    sp = _sympy_poly(p)
+    all_roots = sympy.real_roots(sp)
+    distinct = sorted(set(all_roots), key=lambda r: sympy.N(r, 60))
+    multiplicity = {r: all_roots.count(r) for r in distinct}
+    try:
+        roots = real_roots(p)
+    except ValueError as exc:  # only a root beyond the double range
+        assert "beyond the double range" in str(exc)
+        assert any(abs(sympy.N(r, 30)) > 1.7e308 for r in distinct)
+        return
+    assert len(roots) == len(distinct)
+    for got, want in zip(roots, distinct):
+        assert got.multiplicity == multiplicity[want]
+        assert _close_to(got.value, want)
+        if got.exact is not None:
+            assert got.exact == Fraction(int(want.p), int(want.q))
+        elif want.is_rational:
+            # a rational root left inexact has a large denominator
+            assert want.q > exactnum.EXACT_DENOMINATOR
+
+
+@SMALL
+@_kernel_examples(lambda p: (p, [Fraction(0), Fraction(1, 2), Fraction(3, 4)]))
+@given(kernel_polys(), st.lists(st.one_of(fractions, dyadic_fractions), min_size=1, max_size=3))
+def test_root_counts_match_sympy_count_roots(p, cuts):
+    sp = _sympy_poly(p)
+    ends = sorted(set(cuts))
+    counts = count_real_roots(p, [*ends, math.inf])
+    want = []
+    for lo, hi in zip(ends, [*ends[1:], None]):
+        lo_s = _rational(lo)
+        hi_s = None if hi is None else _rational(hi)
+        closed = sp.count_roots(lo_s, hi_s)
+        want.append(closed - (1 if sp.eval(lo_s) == 0 else 0))
+    assert counts == want
 
 
 # ----------------------------------------------------------------------

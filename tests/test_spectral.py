@@ -13,6 +13,7 @@ from qeslab.exactnum import ExactMatrix, ParamPoly, Root
 from qeslab.spectral import (
     FD_CONVERGED_ULPS,
     HamiltonianSpec,
+    NODE_GUARD,
     NoDegeneracyError,
     SpectralError,
     _band_matvec,
@@ -235,24 +236,59 @@ def test_eigenvectors_and_sweep_run_without_numpy(monkeypatch):
     assert len(sweep(3, 0, 1, 3).rows) == 3
 
 
-def test_one_sturm_chain_per_node_count(monkeypatch):
+def test_one_square_free_certificate_per_node_count(monkeypatch):
     import qeslab.exactnum as exactnum_mod
     import qeslab.spectral as spectral_mod
 
     spectrum = algebraic_spectrum(HamiltonianSpec.from_c(8, F(17, 8)))
-    calls = []
-    original = exactnum_mod.sturm_sequence
+    counted_polys, primes = [], []
+    count_real_roots = exactnum_mod.count_real_roots
+    gcd_mod = exactnum_mod._gcd_mod
 
-    def counted(poly):
-        calls.append(poly)
-        return original(poly)
+    def counted(poly, ends):
+        counted_polys.append(poly)
+        return count_real_roots(poly, ends)
 
-    for module in (exactnum_mod, spectral_mod):
-        monkeypatch.setattr(module, "sturm_sequence", counted, raising=False)
+    def counted_images(a, b, prime):
+        primes.append(prime)
+        return gcd_mod(a, b, prime)
+
+    def forbidden(*args):
+        raise AssertionError("a node count built a Sturm chain")
+
+    monkeypatch.setattr(spectral_mod, "count_real_roots", counted)
+    monkeypatch.setattr(exactnum_mod, "_gcd_mod", counted_images)
+    for name in ("sturm_sequence", "_remainders", "sign_variations"):
+        monkeypatch.setattr(exactnum_mod, name, forbidden)
     funcs = eigenvectors_y(spectrum)
-    # 16 simple levels, two nonzero components each: 32 node counts
+    # 16 simple levels, two nonzero components each: 32 node counts, each
+    # on one square-free part, certified by one gcd image at one prime
     assert len(funcs) == 16 and all(None not in f.nodes for f in funcs)
-    assert len(calls) == 32
+    assert len(counted_polys) == 32
+    assert primes == [exactnum_mod._PRIMES[0]] * 32
+
+
+def test_eigenvectors_evaluate_one_exact_column_per_mu(monkeypatch):
+    import qeslab.spectral as spectral_mod
+
+    spectrum = algebraic_spectrum(HamiltonianSpec.from_c(8, F(17, 8)))
+    want = eigenvectors(spectrum)
+    exact_columns = []
+    adjugate_column = spectral_mod._adjugate_column
+
+    def counted(terms, x, scale, j):
+        if type(x) is int:  # the exact column, not the float pre-pass
+            exact_columns.append(j)
+        return adjugate_column(terms, x, scale, j)
+
+    monkeypatch.setattr(spectral_mod, "_adjugate_column", counted)
+    pairs = eigenvectors(spectrum)
+    # 16 irrational levels +-E share 8 values of mu = E^2
+    assert len(pairs) == 16 and all(p.level.exact is None for p in pairs)
+    assert len(exact_columns) == 8
+    assert pairs == want
+    for low, high in zip(pairs[:8], pairs[::-1]):
+        assert low.level.value == -high.level.value
 
 
 def test_node_count_mapping():
@@ -263,6 +299,20 @@ def test_node_count_mapping():
     assert y_node_count((x - F(1, 10**12)) * (x - 4)) == 3  # guarded origin
     assert y_node_count((x - 1) ** 2 * (x - 4)) == 4  # repeated roots
     assert y_node_count(x ** 2 * (x - 4)) == 3
+    guard = NODE_GUARD
+    # the window around the origin is (-guard, guard]
+    assert y_node_count((x - guard) * (x - 4)) == 3
+    assert y_node_count((x + guard) * (x - 4)) == 2
+    assert y_node_count((x - guard / 2) * (x + guard / 2) * (x - 4)) == 3
+    assert y_node_count((x - guard) * (x - 2 * guard)) == 3
+    # a multiple root at 0 is one zero
+    assert y_node_count(x ** 3 * (x - 1) ** 2 * (x + 1)) == 3
+    # coefficients beyond the double range, exact already
+    huge = F(10**400)
+    assert y_node_count((x - huge) * (x - 1)) == 4
+    assert y_node_count((x - 1 / huge) * (x - 1)) == 3
+    assert y_node_count(ParamPoly("x", (-1, 0, huge))) == 1
+    assert y_node_count(ParamPoly("x", (1 / huge, -1))) == 1
     # coefficients beyond the double range; the root is 10**400
     assert y_node_count(ParamPoly("x", (-(10**400), 1))) == 2
     assert y_node_count(ParamPoly("x", (F(5),))) == 0
