@@ -13,14 +13,13 @@ on integer numerators too: square-free parts by Yun's algorithm on a
 modular gcd that trial division certifies, and real roots isolated by
 Descartes bisection in dyadic brackets (for an even p(x) = q(x^2), q is
 decomposed at half the degree and only x > 0 is isolated).  Roots are
-refined in doubles from a float Newton guess, by steps away from the
-guess and then bisection: float Horner decides a sign only when its
-running error bound, which covers the rounding of the coefficients too,
-excludes zero, and exact evaluation, Horner on integers, decides the
-rest.  Refinement stops at adjacent doubles, and the exact sign at a
-decimal rounding boundary settles the last digit when they print
-differently, so every digit of '%.12g' of a root is
-certified; a root beyond the double range raises ValueError.
+refined in doubles on the same integer polynomial, from a float Newton
+guess, by steps away from the guess and then bisection, and every sign
+is exact: Horner on integers at the double or rational as a ratio of
+integers.  Refinement stops at adjacent doubles, and the exact sign at
+a decimal rounding boundary settles the last digit when they print
+differently, so every digit of '%.12g' of a root is certified; a root
+beyond the double range raises ValueError.
 """
 
 from __future__ import annotations
@@ -256,12 +255,7 @@ class ParamPoly:
             form = _cleared(self)
             if form:
                 den, nums = form
-                a, b = value.numerator, value.denominator
-                y = nums[-1]
-                bk = 1
-                for c in nums[-2::-1]:
-                    bk *= b
-                    y = y * a + c * bk if c else y * a
+                y, bk = _scaled_horner(nums, value.numerator, value.denominator)
                 return Fraction(y, den * bk)
         out = self.coeffs[-1]
         for c in self.coeffs[-2::-1]:
@@ -388,6 +382,17 @@ def _cleared(p: ParamPoly):
     if form is None:
         form = p._integer_form = _clear_denominators(p.coeffs)
     return form
+
+
+def _scaled_horner(a, m: int, k: int):
+    """(k^d a(m / k), k^d) for the int poly a of degree d and k > 0, by
+    Horner on integers: y <- y m + a_i k^j for j = 1 .. d."""
+    y = a[-1]
+    kj = 1
+    for c in a[-2::-1]:
+        kj *= k
+        y = y * m + c * kj if c else y * m
+    return y, kj
 
 
 def _monic_poly(var: str, a) -> ParamPoly:
@@ -891,9 +896,6 @@ PRINT_DIGITS = 12
 # this denominator
 EXACT_DENOMINATOR = 10**9
 
-_UNIT_ROUNDOFF = 2.0**-53
-_MIN_NORMAL = sys.float_info.min
-_MIN_SUBNORMAL = 5e-324
 _MAX_DOUBLE = Fraction(sys.float_info.max)
 _BEYOND_DOUBLES = "a real root lies beyond the double range (|root| > 1.8e308)"
 
@@ -945,50 +947,19 @@ def _exact_value(r: Fraction) -> float:
     return _round_between(a, b, lambda t: _sign(r - t))
 
 
-def _float_coeffs(p: ParamPoly):
-    """p's coefficients rounded to doubles, or None when one of them
-    leaves the normal range, where rounding is not relative."""
+def _int_sign(a, t) -> int:
+    """The sign of the int poly a at t, a double or a rational, exactly:
+    that of k^d a(t) for t = m / k (as_integer_ratio, k > 0)."""
+    return _sign(_scaled_horner(a, *t.as_integer_ratio())[0])
+
+
+def _float_coeffs(a):
+    """The int poly a's coefficients rounded to doubles, or None when one
+    of them leaves the double range."""
     try:
-        coeffs = tuple(float(c) for c in p.coeffs)
+        return tuple(map(float, a))
     except OverflowError:
         return None
-    for c, f in zip(p.coeffs, coeffs):
-        if c and not _MIN_NORMAL <= abs(f) < math.inf:
-            return None
-    return coeffs
-
-
-def _float_sign(coeffs, x: float):
-    """The sign of p(x) from Horner's rule in doubles, or None when the
-    running error bound does not exclude zero.  `coeffs` are p's
-    coefficients rounded to doubles (_float_coeffs), x is a double.
-    With d = deg p and u = 2^-53, rounding the coefficients and the 2d
-    Horner operations moves the value by at most
-    (2d + 1) u (1 + O(du)) sum |c_i| |x|^i (Higham, Accuracy and
-    Stability of Numerical Algorithms, section 5.1), which 2(d + 1) u
-    covers; an underflow adds at most one subnormal unit per step,
-    carried by sum |x|^i."""
-    y = s = t = 0.0
-    ax = abs(x)
-    for c in reversed(coeffs):
-        y = y * x + c
-        s = s * ax + abs(c)
-        t = t * ax + 1.0
-    k = 2 * len(coeffs)
-    err = k * (_UNIT_ROUNDOFF * s + _MIN_SUBNORMAL * t)
-    if y > err:
-        return 1
-    if y < -err:
-        return -1
-    return None
-
-
-def _certified_sign(p: ParamPoly, coeffs, x: float) -> int:
-    """The sign of p at the double x: float Horner when its error bound
-    decides it (coeffs from _float_coeffs, or None to skip it), else
-    exact evaluation."""
-    s = _float_sign(coeffs, x) if coeffs else None
-    return _sign(p(Fraction(x))) if s is None else s
 
 
 # a bound on the iterations of _newton_guess
@@ -996,12 +967,12 @@ _NEWTON_STEPS = 64
 
 
 def _newton_guess(coeffs, lo, hi, sign_lo: int):
-    """A double near the one root of p in (lo, hi), not certified:
-    Newton's method in doubles on p's rounded coefficients, started at
-    the midpoint.  The float sign of p at each iterate shrinks a float
-    bracket; a step that leaves that bracket, or a zero derivative,
-    gives way to the bracket's midpoint.  Stops when a step moves by at
-    most one ulp, or after _NEWTON_STEPS iterations."""
+    """A double near the one root of a in (lo, hi), not certified:
+    Newton's method in doubles on a's rounded coefficients `coeffs`,
+    started at the midpoint.  The float sign of a at each iterate
+    shrinks a float bracket; a step that leaves that bracket, or a zero
+    derivative, gives way to the bracket's midpoint.  Stops when a step
+    moves by at most one ulp, or after _NEWTON_STEPS iterations."""
     a, b = float(lo), float(hi)
     x = (a + b) / 2
     for _ in range(_NEWTON_STEPS):
@@ -1022,13 +993,13 @@ def _newton_guess(coeffs, lo, hi, sign_lo: int):
     return x
 
 
-def _refine(p: ParamPoly, lo, hi, sign_lo: int):
-    """(value, exact) for the one root of the square-free p in (lo, hi),
-    where p(lo) has the sign sign_lo and p(hi) the other sign.
+def _refine(a, coeffs, lo, hi, sign_lo: int):
+    """(value, exact) for the one root of the square-free int poly a in
+    (lo, hi), where a(lo) has the sign sign_lo and a(hi) the other sign;
+    coeffs are a's coefficients as doubles (_float_coeffs), or None.
 
-    Every bracket update rests on a certified sign of p at a double:
-    float Horner when its error bound decides it, else exact evaluation
-    (_certified_sign).  First a double guess from float Newton
+    Every bracket update rests on the exact sign of a at a double
+    (_int_sign).  First a double guess from float Newton on coeffs
     (_newton_guess), which need not be right, narrows the bracket: its
     sign moves one end to it, then steps of 1, 2, 4, ... ulps away from
     it, towards the root, move that end until a step crosses the root
@@ -1048,12 +1019,12 @@ def _refine(p: ParamPoly, lo, hi, sign_lo: int):
 
     Ends may be doubles or rationals.  Ends beyond the double range,
     which are never doubles, are first moved exactly to -+ the largest
-    double, by the sign of p there; a root beyond the double range
+    double, by the sign of a there; a root beyond the double range
     raises ValueError."""
     if type(lo) is not float or type(hi) is not float:
         for end in (-_MAX_DOUBLE, _MAX_DOUBLE):
             if lo < end < hi:
-                s = _sign(p(end))
+                s = _int_sign(a, end)
                 if not s:
                     return _exact_value(end), end
                 if s == sign_lo:
@@ -1062,10 +1033,9 @@ def _refine(p: ParamPoly, lo, hi, sign_lo: int):
                     hi = end
         if lo < -_MAX_DOUBLE or hi > _MAX_DOUBLE:
             raise ValueError(_BEYOND_DOUBLES)
-    coeffs = _float_coeffs(p)
     guess = _newton_guess(coeffs, lo, hi, sign_lo) if coeffs else None
     if guess is not None and lo < guess < hi:
-        s = _certified_sign(p, coeffs, guess)
+        s = _int_sign(a, guess)
         if not s:
             return guess, Fraction(guess)
         up = s == sign_lo  # the root lies above the guess
@@ -1081,7 +1051,7 @@ def _refine(p: ParamPoly, lo, hi, sign_lo: int):
             t = guess + step if up else guess - step
             if not lo < t < hi:
                 break
-            s = _certified_sign(p, coeffs, t)
+            s = _int_sign(a, t)
             if not s:
                 return t, Fraction(t)
             step *= 2
@@ -1089,42 +1059,36 @@ def _refine(p: ParamPoly, lo, hi, sign_lo: int):
         m = _midpoint(lo, hi)
         if not lo < m < hi:
             break
-        s = _certified_sign(p, coeffs, m)
+        s = _int_sign(a, m)
         if not s:
             return m, Fraction(m)
         if s == sign_lo:
             lo = m
         else:
             hi = m
-
-    def side(t):
-        """The sign of root - t; p has the sign sign_lo on (lo, root)."""
-        if t <= lo:
-            return 1
-        if t >= hi:
-            return -1
-        return _sign(p(t)) * sign_lo
-
-    a, b = _outward(lo, hi)
-    value = m if _digits(a) == _digits(b) else _round_between(a, b, side)
+    low, high = _outward(lo, hi)
+    if _digits(low) == _digits(high):
+        value = m
+    else:
+        value = _round_between(low, high, _bracket_side(a, lo, hi, sign_lo))
     candidate = Fraction(value).limit_denominator(EXACT_DENOMINATOR)
-    if lo <= candidate <= hi and not p(candidate):
+    if lo <= candidate <= hi and not _int_sign(a, candidate):
         return _exact_value(candidate), candidate
     return value, None
 
 
-def _bracket_side(p: ParamPoly, lo, hi, sign_lo: int):
+def _bracket_side(a, lo, hi, sign_lo: int):
     """side(t), the sign of r - t at a rational t, for the one root r of
-    p in the open (lo, hi), where p has the sign sign_lo on (lo, r): the
-    bracket decides it for t outside, the exact sign of p(t) inside.  p
-    is evaluated only when side is called there."""
+    the int poly a in the open (lo, hi), where a has the sign sign_lo on
+    (lo, r): the bracket decides it for t outside, the exact sign of
+    a(t) inside (_int_sign)."""
 
     def side(t):
         if t <= lo:
             return 1
         if t >= hi:
             return -1
-        return _sign(p(t)) * sign_lo
+        return _int_sign(a, t) * sign_lo
 
     return side
 
@@ -1144,7 +1108,7 @@ def _rational_sqrt(r: Fraction):
     return None
 
 
-def _factor_roots(factor: ParamPoly, mult: int, var: str, even: bool, roots):
+def _factor_roots(factor: ParamPoly, mult: int, even: bool, roots):
     """Append to `roots` the real roots of the monic square-free factor
     of multiplicity mult, a polynomial in x, or in mu = x^2 when even;
     then a root mu > 0 gives the roots +-sqrt(mu) and mu = 0 gives x = 0
@@ -1152,15 +1116,16 @@ def _factor_roots(factor: ParamPoly, mult: int, var: str, even: bool, roots):
 
     A root at 0 and the roots of a linear factor (of q, whose root must
     then be a rational square) are exact.  The others are isolated on
-    the factor's numerators, lifted to x when even, by _positive_roots
-    (for odd factors also on a(-x)); a root that bisection hits exactly
-    is divided out and the rest isolated again, so no bracket end is a
-    root.  Each bracket is then refined on the factor in x (_refine)."""
+    the factor's primitive integer numerators, lifted to x when even, by
+    _positive_roots (for odd factors also on a(-x)); a root that
+    bisection hits exactly is divided out and the rest isolated again,
+    so no bracket end is a root.  Each bracket is then refined on the
+    same int poly (_refine), whose doubles are computed once here, and
+    the root's side (_bracket_side) evaluates that int poly too."""
     nums = list(_cleared(factor)[1])
     if not nums[0]:
         roots.append(Root(0.0, 2 * mult if even else mult, Fraction(0)))
         nums = nums[1:]
-        factor = None
     while len(nums) > 1:
         exact = None
         if len(nums) == 2:
@@ -1176,10 +1141,10 @@ def _factor_roots(factor: ParamPoly, mult: int, var: str, even: bool, roots):
                 brackets += [(-hi, -lo, -s) for lo, hi, s in below]
                 hits = [-h for h in hits]
             if not hits:
-                poly = _monic_poly(var, lifted) if even else factor or _monic_poly(var, nums)
+                coeffs = _float_coeffs(lifted)
                 for lo, hi, s in brackets:
-                    value, found = _refine(poly, lo, hi, s)
-                    side = _bracket_side(poly, lo, hi, s)
+                    value, found = _refine(lifted, coeffs, lo, hi, s)
+                    side = _bracket_side(lifted, lo, hi, s)
                     roots.append(Root(value, mult, found, side))
                     if even:
                         negated = None if found is None else -found
@@ -1192,7 +1157,6 @@ def _factor_roots(factor: ParamPoly, mult: int, var: str, even: bool, roots):
             roots.append(Root(-value, mult, -exact))
             exact *= exact
         nums = _int_divexact(nums, [-exact.numerator, exact.denominator])
-        factor = None
 
 
 def real_roots(p: ParamPoly):
@@ -1204,14 +1168,14 @@ def real_roots(p: ParamPoly):
     p = q(x^2) is decomposed on q, at half the degree, and only its
     positive roots are isolated.  Each bracket is narrowed around a float
     Newton guess and then bisected in doubles, down to adjacent doubles;
-    every step takes the sign from an error-bounded float Horner test
-    or, when that cannot decide, from exact integer Horner, so the guess
-    moves no digit.  Root.value then prints the root correctly rounded
-    to PRINT_DIGITS digits (see _refine).  A root is flagged exact when
-    it comes from a linear factor (of q, whose root must then be a
-    rational square), when bisection hits it, or when the rational of
-    denominator at most EXACT_DENOMINATOR nearest its value lies in its
-    final bracket and is checked to be a root.
+    every step takes the exact sign of the factor's integer numerators
+    from Horner on integers (_int_sign), so the guess moves no digit and
+    no ParamPoly is evaluated.  Root.value then prints the root
+    correctly rounded to PRINT_DIGITS digits (see _refine).  A root is
+    flagged exact when it comes from a linear factor (of q, whose root
+    must then be a rational square), when bisection hits it, or when the
+    rational of denominator at most EXACT_DENOMINATOR nearest its value
+    lies in its final bracket and is checked to be a root.
     """
     p._require_rational()
     if p.is_zero:
@@ -1220,7 +1184,7 @@ def real_roots(p: ParamPoly):
     q = ParamPoly(p.var, p.coeffs[::2]) if even else p
     roots = []
     for factor, mult in square_free_decomposition(q):
-        _factor_roots(factor, mult, p.var, even, roots)
+        _factor_roots(factor, mult, even, roots)
     roots.sort(key=lambda r: r.value)
     return roots
 

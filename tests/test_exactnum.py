@@ -267,27 +267,6 @@ def _printed(value: float) -> Decimal:
     return Decimal("%.12g" % value)
 
 
-def test_float_sign_filter_never_contradicts_exact_sign():
-    rng = random.Random(5)
-    t = ParamPoly.gen("t")
-    decided = 0
-    for _ in range(40):
-        roots = [F(rng.randint(-400, 400), rng.randint(1, 30)) for _ in range(4)]
-        p = (t - roots[0]) * (t - roots[1]) * (t - roots[2]) * (t * t - roots[3])
-        coeffs = exactnum_mod._float_coeffs(p)
-        for r in roots[:3]:
-            x = float(r)
-            # at and next to the roots, where Horner in doubles cancels
-            for y in (x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf),
-                      x * (1 + 1e-9), x + 0.5):
-                sign = exactnum_mod._float_sign(coeffs, y)
-                exact = p(F(y))
-                if sign is not None:
-                    decided += 1
-                    assert sign == (1 if exact > 0 else -1)
-    assert decided > 100  # the filter decides most points away from roots
-
-
 def test_values_print_correctly_rounded_across_a_rounding_boundary():
     # 1.000000000005 lies halfway between two 12-digit decimals; its
     # nearest double does not say on which side of it a root lies
@@ -362,9 +341,16 @@ def test_refined_roots_do_not_depend_on_the_guess(monkeypatch):
         # the other side of the rounding boundary, and an odd quintic
         t * t - ((tie + tiny) ** 2 + tiny * tiny),
         (t - F(7, 3)) * (t + F(123457, 1000)) * (t * t * t - 2),
+        # ordinary roots, one near 106.3 with denominator 5^475, so the
+        # cleared numerators overflow doubles and no guess is taken
+        (t * t - 2) * (t - F(3**700, 5**475)) * (t + F(1, 3)),
     ]
     want = [real_roots(p) for p in polys]
-    close = want[-3]
+    big = want[-1]
+    assert exactnum_mod._float_coeffs(exactnum_mod._cleared(polys[-1])[1]) is None
+    assert [r.exact for r in big] == [None, F(-1, 3), None, None]
+    assert abs(F(big[-1].value) - F(3**700, 5**475)) <= F(math.ulp(big[-1].value))
+    close = want[-4]
     assert close[0].exact == F(1, 3) and close[1].exact is None
     assert close[0].value < close[1].value
     assert abs(F(close[1].value) - F(1, 3) - F(1, 2**45)) <= F(math.ulp(1 / 3))
@@ -372,6 +358,37 @@ def test_refined_roots_do_not_depend_on_the_guess(monkeypatch):
         monkeypatch.setattr(exactnum_mod, "_newton_guess", stand_in)
         for p, roots in zip(polys, want):
             assert real_roots(p) == roots, (name, p)
+
+
+def test_real_roots_and_compare_evaluate_no_param_poly(monkeypatch):
+    # every sign of refinement, of the rounding boundary and of
+    # Root.compare is taken on the factor's integer numerators
+    from qeslab.spectral import _mu_char_poly, block_form
+
+    polys = [
+        *_sweep_char_polys(3, F(1, 8), F(81, 8), 200),
+        *_sweep_char_polys(5, F(3, 8), F(83, 8), 30),
+    ]
+    q = _mu_char_poly(block_form(8).bc)
+    locus = ParamPoly.one("c") * q.constant() * resultant(q, q.derivative())
+
+    def forbidden(self, value):
+        raise AssertionError("ParamPoly evaluated")
+
+    monkeypatch.setattr(ParamPoly, "__call__", forbidden)
+    for p in polys:
+        assert len(real_roots(p)) == p.degree
+    roots = real_roots(locus)
+    irrational = [r for r in roots if r.exact is None]
+    assert irrational
+    for r in roots:
+        assert r.compare(0) == (1 if r.value > 0 else -1 if r.value < 0 else 0)
+        assert r.compare(10) == (-1 if r.value < 10 else 1)
+    for r in irrational:
+        # inside the bracket: the exact sign of the locus decides
+        t = F(r.value)
+        assert r.compare(t) in (-1, 1)
+        assert r.compare(t - F(1, 10**6)) == 1 and r.compare(t + F(1, 10**6)) == -1
 
 
 def test_cauchy_bound_is_strict():

@@ -29,6 +29,7 @@ from qeslab.exactnum import (
     ExactMatrix,
     ParamPoly,
     _degree_bound,
+    _int_sign,
     _integer_entries,
     as_exact,
     count_real_roots,
@@ -58,6 +59,7 @@ from qeslab.weyl import (
     LeakageTerm,
     MatOp,
     ModuleSpec,
+    commutator,
     leakage,
     restrict,
     x_monomial,
@@ -171,6 +173,48 @@ def test_matop_product_distributes_over_sums(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
     assert a * (b - c) == a * b - a * c
+
+
+# coefficients in Q or in Q[c], for the Jacobi identity over both rings
+c_polys_or_rationals = st.one_of(
+    fractions, st.lists(fractions, max_size=3).map(lambda cs: ParamPoly("c", cs))
+)
+c_diffops = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), c_polys_or_rationals, max_size=3
+).map(DiffOp)
+
+
+def _matops_of(entries):
+    return st.tuples(entry_masks, st.lists(entries, min_size=4, max_size=4)).map(
+        _masked_matop
+    )
+
+
+def _jacobiator(a, b, c):
+    """[a, [b, c]] + [b, [c, a]] + [c, [a, b]], zero in any associative
+    algebra."""
+    return (
+        commutator(a, commutator(b, c))
+        + commutator(b, commutator(c, a))
+        + commutator(c, commutator(a, b))
+    )
+
+
+def _triples(strategy):
+    return st.tuples(strategy, strategy, strategy)
+
+
+@SMALL
+@example((DiffOp.x(), DiffOp.d(), DiffOp({(2, 1): F(1, 2), (0, 2): 3})))
+@given(st.sampled_from([diffops, c_diffops]).flatmap(_triples))
+def test_diffop_commutators_satisfy_the_jacobi_identity(ops):
+    assert _jacobiator(*ops).is_zero
+
+
+@SMALL
+@given(st.sampled_from([_matops_of(diffops), _matops_of(c_diffops)]).flatmap(_triples))
+def test_matop_commutators_satisfy_the_jacobi_identity(ops):
+    assert _jacobiator(*ops).is_zero
 
 
 @st.composite
@@ -411,6 +455,62 @@ def test_integer_horner_matches_zero_seeded_fraction_horner(coeffs, value):
     got = p(value)
     assert type(got) is Fraction
     assert got == _zero_seeded_horner(p, value)
+
+
+def _fraction_sign(a, t: Fraction) -> int:
+    y = F(0)
+    for c in reversed(a):
+        y = y * t + c
+    return (y > 0) - (y < 0)
+
+
+def _int_poly_times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# int polys, some with coefficients beyond 2^1024 (beyond the doubles)
+int_polys = st.lists(
+    st.one_of(st.integers(-9, 9), st.integers(-(2**1100), 2**1100)), min_size=1, max_size=7
+).filter(lambda a: a[-1])
+sign_points = st.one_of(
+    # every finite double, subnormals and the largest included
+    st.floats(allow_nan=False, allow_infinity=False),
+    # dyadic rationals with 54 to 61 significant bits: not doubles
+    st.builds(lambda m, k: F(2 * m + 1, 2**k), st.integers(2**53, 2**60), st.integers(0, 80)),
+    # dyadic rationals below the smallest subnormal
+    st.builds(lambda m, k: F(2 * m + 1, 2**k), st.integers(-99, 99), st.integers(1075, 1200)),
+    # rationals with large denominators
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**40),
+)
+
+
+@st.composite
+def polys_near_double_roots(draw):
+    """(a, t): a has the roots r_i, doubles, times another int poly, and
+    t is one of the r_i or a double next to it."""
+    roots = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=3))
+    a = draw(int_polys)
+    for r in roots:
+        m, k = r.as_integer_ratio()
+        a = _int_poly_times(a, [-m, k])
+    r = draw(st.sampled_from(roots))
+    t = draw(st.sampled_from([r, math.nextafter(r, math.inf), math.nextafter(r, -math.inf)]))
+    return a, t
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example(([-3, 2], 1.5))
+@example(([-3, 2], math.nextafter(1.5, math.inf)))
+@example(([-(2**1100), 2**80], math.ldexp(1.0, 1020)))
+@example(([1, 0, -(2**1100)], F(1, 2**550)))
+@given(st.one_of(st.tuples(int_polys, sign_points), polys_near_double_roots()))
+def test_int_sign_matches_exact_fraction_horner(case):
+    a, t = case
+    assert _int_sign(a, t) == _fraction_sign(a, F(t))
 
 
 c_polys = st.lists(fractions, min_size=2, max_size=3).map(lambda cs: ParamPoly("c", cs))

@@ -458,23 +458,6 @@ def test_negative_mu_root_raises_spectral_error(monkeypatch):
         spectral_mod.algebraic_spectrum(HamiltonianSpec(2, F(1, 8)))
 
 
-@pytest.mark.parametrize(
-    "n, c_min, c_max, steps", [(3, F(1, 8), F(81, 8), 200), (5, F(3, 8), F(83, 8), 30)]
-)
-def test_float_filter_agrees_with_exact_evaluation(monkeypatch, n, c_min, c_max, steps):
-    import qeslab.exactnum as exactnum_mod
-
-    filtered = sweep(n, c_min, c_max, steps).rows
-    # a filter that decides no sign sends every midpoint to exact evaluation
-    monkeypatch.setattr(exactnum_mod, "_float_sign", lambda coeffs, x: None)
-    exact = sweep(n, c_min, c_max, steps).rows
-    assert [[format_sig(v) for v in row] for _, row in exact] == [
-        [format_sig(v) for v in row] for _, row in filtered
-    ]
-    # the filter only decides signs, so the bisection steps are the same
-    assert exact == filtered
-
-
 def _assert_is_char_poly(poly: ParamPoly, matrix: ExactMatrix):
     """poly(lam) = det(lam*I - matrix), a rational matrix, at 2n + 1 values
     of lam by sympy's exact determinant over QQ: enough to fix the monic
