@@ -36,8 +36,9 @@ ZERO_DEGREE = -1
 # Variables that act as scalar parameters: a polynomial in one of these
 # may sit inside the coefficients of a polynomial in any non-scalar
 # variable, and arithmetic nests it there automatically.  Two distinct
-# non-scalar variables never mix.
-SCALAR_VARS = frozenset({"k0", "c"})
+# variables of the same kind never mix: the degree n of the relation
+# suites never meets the mix constant c of the gap-4 scan.
+SCALAR_VARS = frozenset({"k0", "c", "n"})
 
 
 def nests_inside(inner_var: str, outer_var: str) -> bool:

@@ -37,15 +37,16 @@ from qeslab.weyl import (
 
 @dataclass(frozen=True)
 class AlgebraParams:
-    """Degrees of the preserved doublet P(n - delta) (+) P(n)."""
+    """Degrees of the preserved doublet P(n - delta) (+) P(n); n is an
+    int or the symbol ``ParamPoly.gen("n")``."""
 
-    n: int
+    n: int | ParamPoly
     delta: int
 
     def __post_init__(self):
         if self.delta < 1:
             raise ValueError("degree gap must be at least 1")
-        if self.n - self.delta < -1:
+        if isinstance(self.n, int) and self.n - self.delta < -1:
             raise ValueError("top component degree below -1")
 
     @property
@@ -57,16 +58,17 @@ class AlgebraParams:
         return ModuleSpec(self.top_degree, self.n)
 
 
-def sl2_gens(n: int):
-    """(raising, Cartan, lowering) first-order operators on P(n).
+def sl2_gens(n):
+    """(raising, Cartan, lowering) first-order operators on P(n), for an
+    int n or a polynomial in the scalar n.
 
     raising = x^2 d - n x annihilates x^n; Cartan = xd - n/2 is diagonal
     on monomials; lowering = d.
     """
-    if n < 0:
+    if isinstance(n, int) and n < 0:
         raise ValueError("component degree must be nonnegative")
     raising = DiffOp({(2, 1): 1, (1, 0): -n})
-    cartan = DiffOp({(1, 1): 1, (0, 0): -Fraction(n, 2)})
+    cartan = DiffOp({(1, 1): 1, (0, 0): -n * Fraction(1, 2)})
     lowering = DiffOp.d()
     return raising, cartan, lowering
 
@@ -75,13 +77,12 @@ def bosonic_gens(params: AlgebraParams) -> tuple:
     """(T+, T0, T-, J): the ladder triple acting component-wise, then the
     charge operator separating the two components."""
     pairs = zip(sl2_gens(params.top_degree), sl2_gens(params.n))
-    charge = MatOp.diag(
-        Fraction(params.n + params.delta, 2), Fraction(params.n, 2)
-    )
+    half = Fraction(1, 2)
+    charge = MatOp.diag((params.n + params.delta) * half, params.n * half)
     return tuple(MatOp.diag(top, bottom) for top, bottom in pairs) + (charge,)
 
 
-def lowering_word(n: int, delta: int, alpha: int) -> DiffOp:
+def lowering_word(n, delta: int, alpha: int) -> DiffOp:
     """Scalar word behind the alpha-th differential tower operator.
 
     product_{j=0}^{delta-alpha} (xd - (n+1-delta) - j)  .  d^(alpha-1)
@@ -213,9 +214,11 @@ class GeneratorSet:
         )
 
 
-def generator_set(n: int, delta: int, fault: str | None = None) -> GeneratorSet:
+def generator_set(n, delta: int, fault: str | None = None) -> GeneratorSet:
     """The generators of gap `delta` on P(n - delta) (+) P(n), with the
-    one named `fault` perturbed; ValueError if it is absent at this gap."""
+    one named `fault` perturbed; ValueError if it is absent at this gap.
+    At n = ``ParamPoly.gen("n")`` every coefficient is a polynomial in n,
+    and evaluating it at an integer n gives ``generator_set(n, ...)``."""
     fault = check_fault(fault, delta)
     params = AlgebraParams(n, delta)
     ops = bosonic_gens(params) + fermionic_gens(params)

@@ -4,12 +4,18 @@ Every check computes a normal-ordered residual (left side minus the
 expected right side) and reports holds/fails by exact zero-ness; there
 are no tolerances anywhere in this module.  Every relation family and
 the gap-4 scan read their operators from one
-``generators.generator_set`` per (n, gap); the q(2) checks and the gap-4
-scan spell their mix as one ``generators.MixSpec``, and the scan walks
-the sign matrices through ``generators.sign_matrix_scan``, the loop that
-also runs the gap-2 mix discovery.  Fault injection perturbs a
-single named generator coefficient there, so the sensitivity of every
-family can be demonstrated with one switch.
+``generators.generator_set``.  The families whose coefficients are
+polynomial in n (sl(2), the tensor relations, and at gap 2 the triplets,
+the identities and the q(2) table) run once per gap on the set at
+n = ``ParamPoly.gen("n")``; ``specialize_reports`` reads their reports
+off at each integer n.  The checks that need a concrete module (leakage,
+the OSP22 projection, the q(2) matrix shadow) run on one set per
+(n, gap) point.  The q(2) checks and the gap-4 scan spell their mix as
+one ``generators.MixSpec``, and the scan walks the sign matrices through
+``generators.sign_matrix_scan``, the loop that also runs the gap-2 mix
+discovery.  Fault injection perturbs a single named generator
+coefficient there, so the sensitivity of every family can be
+demonstrated with one switch.
 
 Reports are ``weyl.RelationReport`` records, whose lines follow the wire
 format
@@ -38,6 +44,7 @@ from qeslab.generators import (
 from qeslab.weyl import (
     DiffOp,
     MatOp,
+    RelationReport,
     Span,
     anticommutator,
     anticommutator_residuals,
@@ -48,6 +55,7 @@ from qeslab.weyl import (
     project_span,
     relation_report,
     restrict,
+    specialize,
 )
 
 
@@ -92,7 +100,9 @@ def verify_tensor(gens: GeneratorSet):
 
     The raising-with-up-tower relation (tag 11) is checked against the
     closed form found by computation, (1-alpha) * up[alpha-1]; the form
-    is printed in the report so its stability is auditable.
+    is printed in the report so its stability is auditable.  The gap-1
+    projections, whose printed coefficients depend on n, are
+    ``osp22_reports``.
     """
     n, delta = gens.params.n, gens.params.delta
     q, qbar = gens.q, gens.qbar
@@ -119,12 +129,10 @@ def verify_tensor(gens: GeneratorSet):
         reports += [
             relation_report(tag, base + extra, r) for tag, extra, r in relations
         ]
-    if delta == 1:
-        reports.extend(_osp22_reports(gens))
     return reports
 
 
-def _osp22_reports(gens: GeneratorSet):
+def osp22_reports(gens: GeneratorSet):
     """Gap 1: mixed anticommutators close linearly in the even span."""
     basis_named = [("1", MatOp.identity())]
     basis_named += [(name, gens.named[name]) for name in ("T+", "T0", "T-", "J")]
@@ -222,10 +230,10 @@ def _metric(a: int, b: int) -> Fraction:
     return ANTICOMM_METRIC.get((a, b), Fraction(0))
 
 
-def _q2_residuals(n: int, effs, tees, sigma):
+def _q2_residuals(n, effs, tees, sigma):
     """Residuals of {F_a, F_b} = n^2 metric(a, b) 1 over Q2_PAIRS, then
     of {F_a, sigma} = 2 T_a: on operators or on their matrices."""
-    nn = Fraction(n * n)
+    nn = n * n
     anti = {
         (a, b): anticommutator(effs[a - 1], effs[b - 1])
         for a, b in Q2_PAIRS
@@ -376,6 +384,22 @@ def delta4_scan(n: int = 6):
 # the default suite
 # ----------------------------------------------------------------------
 
+def specialize_reports(reports, n: int):
+    """`reports` of a family run at symbolic n, as they read at the
+    integer n: a residual that is zero in Q[n] holds at every n, and any
+    other is specialized at n."""
+    value = Fraction(n)
+    out = []
+    for report in reports:
+        fields = tuple((key, n if key == "n" else v) for key, v in report.fields)
+        if report.holds:
+            out.append(RelationReport(report.tag, fields, True))
+        else:
+            residual = specialize(report.residual, value)
+            out.append(relation_report(report.tag, fields, residual))
+    return out
+
+
 def default_suite(
     n_max: int = 12,
     delta_max: int = 4,
@@ -383,22 +407,28 @@ def default_suite(
 ):
     """Every relation suite over the (n, gap) box, as one report list.
 
-    One generator set is built per (n, gap) point and shared by every
-    family; the injected fault is applied at every gap where its
-    generator exists.
+    Per gap, the families polynomial in n run once on the symbolic-n
+    generator set, and their reports are read off at each n; the checks
+    on a concrete module run on one generator set per (n, gap) point.
+    The injected fault is applied at every gap where its generator
+    exists.
     """
     fault = check_fault(inject_fault, delta_max)
     reports = []
-    for delta in range(1, delta_max + 1):
+    for delta in range(1, min(delta_max, n_max) + 1):
         at_gap = fault if fault in fault_names(delta) else None
+        symbolic = generator_set(ParamPoly.gen("n"), delta, at_gap)
+        even = verify_sl2(symbolic) + verify_tensor(symbolic)
+        if delta == TRIPLET_GAP:
+            triplet = verify_triplets(symbolic) + verify_identities(symbolic)
+            triplet += verify_q2(symbolic)
         for n in range(delta, n_max + 1):
             gens = generator_set(n, delta, at_gap)
-            reports.extend(verify_sl2(gens))
-            reports.extend(verify_tensor(gens))
+            reports.extend(specialize_reports(even, n))
+            if delta == 1:
+                reports.extend(osp22_reports(gens))
             reports.extend(leakage_reports(gens))
             if delta == TRIPLET_GAP:
-                reports.extend(verify_triplets(gens))
-                reports.extend(verify_identities(gens))
-                reports.extend(verify_q2(gens))
+                reports.extend(specialize_reports(triplet, n))
                 reports.extend(verify_q2_matrix(gens))
     return reports

@@ -2,7 +2,8 @@
 
 A scalar operator is a finite sum  sum_{i,j} c_{ij} x^i d^j  with the
 powers of x written to the left of the powers of the derivative d; the
-coefficients c_{ij} live in Q or Q[k0].  Products are renormalised with
+coefficients c_{ij} live in Q or in Q[t] for one scalar parameter t
+(k0, c or the degree n).  Products are renormalised with
 the two-term commutation rule d x = x d + 1, i.e.
 
     d^b x^c = sum_s  C(b, s) * c!/(c-s)! * x^(c-s) d^(b-s).
@@ -12,8 +13,10 @@ factor's coefficients are cleared of their common denominator once, and
 each output term is divided by the two denominators once.
 
 ``MatOp`` wraps a 2x2 matrix of such operators acting on doublets of
-polynomials.  ``project_span`` projects a matrix operator exactly onto
-the span of others, and ``anticommutator_residuals`` does so for every
+polynomials; ``specialize`` evaluates the parameter polynomials in the
+coefficients of either at one value.  ``project_span`` projects a
+matrix operator exactly onto the span of others, and
+``anticommutator_residuals`` does so for every
 anticommutator of an odd multiplet.  ``restrict`` turns a matrix
 operator into the exact matrix of its action on a finite doublet of
 polynomial spaces, filled term by term along each term's band, and
@@ -446,6 +449,20 @@ class MatOp:
 
     def __repr__(self):
         return f"MatOp({self.entries!r})"
+
+
+def specialize(op, value):
+    """`op` (a DiffOp or MatOp) with every polynomial coefficient
+    evaluated at `value`: a ring map, so it commutes with sums, products
+    and normal ordering."""
+    if isinstance(op, MatOp):
+        return MatOp._of(
+            tuple(tuple(specialize(e, value) for e in row) for row in op.entries)
+        )
+    return DiffOp._normal({
+        key: coeff(value) if isinstance(coeff, ParamPoly) else coeff
+        for key, coeff in op.terms.items()
+    })
 
 
 def commutator(a, b):

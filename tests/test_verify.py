@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qeslab import cli, generators, spectral, verify, weyl
+from qeslab.exactnum import ParamPoly, VariableMismatchError
 from qeslab.generators import SIGN_MATRICES, MixSpec, perturb
 from qeslab.verify import (
     default_scan_grid,
@@ -14,14 +15,17 @@ from qeslab.verify import (
     fault_names,
     generator_set,
     leakage_reports,
+    osp22_reports,
     scan_point,
+    specialize_reports,
+    verify_identities,
     verify_q2,
     verify_q2_matrix,
     verify_sl2,
     verify_tensor,
     verify_triplets,
 )
-from qeslab.weyl import DiffOp, MatOp
+from qeslab.weyl import DiffOp, MatOp, relation_report
 
 F = Fraction
 
@@ -43,7 +47,7 @@ def test_report_line_wire_format():
 
 
 def test_atypical_gap_one_pairing_table():
-    lines = [r.line() for r in verify_tensor(generator_set(4, 1)) if r.tag == "OSP22"]
+    lines = [r.line() for r in osp22_reports(generator_set(4, 1)) if r.tag == "OSP22"]
     assert lines == [
         "EQOSP22 n=4 delta=1 alpha=1 beta=1 span=1:0,T+:0,T0:1,T-:0,J:-1 status=holds",
         "EQOSP22 n=4 delta=1 alpha=1 beta=2 span=1:0,T+:0,T0:0,T-:1,J:0 status=holds",
@@ -91,11 +95,11 @@ def test_every_relation_family_is_reachable_by_a_fault():
 
 
 def count_calls(monkeypatch, *names):
-    """Count calls of the named generators functions under every alias
-    a qeslab module holds."""
+    """Count calls of the named generators or verify functions under
+    every alias a qeslab module holds."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(generators, name)
+        original = getattr(generators, name, None) or getattr(verify, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -111,6 +115,62 @@ def test_delta4_scan_builds_one_generator_set(monkeypatch):
     counts = count_calls(monkeypatch, "bosonic_gens", "fermionic_gens")
     delta4_scan(6)
     assert counts == {"bosonic_gens": 1, "fermionic_gens": 1}
+
+
+def test_polynomial_families_run_once_per_gap(monkeypatch):
+    families = (
+        "verify_sl2", "verify_tensor", "verify_triplets", "verify_identities",
+        "verify_q2",
+    )
+    counts = count_calls(monkeypatch, *families)
+    default_suite()
+    assert counts == {
+        "verify_sl2": 4, "verify_tensor": 4, "verify_triplets": 1,
+        "verify_identities": 1, "verify_q2": 1,
+    }
+
+
+SYMBOLIC_FAMILIES = {
+    1: (verify_sl2, verify_tensor),
+    2: (verify_sl2, verify_tensor, verify_triplets, verify_identities, verify_q2),
+    3: (verify_sl2, verify_tensor),
+    4: (verify_sl2, verify_tensor),
+}
+
+
+@pytest.mark.parametrize("fault", (None,) + fault_names(4))
+def test_specialized_reports_match_concrete_families(fault):
+    # a fault absent at a gap leaves that gap as the no-fault case
+    gaps = [d for d in SYMBOLIC_FAMILIES if fault is None or fault in fault_names(d)]
+    failed = 0
+    for delta in gaps:
+        symbolic = generator_set(ParamPoly.gen("n"), delta, fault)
+        for family in SYMBOLIC_FAMILIES[delta]:
+            reports = family(symbolic)
+            for n in range(delta, 8):
+                specialized = specialize_reports(reports, n)
+                assert specialized == family(generator_set(n, delta, fault))
+                failed += len(failures(specialized))
+    assert (failed > 0) == (fault is not None)
+
+
+def test_specialized_residual_holds_where_it_vanishes():
+    n = ParamPoly.gen("n")
+    residual = MatOp.diag(DiffOp({(1, 1): n - 3}), DiffOp.zero())
+    report = relation_report("X", [("n", n), ("delta", 1)], residual)
+    assert not report.holds
+    (at_3,) = specialize_reports([report], 3)
+    assert at_3.holds and at_3.residual is None
+    assert at_3.line() == "EQX n=3 delta=1 status=holds"
+    (at_4,) = specialize_reports([report], 4)
+    assert at_4.line() == "EQX n=4 delta=1 status=fails"
+    assert at_4.residual == MatOp.diag(DiffOp.euler(), DiffOp.zero())
+    c = ParamPoly.gen("c")
+    for combine in (lambda a, b: a + b, lambda a, b: a * b):
+        with pytest.raises(VariableMismatchError):
+            combine(n, c)
+        with pytest.raises(VariableMismatchError):
+            combine(c, n)
 
 
 def test_only_matrix_checks_restrict(monkeypatch, capsys):
