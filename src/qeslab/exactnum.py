@@ -1194,38 +1194,6 @@ def real_roots(p: ParamPoly):
 # exact matrices
 # ----------------------------------------------------------------------
 
-def _integer_entries(entries):
-    """(t, L, rows) for a matrix over Q or Q[t]: L the least common
-    denominator of every rational coefficient of the entries, and rows
-    the entries times L as ascending tuples of int coefficients in t (a
-    rational entry has at most one).  t is the one variable of the
-    polynomial entries, None when there are none; entries in two
-    variables or with non-rational coefficients raise TypeError."""
-    t = None
-    dens = {1}
-    for row in entries:
-        for e in row:
-            if type(e) is Fraction:
-                dens.add(e.denominator)
-                continue
-            if t is None:
-                t = e.var
-            if e.var != t or not all(type(c) is Fraction for c in e.coeffs):
-                raise TypeError("determinants need entries in Q or in Q[t] for one variable t")
-            dens.update(c.denominator for c in e.coeffs)
-    den = math.lcm(*dens)
-    rows = [
-        [
-            ((e.numerator * (den // e.denominator),) if e else ())
-            if type(e) is Fraction
-            else tuple(c.numerator * (den // c.denominator) for c in e.coeffs)
-            for e in row
-        ]
-        for row in entries
-    ]
-    return t, den, rows
-
-
 def _int_horner(coeffs, x: int) -> int:
     """The int polynomial with ascending `coeffs` at the int x."""
     y = 0
@@ -1338,7 +1306,7 @@ def _sampled_in_t(t, ints, bound, scales, compute):
     """[r_0 / scales[0], r_1 / scales[1], ...], with r_k the polynomial
     in t of degree at most `bound` whose value at each t = 0..bound is
     item k of compute(rows), rows the int matrix `ints` (ascending int
-    coefficients in t, _integer_entries) at that t; compute may consume
+    coefficients in t, ExactMatrix._int_rows) at that t; compute may consume
     rows.  Each item is a Fraction when t is None (bound 0), else a
     ParamPoly in t.  `bound` must bound the t-degree of every item."""
     samples = [
@@ -1353,53 +1321,119 @@ def _sampled_in_t(t, ints, bound, scales, compute):
     ]
 
 
-class ExactMatrix:
-    """Matrix over Fraction / ParamPoly entries.
+def _den_of(value) -> int:
+    """The least common denominator of the rational `value`, or of the
+    rational coefficients of the ParamPoly `value`, nested ones too."""
+    if type(value) is ParamPoly:
+        return math.lcm(*map(_den_of, value.coeffs))
+    return value.denominator
 
-    Storage is dense: ``entries`` is a tuple of row tuples in normal
-    form, every entry a ``Fraction`` or a non-constant ``ParamPoly`` (the
-    constructor collapses ints and constant polynomials), so a zero
-    entry is always ``Fraction(0)``.  Arithmetic pays only for nonzero
-    terms: the product never multiplies a zero factor and starts each
-    output entry from its first nonzero product, and sums, differences
-    and ``scaled_identity_added`` take the other operand as it is where
-    one is zero.  Its cost follows the number of nonzero pairs rather
-    than the shape; the restricted generator and Hamiltonian matrices
-    are mostly zero.
+
+def _content(num) -> int:
+    """The gcd of the integer coefficients of an ExactMatrix numerator."""
+    if type(num) is ParamPoly:
+        return math.gcd(*map(_content, num.coeffs))
+    return num.numerator
+
+
+def _cleared_rows(rows):
+    """(den, nums) for the dicts {key: value} `rows` of exact values over
+    Q: den their least common denominator, nums the nonzero ones times
+    den, ints or non-constant ParamPolys."""
+    rows = [{j: v for j, v in ((j, as_exact(v)) for j, v in row.items()) if v} for row in rows]
+    den = math.lcm(*(_den_of(v) for row in rows for v in row.values()))
+    return den, tuple(
+        {j: v._scale(den) if type(v) is ParamPoly else v.numerator * (den // v.denominator)
+         for j, v in row.items()}
+        for row in rows
+    )
+
+
+def _scalar_matrix(value, size: int) -> "ExactMatrix":
+    """value * I, size by size, for an exact scalar value."""
+    den, (row,) = _cleared_rows([{0: value}])
+    return ExactMatrix._of(size, den, tuple({i: row[0]} if row else {} for i in range(size)))
+
+
+def _numerator(num):
+    """A nonzero int or ParamPoly numerator in normal form: a constant
+    polynomial becomes an int."""
+    if type(num) is ParamPoly and len(num.coeffs) <= 1:
+        num = num.coeffs[0]
+        if type(num) is Fraction:
+            return num.numerator
+    return num
+
+
+class ExactMatrix:
+    """Matrix over Q or Q[t], stored sparse on integers.
+
+    Row i of ``nums`` is a dict {column: numerator} of its nonzero
+    entries alone, each numerator / ``den``, one positive int coprime to
+    the content of every numerator (so equal matrices have equal forms).
+    A numerator is an int, or for an entry in Q[t] a non-constant
+    ParamPoly with integral coefficients; both support +, * and bool, so
+    the arithmetic shares one path that touches no zero entry and builds
+    no Fraction.  ``entries`` (and ``m[i]``) is a read-only dense view,
+    built on first use: row tuples of Fractions (zero is Fraction(0))
+    and non-constant ParamPolys.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "den", "nums", "_entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(map(as_exact, row)) for row in entries)
+        rows = [dict(enumerate(row)) for row in entries]
         if not rows or not rows[0]:
             raise ValueError("empty matrix")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged matrix rows")
-        self.rows = len(rows)
-        self.cols = width
-        self.entries = rows
+        self.rows, self.cols, self._entries = len(rows), width, None
+        self.den, self.nums = _cleared_rows(rows)
 
     @classmethod
-    def _of(cls, rows: tuple) -> "ExactMatrix":
-        """Unchecked constructor for `rows`, a nonempty tuple of
-        equal-length row tuples whose entries are in normal form."""
+    def _of(cls, cols: int, den: int, nums: tuple) -> "ExactMatrix":
+        """Unchecked constructor for a form already normal."""
         self = object.__new__(cls)
-        self.rows = len(rows)
-        self.cols = len(rows[0])
-        self.entries = rows
+        self.rows, self.cols, self._entries = len(nums), cols, None
+        self.den, self.nums = den, nums
         return self
 
     @classmethod
+    def _normal(cls, cols: int, den: int, rows) -> "ExactMatrix":
+        """The matrix of the numerator dicts `rows` over den, brought to
+        normal form: zeros dropped, constant polynomials made ints, and
+        the common factor of den and every numerator divided out."""
+        rows = [{j: _numerator(v) for j, v in row.items() if v} for row in rows]
+        g = den > 1 and math.gcd(den, *(_content(v) for row in rows for v in row.values()))
+        if g > 1:
+            den, inv = den // g, Fraction(1, g)
+            rows = [
+                {j: v // g if type(v) is int else v._scale(inv) for j, v in row.items()}
+                for row in rows
+            ]
+        return cls._of(cols, den, tuple(rows))
+
+    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
+        return cls([[0] * cols for _ in range(rows)])
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            zero, den, inv = Fraction(0), self.den, Fraction(1, self.den)
+            dense = []
+            for row in self.nums:
+                out = [zero] * self.cols
+                for j, v in row.items():
+                    out[j] = Fraction(v, den) if type(v) is int else v._scale(inv)
+                dense.append(tuple(out))
+            self._entries = tuple(dense)
+        return self._entries
 
     def __getitem__(self, idx):
         return self.entries[idx]
@@ -1407,78 +1441,84 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return (self.cols, self.den, self.nums) == (other.cols, other.den, other.nums)
 
     __hash__ = None
 
     @property
     def is_zero(self) -> bool:
-        return not any(e for row in self.entries for e in row)
+        return not any(self.nums)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._shape_match(other)
-        return ExactMatrix(
-            [
-                [(a + b if a else b) if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._shape_match(other)
-        return ExactMatrix(
-            [
-                [(a - b if a else -b) if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in row] for row in self.entries])
-
-    def _shape_match(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("matrix shapes differ")
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = []
+        for ra, rb in zip(self.nums, other.nums):
+            row = {j: v * a for j, v in ra.items()} if a != 1 else dict(ra)
+            for j, v in rb.items():
+                row[j] = row[j] + v * b if j in row else v * b
+            out.append(row)
+        return ExactMatrix._normal(self.cols, den, out)
+
+    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self + other * -1
+
+    def __neg__(self) -> "ExactMatrix":
+        return self * -1
 
     def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise ValueError("matrix shapes incompatible for product")
-            # row i of the product is sum_k a_ik * (row k of other); terms
-            # are added in increasing k, and a zero factor is never multiplied
-            nonzero_rows = [
-                [(j, b) for j, b in enumerate(row) if b] for row in other.entries
-            ]
-            zero = Fraction(0)
-            out = []
-            for row in self.entries:
-                acc = {}
-                for a, terms in zip(row, nonzero_rows):
-                    if a:
-                        for j, b in terms:
-                            p = a * b
-                            acc[j] = acc[j] + p if j in acc else p
-                out.append([acc.get(j, zero) for j in range(other.cols)])
-            return ExactMatrix(out)
-        return ExactMatrix([[e * other for e in row] for row in self.entries])
+        if not isinstance(other, ExactMatrix):
+            other = _scalar_matrix(other, self.cols)
+        elif self.cols != other.rows:
+            raise ValueError("matrix shapes incompatible for product")
+        # row i of the product is sum_k a_ik * (row k of other), over the
+        # nonzero a_ik and the nonzero entries of row k alone
+        right = other.nums
+        out = []
+        for row in self.nums:
+            acc = {}
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append(acc)
+        return ExactMatrix._normal(other.cols, self.den * other.den, out)
 
-    def __rmul__(self, other):
-        return ExactMatrix([[other * e for e in row] for row in self.entries])
+    __rmul__ = __mul__
 
     def scaled_identity_added(self, scalar) -> "ExactMatrix":
-        """self + scalar*I without building an identity of the right ring."""
+        """self + scalar*I."""
         if self.rows != self.cols:
             raise ValueError("square matrix required")
-        if not scalar:
-            return self
-        rows = [list(r) for r in self.entries]
-        for i in range(self.rows):
-            d = rows[i][i]
-            rows[i][i] = d + scalar if d else scalar
-        return ExactMatrix(rows)
+        return self + _scalar_matrix(scalar, self.rows)
 
     def map_entries(self, func) -> "ExactMatrix":
-        return ExactMatrix([[func(e) for e in row] for row in self.entries])
+        """The matrix of func(e) over the nonzero entries e, zeros kept."""
+        values = [{j: func(e[j]) for j in row} for e, row in zip(self.entries, self.nums)]
+        return ExactMatrix._of(self.cols, *_cleared_rows(values))
+
+    def _int_rows(self):
+        """(t, rows): the numerators as dense rows of ascending int
+        coefficient tuples in t, () for a zero entry, with t the one
+        variable of the polynomial entries (None when there are none).
+        Entries in two variables or with non-rational coefficients raise
+        TypeError."""
+        t = None
+        rows = []
+        for row in self.nums:
+            dense = [()] * self.cols
+            for j, v in row.items():
+                if type(v) is int:
+                    dense[j] = (v,)
+                    continue
+                if t is None:
+                    t = v.var
+                if v.var != t or not all(type(c) is Fraction for c in v.coeffs):
+                    raise TypeError("determinants need entries in Q or in Q[t] for one variable t")
+                dense[j] = tuple(c.numerator for c in v.coeffs)
+            rows.append(dense)
+        return t, rows
 
     # ------------------------------------------------------------------
     def char_poly(self, var: str = "lam") -> ParamPoly:
@@ -1486,7 +1526,7 @@ class ExactMatrix:
         scalar variable (SCALAR_VARS), by exact evaluation and
         interpolation over the integers (_sampled_in_t).
 
-        With L the least common denominator of every rational
+        With L = den, the least common denominator of every rational
         coefficient of the entries, P(x) = det(x*I - L*self) has integer
         coefficients and det(var*I - self) = sum_k P_k var^k / L^(n-k).
         P is monic, so at each t point it is rebuilt from the forward
@@ -1498,7 +1538,8 @@ class ExactMatrix:
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of a non-square matrix")
         n = self.rows
-        t, den, ints = _integer_entries(self.entries)
+        t, ints = self._int_rows()
+        den = self.den
         if t is not None and not nests_inside(t, var):
             raise TypeError(f"char_poly in {var!r} of entries in Q[{t}]")
         bound = 0
@@ -1523,19 +1564,19 @@ class ExactMatrix:
 
     def det(self):
         """det(self) for entries in Q or in Q[t], t one variable: the
-        integer determinant of L*self (_int_det), L the least common
+        integer determinant of L*self (_int_det), L = den the least common
         denominator, at each t point, interpolated in t and divided by
         L^n (_sampled_in_t).  It is 0 when every permutation meets a zero
         entry; any other entry ring raises TypeError."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        t, den, ints = _integer_entries(self.entries)
+        t, ints = self._int_rows()
         bound = 0
         if t is not None:
             bound = _degree_bound([[len(e) - 1 for e in row] for row in ints])
             if bound is None:
                 return Fraction(0)
-        scales = [den**self.rows]
+        scales = [self.den**self.rows]
         return as_exact(_sampled_in_t(t, ints, bound, scales, lambda rows: [_int_det(rows)])[0])
 
     def nullspace(self):
@@ -1603,9 +1644,13 @@ def _row_reduce(m, width: int):
 
 
 def solve_linear(rows, rhs):
-    """Solve a square exact rational system; raises on singular systems."""
+    """Solve the square exact rational system rows * x = rhs; raises on
+    singular systems.  As in numpy.linalg.solve, rhs is one right-hand
+    side or a matrix (a sequence of rows) whose columns are several; one
+    reduction of [rows | rhs] solves them all, in the shape of rhs."""
     n = len(rows)
-    m = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    vector = not isinstance(rhs[0], (list, tuple))
+    m = [list(map(Fraction, [*row, *([b] if vector else b)])) for row, b in zip(rows, rhs)]
     if len(_row_reduce(m, n)) < n:
         raise ValueError("singular linear system")
-    return tuple(m[i][n] for i in range(n))
+    return tuple(row[n] for row in m) if vector else [tuple(row[n:]) for row in m]

@@ -43,7 +43,6 @@ from qeslab.exactnum import (
     ParamPoly,
     Root,
     SCALAR_VARS,
-    _integer_entries,
     as_exact,
     count_real_roots,
     even_poly,
@@ -165,15 +164,15 @@ def _parity_split(matrix: ExactMatrix, module: ModuleSpec):
     odd = [i for i, s in enumerate(signs) if s < 0]
 
     def block(rows, cols):
-        return ExactMatrix([[matrix[i][j] for j in cols] for i in rows])
+        index = {j: k for k, j in enumerate(cols)}
+        nums = [{index[j]: v for j, v in matrix.nums[i].items() if j in index} for i in rows]
+        return ExactMatrix._normal(len(cols), matrix.den, nums)
 
-    stray = ExactMatrix(
-        [
-            [e if si == sj else 0 for e, sj in zip(row, signs)]
-            for row, si in zip(matrix.entries, signs)
-        ]
-    )
-    return block(even, odd), block(odd, even), stray
+    stray = [
+        {j: v for j, v in row.items() if signs[j] == si}
+        for row, si in zip(matrix.nums, signs)
+    ]
+    return block(even, odd), block(odd, even), ExactMatrix._normal(matrix.cols, matrix.den, stray)
 
 
 def _parity_blocks(restricted: RestrictedMatrix):
@@ -325,9 +324,8 @@ def _adjugate_terms(bc: ExactMatrix, q):
     denominator of BC: by Cayley-Hamilton on integers, T_0 = I and
     T_k = (L BC) T_(k-1) + L^k q_(n-k) I, where L^k q_(n-k) is a
     coefficient of det(x - L BC), so an integer."""
-    den, rows = _integer_entries(bc.entries)[1:]
-    a = [[e[0] if e else 0 for e in row] for row in rows]
-    n = len(a)
+    den, n = bc.den, bc.rows
+    a = [[row.get(j, 0) for j in range(n)] for row in bc.nums]
     terms = [[[int(i == j) for j in range(n)] for i in range(n)]]
     for k in range(1, n):
         shift = q[n - k] * den**k

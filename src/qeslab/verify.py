@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qeslab.exactnum import ParamPoly
+from qeslab.exactnum import ParamPoly, _clear_denominators, _scaled_horner
 from qeslab.generators import (
     ANTICOMM_METRIC,
     DEFAULT_MIX,
@@ -335,22 +335,29 @@ def _span_basis(tees):
     return basis
 
 
-def _obstruction_report(residuals, mix: MixSpec):
-    """Total quadratic norm and first worst pair of the projection
-    residuals: per pair, the number of quadratic (i + j >= 2) terms whose
-    coefficient is nonzero at c = mix.c_mix, read off the residual terms
-    directly (a coefficient symbolic in c is evaluated there)."""
-    c_val = mix.c_mix
-    norms = {
-        pair: sum(
-            1
+def _quadratic_numerators(residuals):
+    """Per pair, the int numerators in c (_clear_denominators) of every
+    quadratic (i + j >= 2) coefficient of its projection residual."""
+    return {
+        pair: [
+            _clear_denominators(coeff.coeffs if type(coeff) is ParamPoly else (coeff,))[1]
             for row in residual.entries
             for entry in row
             for (i, j), coeff in entry.terms.items()
             if i + j >= 2
-            and (coeff(c_val) if isinstance(coeff, ParamPoly) else coeff)
-        )
+        ]
         for pair, (_, residual) in residuals.items()
+    }
+
+
+def _obstruction_report(quadratic, mix: MixSpec):
+    """Total quadratic norm and first worst pair of the projection
+    residuals: per pair, the number of its _quadratic_numerators that are
+    nonzero at c = mix.c_mix, decided by Horner on integers."""
+    m, k = mix.c_mix.numerator, mix.c_mix.denominator
+    norms = {
+        pair: sum(1 for nums in polys if _scaled_horner(nums, m, k)[0])
+        for pair, polys in quadratic.items()
     }
     return ObstructionReport(mix, sum(norms.values()), max(norms, key=norms.get))
 
@@ -359,7 +366,8 @@ def scan_point(n: int, mix: MixSpec) -> ObstructionReport:
     """Exact residual analysis of one rational mix at gap 4."""
     gens = generator_set(n, QUINTET_GAP)
     span = Span(_span_basis(gens.tees))
-    return _obstruction_report(anticommutator_residuals(gens.mixed(mix), span), mix)
+    residuals = anticommutator_residuals(gens.mixed(mix), span)
+    return _obstruction_report(_quadratic_numerators(residuals), mix)
 
 
 def delta4_scan(n: int = 6):
@@ -368,16 +376,19 @@ def delta4_scan(n: int = 6):
     ``sign_matrix_scan`` keeps the mix constant symbolic for each sign
     matrix, normal-orders the fifteen unordered anticommutators once and
     projects them onto the degree-<=1 span with an exact linear solve;
-    the symbolic residuals are then evaluated on ``default_scan_grid``.
+    their quadratic coefficients are tested on ``default_scan_grid``.
     Every report should have a positive residual norm; a zero would be
     a counterexample to the no-closure claim.
     """
     gens = generator_set(n, QUINTET_GAP)
-    return [
-        _obstruction_report(residuals, MixSpec(c_val, mix.d_top, mix.d_bottom))
-        for mix, residuals in sign_matrix_scan(gens, Span(_span_basis(gens.tees)))
-        for c_val in default_scan_grid()
-    ]
+    reports = []
+    for mix, residuals in sign_matrix_scan(gens, Span(_span_basis(gens.tees))):
+        quadratic = _quadratic_numerators(residuals)
+        reports += [
+            _obstruction_report(quadratic, MixSpec(c_val, mix.d_top, mix.d_bottom))
+            for c_val in default_scan_grid()
+        ]
+    return reports
 
 
 # ----------------------------------------------------------------------

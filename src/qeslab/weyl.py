@@ -41,6 +41,7 @@ from qeslab.exactnum import (
     ParamPoly,
     SCALAR_VARS,
     _clear_denominators,
+    _cleared_rows,
     as_exact,
     solve_linear,
 )
@@ -515,14 +516,9 @@ class Span:
             [_dot(self.items[i], self.items[j]) for j in range(size)]
             for i in range(size)
         ]
-        cols = []
-        for k in range(size):
-            unit = [Fraction(1) if i == k else Fraction(0) for i in range(size)]
-            cols.append(solve_linear(gram, unit))
-        # cols[k] is the k-th column of the inverse
-        self.gram_inverse = [
-            [cols[j][i] for j in range(size)] for i in range(size)
-        ]
+        # one elimination of [gram | I]
+        unit = [[int(i == j) for j in range(size)] for i in range(size)]
+        self.gram_inverse = solve_linear(gram, unit)
 
 
 def project_span(op: MatOp, span: Span):
@@ -658,28 +654,28 @@ def leakage(op: MatOp, module: ModuleSpec) -> tuple:
 def restrict(op: MatOp, module: ModuleSpec) -> RestrictedMatrix:
     """Matrix of `op` on the doublet basis, with out-of-space leakage.
 
-    The matrix is filled by band scatter: a term c x^i d^j of the entry
-    (dest, comp) adds c p!/(p-j)! at the row of x^(p+i-j) in dest and
-    the column of x^p in comp, for every j <= p whose image stays within
-    dest's cap; cells that several terms reach are summed.  The images
-    above the cap come from ``leakage``."""
-    cells = {}
+    The matrix is filled by band scatter straight into its sparse rows
+    of numerators over L, the common denominator of op's coefficients: a
+    term c x^i d^j of the entry (dest, comp) adds L c p!/(p-j)! at the
+    row of x^(p+i-j) in dest and the column of x^p in comp, for every
+    j <= p whose image stays within dest's cap; cells that several terms
+    reach are summed.  The images above the cap come from ``leakage``."""
+    terms = {
+        (dest, comp, key): c
+        for dest in (0, 1) for comp in (0, 1) for key, c in op.entries[dest][comp].terms.items()
+    }
+    den, (nums,) = _cleared_rows([terms])
+    rows = [{} for _ in range(module.dim)]
     offsets = (0, module.top_degree + 1)
-    for comp in (0, 1):
-        source_cap = module.degree_cap(comp)
-        for dest in (0, 1):
-            cap = module.degree_cap(dest)
-            for (i, j), c in op.entries[dest][comp].terms.items():
-                # x^p -> x^(p+i-j) for j <= p <= source_cap, within the cap
-                for p in range(j, min(source_cap, cap - i + j) + 1):
-                    key = (offsets[dest] + p + i - j, offsets[comp] + p)
-                    term = c * math.perm(p, j)
-                    cells[key] = cells[key] + term if key in cells else term
-    zero = Fraction(0)
-    rows = [[zero] * module.dim for _ in range(module.dim)]
-    for (row, col), value in cells.items():
-        rows[row][col] = as_exact(value) or zero
-    matrix = ExactMatrix._of(tuple(map(tuple, rows)))
+    for (dest, comp, (i, j)), c in nums.items():
+        cap = module.degree_cap(dest)
+        # x^p -> x^(p+i-j) for j <= p <= the source cap, within the cap
+        for p in range(j, min(module.degree_cap(comp), cap - i + j) + 1):
+            row = rows[offsets[dest] + p + i - j]
+            col = offsets[comp] + p
+            term = c * math.perm(p, j)
+            row[col] = row[col] + term if col in row else term
+    matrix = ExactMatrix._normal(module.dim, den, rows)
     return RestrictedMatrix(module, matrix, leakage(op, module))
 
 

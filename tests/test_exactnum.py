@@ -8,6 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
@@ -646,6 +649,116 @@ def test_nullspace_vectors_annihilate():
             assert all(entry == 0 for entry in image)
 
 
+# ----------------------------------------------------------------------
+# the sparse integer form against sympy
+# ----------------------------------------------------------------------
+
+C = ParamPoly.gen("c")
+
+
+def to_sympy(value):
+    if isinstance(value, ParamPoly):
+        return sum((to_sympy(a) * sympy.Symbol(value.var) ** k for k, a in enumerate(value.coeffs)), 0)
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+def sympy_matrix(rows):
+    return sympy.Matrix([[to_sympy(F(e) if isinstance(e, int) else e) for e in row] for row in rows])
+
+
+def vanishes(m) -> bool:
+    return m.expand() == sympy.zeros(*m.shape)
+
+
+def assert_normal_form(m):
+    """No zero or constant-polynomial numerator, integral coefficients,
+    den coprime to their content; a normal dense view."""
+    content = [m.den]
+    for row in m.nums:
+        for v in row.values():
+            if type(v) is ParamPoly:
+                assert len(v.coeffs) >= 2
+                assert all(type(a) is F and a.denominator == 1 for a in v.coeffs)
+                content += [a.numerator for a in v.coeffs]
+            else:
+                assert type(v) is int and v
+                content.append(v)
+    assert m.den > 0 and math.gcd(*content) == 1
+    assert len(m.entries) == m.rows and all(len(row) == m.cols for row in m.entries)
+    for row in m.entries:
+        assert all(type(e) is F or type(e) is ParamPoly and e.degree > 0 for e in row)
+
+
+# entries over Q, or over Q[c] with constant polynomials among them;
+# zeros are frequent in both
+q_entries = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=6))
+c_entries = st.one_of(
+    q_entries, st.lists(st.fractions(-4, 4, max_denominator=6), min_size=1, max_size=3).map(
+        lambda cs: ParamPoly("c", cs)
+    )
+)
+
+
+def square_rows(size, entries):
+    return st.lists(st.lists(entries, min_size=size, max_size=size), min_size=size, max_size=size)
+
+
+def square_matrices(size):
+    """Over Q or over Q[c], so products pair the two rings too."""
+    return st.sampled_from([q_entries, c_entries]).flatmap(lambda e: square_rows(size, e))
+
+
+sparse_operands = st.integers(1, 4).flatmap(
+    lambda size: st.tuples(square_matrices(size), square_matrices(size), c_entries)
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(([[F(1, 2), C], [0, 1]], [[F(-1, 2), -C], [0, -1]], 0))  # a sum that cancels to zero
+@example(([[C + 1, F(1, 3)], [0, C]], [[-C, F(2, 3)], [1, -C]], C))  # numerators collapse to constants
+@example(([[F(1, 6), 0], [0, F(1, 4)]], [[C, 1], [F(1, 2), 0]], F(3)))  # Q times Q[c]
+@example(([[0, 0], [0, 0]], [[C * C, F(1, 5)], [0, C]], F(-7, 2)))
+@given(sparse_operands)
+def test_sparse_matrix_matches_sympy(operands):
+    a_rows, b_rows, scalar = operands
+    a, b = ExactMatrix(a_rows), ExactMatrix(b_rows)
+    sa, sb, s = sympy_matrix(a_rows), sympy_matrix(b_rows), to_sympy(as_exact(scalar))
+    results = {
+        "a": (a, sa),
+        "+": (a + b, sa + sb),
+        "-": (a - b, sa - sb),
+        "*": (a * b, sa * sb),
+        "-a": (-a, -sa),
+        "a*s": (a * scalar, sa * s),
+        "s*a": (scalar * a, sa * s),
+        "a+sI": (a.scaled_identity_added(scalar), sa + s * sympy.eye(a.rows)),
+    }
+    for kind, (got, want) in results.items():
+        assert_normal_form(got)
+        assert vanishes(sympy_matrix(got.entries) - want), kind
+        assert got.is_zero == vanishes(want), kind
+        assert [got[i] for i in range(got.rows)] == list(got.entries)
+    # equal matrices reached over different denominators compare equal
+    assert (a + b) - b == a
+    assert a * 6 * F(1, 6) == a == ExactMatrix(a.entries)
+    assert (a == b) == vanishes(sa - sb)
+    lam = sympy.Symbol("lam")
+    for m, sm in ((a, sa), (b, sb), (a * b, sa * sb)):
+        assert sympy.expand(to_sympy(m.char_poly("lam")) - sm.charpoly(lam).as_expr()) == 0
+        assert sympy.expand(to_sympy(as_exact(m.det())) - sm.det()) == 0
+
+
+def test_sparse_form_is_normal_across_denominators():
+    halves = ExactMatrix([[F(1, 2), F(1, 3)], [0, C * F(5, 6)]])
+    assert (halves.den, halves.nums) == (6, ({0: 3, 1: 2}, {1: C * 5}))
+    assert halves * 6 == ExactMatrix([[3, 2], [0, C * 5]])
+    assert (halves * 6).den == 1
+    third = ExactMatrix([[F(1, 3)]])
+    assert (third + third + third).den == 1 and (third + third + third)[0][0] == 1
+    assert ExactMatrix([[C + 1]]) - ExactMatrix([[C]]) == ExactMatrix.identity(1)
+    assert (ExactMatrix([[C + 1]]) - ExactMatrix([[C]])).nums == ({0: 1},)
+
+
 def test_solve_linear_roundtrip():
     rng = random.Random(31)
     solved = 0
@@ -659,6 +772,10 @@ def test_solve_linear_roundtrip():
             for i in range(3)
         ]
         assert list(solve_linear(m.entries, rhs)) == x_true
+        # several right-hand sides, the columns of a matrix, in one solve
+        assert solve_linear(m.entries, [[b, 2 * b] for b in rhs]) == [(x, 2 * x) for x in x_true]
+        inverse = solve_linear(m.entries, [[int(i == j) for j in range(3)] for i in range(3)])
+        assert ExactMatrix(inverse) * m == ExactMatrix.identity(3)
         solved += 1
 
 

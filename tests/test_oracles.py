@@ -30,7 +30,6 @@ from qeslab.exactnum import (
     ParamPoly,
     _degree_bound,
     _int_sign,
-    _integer_entries,
     as_exact,
     count_real_roots,
     poly_gcd,
@@ -638,7 +637,7 @@ def test_eigenvector_column_is_a_positive_multiple_of_sympy_adjugate(
     # for E the float of an irrational level (E and -E share it), is a
     # positive multiple of column j of sympy's adj(mu - BC)
     spectrum = algebraic_spectrum(HamiltonianSpec.from_c(n, c))
-    den = _integer_entries(spectrum.bc.entries)[1]
+    den = spectrum.bc.den
     exact = []
 
     def spy(terms, x, scale, j):

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from qeslab import cli, generators, spectral, verify, weyl
 from qeslab.exactnum import ParamPoly, VariableMismatchError
-from qeslab.generators import SIGN_MATRICES, MixSpec, perturb
+from qeslab.generators import ANTICOMM_METRIC, DEFAULT_MIX, SIGN_MATRICES, MixSpec, perturb
 from qeslab.verify import (
     default_scan_grid,
     default_suite,
@@ -25,7 +26,7 @@ from qeslab.verify import (
     verify_tensor,
     verify_triplets,
 )
-from qeslab.weyl import DiffOp, MatOp, relation_report
+from qeslab.weyl import DiffOp, MatOp, relation_report, restrict
 
 F = Fraction
 
@@ -115,6 +116,16 @@ def test_delta4_scan_builds_one_generator_set(monkeypatch):
     counts = count_calls(monkeypatch, "bosonic_gens", "fermionic_gens")
     delta4_scan(6)
     assert counts == {"bosonic_gens": 1, "fermionic_gens": 1}
+
+
+def test_delta4_scan_evaluates_no_polynomial(monkeypatch):
+    # each quadratic coefficient is cleared once per sign matrix and
+    # tested on integers at every grid point
+    def refuse(self, value):
+        raise AssertionError(f"{self} evaluated at {value}")
+
+    monkeypatch.setattr(ParamPoly, "__call__", refuse)
+    assert len(delta4_scan(5)) == 4 * len(default_scan_grid())
 
 
 def test_polynomial_families_run_once_per_gap(monkeypatch):
@@ -218,6 +229,49 @@ def test_matrix_shadow_consistency():
     assert reports
     assert not failures(reports)
     assert any(r.tag == "19SHADOW" for r in reports)
+
+
+def _sympy_matrix(matrix):
+    return sympy.Matrix(
+        [[sympy.Rational(e.numerator, e.denominator) for e in row] for row in matrix.entries]
+    )
+
+
+@pytest.mark.parametrize("fault", (None,) + fault_names(2))
+def test_matrix_shadow_matches_sympy_table(fault):
+    # the q(2) table recomputed by sympy on the same restricted matrices:
+    # {F_a, F_b} - n^2 g_ab 1 over the nine pairs, then {F_a, s3} - 2 T_a
+    kinds = set()
+    for n in range(3, 7):
+        gens = generator_set(n, 2, fault)
+        module = gens.params.module
+        restricted = [restrict(op, module) for op in gens.mixed(DEFAULT_MIX) + gens.tees]
+        reports = verify_q2_matrix(gens)
+        assert [r.tag for r in reports] == ["19SHADOW"] * 12
+        leaks = tuple(term for r in restricted for term in r.leakage)
+        if leaks:
+            assert all(not r.holds and r.residual == leaks for r in reports)
+            kinds.add("leakage")
+            continue
+        effs = [_sympy_matrix(r.matrix) for r in restricted[:3]]
+        tees = [_sympy_matrix(r.matrix) for r in restricted[3:]]
+        sigma = _sympy_matrix(restrict(MatOp.sigma3(), module).matrix)
+        one = sympy.eye(module.dim)
+        want = [
+            effs[a - 1] * effs[b - 1] + effs[b - 1] * effs[a - 1]
+            - n * n * sympy.Rational(ANTICOMM_METRIC.get((a, b), 0)) * one
+            for a in (1, 2, 3)
+            for b in (1, 2, 3)
+        ]
+        want += [f * sigma + sigma * f - 2 * t for f, t in zip(effs, tees)]
+        for report, residual in zip(reports, want):
+            assert report.holds == residual.is_zero_matrix
+            if not report.holds:
+                assert _sympy_matrix(report.residual) == residual
+                kinds.add("arithmetic")
+    # J enters no shadow relation; T+, QBAR1 and QBAR2 leak off the doublet
+    leaking = fault in ("T+", "QBAR1", "QBAR2")
+    assert kinds == (set() if fault in (None, "J") else {"leakage" if leaking else "arithmetic"})
 
 
 def test_generator_leakage_certificates_empty():

@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from qeslab import weyl
 from qeslab.exactnum import ExactMatrix, ParamPoly
 from qeslab.weyl import (
     DiffOp,
     MatOp,
     ModuleSpec,
+    Span,
     anticommutator,
     commutator,
+    project_span,
     restrict,
     x_monomial,
 )
@@ -155,3 +158,24 @@ def test_restriction_is_multiplicative_for_invariant_operators():
     assert lhs.leakage_free
     product = restrict(euler_mat, module).matrix * restrict(shifted, module).matrix
     assert lhs.matrix == product
+
+
+def test_span_inverts_its_gram_matrix_in_one_solve(monkeypatch):
+    rng = random.Random(11)
+    basis = [MatOp.identity(), MatOp.sigma3()]
+    basis += [MatOp.diag(rand_diffop(rng), rand_diffop(rng)) for _ in range(3)]
+    solves = []
+    original = weyl.solve_linear
+
+    def counted(rows, rhs):
+        solves.append(len(rows))
+        return original(rows, rhs)
+
+    monkeypatch.setattr(weyl, "solve_linear", counted)
+    span = Span(basis)
+    assert solves == [5]
+    # each basis member projects onto its own unit vector, with no residual
+    for k, member in enumerate(basis):
+        coeffs, residual = project_span(member, span)
+        assert coeffs == [int(i == k) for i in range(5)]
+        assert residual.is_zero
