@@ -140,10 +140,12 @@ def cmd_verify(args) -> int:
 # spectrum / charpoly
 # ----------------------------------------------------------------------
 
-def _coeff_list(poly: ParamPoly):
-    if all(isinstance(coeff, Fraction) for coeff in poly.coeffs):
-        return [str(coeff) for coeff in poly.coeffs]
-    return [round12(float(coeff)) for coeff in poly.coeffs]
+def _coeff_list(poly: ParamPoly, rounded: bool):
+    """The coefficients as exact strings, or for a doublet rounded to
+    doubles (an irrational level) as 12-digit floats."""
+    if rounded:
+        return [round12(float(coeff)) for coeff in poly.coeffs]
+    return [str(coeff) for coeff in poly.coeffs]
 
 
 def cmd_charpoly(args) -> int:
@@ -182,8 +184,8 @@ def cmd_spectrum(args) -> int:
                     {
                         "nodes": list(f.nodes) if f.nodes is not None else None,
                         "subspace_dim": f.subspace_dim,
-                        "top_y": _coeff_list(f.top_y),
-                        "bottom_y": _coeff_list(f.bottom_y),
+                        "top_y": _coeff_list(f.top_y, lv.exact is None),
+                        "bottom_y": _coeff_list(f.bottom_y, lv.exact is None),
                     }
                     for f in members
                 ],

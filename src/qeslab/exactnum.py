@@ -1,25 +1,36 @@
 """Exact scalar, polynomial, and matrix kernels.
 
-Everything here is exact over the rationals.  Polynomials are dense
-coefficient tuples; coefficients are rationals or, for two-level towers
-(a characteristic polynomial in ``lam`` whose coefficients live in
-Q[k0], say), polynomials in another variable.  Determinants,
-resultants and characteristic polynomials of matrices over Q or Q[t]
-share one path over the integers: denominators cleared, integer
-determinants at sample points by fraction-free Bareiss, and
-interpolation from forward differences, in lam for a characteristic
-polynomial and in t up to a certified degree bound.  Root finding runs
-on integer numerators too: square-free parts by Yun's algorithm on a
-modular gcd that trial division certifies, and real roots isolated by
-Descartes bisection in dyadic brackets (for an even p(x) = q(x^2), q is
-decomposed at half the degree and only x > 0 is isolated).  Roots are
-refined in doubles on the same integer polynomial, from a float Newton
-guess, by steps away from the guess and then bisection, and every sign
-is exact: Horner on integers at the double or rational as a ratio of
-integers.  Refinement stops at adjacent doubles, and the exact sign at
-a decimal rounding boundary settles the last digit when they print
-differently, so every digit of '%.12g' of a root is certified; a root
-beyond the double range raises ValueError.
+Everything here is exact over the rationals, and every exact value is
+stored in one integer normal form: dicts of nonzero numerators over one
+positive int denominator, coprime to their content.  A numerator is an
+int, or for a coefficient in Q[t] a non-constant ParamPoly in t with
+integral coefficients; ``normal_form`` is the one normaliser, shared by
+``ParamPoly`` (one dict {power: numerator}), ``weyl.DiffOp`` (one dict
+{(x power, d power): numerator}) and ``ExactMatrix`` (one dict
+{column: numerator} per row), so sums, products and evaluations run on
+integers and equal values have equal forms.  ``cleared_rows`` brings
+exact values (ints, Fractions, polynomials) into that form at the API
+boundary, and ``ratio`` reads one value back as a Fraction or a
+non-constant ParamPoly, the types of the read-only views.  Polynomials
+in a scalar variable (SCALAR_VARS) nest inside the coefficients of a
+polynomial in any other variable (a characteristic polynomial in
+``lam`` with coefficients in Q[k0], say).  Determinants, resultants
+and characteristic polynomials of matrices over Q or Q[t] share one
+path over the integers: integer determinants at sample points by
+fraction-free Bareiss, and interpolation from forward differences, in
+lam for a characteristic polynomial and in t up to a certified degree
+bound.  Root finding runs on the integer numerators too: square-free
+parts by Yun's algorithm on a modular gcd that trial division
+certifies, and real roots isolated by Descartes bisection in dyadic
+brackets (for an even p(x) = q(x^2), q is decomposed at half the degree
+and only x > 0 is isolated).  Roots are refined in doubles on the same
+integer polynomial, from a float Newton guess, by steps away from the
+guess and then bisection, and every sign is exact: Horner on integers
+at the double or rational as a ratio of integers.  Refinement stops at
+adjacent doubles, and the exact sign at a decimal rounding boundary
+settles the last digit when they print differently, so every digit of
+'%.12g' of a root is certified; a root beyond the double range raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -55,124 +66,219 @@ def as_exact(value):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, ParamPoly) and len(value.coeffs) <= 1:
-        return value.coeffs[0] if value.coeffs else Fraction(0)
+    if isinstance(value, ParamPoly) and value.degree <= 0:
+        return value.constant()
     return value
 
 
-class ParamPoly:
-    """Dense univariate polynomial with exact coefficients.
+# ----------------------------------------------------------------------
+# the integer normal form
+# ----------------------------------------------------------------------
 
-    Trailing zeros are stripped, so the zero polynomial has an empty
-    coefficient tuple and ``degree == ZERO_DEGREE``.  Instances are
-    immutable by convention; all arithmetic returns new objects.
+def normal_form(den: int, rows):
+    """(den, rows) in normal form for the numerator dicts `rows` over the
+    int den > 0: zero numerators dropped, a constant polynomial replaced
+    by its one numerator, and the gcd of den and every integer
+    coefficient of every numerator divided out, so that equal values
+    have equal forms."""
+    out = []
+    for row in rows:
+        clean = {}
+        for key, num in row.items():
+            if type(num) is int:
+                if num:
+                    clean[key] = num
+            elif num.nums:
+                clean[key] = num.nums[0] if len(num.nums) == 1 and 0 in num.nums else num
+        out.append(clean)
+    if den > 1:
+        ints = [num for row in out for num in row.values()]
+        if any(type(num) is not int for num in ints):
+            nested, ints = ints, []
+            while nested:
+                num = nested.pop()
+                if type(num) is int:
+                    ints.append(num)
+                else:
+                    nested.extend(num.nums.values())
+        g = math.gcd(den, *ints)
+        if g > 1:
+            den //= g
+            out = [{key: _divided(num, g) for key, num in row.items()} for row in out]
+    return den, tuple(out)
+
+
+def _divided(num, g: int):
+    """The numerator num divided by the int g, which divides it."""
+    if type(num) is int:
+        return num // g
+    return ParamPoly._of(num.var, 1, {k: _divided(c, g) for k, c in num.nums.items()})
+
+
+def cleared(value):
+    """(den, numerator) of one exact value: an int, a Fraction or a
+    ParamPoly, whose numerator is then integral (a constant collapses)."""
+    if type(value) is int:
+        return 1, value
+    if type(value) is Fraction:
+        return value.denominator, value.numerator
+    if type(value) is ParamPoly:
+        if value.degree <= 0:
+            return value.den, value.nums.get(0, 0)
+        return value.den, ParamPoly._of(value.var, 1, value.nums)
+    if isinstance(value, int):
+        return 1, int(value)
+    raise TypeError(f"not an exact value: {value!r}")
+
+
+def cleared_rows(rows, den: int = 1):
+    """The normal form of the exact values rows[i][key] / den, for dicts
+    `rows` of exact values: every value cleared to an integral numerator
+    over the least common denominator."""
+    parts = [{key: cleared(v) for key, v in row.items()} for row in rows]
+    scale = math.lcm(*(d for row in parts for d, _ in row.values()))
+    return normal_form(den * scale, [
+        {key: num * (scale // d) if d != scale else num for key, (d, num) in row.items()}
+        for row in parts
+    ])
+
+
+def ratio(num, den: int):
+    """The exact value num / den of a numerator over den: a Fraction, or
+    a non-constant ParamPoly."""
+    if type(num) is ParamPoly:
+        if num.degree > 0:
+            return ParamPoly._normal(num.var, den, num.nums)
+        num = num.nums.get(0, 0)
+        if type(num) is ParamPoly:
+            return ratio(num, den)
+    return Fraction(num, den)
+
+
+def added_forms(a_den: int, a_rows, b_den: int, b_rows, sign: int = 1):
+    """The normal form of a + sign b, for the forms (a_den, a_rows) and
+    (b_den, b_rows) of values of one shape."""
+    den = math.lcm(a_den, b_den)
+    fa, fb = den // a_den, sign * (den // b_den)
+    out = []
+    for ra, rb in zip(a_rows, b_rows):
+        row = {k: v * fa for k, v in ra.items()} if fa != 1 else dict(ra)
+        for k, v in rb.items():
+            v = v * fb if fb != 1 else v
+            row[k] = row[k] + v if k in row else v
+        out.append(row)
+    return normal_form(den, out)
+
+
+def scaled_forms(den: int, rows, scalar):
+    """The normal form of scalar times the values of the form (den, rows)."""
+    s_den, s_num = cleared(scalar)
+    return normal_form(den * s_den, [{k: v * s_num for k, v in row.items()} for row in rows])
+
+
+def dense_numerators(nums) -> list:
+    """The numerators {power: numerator} as a dense ascending list, 0 for
+    a missing power."""
+    return [nums.get(i, 0) for i in range(max(nums, default=-1) + 1)]
+
+
+class ParamPoly:
+    """Univariate polynomial with exact coefficients, stored in the
+    integer normal form: ``nums`` maps each power with a nonzero
+    coefficient to its numerator over ``den`` (normal_form), so the zero
+    polynomial has no numerators and ``degree == ZERO_DEGREE``.  A
+    numerator is an int, or an integral ParamPoly in a scalar variable
+    for a coefficient in Q[k0], Q[c] or Q[n].  ``coeffs`` is a read-only
+    dense view, built on first read: a Fraction (zero is Fraction(0)) or
+    a non-constant ParamPoly per power.  Instances are immutable by
+    convention; all arithmetic returns new objects.
     """
 
-    __slots__ = ("var", "coeffs", "_integer_form")
+    __slots__ = ("var", "den", "nums", "_coeffs")
 
     def __init__(self, var: str, coeffs=()):
-        cs = list(map(as_exact, coeffs))
-        while cs and not cs[-1]:
-            cs.pop()
         self.var = var
-        self.coeffs = tuple(cs)
-        # (D, N) of _clear_denominators, built by the first exact evaluation
-        self._integer_form = None
+        self.den, (self.nums,) = cleared_rows([dict(enumerate(coeffs))])
+        self._coeffs = None
 
     @classmethod
-    def _of(cls, var: str, coeffs: tuple) -> "ParamPoly":
-        """Unchecked constructor for a `coeffs` tuple already in normal
-        form: every coefficient as as_exact leaves it, the last nonzero."""
+    def _of(cls, var: str, den: int, nums: dict) -> "ParamPoly":
+        """Unchecked constructor for a form (den, nums) already normal."""
         self = object.__new__(cls)
-        self.var = var
-        self.coeffs = coeffs
-        self._integer_form = None
+        self.var, self.den, self.nums, self._coeffs = var, den, nums, None
         return self
+
+    @classmethod
+    def _normal(cls, var: str, den: int, nums: dict) -> "ParamPoly":
+        """The polynomial of the numerators nums over den, brought to
+        normal form."""
+        den, (nums,) = normal_form(den, (nums,))
+        return cls._of(var, den, nums)
 
     # ------------------------------------------------------------------
     @classmethod
     def zero(cls, var: str) -> "ParamPoly":
-        return cls(var, ())
+        return cls._of(var, 1, {})
 
     @classmethod
     def one(cls, var: str) -> "ParamPoly":
-        return cls(var, (1,))
+        return cls._of(var, 1, {0: 1})
 
     @classmethod
     def gen(cls, var: str) -> "ParamPoly":
         """The variable itself as a degree-1 polynomial."""
-        return cls(var, (0, 1))
+        return cls._of(var, 1, {1: 1})
 
     # ------------------------------------------------------------------
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else ZERO_DEGREE
+        return max(self.nums, default=ZERO_DEGREE)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            self._coeffs = tuple(map(self.coeff, range(self.degree + 1)))
+        return self._coeffs
 
     def coeff(self, power: int):
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
+        num = self.nums.get(power)
+        return Fraction(0) if num is None else ratio(num, self.den)
 
     def constant(self):
         return self.coeff(0)
 
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeff(self.degree)
 
     # ------------------------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return len(self.coeffs) <= 1 and self.constant() == other
-        if isinstance(other, ParamPoly):
-            if self.var == other.var:
-                return self.coeffs == other.coeffs
-            if len(self.coeffs) <= 1:
+        if isinstance(other, ParamPoly) and other.var == self.var:
+            return self.den == other.den and self.nums == other.nums
+        if isinstance(other, (int, Fraction, ParamPoly)):
+            if self.degree <= 0:
                 return self.constant() == other
-            if len(other.coeffs) <= 1:
-                return self == other.constant()
-            return False
+            return isinstance(other, ParamPoly) and other.degree <= 0 and self == other.constant()
         return NotImplemented
 
     __hash__ = None  # mutable-free but unhashable; never used as a key
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly._of(self.var, tuple(-c for c in self.coeffs))
-
-    def _add_coeffs(self, oc) -> "ParamPoly":
-        a, b = self.coeffs, tuple(oc)
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            if c:
-                out[i] = out[i] + c if out[i] else c
-        return ParamPoly(self.var, out)
+        return ParamPoly._of(self.var, self.den, {k: -v for k, v in self.nums.items()})
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Fraction(other)
-        if isinstance(other, Fraction):
-            return self._add_coeffs((other,) if other else ())
-        if not isinstance(other, ParamPoly):
+        pair = _common(self, other)
+        if pair is None:
             return NotImplemented
-        if other.var == self.var or len(other.coeffs) <= 1:
-            return self._add_coeffs(other.coeffs)
-        if len(self.coeffs) <= 1:
-            return other._add_coeffs(self.coeffs)
-        if nests_inside(other.var, self.var):
-            return self._add_coeffs((other,))
-        if nests_inside(self.var, other.var):
-            return other._add_coeffs((self,))
-        raise VariableMismatchError(
-            f"cannot combine polynomials in {self.var!r} and {other.var!r}"
-        )
+        a, b = pair
+        den, (nums,) = added_forms(a.den, (a.nums,), b.den, (b.nums,))
+        return ParamPoly._of(a.var, den, nums)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -183,49 +289,19 @@ class ParamPoly:
     def __rsub__(self, other):
         return (-self).__add__(other)
 
-    def _scale(self, scalar) -> "ParamPoly":
-        if not scalar:
-            return ParamPoly.zero(self.var)
-        # a nonzero exact scalar times a nonzero coefficient is nonzero,
-        # and not a constant polynomial when either factor is not constant
-        return ParamPoly._of(
-            self.var, tuple(c * scalar if c else c for c in self.coeffs)
-        )
-
-    def _mul_coeffs(self, oc) -> "ParamPoly":
-        a, b = self.coeffs, tuple(oc)
-        if not a or not b:
-            return ParamPoly.zero(self.var)
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    p = ca * cb
-                    out[i + j] = out[i + j] + p if out[i + j] else p
-        return ParamPoly(self.var, out)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = Fraction(other)
-        if isinstance(other, Fraction):
-            return self._scale(other)
-        if not isinstance(other, ParamPoly):
+        if type(other) is int:  # the scalar multiples of numerator arithmetic
+            return ParamPoly._normal(self.var, self.den, {k: v * other for k, v in self.nums.items()})
+        pair = _common(self, other)
+        if pair is None:
             return NotImplemented
-        if other.var == self.var:
-            return self._mul_coeffs(other.coeffs)
-        if len(other.coeffs) <= 1:
-            return self._scale(other.constant())
-        if len(self.coeffs) <= 1:
-            return other._scale(self.constant())
-        if nests_inside(other.var, self.var):
-            return self._scale(other)
-        if nests_inside(self.var, other.var):
-            return other._scale(self)
-        raise VariableMismatchError(
-            f"cannot combine polynomials in {self.var!r} and {other.var!r}"
-        )
+        a, b = pair
+        out = {}
+        for i, x in a.nums.items():
+            for j, y in b.nums.items():
+                p = x * y
+                out[i + j] = out[i + j] + p if i + j in out else p
+        return ParamPoly._normal(a.var, a.den * b.den, out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -239,33 +315,19 @@ class ParamPoly:
         return out
 
     def __call__(self, value):
-        """Evaluate by Horner's rule, from the leading coefficient and
-        skipping zero ones.  `value` may be exact or float; a constant
-        polynomial returns its coefficient.
-
-        At a Fraction a/b, with every coefficient rational, Horner runs
-        on integers: with D the least common denominator of the
-        coefficients and N_i = D c_i (built once per polynomial), y <-
-        y a + N_i b^k for k = 1 .. deg, and the value is
-        Fraction(y, D b^deg), the same normalised Fraction that rational
-        Horner gives, for one gcd instead of one per step.  Float
-        arguments and coefficients in Q[param] take the rational loop."""
-        if not self.coeffs:
+        """The exact value at `value` = m/k (an int, a Fraction, or a
+        double taken exactly), by Horner's rule on the numerators:
+        y <- y m + N_i k^j for j = 1 .. deg (scaled_horner), then
+        y / (den k^deg).  The numerators may be polynomials in a scalar
+        variable, and so is the value then."""
+        if not self.nums:
             return Fraction(0)
-        if type(value) is Fraction:
-            form = _cleared(self)
-            if form:
-                den, nums = form
-                y, bk = _scaled_horner(nums, value.numerator, value.denominator)
-                return Fraction(y, den * bk)
-        out = self.coeffs[-1]
-        for c in self.coeffs[-2::-1]:
-            out = out * value + c if c else out * value
-        return as_exact(out)
+        y, kd = scaled_horner(dense_numerators(self.nums), *value.as_integer_ratio())
+        return ratio(y, self.den * kd)
 
     def derivative(self) -> "ParamPoly":
-        return ParamPoly._of(
-            self.var, tuple(i * c for i, c in enumerate(self.coeffs))[1:]
+        return ParamPoly._normal(
+            self.var, self.den, {i - 1: i * c for i, c in self.nums.items() if i}
         )
 
     def map_coeffs(self, func) -> "ParamPoly":
@@ -273,21 +335,22 @@ class ParamPoly:
 
     # --- field-coefficient operations ---------------------------------
     def _require_rational(self):
-        if not all(isinstance(c, Fraction) for c in self.coeffs):
+        if not all(type(c) is int for c in self.nums.values()):
             raise TypeError("operation needs rational coefficients")
 
     def monic(self) -> "ParamPoly":
         self._require_rational()
         if self.is_zero:
             return self
-        lead = self.coeffs[-1]
-        return ParamPoly(self.var, tuple(c / lead for c in self.coeffs))
+        lead = self.nums[self.degree]
+        nums = self.nums if lead > 0 else {k: -v for k, v in self.nums.items()}
+        return ParamPoly._normal(self.var, abs(lead), nums)
 
     def __divmod__(self, other: "ParamPoly"):
         self._require_rational()
         other._require_rational()
         if not isinstance(other, ParamPoly) or other.var != self.var:
-            if isinstance(other, ParamPoly) and len(other.coeffs) <= 1:
+            if isinstance(other, ParamPoly) and other.degree <= 0:
                 other = ParamPoly(self.var, other.coeffs)
             else:
                 raise VariableMismatchError("divmod needs matching variables")
@@ -322,25 +385,39 @@ class ParamPoly:
         if self.is_zero:
             return "0"
         parts = []
-        for power in range(self.degree, -1, -1):
-            c = self.coeff(power)
-            if not c:
-                continue
-            parts.append(_format_term(c, self.var, power, first=not parts))
+        for power in sorted(self.nums, reverse=True):
+            parts.append(_format_term(self.coeffs[power], self.var, power, first=not parts))
         return "".join(parts)
 
 
-def _clear_denominators(coeffs):
-    """(D, N) with D the least common denominator of the rational
-    `coeffs` and N_i = D c_i, as ints; False when a coefficient is a
-    polynomial."""
-    dens = []
-    for c in coeffs:
-        if type(c) is not Fraction:
-            return False
-        dens.append(c.denominator)
-    den = math.lcm(*dens)
-    return den, tuple([c.numerator * (den // c.denominator) for c in coeffs])
+def _constant(var: str, value) -> ParamPoly:
+    """The constant polynomial in var with the exact value `value`."""
+    den, num = cleared(value)
+    return ParamPoly._of(var, den, {0: num} if num else {})
+
+
+def _common(a: ParamPoly, b):
+    """(a, b) as two polynomials in one variable, for the ParamPoly a and
+    an exact value b, or None when b is none: a constant polynomial in
+    another variable than the other operand's collapses to its
+    coefficient first, and a polynomial in a scalar variable nests as a
+    constant coefficient of one in any other."""
+    if type(b) is not ParamPoly:
+        return (a, _constant(a.var, b)) if isinstance(b, (int, Fraction)) else None
+    if a.var == b.var:
+        return a, b
+    if b.degree <= 0:
+        return _common(a, b.constant())
+    if a.degree <= 0:
+        const = a.constant()
+        if type(const) is ParamPoly:
+            return _common(const, b)
+        return _constant(b.var, const), b
+    if nests_inside(b.var, a.var):
+        return a, _constant(a.var, b)
+    if nests_inside(a.var, b.var):
+        return _constant(b.var, a), b
+    raise VariableMismatchError(f"cannot combine polynomials in {a.var!r} and {b.var!r}")
 
 
 def _format_term(coeff, var: str, power: int, first: bool) -> str:
@@ -362,11 +439,7 @@ def _format_term(coeff, var: str, power: int, first: bool) -> str:
 
 def even_poly(poly: ParamPoly, var: str) -> ParamPoly:
     """p(t) -> p(var^2) as a polynomial in `var`."""
-    coeffs = []
-    for c in poly.coeffs:
-        coeffs.append(c)
-        coeffs.append(0)
-    return ParamPoly(var, coeffs[:-1] if coeffs else ())
+    return ParamPoly._of(var, poly.den, {2 * k: v for k, v in poly.nums.items()})
 
 
 # ----------------------------------------------------------------------
@@ -375,19 +448,12 @@ def even_poly(poly: ParamPoly, var: str) -> ParamPoly:
 #
 # An int poly is a list of int coefficients, ascending, whose last one is
 # nonzero; the zero polynomial is the empty list.  A rational ParamPoly
-# enters through its cleared numerators (_cleared).
+# enters through its numerators (dense_numerators(p.nums)).
 
-def _cleared(p: ParamPoly):
-    """(D, N) of _clear_denominators for the rational p, cached on p."""
-    form = p._integer_form
-    if form is None:
-        form = p._integer_form = _clear_denominators(p.coeffs)
-    return form
-
-
-def _scaled_horner(a, m: int, k: int):
-    """(k^d a(m / k), k^d) for the int poly a of degree d and k > 0, by
-    Horner on integers: y <- y m + a_i k^j for j = 1 .. d."""
+def scaled_horner(a, m: int, k: int):
+    """(k^d a(m / k), k^d) for the dense numerators a of degree d (ints,
+    or integral polynomials in a scalar variable) and k > 0, by Horner
+    on integers: y <- y m + a_i k^j for j = 1 .. d."""
     y = a[-1]
     kj = 1
     for c in a[-2::-1]:
@@ -398,11 +464,8 @@ def _scaled_horner(a, m: int, k: int):
 
 def _monic_poly(var: str, a) -> ParamPoly:
     """a / a[-1] as a ParamPoly, for the primitive int poly a with
-    a[-1] > 0, whose cleared form is then (a[-1], a) itself."""
-    lead = a[-1]
-    poly = ParamPoly._of(var, tuple([Fraction(c, lead) for c in a]))
-    poly._integer_form = (lead, tuple(a))
-    return poly
+    a[-1] > 0, whose normal form is then (a[-1], a) itself."""
+    return ParamPoly._of(var, a[-1], {i: c for i, c in enumerate(a) if c})
 
 
 def _primitive(a):
@@ -573,7 +636,7 @@ def _int_square_free(f):
 def _square_free_ints(p: ParamPoly):
     """The primitive square-free part of the nonzero rational p, as an int
     poly with a positive leading coefficient."""
-    f = _primitive(list(_cleared(p)[1]))
+    f = _primitive(dense_numerators(p.nums))
     if len(f) == 1:
         return [1]
     return _int_divexact(f, _int_gcd(f, _int_derivative(f)))
@@ -587,7 +650,7 @@ def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
         return a.monic()
     if not a:
         return b.monic()
-    return _monic_poly(a.var, _int_gcd(list(_cleared(a)[1]), list(_cleared(b)[1])))
+    return _monic_poly(a.var, _int_gcd(dense_numerators(a.nums), dense_numerators(b.nums)))
 
 
 def square_free_part(p: ParamPoly) -> ParamPoly:
@@ -599,7 +662,7 @@ def square_free_part(p: ParamPoly) -> ParamPoly:
 
 
 def square_free_decomposition(p: ParamPoly):
-    """Yun's algorithm on the cleared numerators of p (_int_square_free):
+    """Yun's algorithm on the integer numerators of p (_int_square_free):
     a list of (monic square-free factor, multiplicity).  A square-free p
     comes back as [(p.monic(), 1)] after one gcd image of degree 0, at
     the first prime that does not divide its leading coefficient."""
@@ -608,7 +671,7 @@ def square_free_decomposition(p: ParamPoly):
     p._require_rational()
     if p.degree <= 0:
         return []
-    f = _primitive(list(_cleared(p)[1]))
+    f = _primitive(dense_numerators(p.nums))
     return [(_monic_poly(p.var, a), mult) for a, mult in _int_square_free(f)]
 
 
@@ -782,7 +845,7 @@ def _remainders(a: ParamPoly, b: ParamPoly):
         rem = seq[-2] % seq[-1]
         if rem.is_zero:
             break
-        seq.append(rem._scale(-1 / abs(rem.leading())))
+        seq.append(rem * (-1 / abs(rem.leading())))
     return seq
 
 
@@ -951,7 +1014,7 @@ def _exact_value(r: Fraction) -> float:
 def _int_sign(a, t) -> int:
     """The sign of the int poly a at t, a double or a rational, exactly:
     that of k^d a(t) for t = m / k (as_integer_ratio, k > 0)."""
-    return _sign(_scaled_horner(a, *t.as_integer_ratio())[0])
+    return _sign(scaled_horner(a, *t.as_integer_ratio())[0])
 
 
 def _float_coeffs(a):
@@ -1123,7 +1186,7 @@ def _factor_roots(factor: ParamPoly, mult: int, even: bool, roots):
     so no bracket end is a root.  Each bracket is then refined on the
     same int poly (_refine), whose doubles are computed once here, and
     the root's side (_bracket_side) evaluates that int poly too."""
-    nums = list(_cleared(factor)[1])
+    nums = dense_numerators(factor.nums)
     if not nums[0]:
         roots.append(Root(0.0, 2 * mult if even else mult, Fraction(0)))
         nums = nums[1:]
@@ -1181,8 +1244,8 @@ def real_roots(p: ParamPoly):
     p._require_rational()
     if p.is_zero:
         raise ValueError("roots of the zero polynomial")
-    even = p.degree > 0 and not any(p.coeffs[1::2])
-    q = ParamPoly(p.var, p.coeffs[::2]) if even else p
+    even = p.degree > 0 and not any(k % 2 for k in p.nums)
+    q = ParamPoly._of(p.var, p.den, {k // 2: v for k, v in p.nums.items()}) if even else p
     roots = []
     for factor, mult in square_free_decomposition(q):
         _factor_roots(factor, mult, even, roots)
@@ -1302,81 +1365,42 @@ def _interpolate(values):
     return coeffs
 
 
-def _sampled_in_t(t, ints, bound, scales, compute):
-    """[r_0 / scales[0], r_1 / scales[1], ...], with r_k the polynomial
-    in t of degree at most `bound` whose value at each t = 0..bound is
-    item k of compute(rows), rows the int matrix `ints` (ascending int
-    coefficients in t, ExactMatrix._int_rows) at that t; compute may consume
-    rows.  Each item is a Fraction when t is None (bound 0), else a
-    ParamPoly in t.  `bound` must bound the t-degree of every item."""
+def _sampled_in_t(t, ints, bound, compute):
+    """[r_0, r_1, ...], with r_k the polynomial in t of degree at most
+    `bound` whose value at each t = 0..bound is item k of compute(rows),
+    rows the int matrix `ints` (ascending int coefficients in t,
+    ExactMatrix._int_rows) at that t; compute may consume rows.  Each
+    item is an int when t is None (bound 0), else an integral ParamPoly
+    in t, which normal_form collapses where it is constant.  `bound`
+    must bound the t-degree of every item."""
     samples = [
         compute([[_int_horner(e, point) for e in row] for row in ints])
         for point in range(bound + 1)
     ]
     if t is None:
-        return [Fraction(v, scale) for scale, v in zip(scales, samples[0])]
+        return samples[0]
     return [
-        ParamPoly(t, [Fraction(c, scale) for c in _interpolate(in_t)])
-        for scale, in_t in zip(scales, zip(*samples))
+        ParamPoly._normal(t, 1, dict(enumerate(_interpolate(in_t)))) for in_t in zip(*samples)
     ]
-
-
-def _den_of(value) -> int:
-    """The least common denominator of the rational `value`, or of the
-    rational coefficients of the ParamPoly `value`, nested ones too."""
-    if type(value) is ParamPoly:
-        return math.lcm(*map(_den_of, value.coeffs))
-    return value.denominator
-
-
-def _content(num) -> int:
-    """The gcd of the integer coefficients of an ExactMatrix numerator."""
-    if type(num) is ParamPoly:
-        return math.gcd(*map(_content, num.coeffs))
-    return num.numerator
-
-
-def _cleared_rows(rows):
-    """(den, nums) for the dicts {key: value} `rows` of exact values over
-    Q: den their least common denominator, nums the nonzero ones times
-    den, ints or non-constant ParamPolys."""
-    rows = [{j: v for j, v in ((j, as_exact(v)) for j, v in row.items()) if v} for row in rows]
-    den = math.lcm(*(_den_of(v) for row in rows for v in row.values()))
-    return den, tuple(
-        {j: v._scale(den) if type(v) is ParamPoly else v.numerator * (den // v.denominator)
-         for j, v in row.items()}
-        for row in rows
-    )
 
 
 def _scalar_matrix(value, size: int) -> "ExactMatrix":
     """value * I, size by size, for an exact scalar value."""
-    den, (row,) = _cleared_rows([{0: value}])
-    return ExactMatrix._of(size, den, tuple({i: row[0]} if row else {} for i in range(size)))
-
-
-def _numerator(num):
-    """A nonzero int or ParamPoly numerator in normal form: a constant
-    polynomial becomes an int."""
-    if type(num) is ParamPoly and len(num.coeffs) <= 1:
-        num = num.coeffs[0]
-        if type(num) is Fraction:
-            return num.numerator
-    return num
+    den, num = cleared(value)
+    return ExactMatrix._of(size, den, tuple({i: num} if num else {} for i in range(size)))
 
 
 class ExactMatrix:
-    """Matrix over Q or Q[t], stored sparse on integers.
+    """Matrix over Q or Q[t], stored sparse in the integer normal form.
 
     Row i of ``nums`` is a dict {column: numerator} of its nonzero
-    entries alone, each numerator / ``den``, one positive int coprime to
-    the content of every numerator (so equal matrices have equal forms).
-    A numerator is an int, or for an entry in Q[t] a non-constant
-    ParamPoly with integral coefficients; both support +, * and bool, so
-    the arithmetic shares one path that touches no zero entry and builds
-    no Fraction.  ``entries`` (and ``m[i]``) is a read-only dense view,
-    built on first use: row tuples of Fractions (zero is Fraction(0))
-    and non-constant ParamPolys.
+    entries alone, each numerator / ``den`` (normal_form, as ParamPoly
+    and weyl.DiffOp store theirs).  A numerator is an int, or for an
+    entry in Q[t] a non-constant ParamPoly with integral coefficients;
+    both support +, * and bool, so the arithmetic shares one path that
+    touches no zero entry and builds no Fraction.  ``entries`` (and
+    ``m[i]``) is a read-only dense view, built on first use: row tuples
+    of Fractions (zero is Fraction(0)) and non-constant ParamPolys.
     """
 
     __slots__ = ("rows", "cols", "den", "nums", "_entries")
@@ -1389,7 +1413,7 @@ class ExactMatrix:
         if any(len(r) != width for r in rows):
             raise ValueError("ragged matrix rows")
         self.rows, self.cols, self._entries = len(rows), width, None
-        self.den, self.nums = _cleared_rows(rows)
+        self.den, self.nums = cleared_rows(rows)
 
     @classmethod
     def _of(cls, cols: int, den: int, nums: tuple) -> "ExactMatrix":
@@ -1402,17 +1426,8 @@ class ExactMatrix:
     @classmethod
     def _normal(cls, cols: int, den: int, rows) -> "ExactMatrix":
         """The matrix of the numerator dicts `rows` over den, brought to
-        normal form: zeros dropped, constant polynomials made ints, and
-        the common factor of den and every numerator divided out."""
-        rows = [{j: _numerator(v) for j, v in row.items() if v} for row in rows]
-        g = den > 1 and math.gcd(den, *(_content(v) for row in rows for v in row.values()))
-        if g > 1:
-            den, inv = den // g, Fraction(1, g)
-            rows = [
-                {j: v // g if type(v) is int else v._scale(inv) for j, v in row.items()}
-                for row in rows
-            ]
-        return cls._of(cols, den, tuple(rows))
+        normal form (normal_form)."""
+        return cls._of(cols, *normal_form(den, rows))
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -1425,12 +1440,12 @@ class ExactMatrix:
     @property
     def entries(self) -> tuple:
         if self._entries is None:
-            zero, den, inv = Fraction(0), self.den, Fraction(1, self.den)
+            zero, den = Fraction(0), self.den
             dense = []
             for row in self.nums:
                 out = [zero] * self.cols
                 for j, v in row.items():
-                    out[j] = Fraction(v, den) if type(v) is int else v._scale(inv)
+                    out[j] = ratio(v, den)
                 dense.append(tuple(out))
             self._entries = tuple(dense)
         return self._entries
@@ -1449,29 +1464,26 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+    def _sum(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("matrix shapes differ")
-        den = math.lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        out = []
-        for ra, rb in zip(self.nums, other.nums):
-            row = {j: v * a for j, v in ra.items()} if a != 1 else dict(ra)
-            for j, v in rb.items():
-                row[j] = row[j] + v * b if j in row else v * b
-            out.append(row)
-        return ExactMatrix._normal(self.cols, den, out)
+        return ExactMatrix._of(self.cols, *added_forms(self.den, self.nums, other.den, other.nums, sign))
+
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._sum(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + other * -1
+        return self._sum(other, -1)
 
     def __neg__(self) -> "ExactMatrix":
-        return self * -1
+        return ExactMatrix._of(
+            self.cols, self.den, tuple({j: -v for j, v in row.items()} for row in self.nums)
+        )
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
-            other = _scalar_matrix(other, self.cols)
-        elif self.cols != other.rows:
+            return ExactMatrix._of(self.cols, *scaled_forms(self.den, self.nums, other))
+        if self.cols != other.rows:
             raise ValueError("matrix shapes incompatible for product")
         # row i of the product is sum_k a_ik * (row k of other), over the
         # nonzero a_ik and the nonzero entries of row k alone
@@ -1493,14 +1505,9 @@ class ExactMatrix:
             raise ValueError("square matrix required")
         return self + _scalar_matrix(scalar, self.rows)
 
-    def map_entries(self, func) -> "ExactMatrix":
-        """The matrix of func(e) over the nonzero entries e, zeros kept."""
-        values = [{j: func(e[j]) for j in row} for e, row in zip(self.entries, self.nums)]
-        return ExactMatrix._of(self.cols, *_cleared_rows(values))
-
     def _int_rows(self):
         """(t, rows): the numerators as dense rows of ascending int
-        coefficient tuples in t, () for a zero entry, with t the one
+        coefficient sequences in t, () for a zero entry, with t the one
         variable of the polynomial entries (None when there are none).
         Entries in two variables or with non-rational coefficients raise
         TypeError."""
@@ -1514,9 +1521,9 @@ class ExactMatrix:
                     continue
                 if t is None:
                     t = v.var
-                if v.var != t or not all(type(c) is Fraction for c in v.coeffs):
+                if v.var != t or not all(type(c) is int for c in v.nums.values()):
                     raise TypeError("determinants need entries in Q or in Q[t] for one variable t")
-                dense[j] = tuple(c.numerator for c in v.coeffs)
+                dense[j] = dense_numerators(v.nums)
             rows.append(dense)
         return t, rows
 
@@ -1526,15 +1533,15 @@ class ExactMatrix:
         scalar variable (SCALAR_VARS), by exact evaluation and
         interpolation over the integers (_sampled_in_t).
 
-        With L = den, the least common denominator of every rational
-        coefficient of the entries, P(x) = det(x*I - L*self) has integer
-        coefficients and det(var*I - self) = sum_k P_k var^k / L^(n-k).
-        P is monic, so at each t point it is rebuilt from the forward
-        differences of P(x) - x^n at x = 0..n-1, each an integer
-        determinant (_int_det).  The t-degree bound counts the diagonal
-        at least 0, so some permutation always avoids the zero entries.
-        Any other entry ring (two variables, nested polynomials) raises
-        TypeError."""
+        With L = den, the common denominator of the entries,
+        P(x) = det(x*I - L*self) has integer coefficients (integral
+        polynomials in t) and det(var*I - self) = sum_k P_k var^k / L^(n-k),
+        the numerators P_k L^k over L^n.  P is monic, so at each t point
+        it is rebuilt from the forward differences of P(x) - x^n at
+        x = 0..n-1, each an integer determinant (_int_det).  The t-degree
+        bound counts the diagonal at least 0, so some permutation always
+        avoids the zero entries.  Any other entry ring (two variables,
+        nested polynomials) raises TypeError."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of a non-square matrix")
         n = self.rows
@@ -1559,12 +1566,12 @@ class ExactMatrix:
                 values.append(_int_det(shifted) - x**n)
             return [*_interpolate(values), 1]
 
-        scales = [den ** (n - k) for k in range(n + 1)]
-        return ParamPoly(var, _sampled_in_t(t, ints, bound, scales, coefficients))
+        nums = _sampled_in_t(t, ints, bound, coefficients)
+        return ParamPoly._normal(var, den**n, {k: p * den**k for k, p in enumerate(nums)})
 
     def det(self):
         """det(self) for entries in Q or in Q[t], t one variable: the
-        integer determinant of L*self (_int_det), L = den the least common
+        integer determinant of L*self (_int_det), L = den the common
         denominator, at each t point, interpolated in t and divided by
         L^n (_sampled_in_t).  It is 0 when every permutation meets a zero
         entry; any other entry ring raises TypeError."""
@@ -1576,8 +1583,8 @@ class ExactMatrix:
             bound = _degree_bound([[len(e) - 1 for e in row] for row in ints])
             if bound is None:
                 return Fraction(0)
-        scales = [self.den**self.rows]
-        return as_exact(_sampled_in_t(t, ints, bound, scales, lambda rows: [_int_det(rows)])[0])
+        (num,) = _sampled_in_t(t, ints, bound, lambda rows: [_int_det(rows)])
+        return ratio(num, self.den**self.rows)
 
     def nullspace(self):
         """Basis of the exact kernel (rational entries only)."""

@@ -127,8 +127,8 @@ def perturb(op: MatOp) -> MatOp:
     for r in (0, 1):
         for c in (0, 1):
             entry = rows[r][c]
-            if entry.terms:
-                rows[r][c] = entry + DiffOp({max(entry.terms): 1})
+            if entry.nums:
+                rows[r][c] = entry + DiffOp({max(entry.nums): 1})
                 return MatOp(rows)
     rows[0][0] = rows[0][0] + DiffOp.one()
     return MatOp(rows)

@@ -42,7 +42,6 @@ from qeslab.exactnum import (
     PRINT_DIGITS,
     ParamPoly,
     Root,
-    SCALAR_VARS,
     as_exact,
     count_real_roots,
     even_poly,
@@ -58,6 +57,7 @@ from qeslab.weyl import (
     leakage,
     relation_report,
     restrict,
+    specialize,
 )
 
 
@@ -70,13 +70,15 @@ class NoDegeneracyError(SpectralError):
 
 
 K0_VAR = "k0"
+# the variables a symbolic coupling may be a polynomial in
+COUPLING_VARS = (K0_VAR, "c")
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Degree n >= 2 and the coupling k0 of the operator pair: a rational,
     or a polynomial in k0 or c that makes every matrix built from the
-    spec symbolic in the coupling."""
+    spec symbolic in the coupling (COUPLING_VARS; no other variable)."""
 
     n: int
     k0: Fraction | ParamPoly
@@ -86,7 +88,7 @@ class HamiltonianSpec:
             raise ValueError("need n >= 2 so both components are nonempty")
         k0 = self.k0
         k0 = as_exact(k0) if isinstance(k0, ParamPoly) else Fraction(k0)
-        if isinstance(k0, ParamPoly) and k0.var not in SCALAR_VARS:
+        if isinstance(k0, ParamPoly) and k0.var not in COUPLING_VARS:
             raise ValueError(f"coupling polynomial in {k0.var!r}, not k0 or c")
         object.__setattr__(self, "k0", k0)
 
@@ -191,7 +193,7 @@ class BlockForm:
     entries in Q[c] (k0 = -c/(4n)) or in Q[k0].  block_form certifies M
     once, no leakage and no same-parity entry, as polynomial identities,
     so both hold at every coupling.  A numeric spectrum evaluates the
-    entries it needs at its own coupling (`coupling`, `_evaluated`)."""
+    entries it needs at its own coupling (`coupling`, weyl.specialize)."""
 
     variable: str
     restricted: RestrictedMatrix
@@ -215,11 +217,6 @@ def block_form(n: int, variable: str = "c") -> BlockForm:
     restricted = restricted_hamiltonian(build(n, ParamPoly.gen(variable)))
     b, c = _parity_blocks(restricted)
     return BlockForm(variable, restricted, b, c, b * c)
-
-
-def _evaluated(matrix: ExactMatrix, value: Fraction) -> ExactMatrix:
-    """`matrix` with every polynomial entry evaluated at `value`."""
-    return matrix.map_entries(lambda e: e(value) if type(e) is ParamPoly else e)
 
 
 def _mu_char_poly(bc: ExactMatrix) -> ParamPoly:
@@ -276,7 +273,7 @@ def algebraic_spectrum(
     couplings at one n pass it in, so the operator is restricted once."""
     if form is None:
         form = block_form(spec.n)
-    bc = _evaluated(form.bc, form.coupling(spec))
+    bc = specialize(form.bc, form.coupling(spec))
     cp = even_poly(_mu_char_poly(bc), "lam")
     # cp = q(lam^2), so real_roots isolates in mu = lam^2 on q, of degree
     # n: each root mu >= 0 gives the levels +-sqrt(mu), and negative or
@@ -295,7 +292,8 @@ def algebraic_spectrum(
 @dataclass(frozen=True)
 class EigenPair:
     """One level with a basis of eigenvector doublets (p_top, p_bottom),
-    polynomials in x: exact at a rational level, float otherwise."""
+    polynomials in x: exact at a rational level, and otherwise each
+    coefficient rounded to the nearest double (held as its exact value)."""
 
     level: Root
     doublets: tuple
@@ -306,6 +304,11 @@ def _split_doublet(vector, module: ModuleSpec):
     top = ParamPoly("x", vector[: module.top_degree + 1])
     bottom = ParamPoly("x", vector[module.top_degree + 1 :])
     return top, bottom
+
+
+def _rounded(value: Fraction) -> Fraction:
+    """The exact value of the double nearest `value`."""
+    return Fraction(float(value))
 
 
 def _normalize_doublet(top: ParamPoly, bottom: ParamPoly):
@@ -360,13 +363,13 @@ def eigenvectors(spectrum: AlgebraicSpectrum):
     w = C u / E completes the vector.  A float pre-pass picks the column,
     which alone is evaluated exactly, on integers and up to a positive
     factor, once per mu: E and -E (the spectrum is even) share u, and
-    their w differ by sign.  The normalized doublet is rounded to floats
+    their w differ by sign.  The normalized doublet is rounded to doubles
     once."""
     form = spectrum.form
     value = form.coupling(spectrum.spec)
     module = form.restricted.module
-    matrix = _evaluated(form.restricted.matrix, value)
-    c = _evaluated(form.c, value)
+    matrix = specialize(form.restricted.matrix, value)
+    c = specialize(form.c, value)
     den, terms = _adjugate_terms(spectrum.bc, spectrum.char_poly.coeffs[::2])
     # int true division rounds correctly: the floats of the adjugate's terms
     scales = [den**k for k in range(len(terms))]
@@ -400,7 +403,7 @@ def eigenvectors(spectrum: AlgebraicSpectrum):
         parts = {1: iter(u), -1: iter(w)}
         vector = [next(parts[sign]) for sign in _parity_signs(module)]
         top, bottom = _normalize_doublet(*_split_doublet(vector, module))
-        doublet = (top.map_coeffs(float), bottom.map_coeffs(float))
+        doublet = (top.map_coeffs(_rounded), bottom.map_coeffs(_rounded))
         pairs.append(EigenPair(level, (doublet,)))
     return pairs
 
@@ -421,13 +424,6 @@ class YEigenfunction:
     subspace_dim: int
 
 
-def _exactify(poly: ParamPoly) -> ParamPoly:
-    return ParamPoly(
-        poly.var,
-        [c if isinstance(c, Fraction) else Fraction(float(c)) for c in poly.coeffs],
-    )
-
-
 # x-roots within this distance of 0 count as the single y-zero y = 0
 NODE_GUARD = Fraction(1, 10**9)
 
@@ -437,14 +433,12 @@ def y_node_count(x_poly: ParamPoly) -> int:
 
     Each x-root above NODE_GUARD contributes a symmetric pair of
     y-zeros; any root in the window (-NODE_GUARD, NODE_GUARD] contributes
-    the single zero y = 0.  Float coefficients are embedded exactly
-    first, and both counts come from one square-free part
+    the single zero y = 0.  Both counts come from one square-free part
     (exactnum.count_real_roots).
     """
-    poly = _exactify(x_poly)
-    if poly.is_zero:
+    if x_poly.is_zero:
         raise ValueError("node count of the zero polynomial")
-    window, above = count_real_roots(poly, (-NODE_GUARD, NODE_GUARD, inf))
+    window, above = count_real_roots(x_poly, (-NODE_GUARD, NODE_GUARD, inf))
     return 2 * above + (1 if window else 0)
 
 

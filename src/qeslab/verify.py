@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qeslab.exactnum import ParamPoly, _clear_denominators, _scaled_horner
+from qeslab.exactnum import ParamPoly, dense_numerators, scaled_horner
 from qeslab.generators import (
     ANTICOMM_METRIC,
     DEFAULT_MIX,
@@ -336,14 +336,15 @@ def _span_basis(tees):
 
 
 def _quadratic_numerators(residuals):
-    """Per pair, the int numerators in c (_clear_denominators) of every
-    quadratic (i + j >= 2) coefficient of its projection residual."""
+    """Per pair, the numerators in c of every quadratic (i + j >= 2) term
+    of its projection residual, read off the stored form as dense int
+    coefficient lists."""
     return {
         pair: [
-            _clear_denominators(coeff.coeffs if type(coeff) is ParamPoly else (coeff,))[1]
+            dense_numerators(num.nums) if type(num) is ParamPoly else [num]
             for row in residual.entries
             for entry in row
-            for (i, j), coeff in entry.terms.items()
+            for (i, j), num in entry.nums.items()
             if i + j >= 2
         ]
         for pair, (_, residual) in residuals.items()
@@ -356,7 +357,7 @@ def _obstruction_report(quadratic, mix: MixSpec):
     nonzero at c = mix.c_mix, decided by Horner on integers."""
     m, k = mix.c_mix.numerator, mix.c_mix.denominator
     norms = {
-        pair: sum(1 for nums in polys if _scaled_horner(nums, m, k)[0])
+        pair: sum(1 for nums in polys if scaled_horner(nums, m, k)[0])
         for pair, polys in quadratic.items()
     }
     return ObstructionReport(mix, sum(norms.values()), max(norms, key=norms.get))

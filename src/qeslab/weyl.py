@@ -3,14 +3,15 @@
 A scalar operator is a finite sum  sum_{i,j} c_{ij} x^i d^j  with the
 powers of x written to the left of the powers of the derivative d; the
 coefficients c_{ij} live in Q or in Q[t] for one scalar parameter t
-(k0, c or the degree n).  Products are renormalised with
-the two-term commutation rule d x = x d + 1, i.e.
+(k0, c or the degree n).  They are stored in the integer normal form of
+``exactnum`` (``normal_form``): int numerators, or integral polynomials
+in t, over one denominator.  Products are renormalised with the
+two-term commutation rule d x = x d + 1, i.e.
 
-    d^b x^c = sum_s  C(b, s) * c!/(c-s)! * x^(c-s) d^(b-s).
+    d^b x^c = sum_s  C(b, s) * c!/(c-s)! * x^(c-s) d^(b-s),
 
-When both factors are over Q, that expansion runs on integers: each
-factor's coefficients are cleared of their common denominator once, and
-each output term is divided by the two denominators once.
+on the numerators, over the product of the two denominators; sums,
+``apply``, ``specialize`` and ``restrict`` read the numerators too.
 
 ``MatOp`` wraps a 2x2 matrix of such operators acting on doublets of
 polynomials; ``specialize`` evaluates the parameter polynomials in the
@@ -40,9 +41,11 @@ from qeslab.exactnum import (
     ExactMatrix,
     ParamPoly,
     SCALAR_VARS,
-    _clear_denominators,
-    _cleared_rows,
-    as_exact,
+    added_forms,
+    cleared_rows,
+    normal_form,
+    ratio,
+    scaled_forms,
     solve_linear,
 )
 
@@ -64,36 +67,22 @@ def _is_scalar(value) -> bool:
     return False
 
 
-def _x_coeffs(poly) -> tuple:
-    """Coefficient tuple of `poly` read as a polynomial in x.
-
-    Scalars and parameter polynomials count as constants."""
-    if isinstance(poly, (int, Fraction)):
-        return (Fraction(poly),) if poly else ()
-    if not isinstance(poly, ParamPoly):
+def _x_poly(poly) -> ParamPoly:
+    """`poly` as a polynomial in x: scalars and parameter polynomials
+    count as constants."""
+    if isinstance(poly, ParamPoly) and poly.var == X_VAR:
+        return poly
+    if not _is_scalar(poly):
+        if isinstance(poly, ParamPoly):
+            raise ValueError(f"expected a polynomial in {X_VAR!r}, got {poly.var!r}")
         raise TypeError(f"expected a polynomial, got {poly!r}")
-    if poly.var == X_VAR or len(poly.coeffs) <= 1:
-        return poly.coeffs
-    if poly.var in SCALAR_VARS:
-        return (poly,)
-    raise ValueError(f"expected a polynomial in {X_VAR!r}, got {poly.var!r}")
-
-
-def _normal_terms(terms: dict) -> dict:
-    """`terms` without zero coefficients, ints and constant polynomials
-    collapsed to Fraction: the normal form of ``DiffOp.terms``."""
-    clean = {}
-    for key, coeff in terms.items():
-        coeff = as_exact(coeff)
-        if coeff:
-            clean[key] = coeff
-    return clean
+    return ParamPoly(X_VAR, [poly])
 
 
 def _product_terms(left, right) -> dict:
-    """Coefficients of the normal-ordered product of the term lists
-    `left` and `right` ((i, j), coeff) over any one ring, zeros kept:
-    every term pair and every commutation step adds into one dict."""
+    """Numerators of the normal-ordered product of the term lists `left`
+    and `right` ((i, j), numerator), zeros kept: every term pair and
+    every commutation step adds into one dict."""
     out = {}
     for (a, b), ca in left:
         for (c, d), cb in right:
@@ -111,42 +100,48 @@ def _product_terms(left, right) -> dict:
 class DiffOp:
     """Normal-ordered scalar differential operator.
 
-    ``terms`` maps (x_power, d_power) -> coefficient, in normal form: no
-    zero coefficient is stored, and every coefficient is a ``Fraction``
-    or a non-constant ``ParamPoly`` (ints and constant polynomials are
-    collapsed to ``Fraction``).  The constructor and every arithmetic
-    result go through the one normaliser ``_normal_terms``, except the
-    product over Q, which builds each nonzero ``Fraction`` from its
-    integer numerator directly; so equal operators have equal ``terms``
-    and the zero operator has none.
-    Sums and products touch only stored terms: a sum with an empty
-    operand returns the other operand, and no term is added to a zero
-    seed.
+    ``nums`` maps (x_power, d_power) -> numerator over ``den``, in the
+    integer normal form of ``exactnum.normal_form``: only nonzero terms
+    are stored, each an int or a non-constant integral ``ParamPoly`` in
+    a scalar variable, and ``den`` is coprime to their content.  Every
+    arithmetic result goes through that one normaliser, so equal
+    operators have equal forms and the zero operator has no terms.
+    ``terms`` is the read-only view {(x_power, d_power): coefficient},
+    built on first read, each coefficient a ``Fraction`` or a
+    non-constant ``ParamPoly``.  Sums and products touch only stored
+    terms: a sum with an empty operand returns the other operand, and
+    no term is added to a zero seed.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums", "_terms")
 
     def __init__(self, terms=None):
-        checked = {}
-        for (i, j), coeff in (terms or {}).items():
+        terms = dict(terms or {})
+        for i, j in terms:
             if i < 0 or j < 0:
                 raise ValueError(f"negative operator powers {(i, j)}")
-            checked[(i, j)] = coeff
-        self.terms = _normal_terms(checked)
+        self.den, (self.nums,) = cleared_rows([terms])
+        self._terms = None
 
     @classmethod
-    def _of(cls, terms: dict) -> "DiffOp":
-        """The operator on `terms`, unchecked: its keys are valid powers
-        and its coefficients already in normal form."""
+    def _of(cls, den: int, nums: dict) -> "DiffOp":
+        """The operator on the form (den, nums), unchecked: its keys are
+        valid powers and the form is normal."""
         op = object.__new__(cls)
-        op.terms = terms
+        op.den, op.nums, op._terms = den, nums, None
         return op
 
     @classmethod
-    def _normal(cls, terms: dict) -> "DiffOp":
-        """The operator on `terms`, whose keys are valid powers, brought
-        to normal form."""
-        return cls._of(_normal_terms(terms))
+    def _form(cls, form) -> "DiffOp":
+        """The operator on a normal form (den, (nums,)) of exactnum."""
+        den, (nums,) = form
+        return cls._of(den, nums)
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            self._terms = {k: ratio(v, self.den) for k, v in self.nums.items()}
+        return self._terms
 
     # ------------------------------------------------------------------
     @classmethod
@@ -173,97 +168,75 @@ class DiffOp:
     # ------------------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def coeff(self, x_power: int, d_power: int):
-        return self.terms.get((x_power, d_power), Fraction(0))
+        num = self.nums.get((x_power, d_power))
+        return Fraction(0) if num is None else ratio(num, self.den)
 
     def __eq__(self, other):
-        if isinstance(other, DiffOp):
-            return self.terms == other.terms
         if _is_scalar(other):
-            other = as_exact(other)
-            if not other:
-                return self.is_zero
-            return self.terms == {(0, 0): other}
+            other = DiffOp({(0, 0): other})
+        if isinstance(other, DiffOp):
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     __hash__ = None
 
     # ------------------------------------------------------------------
     def __neg__(self) -> "DiffOp":
-        return DiffOp._normal({k: -c for k, c in self.terms.items()})
+        return DiffOp._of(self.den, {k: -c for k, c in self.nums.items()})
+
+    def _sum(self, other, sign: int):
+        if _is_scalar(other):
+            other = DiffOp({(0, 0): other})
+        if not isinstance(other, DiffOp):
+            return NotImplemented
+        if not other.nums:
+            return self
+        if not self.nums and sign == 1:
+            return other
+        return DiffOp._form(added_forms(self.den, (self.nums,), other.den, (other.nums,), sign))
 
     def __add__(self, other):
-        if isinstance(other, DiffOp):
-            if not other.terms:
-                return self
-            if not self.terms:
-                return other
-            out = dict(self.terms)
-            for k, c in other.terms.items():
-                out[k] = out[k] + c if k in out else c
-            return DiffOp._normal(out)
-        if _is_scalar(other):
-            return self + DiffOp({(0, 0): other})
-        return NotImplemented
+        return self._sum(other, 1)
 
     def __radd__(self, other):
-        return self.__add__(other)
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        if isinstance(other, DiffOp):
-            if not other.terms:
-                return self
-            out = dict(self.terms)
-            for k, c in other.terms.items():
-                out[k] = out[k] - c if k in out else -c
-            return DiffOp._normal(out)
-        return self.__add__(-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return (-self)._sum(other, 1)
 
     def __mul__(self, other):
         if isinstance(other, DiffOp):
-            left, right = self.terms, other.terms
-            cleared_a = _clear_denominators(left.values())
-            cleared_b = cleared_a and _clear_denominators(right.values())
-            if not cleared_b:
-                return DiffOp._normal(_product_terms(left.items(), list(right.items())))
-            # over Q: the expansion runs on the ints D_a c_a and D_b c_b,
-            # and each output term is divided by D_a D_b once
-            (den_a, ints_a), (den_b, ints_b) = cleared_a, cleared_b
-            out = _product_terms(zip(left, ints_a), list(zip(right, ints_b)))
-            den = den_a * den_b
-            return DiffOp._of({k: Fraction(v, den) for k, v in out.items() if v})
+            out = _product_terms(self.nums.items(), list(other.nums.items()))
+            return DiffOp._form(normal_form(self.den * other.den, (out,)))
         if _is_scalar(other):
-            return DiffOp._normal({k: c * other for k, c in self.terms.items()})
+            return DiffOp._form(scaled_forms(self.den, (self.nums,), other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if _is_scalar(other):
-            return DiffOp._normal({k: other * c for k, c in self.terms.items()})
-        return NotImplemented
+    __rmul__ = __mul__
 
     # ------------------------------------------------------------------
     def apply(self, poly: ParamPoly) -> ParamPoly:
-        """Apply to a polynomial in x (exactly)."""
-        coeffs = [(k, pk) for k, pk in enumerate(_x_coeffs(poly)) if pk]
+        """Apply to a polynomial in x (exactly), on the numerators: the
+        term c x^i d^j sends x^k to c k!/(k-j)! x^(k+i-j)."""
+        poly = _x_poly(poly)
         out = {}
-        for (i, j), c in self.terms.items():
-            for k, pk in coeffs:
+        for (i, j), c in self.nums.items():
+            for k, pk in poly.nums.items():
                 if k < j:
                     continue
                 term = c * pk * math.perm(k, j)
                 q = k + i - j
                 out[q] = out[q] + term if q in out else term
-        zero = Fraction(0)
-        top = max(out, default=-1)
-        return ParamPoly(X_VAR, [out.get(q, zero) for q in range(top + 1)])
+        return ParamPoly._normal(X_VAR, self.den * poly.den, out)
 
     # ------------------------------------------------------------------
     def __str__(self):
@@ -305,9 +278,9 @@ def _as_diffop(value) -> DiffOp:
 
 def _dot2(x: DiffOp, y: DiffOp, u: DiffOp, v: DiffOp) -> DiffOp:
     """x*y + u*v, without multiplying by an empty factor."""
-    if x.terms and y.terms:
-        return x * y + u * v if u.terms and v.terms else x * y
-    return u * v if u.terms and v.terms else _ZERO
+    if x.nums and y.nums:
+        return x * y + u * v if u.nums and v.nums else x * y
+    return u * v if u.nums and v.nums else _ZERO
 
 
 class MatOp:
@@ -453,17 +426,23 @@ class MatOp:
 
 
 def specialize(op, value):
-    """`op` (a DiffOp or MatOp) with every polynomial coefficient
-    evaluated at `value`: a ring map, so it commutes with sums, products
-    and normal ordering."""
+    """`op` (a DiffOp, MatOp or ExactMatrix) with every polynomial
+    coefficient evaluated at the rational `value`: a ring map, so it
+    commutes with sums, products and normal ordering.  Each polynomial
+    numerator is evaluated by ``ParamPoly.__call__``, and the values over
+    op's denominator are cleared once (``exactnum.cleared_rows``)."""
     if isinstance(op, MatOp):
         return MatOp._of(
             tuple(tuple(specialize(e, value) for e in row) for row in op.entries)
         )
-    return DiffOp._normal({
-        key: coeff(value) if isinstance(coeff, ParamPoly) else coeff
-        for key, coeff in op.terms.items()
-    })
+    rows = op.nums if isinstance(op, ExactMatrix) else (op.nums,)
+    form = cleared_rows(
+        [{k: v(value) if type(v) is ParamPoly else v for k, v in row.items()} for row in rows],
+        op.den,
+    )
+    if isinstance(op, ExactMatrix):
+        return ExactMatrix._of(op.cols, *form)
+    return DiffOp._form(form)
 
 
 def commutator(a, b):
@@ -631,10 +610,10 @@ def leakage(op: MatOp, module: ModuleSpec) -> tuple:
     for comp in (0, 1):
         for dest in (0, 1):
             entry = op.entries[dest][comp]
-            if not entry.terms:
+            if not entry.nums:
                 continue
             cap = module.degree_cap(dest)
-            first = max(cap + 1 - max(i - j for i, j in entry.terms), 0)
+            first = max(cap + 1 - max(i - j for i, j in entry.nums), 0)
             tasks += [
                 (comp, power, dest, entry, cap)
                 for power in range(first, module.degree_cap(comp) + 1)
@@ -642,11 +621,11 @@ def leakage(op: MatOp, module: ModuleSpec) -> tuple:
     tasks.sort(key=lambda task: task[:3])
     leaks = []
     for comp, power, dest, entry, cap in tasks:
-        image = entry.apply(x_monomial(power)).coeffs
+        image = entry.apply(x_monomial(power))
         leaks += [
-            LeakageTerm(comp, power, dest, q, image[q])
-            for q in range(cap + 1, len(image))
-            if image[q]
+            LeakageTerm(comp, power, dest, q, image.coeff(q))
+            for q in sorted(image.nums)
+            if q > cap
         ]
     return tuple(leaks)
 
@@ -655,26 +634,27 @@ def restrict(op: MatOp, module: ModuleSpec) -> RestrictedMatrix:
     """Matrix of `op` on the doublet basis, with out-of-space leakage.
 
     The matrix is filled by band scatter straight into its sparse rows
-    of numerators over L, the common denominator of op's coefficients: a
-    term c x^i d^j of the entry (dest, comp) adds L c p!/(p-j)! at the
-    row of x^(p+i-j) in dest and the column of x^p in comp, for every
-    j <= p whose image stays within dest's cap; cells that several terms
-    reach are summed.  The images above the cap come from ``leakage``."""
-    terms = {
-        (dest, comp, key): c
-        for dest in (0, 1) for comp in (0, 1) for key, c in op.entries[dest][comp].terms.items()
-    }
-    den, (nums,) = _cleared_rows([terms])
+    of numerators over L, the least common multiple of the entries'
+    denominators: a term of numerator N over D in x^i d^j of the entry
+    (dest, comp) adds N (L/D) p!/(p-j)! at the row of x^(p+i-j) in dest
+    and the column of x^p in comp, for every j <= p whose image stays
+    within dest's cap; cells that several terms reach are summed.  The
+    images above the cap come from ``leakage``."""
+    den = math.lcm(*(e.den for row in op.entries for e in row))
     rows = [{} for _ in range(module.dim)]
     offsets = (0, module.top_degree + 1)
-    for (dest, comp, (i, j)), c in nums.items():
+    for dest in (0, 1):
         cap = module.degree_cap(dest)
-        # x^p -> x^(p+i-j) for j <= p <= the source cap, within the cap
-        for p in range(j, min(module.degree_cap(comp), cap - i + j) + 1):
-            row = rows[offsets[dest] + p + i - j]
-            col = offsets[comp] + p
-            term = c * math.perm(p, j)
-            row[col] = row[col] + term if col in row else term
+        for comp in (0, 1):
+            entry = op.entries[dest][comp]
+            scale = den // entry.den
+            for (i, j), c in entry.nums.items():
+                # x^p -> x^(p+i-j) for j <= p <= the source cap, within the cap
+                for p in range(j, min(module.degree_cap(comp), cap - i + j) + 1):
+                    row = rows[offsets[dest] + p + i - j]
+                    col = offsets[comp] + p
+                    term = c * (scale * math.perm(p, j))
+                    row[col] = row[col] + term if col in row else term
     matrix = ExactMatrix._normal(module.dim, den, rows)
     return RestrictedMatrix(module, matrix, leakage(op, module))
 

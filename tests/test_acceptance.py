@@ -1,5 +1,5 @@
 """End-to-end acceptance: ten checks, one printed pass/fail line each,
-and the golden stdout of the two relation-prover commands.
+and the golden stdout of the relation-prover and charpoly commands.
 
 Run with `pytest -s -v tests/test_acceptance.py` to see the lines.
 """
@@ -236,11 +236,19 @@ def test_c10_invariance_certificates():
 # sha256 of the complete stdout: `verify` prints 2679 EQ lines and its
 # summary, `delta4-scan --n 6` 100 point lines with their norms and worst
 # pairs, then its summary.  Every span=, metric= and
-# residual_quadratic_norm= field is pinned, not only the last lines.
+# residual_quadratic_norm= field is pinned, not only the last lines.  The
+# `charpoly` runs pin every printed nested coefficient in Q[c] and Q[k0],
+# in the text and in the JSON rendering.
 GOLDEN_STDOUT = {
     ("verify",): "e57a349bdafbdaed8a335a6245a512c39bced2f419547abfb3f20a8e0c3fb1d3",
     ("delta4-scan", "--n", "6"):
         "2ae8ddb0fa3a7a25c82c7fe57ff747c765de14b3bf91aa80fb25a5c71f8dd884",
+    ("charpoly", "--n", "10", "--variable", "c"):
+        "fa43a5662a7ea0d182e76ffef933182610d24f15e0aa73087c4c4d1c57fb2a63",
+    ("charpoly", "--n", "9", "--variable", "k0"):
+        "113515ad8e09553f8a0483815c786d6e9fb90fff1495ae11afeb11bce2931d76",
+    ("charpoly", "--n", "9", "--variable", "k0", "--format", "json"):
+        "065d0c7350ecfaa7d1547750acfae43b00e5c6fc9d5ad421e6442d8f8a91bd62",
 }
 
 
@@ -266,6 +274,9 @@ GOLDEN_LEVEL_STDOUT = {
         "4b3f70aed103ebd7fa1ec9e6f82873875d05811f820e1ce37235e95b18822d2b",
     ("spectrum", "--n", "12", "--c", "17/8"):
         "9a9859913c16a95ceff4e1a8f62cf39d0c0b822ff3f78cd97a68cda62c3ff0ab",
+    # the JSON rendering, recorded later, before the one integer form
+    ("spectrum", "--n", "8", "--c", "17/8", "--format", "json"):
+        "30ca671afb9883342219973daba044c98ac631a60a510fcf5b0fc926fa074eb0",
     ("degeneracy", "--n", "8", "--c-min", "0", "--c-max", "10"):
         "7b656c0cb3a3b26af1d688e38ccce211bce63e2c08ea5e250b28ea7d7824d702",
     # the window around the collision at c* = sqrt(24) that CI sweeps

@@ -1,7 +1,9 @@
 """Exact scalar layer: polynomials, root isolation, rational matrices."""
 
+import ast
 import itertools
 import math
+import pathlib
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
+import qeslab
 import qeslab.exactnum as exactnum_mod
 from qeslab.exactnum import (
     ExactMatrix,
@@ -32,6 +35,7 @@ from qeslab.exactnum import (
     sturm_count,
 )
 from qeslab.spectral import _symbolic_mu_poly
+from qeslab.weyl import DiffOp, specialize
 
 F = Fraction
 
@@ -350,7 +354,7 @@ def test_refined_roots_do_not_depend_on_the_guess(monkeypatch):
     ]
     want = [real_roots(p) for p in polys]
     big = want[-1]
-    assert exactnum_mod._float_coeffs(exactnum_mod._cleared(polys[-1])[1]) is None
+    assert exactnum_mod._float_coeffs(exactnum_mod.dense_numerators(polys[-1].nums)) is None
     assert [r.exact for r in big] == [None, F(-1, 3), None, None]
     assert abs(F(big[-1].value) - F(3**700, 5**475)) <= F(math.ulp(big[-1].value))
     close = want[-4]
@@ -658,7 +662,10 @@ C = ParamPoly.gen("c")
 
 def to_sympy(value):
     if isinstance(value, ParamPoly):
-        return sum((to_sympy(a) * sympy.Symbol(value.var) ** k for k, a in enumerate(value.coeffs)), 0)
+        return sum(
+            (to_sympy(a) * sympy.Symbol(value.var) ** k for k, a in enumerate(value.coeffs)),
+            sympy.Integer(0),
+        )
     return sympy.Rational(value.numerator, value.denominator)
 
 
@@ -670,23 +677,45 @@ def vanishes(m) -> bool:
     return m.expand() == sympy.zeros(*m.shape)
 
 
+def integer_coefficients(num):
+    """Every integer coefficient of a stored numerator, nested ones too."""
+    if type(num) is ParamPoly:
+        assert num.den == 1 and num.degree > 0  # integral, not constant
+        return [a for v in num.nums.values() for a in integer_coefficients(v)]
+    assert type(num) is int and num
+    return [num]
+
+
+def assert_normal_numerators(den, rows):
+    """The one stored form: no zero or constant-polynomial numerator,
+    integral coefficients, a positive den coprime to their content."""
+    content = [den]
+    for row in rows:
+        for num in row.values():
+            content += integer_coefficients(num)
+    assert type(den) is int and den > 0 and math.gcd(*content) == 1
+
+
+def is_view_value(value, zero_ok=True) -> bool:
+    """A Fraction (nonzero unless zero_ok) or a non-constant ParamPoly."""
+    if type(value) is F:
+        return zero_ok or value != 0
+    return type(value) is ParamPoly and value.degree > 0
+
+
 def assert_normal_form(m):
-    """No zero or constant-polynomial numerator, integral coefficients,
-    den coprime to their content; a normal dense view."""
-    content = [m.den]
-    for row in m.nums:
-        for v in row.values():
-            if type(v) is ParamPoly:
-                assert len(v.coeffs) >= 2
-                assert all(type(a) is F and a.denominator == 1 for a in v.coeffs)
-                content += [a.numerator for a in v.coeffs]
-            else:
-                assert type(v) is int and v
-                content.append(v)
-    assert m.den > 0 and math.gcd(*content) == 1
+    """The stored form of every row, and a normal dense view."""
+    assert_normal_numerators(m.den, m.nums)
     assert len(m.entries) == m.rows and all(len(row) == m.cols for row in m.entries)
     for row in m.entries:
-        assert all(type(e) is F or type(e) is ParamPoly and e.degree > 0 for e in row)
+        assert all(map(is_view_value, row))
+
+
+def assert_normal_poly(p):
+    assert_normal_numerators(p.den, (p.nums,))
+    assert all(type(v) is int or v.var != p.var for v in p.nums.values())
+    assert all(map(is_view_value, p.coeffs))
+    assert p.degree == len(p.coeffs) - 1 and (p.is_zero or p.coeffs[-1] != 0)
 
 
 # entries over Q, or over Q[c] with constant polynomials among them;
@@ -746,6 +775,126 @@ def test_sparse_matrix_matches_sympy(operands):
     for m, sm in ((a, sa), (b, sb), (a * b, sa * sb)):
         assert sympy.expand(to_sympy(m.char_poly("lam")) - sm.charpoly(lam).as_expr()) == 0
         assert sympy.expand(to_sympy(as_exact(m.det())) - sm.det()) == 0
+
+
+# polynomials over Q in t, and in lam over Q[c]; scalars in Q or Q[c]
+t_polys = st.lists(q_entries, max_size=5).map(lambda cs: ParamPoly("t", cs))
+lam_polys = st.lists(c_entries, max_size=4).map(lambda cs: ParamPoly("lam", cs))
+poly_operands = st.sampled_from([t_polys, lam_polys]).flatmap(
+    lambda polys: st.tuples(polys, polys, c_entries, st.fractions(-3, 3, max_denominator=4))
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example((ParamPoly("t", [F(1, 2), F(1, 3)]), ParamPoly("t", [F(-1, 2), F(-1, 3)]), 0, F(1)))  # cancels
+@example((ParamPoly("lam", [C + 1, F(1, 6)]), ParamPoly("lam", [-C, F(5, 6)]), C * F(1, 2), F(-2)))
+@example((ParamPoly("lam", [C]), ParamPoly("lam", [C * C]), C + 1, F(1, 2)))  # constants in Q[c]
+@given(poly_operands)
+def test_polynomial_form_matches_sympy(operands):
+    a, b, scalar, value = operands
+    sa, sb, s = to_sympy(a), to_sympy(b), to_sympy(as_exact(scalar))
+    var = sympy.Symbol(a.var)
+    results = {
+        "a": (a, sa),
+        "+": (a + b, sa + sb),
+        "-": (a - b, sa - sb),
+        "*": (a * b, sa * sb),
+        "-a": (-a, -sa),
+        "a*s": (a * scalar, sa * s),
+        "s*a": (scalar * a, sa * s),
+        "a+s": (a + scalar, sa + s),
+        "a'": (a.derivative(), sympy.diff(sa, var)),
+    }
+    for kind, (got, want) in results.items():
+        want = sympy.expand(want)
+        assert sympy.expand(to_sympy(got) - want) == 0, kind
+        if isinstance(got, ParamPoly):
+            assert_normal_poly(got)
+            assert got.is_zero == (want == 0), kind
+    # evaluation at a rational: a Fraction, or a polynomial in c
+    got = a(value)
+    assert is_view_value(got)
+    assert sympy.expand(to_sympy(got) - sa.subs(var, to_sympy(value))) == 0
+    # equal values reached over different denominators have equal forms
+    assert (a + b) - b == a
+    assert a * 6 * F(1, 6) == a == ParamPoly(a.var, a.coeffs)
+    assert ((a - a).den, (a - a).nums) == (1, {})
+    assert (a == b) == (sympy.expand(sa - sb) == 0)
+
+
+def test_constant_polynomial_operands_collapse_first():
+    # a constant polynomial in lam whose coefficient lies in Q[c] is that
+    # coefficient: it combines with a polynomial in c as c itself
+    const = ParamPoly("lam", [C])
+    for got in (const + (C + 1), (C + 1) + const):
+        assert repr(got) == repr(C * 2 + 1)
+    for got in (const * (C + 1), (C + 1) * const):
+        assert repr(got) == repr(C * C + C)
+    zero = ParamPoly.zero("lam")
+    for got in (zero + (C + 1), (C + 1) + zero):
+        assert repr(got) == repr(C + 1)
+    for got in (zero * (C + 1), (C + 1) * zero):
+        assert got.is_zero
+    # a constant in Q stays a scalar of the other operand's variable
+    assert repr(ParamPoly("t", [3]) * (C + 1)) == repr(C * 3 + 3)
+    assert repr((C + 1) + ParamPoly("t", [F(1, 2)])) == repr(C + F(3, 2))
+
+
+X = sympy.Symbol("x")
+FX = sympy.Function("f")(X)
+
+
+def applied_to_f(op, expr=FX):
+    """sum c_ij x^i d^j expr, the operator applied to expr in sympy."""
+    return sum(
+        (to_sympy(c) * X**i * sympy.diff(expr, X, j) for (i, j), c in op.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def diffops(coefficients):
+    return st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients, max_size=4
+    ).map(DiffOp)
+
+
+diffop_operands = st.sampled_from([q_entries, c_entries]).flatmap(
+    lambda e: st.tuples(diffops(e), diffops(e), c_entries, st.fractions(-3, 3, max_denominator=4))
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example((DiffOp({(1, 1): F(1, 2)}), DiffOp({(1, 1): F(-1, 2)}), 0, F(1)))  # a sum that cancels
+@example((DiffOp({(0, 2): C + 1, (1, 0): F(1, 6)}), DiffOp({(0, 2): -C, (2, 1): C * C}), C, F(2, 3)))
+@example((DiffOp({(2, 1): F(1, 4), (0, 0): F(2, 3)}), DiffOp({(1, 2): F(3, 2)}), F(6), F(-1)))
+@given(diffop_operands)
+def test_diffop_form_matches_sympy(operands):
+    a, b, scalar, value = operands
+    fa, fb, s = applied_to_f(a), applied_to_f(b), to_sympy(as_exact(scalar))
+    results = {
+        "a": (a, fa),
+        "+": (a + b, fa + fb),
+        "-": (a - b, fa - fb),
+        "*": (a * b, applied_to_f(a, applied_to_f(b))),
+        "-a": (-a, -fa),
+        "a*s": (a * scalar, fa * s),
+        "s*a": (scalar * a, fa * s),
+        "a+s": (a + scalar, fa + s * FX),
+    }
+    for kind, (got, want) in results.items():
+        want = sympy.expand(want)
+        assert sympy.expand(applied_to_f(got) - want) == 0, kind
+        assert_normal_numerators(got.den, (got.nums,))
+        assert all(is_view_value(c, zero_ok=False) for c in got.terms.values()), kind
+        assert got.is_zero == (want == 0), kind
+        # the ring map c -> value, on the numerators
+        at = specialize(got, value)
+        assert_normal_numerators(at.den, (at.nums,))
+        assert sympy.expand(applied_to_f(at) - want.subs(sympy.Symbol("c"), to_sympy(value))) == 0
+    assert (a + b) - b == a
+    assert a * 6 * F(1, 6) == a == DiffOp(a.terms)
+    assert ((a - a).den, (a - a).nums) == (1, {}) and a - a == 0
+    assert (a == b) == (sympy.expand(fa - fb) == 0)
 
 
 def test_sparse_form_is_normal_across_denominators():
@@ -808,3 +957,15 @@ def test_resultant_with_polynomial_coefficients():
     mu = ParamPoly.gen("mu")
     q = mu * mu - (c * c * 2 + 64) * mu + c * c * (c * c + 32)
     assert resultant(q, q.derivative()) == c * c * (-128) - 4096
+
+
+def test_no_module_imports_a_private_exactnum_name():
+    # the integer normal form is read through public names only
+    imported = []
+    for path in sorted(pathlib.Path(qeslab.__file__).parent.glob("*.py")):
+        if path.name == "exactnum.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("qeslab.exactnum", "exactnum"):
+                imported += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert imported == []

@@ -19,7 +19,6 @@ from qeslab.spectral import (
     _band_matvec,
     _block_ldl,
     _block_solve,
-    _evaluated,
     _fd_band,
     _parity_blocks,
     algebraic_spectrum,
@@ -38,7 +37,7 @@ from qeslab.spectral import (
     write_csv,
     y_node_count,
 )
-from qeslab.weyl import ModuleSpec, restrict
+from qeslab.weyl import ModuleSpec, restrict, specialize
 
 F = Fraction
 
@@ -64,6 +63,15 @@ def test_symbolic_spec_is_a_polynomial_coupling():
     # a symbolic spec has no numeric spectrum
     with pytest.raises(TypeError):
         algebraic_spectrum(HamiltonianSpec(2, ParamPoly.gen("k0")))
+
+
+def test_symbolic_coupling_rejects_the_degree_variable():
+    # n is a scalar variable of the relation suites, not a coupling
+    with pytest.raises(ValueError, match="'n'"):
+        HamiltonianSpec(3, ParamPoly.gen("n"))
+    with pytest.raises(ValueError, match="'n'"):
+        HamiltonianSpec.from_c(3, ParamPoly.gen("n") + 1)
+    assert HamiltonianSpec(3, ParamPoly.gen("k0")).k0 == ParamPoly.gen("k0")
 
 
 def test_restricted_matrix_decoupled_point():
@@ -487,7 +495,7 @@ def test_block_char_poly_matches_full_product(n):
     k0 = F(-3, 7)
     _assert_is_char_poly(
         ParamPoly("lam", [_at(a, k0) for a in cp.coeffs]),
-        symbolic.matrix.map_entries(lambda e: _at(e, k0)),
+        ExactMatrix([[_at(e, k0) for e in row] for row in symbolic.matrix.entries]),
     )
     for c in (F(1, 8), F(17, 8), F(-7, 3)):
         spec = HamiltonianSpec.from_c(n, c)
@@ -509,10 +517,10 @@ def test_block_form_at_a_coupling_is_the_direct_restriction(n):
         b, c = _parity_blocks(direct)
         for form in forms.values():
             value = form.coupling(spec)
-            assert _evaluated(form.restricted.matrix, value) == direct.matrix
-            assert _evaluated(form.b, value) == b
-            assert _evaluated(form.c, value) == c
-            assert _evaluated(form.bc, value) == b * c
+            assert specialize(form.restricted.matrix, value) == direct.matrix
+            assert specialize(form.b, value) == b
+            assert specialize(form.c, value) == c
+            assert specialize(form.bc, value) == b * c
     assert forms["c"].coupling(specs[-1]) == F(12 * n, 7)  # c = -4n k0
     assert forms["k0"].coupling(specs[-1]) == F(-3, 7)
     with pytest.raises(ValueError):
