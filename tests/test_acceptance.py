@@ -249,6 +249,19 @@ GOLDEN_STDOUT = {
         "113515ad8e09553f8a0483815c786d6e9fb90fff1495ae11afeb11bce2931d76",
     ("charpoly", "--n", "9", "--variable", "k0", "--format", "json"):
         "065d0c7350ecfaa7d1547750acfae43b00e5c6fc9d5ad421e6442d8f8a91bd62",
+    # recorded before the span projection moved to integer numerators:
+    # the scan at a second degree, whose projections run on a larger
+    # span basis
+    ("delta4-scan", "--n", "8"):
+        "c6a6fda6f407a5bddc6a31d6c09297d9e37dcadc804c2274ddee1f7b1c2c3a66",
+}
+
+# stdout of runs that exit 1, with their exit status.  The fault in Q1
+# changes the osp(2,2) span= coefficients, so this pins projections onto
+# a perturbed basis; its summary reads `# reports=2679 failures=238`.
+GOLDEN_FAILING_STDOUT = {
+    ("verify", "--inject-fault", "Q1"):
+        "38d6a07f2140ba1f2f0ab9be37c977453672dfe47dc4da57bacdde85d3272824",
 }
 
 
@@ -256,6 +269,15 @@ def test_golden_stdout_of_verify_and_delta4_scan(capsys):
     for argv, want in GOLDEN_STDOUT.items():
         assert main(list(argv)) == 0
         out = capsys.readouterr().out
+        got = hashlib.sha256(out.encode()).hexdigest()
+        assert got == want, f"qeslab {' '.join(argv)}: stdout hash {got}"
+
+
+def test_golden_stdout_of_a_failing_verify(capsys):
+    for argv, want in GOLDEN_FAILING_STDOUT.items():
+        assert main(list(argv)) == 1
+        out = capsys.readouterr().out
+        assert out.endswith("# reports=2679 failures=238\n")
         got = hashlib.sha256(out.encode()).hexdigest()
         assert got == want, f"qeslab {' '.join(argv)}: stdout hash {got}"
 
