@@ -410,12 +410,14 @@ def discover_mix() -> MixDiscovery:
 def _closing_constants(residuals):
     """Exact mix constants closing every anticommutator: the common
     rational roots in c of the coefficients of the symbolic-c
-    `residuals` (constants count as degree-0 polynomials)."""
+    `residuals` (constants count as degree-0 polynomials), read off
+    their integral numerators, which have the roots of the
+    coefficients."""
     gcd = ParamPoly.zero("c")
     for _, residual in residuals.values():
         for entry in (entry for row in residual.entries for entry in row):
-            for coeff in entry.terms.values():
-                gcd = poly_gcd(gcd, ParamPoly.zero("c") + coeff)
+            for num in entry.nums.values():
+                gcd = poly_gcd(gcd, ParamPoly.zero("c") + num)
                 if gcd.degree == 0:
                     return []
     if gcd.is_zero:

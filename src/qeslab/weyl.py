@@ -16,8 +16,10 @@ on the numerators, over the product of the two denominators; sums,
 ``MatOp`` wraps a 2x2 matrix of such operators acting on doublets of
 polynomials; ``specialize`` evaluates the parameter polynomials in the
 coefficients of either at one value.  ``project_span`` projects a
-matrix operator exactly onto the span of others, and
-``anticommutator_residuals`` does so for every
+matrix operator exactly onto the span of others, on integer
+numerators: a ``Span`` holds integer numerators per basis operator and
+an integer Gram inverse over one denominator, and each residual entry
+is normalised once.  ``anticommutator_residuals`` does so for every
 anticommutator of an odd multiplet.  ``restrict`` turns a matrix
 operator into the exact matrix of its action on a finite doublet of
 polynomial spaces, filled term by term along each term's band, and
@@ -457,66 +459,79 @@ def anticommutator(a, b):
 # exact span projection
 # ----------------------------------------------------------------------
 
-def _op_items(op: MatOp) -> dict:
-    items = {}
-    for r in (0, 1):
-        for c in (0, 1):
-            for key, coeff in op.entries[r][c].terms.items():
-                items[(r, c) + key] = coeff
-    return items
+def _cleared_entries(op: MatOp):
+    """(den, nums): the numerator dicts of op's four entries, row by row,
+    over the lcm den of their denominators."""
+    entries = [e for row in op.entries for e in row]
+    den = math.lcm(*(e.den for e in entries))
+    return den, [
+        e.nums if e.den == den else {k: v * (den // e.den) for k, v in e.nums.items()}
+        for e in entries
+    ]
 
 
-def _dot(a: dict, b: dict):
-    total = Fraction(0)
-    if len(a) > len(b):
-        a, b = b, a
-    for key, va in a.items():
-        vb = b.get(key)
-        if vb is not None:
-            total = total + va * vb
+def _dot(a, b):
+    """Sum of a[k] * b[k] over the terms k that the entries of two
+    operators share, for their numerator dicts `a` and `b`."""
+    total = 0
+    for ea, eb in zip(a, b):
+        if len(ea) > len(eb):
+            ea, eb = eb, ea
+        for key, va in ea.items():
+            vb = eb.get(key)
+            if vb is not None:
+                total = total + vb * va
     return total
 
 
 class Span:
-    """Linear span of independent MatOps, with its exact Gram inverse.
+    """Linear span of independent rational MatOps, with its exact Gram
+    inverse.
 
     Inner products treat each normal-ordered matrix term as an
-    orthonormal coordinate.  The Gram inverse is computed once here and
-    reused by every projection onto the span.
+    orthonormal coordinate.  Basis operator i is held as integer
+    numerators ``nums[i]`` over ``dens[i]``; their Gram matrix is
+    integral, and its inverse, from one ``solve_linear`` here, is held
+    as the int matrix ``inverse`` over the int ``den``.
     """
 
-    __slots__ = ("basis", "items", "gram_inverse")
+    __slots__ = ("basis", "dens", "nums", "inverse", "den")
 
     def __init__(self, basis):
         self.basis = tuple(basis)
-        self.items = [_op_items(b) for b in self.basis]
-        size = len(self.items)
-        gram = [
-            [_dot(self.items[i], self.items[j]) for j in range(size)]
-            for i in range(size)
-        ]
+        self.dens, self.nums = zip(*map(_cleared_entries, self.basis))
+        size = len(self.basis)
+        gram = [[_dot(self.nums[i], self.nums[j]) for j in range(size)] for i in range(size)]
         # one elimination of [gram | I]
         unit = [[int(i == j) for j in range(size)] for i in range(size)]
-        self.gram_inverse = solve_linear(gram, unit)
+        inverse = solve_linear(gram, unit)
+        self.den = math.lcm(*(v.denominator for row in inverse for v in row))
+        self.inverse = [[v.numerator * (self.den // v.denominator) for v in row] for row in inverse]
 
 
 def project_span(op: MatOp, span: Span):
-    """Orthogonal projection of `op` onto `span`, coefficient-exact.
+    """Orthogonal projection of `op` = M/E onto `span`, coefficient-exact,
+    on integer numerators: with r_j = <N_j, M> and w = inverse r,
+    coefficient i is D_i w_i / (den E), and the residual is
+    (den M - sum_i w_i N_i) / (den E), each entry normalised once.
 
     Returns (coefficients, residual); coefficients may be polynomials in
     a scalar parameter when `op` has such coefficients.
     """
-    op_items = _op_items(op)
-    rhs = [_dot(items, op_items) for items in span.items]
-    coeffs = [
-        sum((row[j] * rhs[j] for j in range(len(rhs))), Fraction(0))
-        for row in span.gram_inverse
-    ]
-    residual = op
-    for coeff, b in zip(coeffs, span.basis):
-        if coeff:
-            residual = residual - b * coeff
-    return coeffs, residual
+    op_den, op_nums = _cleared_entries(op)
+    rhs = [(j, r) for j, nums in enumerate(span.nums) if (r := _dot(nums, op_nums))]
+    weights = [sum((r * row[j] for j, r in rhs if row[j]), 0) for row in span.inverse]
+    den = span.den * op_den
+    entries = []
+    for k, m in enumerate(op_nums):
+        out = {key: v * span.den for key, v in m.items()}
+        for w, nums in zip(weights, span.nums):
+            if w:
+                for key, v in nums[k].items():
+                    out[key] = out[key] - w * v if key in out else -w * v
+        entries.append(DiffOp._form(normal_form(den, (out,))))
+    coeffs = [ratio(w * d, den) for w, d in zip(weights, span.dens)]
+    return coeffs, MatOp._of((tuple(entries[:2]), tuple(entries[2:])))
 
 
 def anticommutator_residuals(effs, span: Span) -> dict:

@@ -25,7 +25,7 @@ from qeslab.generators import (
     t_triplet,
     triplet_F,
 )
-from qeslab.verify import _span_basis
+from qeslab.verify import _span_basis, delta4_scan, osp22_reports
 from qeslab.weyl import DiffOp, MatOp, Span, anticommutator, commutator, x_monomial
 
 F = Fraction
@@ -224,6 +224,27 @@ def rational_obstructions(residuals):
         for coeff in entry.terms.values()
         if isinstance(coeff, Fraction) and coeff
     ]
+
+
+def test_projection_paths_read_numerators_not_the_fraction_view(monkeypatch):
+    """The gap-4 scan, the osp(2,2) brackets and the mix discovery project
+    on the integer numerators: with DiffOp.terms unreadable they return
+    what they return with it."""
+
+    def runs():
+        return (
+            delta4_scan(6),
+            [osp22_reports(generator_set(n, 1)) for n in range(1, 7)],
+            discover_mix(),
+        )
+
+    want = runs()
+
+    def unreadable(op):
+        raise AssertionError("DiffOp.terms read on a projection path")
+
+    monkeypatch.setattr(DiffOp, "terms", property(unreadable))
+    assert runs() == want
 
 
 def test_discovered_mix_is_frozen_expectation():

@@ -1,8 +1,8 @@
 """Independent oracles for the exact kernels, used by tests only.
 
 sympy recomputes determinants, resultants, characteristic polynomials,
-adjugates, gcds, square-free decompositions, real roots and root
-counts; hypothesis checks algebraic identities of operators and
+adjugates, gcds, square-free decompositions, real roots, root counts
+and projections onto a span of operators; hypothesis checks algebraic identities of operators and
 polynomials on small random inputs (a fixed, small number of
 deterministic examples), that the zero-skipping kernels return
 normal-form results equal to zero-seeded reference arithmetic written
@@ -58,8 +58,10 @@ from qeslab.weyl import (
     LeakageTerm,
     MatOp,
     ModuleSpec,
+    Span,
     commutator,
     leakage,
+    project_span,
     restrict,
     x_monomial,
 )
@@ -315,6 +317,69 @@ def test_matop_results_are_normal_and_match_reference(a, b):
                 assert type(got[i][j]) is DiffOp
                 _assert_same_diffop(got[i][j], want[i][j])
         assert got.is_zero == all(e.is_zero for row in want for e in row)
+
+
+# ----------------------------------------------------------------------
+# sympy: projection onto a span
+# ----------------------------------------------------------------------
+
+def _coordinates(op: MatOp) -> dict:
+    """{(row, col, x power, d power): coefficient in sympy} of `op`."""
+    return {
+        (r, c) + key: to_sympy(v)
+        for r in (0, 1) for c in (0, 1) for key, v in op[r][c].terms.items()
+    }
+
+
+def _sympy_dot(a: dict, b: dict):
+    return sympy.expand(sum((a[k] * b[k] for k in a.keys() & b.keys()), sympy.Integer(0)))
+
+
+# basis entries over Q with mixed denominators; the masks empty some
+rational_nonempty_diffops = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), fractions.filter(bool),
+    min_size=1, max_size=4,
+).map(DiffOp)
+SPAN_EXAMPLE = [
+    MatOp.diag(DiffOp({(0, 0): F(1, 3)}), DiffOp()),
+    MatOp.raise_shift(DiffOp({(1, 1): F(2, 5), (0, 0): F(-1, 2)})),
+    MatOp([[DiffOp({(1, 0): F(3, 4)}), DiffOp({(0, 0): 1})], [DiffOp(), DiffOp({(0, 2): F(5, 7)})]]),
+]
+D_THIRD = DiffOp({(0, 1): F(-1, 3), (2, 2): ParamPoly("c", (0, 1))})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example((SPAN_EXAMPLE, MatOp([[D_THIRD, 0], [DiffOp.x(), D_THIRD * 3]]), [ParamPoly.gen("c"), 0, F(1, 2)]))
+@example(([MatOp.identity(), MatOp.identity() * F(2, 3)], MatOp.sigma3(), []))  # dependent
+@given(st.tuples(
+    st.lists(_matops_of(rational_nonempty_diffops), min_size=1, max_size=4),
+    st.one_of(_matops_of(diffops), _matops_of(c_diffops)),
+    st.one_of(
+        st.lists(fractions, min_size=1, max_size=4),
+        st.lists(st.lists(fractions, min_size=2, max_size=3).map(lambda cs: ParamPoly("c", cs)),
+                 min_size=1, max_size=4),
+    ),
+))
+def test_project_span_matches_sympy_gram_solve(case):
+    """The operator is a drawn one plus drawn multiples, in Q or Q[c], of
+    the basis, so that its coefficients are polynomials in c too."""
+    basis, op, multiples = case
+    for b, m in zip(basis, multiples):
+        op = op + b * m
+    coords = [_coordinates(b) for b in basis]
+    gram = sympy.Matrix([[_sympy_dot(u, v) for v in coords] for u in coords])
+    if gram.rank() < len(basis):  # a dependent basis
+        with pytest.raises(ValueError):
+            Span(basis)
+        return
+    coeffs, residual = project_span(op, Span(basis))
+    total = residual
+    for b, coeff in zip(basis, coeffs):
+        total = total + b * coeff
+    assert total == op
+    assert all(_sympy_dot(u, _coordinates(residual)) == 0 for u in coords)
+    want = gram.LUsolve(sympy.Matrix([_sympy_dot(u, _coordinates(op)) for u in coords]))
+    assert all(sympy.expand(to_sympy(c) - w) == 0 for c, w in zip(coeffs, want))
 
 
 def _reference_restrict(op: MatOp, module: ModuleSpec):
