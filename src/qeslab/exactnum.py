@@ -19,11 +19,13 @@ and characteristic polynomials of matrices over Q or Q[t] share one
 path over the integers: integer determinants at sample points by
 fraction-free Bareiss, and interpolation from forward differences, in
 lam for a characteristic polynomial and in t up to a certified degree
-bound.  Root finding runs on the integer numerators too: square-free
-parts by Yun's algorithm on a modular gcd that trial division
-certifies, and real roots isolated by Descartes bisection in dyadic
-brackets (for an even p(x) = q(x^2), q is decomposed at half the degree
-and only x > 0 is isolated).  Roots are refined in doubles on the same
+bound; in u = t^2 after a diagonal similarity when the entries' parities
+allow one, and for lam^k only to its own bound (the triangle).  Root
+finding runs on the integer numerators too: square-free parts by Yun's
+algorithm on a modular gcd that trial division certifies, and real roots
+isolated by Descartes bisection in dyadic brackets (for an even
+p(x) = q(x^2), q is decomposed at half the degree and only x > 0 is
+isolated).  Roots are refined in doubles on the same
 integer polynomial, from a float Newton guess, by steps away from the
 guess and then bisection, and every sign is exact: Horner on integers
 at the double or rational as a ratio of integers.  Refinement stops at
@@ -1365,23 +1367,39 @@ def _interpolate(values):
     return coeffs
 
 
-def _sampled_in_t(t, ints, bound, compute):
-    """[r_0, r_1, ...], with r_k the polynomial in t of degree at most
-    `bound` whose value at each t = 0..bound is item k of compute(rows),
-    rows the int matrix `ints` (ascending int coefficients in t,
-    ExactMatrix._int_rows) at that t; compute may consume rows.  Each
-    item is an int when t is None (bound 0), else an integral ParamPoly
-    in t, which normal_form collapses where it is constant.  `bound`
-    must bound the t-degree of every item."""
-    samples = [
-        compute([[_int_horner(e, point) for e in row] for row in ints])
-        for point in range(bound + 1)
-    ]
-    if t is None:
-        return samples[0]
+def _in_u(ints):
+    """(rows, 2): the int rows (ascending coefficients, ExactMatrix._int_rows)
+    of D^-1 N D in u = t^2, D = diag(t^e_i), e in {0,1}^n, when every
+    nonzero entry N_ij holds powers of t of parity e_i xor e_j only; the
+    similarity keeps det and char poly, and N_ij t^(e_j - e_i) is even.
+    A walk over the nonzero pattern sets e; if an entry then has a power
+    of the other parity (mixed, an odd diagonal entry, or an odd cycle of
+    odd entries), it returns (ints, 1)."""
+    n = len(ints)
+    eps = [None] * n
+    for start in range(n):
+        if eps[start] is None:
+            eps[start], stack = 0, [start]
+            while stack:
+                i = stack.pop()
+                for j in range(n):
+                    e = ints[i][j] or ints[j][i]
+                    if e and eps[j] is None:
+                        eps[j] = eps[i] ^ any(e[1::2])
+                        stack.append(j)
+    if any(any(e[eps[i] == eps[j] :: 2]) for i, row in enumerate(ints) for j, e in enumerate(row)):
+        return ints, 1
     return [
-        ParamPoly._normal(t, 1, dict(enumerate(_interpolate(in_t)))) for in_t in zip(*samples)
-    ]
+        [(0, *e[1::2]) if e and eps[j] > eps[i] else e[eps[i] != eps[j] :: 2] for j, e in enumerate(row)]
+        for i, row in enumerate(ints)
+    ], 2
+
+
+def _in_t(t, coeffs, step: int):
+    """sum_p coeffs[p] t^(step p), integral; coeffs[0] when t is None."""
+    if t is None:
+        return coeffs[0]
+    return ParamPoly._normal(t, 1, {step * p: c for p, c in enumerate(coeffs)})
 
 
 def _scalar_matrix(value, size: int) -> "ExactMatrix":
@@ -1531,17 +1549,24 @@ class ExactMatrix:
     def char_poly(self, var: str = "lam") -> ParamPoly:
         """det(var*I - self), for entries in Q or in Q[t] with t one
         scalar variable (SCALAR_VARS), by exact evaluation and
-        interpolation over the integers (_sampled_in_t).
+        interpolation over the integers.
 
         With L = den, the common denominator of the entries,
         P(x) = det(x*I - L*self) has integer coefficients (integral
         polynomials in t) and det(var*I - self) = sum_k P_k var^k / L^(n-k),
-        the numerators P_k L^k over L^n.  P is monic, so at each t point
-        it is rebuilt from the forward differences of P(x) - x^n at
-        x = 0..n-1, each an integer determinant (_int_det).  The t-degree
-        bound counts the diagonal at least 0, so some permutation always
-        avoids the zero entries.  Any other entry ring (two variables,
-        nested polynomials) raises TypeError."""
+        the numerators P_k L^k over L^n.  When the rows admit it (_in_u),
+        P is that of D^-1 (L*self) D, similar and even in t, so sampled in
+        u = t^2 with every exponent doubled at the end (else u = t).  P_k
+        is (-1)^(n-k) times a sum of principal minors of size n - k, so its
+        u-degree is at most (n - k) dmax, dmax the largest entry degree,
+        and at most B, the heaviest permutation with the diagonal counted
+        at least 0 (_degree_bound).  At each point u = 0..B in turn, the
+        P_k sampled past their bound are interpolated and evaluated, as is
+        the monic P_n, and the unknown prefix P_0..P_(m-1) is rebuilt from
+        the forward differences of P(x) minus those terms at x = 0..m-1,
+        m integer determinants (_int_det); over Q that is one point and n
+        determinants.  Any other entry ring (two variables, nested
+        polynomials) raises TypeError."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of a non-square matrix")
         n = self.rows
@@ -1549,42 +1574,59 @@ class ExactMatrix:
         den = self.den
         if t is not None and not nests_inside(t, var):
             raise TypeError(f"char_poly in {var!r} of entries in Q[{t}]")
-        bound = 0
+        step, bound, tops = 1, 0, [0] * n  # tops[k] bounds the degree of P_k
         if t is not None:
+            ints, step = _in_u(ints)
             degrees = [[len(e) - 1 for e in row] for row in ints]
+            dmax = max(map(max, degrees))
             for i in range(n):
                 degrees[i][i] = max(degrees[i][i], 0)
-            bound = _degree_bound(degrees)
-
-        def coefficients(rows):
-            neg = [[-a for a in row] for row in rows]
+            bound = _degree_bound(degrees)  # at most n * dmax, so tops[0] = bound
+            tops = [min(bound, (n - k) * dmax) for k in range(n)]
+        samples = [[] for _ in range(n)]  # P_k at u = 0, 1, ... while unknown
+        m, known = n, {n: [1]}
+        for point in range(bound + 1):
+            while tops[m - 1] < point:
+                m -= 1
+                known[m] = _interpolate(samples[m])
+            neg = [[-_int_horner(e, point) for e in row] for row in ints]
+            top = [_int_horner(known[k], point) for k in range(m, n + 1)]
             values = []
-            for x in range(n):  # P is monic, so P - x^n takes n values
+            for x in range(m):
                 shifted = [list(row) for row in neg]
                 for i in range(n):
                     shifted[i][i] += x
-                values.append(_int_det(shifted) - x**n)
-            return [*_interpolate(values), 1]
-
-        nums = _sampled_in_t(t, ints, bound, coefficients)
-        return ParamPoly._normal(var, den**n, {k: p * den**k for k, p in enumerate(nums)})
+                values.append(_int_det(shifted) - x**m * _int_horner(top, x))
+            for k, v in enumerate(_interpolate(values)):
+                samples[k].append(v)
+        for k in range(m):  # one sample (bound 0) is the constant itself
+            known[k] = _interpolate(samples[k]) if bound else samples[k]
+        return ParamPoly._normal(
+            var, den**n, {k: _in_t(t, cs, step) * den**k for k, cs in known.items()}
+        )
 
     def det(self):
         """det(self) for entries in Q or in Q[t], t one variable: the
         integer determinant of L*self (_int_det), L = den the common
-        denominator, at each t point, interpolated in t and divided by
-        L^n (_sampled_in_t).  It is 0 when every permutation meets a zero
-        entry; any other entry ring raises TypeError."""
+        denominator, at each point u = 0..B, interpolated and divided by
+        L^n, with u = t^2 on the similar matrix of _in_u when the rows
+        admit it, else u = t, and B the u-degree bound of _degree_bound.
+        It is 0 when every permutation meets a zero entry; any other entry
+        ring raises TypeError."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         t, ints = self._int_rows()
-        bound = 0
+        step, bound = 1, 0
         if t is not None:
+            ints, step = _in_u(ints)
             bound = _degree_bound([[len(e) - 1 for e in row] for row in ints])
             if bound is None:
                 return Fraction(0)
-        (num,) = _sampled_in_t(t, ints, bound, lambda rows: [_int_det(rows)])
-        return ratio(num, self.den**self.rows)
+        values = [
+            _int_det([[_int_horner(e, point) for e in row] for row in ints])
+            for point in range(bound + 1)
+        ]
+        return ratio(_in_t(t, _interpolate(values), step), self.den**self.rows)
 
     def nullspace(self):
         """Basis of the exact kernel (rational entries only)."""

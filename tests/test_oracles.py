@@ -17,12 +17,14 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import reduce
 from operator import mul
+from unittest import mock
 
 import mpmath
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from qeslab import exactnum, spectral
 from qeslab.exactnum import (
@@ -669,6 +671,112 @@ def test_det_rejects_other_entry_rings():
     for matrix in (two_variables, tower):
         with pytest.raises(TypeError):
             matrix.det()
+
+
+def _single_parity(draw, parity: int, nonconstant: bool = False):
+    """A polynomial in c with powers of one parity only, degree <= 3:
+    sum a_p c^p over p in {parity, parity + 2}, possibly zero or constant
+    unless `nonconstant`."""
+    low, high = draw(fractions), draw(fractions)
+    if nonconstant and not (high or parity and low):
+        high = draw(nonzero_fractions)
+    coeffs = [0] * (parity + 3)
+    coeffs[parity], coeffs[parity + 2] = low, high
+    return ParamPoly("c", coeffs)
+
+
+@st.composite
+def sign_patterned(draw):
+    """(rows, eps): a square matrix over Q[c] of size 1-7 whose entry
+    (i, j) holds powers of c of parity eps_i xor eps_j only, so that
+    diag(c^eps) conjugates it into Q[c^2]; zero entries, zero diagonal
+    entries and mixed denominators are frequent, and one entry is
+    forced non-constant."""
+    size = draw(st.integers(1, 7))
+    eps = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    rows = [
+        [_single_parity(draw, a ^ b) if draw(st.booleans()) else 0 for b in eps] for a in eps
+    ]
+    i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+    rows[i][j] = _single_parity(draw, eps[i] ^ eps[j], nonconstant=True)
+    return rows, eps
+
+
+@st.composite
+def near_misses(draw):
+    """A sign-patterned matrix broken once, so no diag(c^eps) conjugates
+    it into Q[c^2]: one entry of mixed parity, one odd diagonal entry,
+    or an inconsistent cycle (entries (i, j) and (j, i) of opposite
+    parities, both nonzero)."""
+    rows, eps = draw(sign_patterned())
+    size = len(rows)
+    kinds = ["mixed", "odd diagonal", "cycle"][: 2 + (size > 1)]
+    kind = draw(st.sampled_from(kinds))
+    i = draw(st.integers(0, size - 1))
+    if kind == "mixed":
+        j = draw(st.integers(0, size - 1))
+        odd = draw(nonzero_fractions) * C ** draw(st.sampled_from([1, 3]))
+        rows[i][j] = odd + draw(nonzero_fractions)
+    elif kind == "odd diagonal":
+        rows[i][i] = _single_parity(draw, 1, nonconstant=True)
+    else:
+        j = draw(st.integers(0, size - 1).filter(lambda j: j != i))
+        parity = eps[i] ^ eps[j]
+        rows[j][i] = _single_parity(draw, parity, nonconstant=True)
+        rows[i][j] = _single_parity(draw, 1 - parity, nonconstant=True)
+    return rows
+
+
+def _with_rescaling_spy(matrix: ExactMatrix):
+    """(char_poly, det, steps): steps holds what exactnum._in_u returned
+    for each call, 2 where it rescaled the rows to u = c^2."""
+    steps = []
+    real = exactnum._in_u
+
+    def spy(ints):
+        rows, step = real(ints)
+        steps.append(step)
+        return rows, step
+
+    with mock.patch.object(exactnum, "_in_u", spy):
+        return matrix.char_poly("lam"), matrix.det(), steps
+
+
+def _assert_matches_sympy(matrix: ExactMatrix, char_poly, det):
+    # sympy's own charpoly and det over QQ[c] (Matrix.det on expressions
+    # takes seconds at size 7)
+    n, ring = matrix.rows, sympy.QQ[sympy.Symbol("c")]
+    rows = [[to_sympy(e) for e in row] for row in matrix.entries]
+    dm = DomainMatrix.from_list_sympy(n, n, rows).convert_to(ring)
+    lam = sympy.Symbol("lam")
+    want = sum(ring.to_sympy(a) * lam ** (n - k) for k, a in enumerate(dm.charpoly()))
+    assert sympy.expand(to_sympy(char_poly) - want) == 0
+    assert sympy.expand(to_sympy(det) - ring.to_sympy(dm.det())) == 0
+
+
+@SMALL
+@example(([[0, C], [C, 0]], [0, 1]))  # zero diagonal, both lifts
+@example(([[0, C**3 - C], [C**3 * F(2, 3), F(1, 5) * C**2]], [1, 0]))  # dmax 2 in u
+@example(([[0, 0], [C, 0]], [0, 1]))  # no perfect matching: det 0
+@given(sign_patterned())
+def test_sign_patterned_matrices_rescale_to_c_squared_and_match_sympy(case):
+    rows, _ = case
+    matrix = ExactMatrix(rows)
+    char_poly, det, steps = _with_rescaling_spy(matrix)
+    assert steps == [2, 2]
+    _assert_matches_sympy(matrix, char_poly, det)
+
+
+@SMALL
+@example([[0, C, 0], [0, 0, C], [C, 0, 0]])  # an odd cycle of odd entries
+@example([[C + 1, 0], [0, 1]])  # one entry of mixed parity
+@example([[C, 1], [1, 0]])  # an odd diagonal entry
+@given(near_misses())
+def test_near_miss_matrices_keep_the_plain_path_and_match_sympy(rows):
+    matrix = ExactMatrix(rows)
+    char_poly, det, steps = _with_rescaling_spy(matrix)
+    assert steps == [1, 1]
+    _assert_matches_sympy(matrix, char_poly, det)
 
 
 # ----------------------------------------------------------------------

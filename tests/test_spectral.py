@@ -9,6 +9,7 @@ import pytest
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
+from qeslab import exactnum
 from qeslab.exactnum import ExactMatrix, ParamPoly, Root
 from qeslab.spectral import (
     FD_CONVERGED_ULPS,
@@ -101,6 +102,25 @@ def test_symbolic_char_poly_degree_three():
     assert cp.coeff(4) == c * c * (-3) - 248
     assert cp.coeff(2) == c**4 * 3 + c * c * 240 + 4800
     assert cp.coeff(0) == c**6 * (-1) + c**4 * 8 + c * c * 1344 - 23040
+
+
+@pytest.mark.parametrize("variable, n_max", [("c", 14), ("k0", 12)])
+def test_mu_coefficients_are_even_with_the_triangle_degrees(variable, n_max):
+    # q(mu) = det(mu - BC): the mu^k coefficient is even in the coupling
+    # of degree exactly 2(n - k), and BC conjugates into entries of
+    # degree at most 1 in u = coupling^2, one of them of degree 1, so
+    # char_poly's triangle bound (n - k) * dmax is that degree in u
+    for n in range(2, n_max + 1):
+        bc = block_form(n, variable).bc
+        rows, step = exactnum._in_u(bc._int_rows()[1])
+        assert step == 2
+        assert max(len(e) - 1 for row in rows for e in row) == 1
+        for k, coeff in enumerate(bc.char_poly("mu").coeffs):
+            if k == n:
+                assert coeff == 1
+                continue
+            assert isinstance(coeff, ParamPoly) and coeff.degree == 2 * (n - k)
+            assert not any(coeff.coeffs[1::2])
 
 
 def test_char_poly_coupling_forms_agree():
@@ -564,6 +584,44 @@ def test_reflection_certificates_hold():
         reports = reflection_check(n)
         assert [r.tag for r in reports] == ["33", "33EVEN"]
         assert all(r.holds for r in reports)
+
+
+def _int_det_sizes(monkeypatch):
+    """The size of every integer determinant exactnum takes from here on."""
+    sizes = []
+    real = exactnum._int_det
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(exactnum, "_int_det", spy)
+    return sizes
+
+
+def test_symbolic_char_polys_sample_the_triangle_in_u(monkeypatch):
+    # sampled in the coupling at every point of its degree bound, n
+    # determinants a point, these took 210, 171 and 400 determinants; in
+    # u = coupling^2 on the triangle deg P_k <= n - k, q of an n x n BC
+    # takes n + n(n + 1)/2 (65 at n = 10, 54 at n = 9)
+    sizes = _int_det_sizes(monkeypatch)
+    symbolic_char_poly(10, "c")
+    assert len(sizes) <= 65
+    sizes.clear()
+    symbolic_char_poly(9, "k0")
+    assert len(sizes) <= 54
+    sizes.clear()
+    for n in range(2, 7):
+        reflection_check(n)
+    assert len(sizes) <= 185
+
+
+def test_collision_resultant_samples_half_the_points_in_c_squared(monkeypatch):
+    # the 19 x 19 Sylvester matrix of q and q' at n = 10 has degree bound
+    # 180 in c (181 sample points); in u = c^2 it is 90
+    sizes = _int_det_sizes(monkeypatch)
+    find_degeneracy(10, F(0), F(20))
+    assert sizes.count(19) <= 91
 
 
 def test_quartic_hook_breaks_reflection(add_quartic_hook):
