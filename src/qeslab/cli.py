@@ -2,11 +2,12 @@
 
 Subcommands: verify, spectrum, charpoly, sweep, degeneracy, crosscheck,
 delta4-scan.  Exit codes: 0 success, 1 verification failure or broken
-numeric validation, 2 usage error.  Couplings are exact rationals given
-as `p/q` strings; decimal floats are rejected wherever exactness
-matters.  JSON and text renderings of the same run carry identical
-numeric values (floats are rounded to 12 significant digits once,
-before formatting).
+numeric validation, 2 usage error, 141 stdout closed by its reader
+(128 + SIGPIPE, as a shell reports a process that SIGPIPE ends).
+Couplings are exact rationals given as `p/q` strings; decimal floats
+are rejected wherever exactness matters.  JSON and text renderings of
+the same run carry identical numeric values (floats are rounded to 12
+significant digits once, before formatting).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -424,7 +426,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(attach_negative_rationals(argv))
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`qeslab verify | head`): that is not a
+        # failed check.  What is left in the buffer goes to devnull, so the
+        # interpreter's flush at exit raises nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":

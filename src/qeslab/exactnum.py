@@ -6,9 +6,10 @@ positive int denominator, coprime to their content.  A numerator is an
 int, or for a coefficient in Q[t] a non-constant ParamPoly in t with
 integral coefficients; ``normal_form`` is the one normaliser, shared by
 ``ParamPoly`` (one dict {power: numerator}), ``weyl.DiffOp`` (one dict
-{(x power, d power): numerator}) and ``ExactMatrix`` (one dict
-{column: numerator} per row), so sums, products and evaluations run on
-integers and equal values have equal forms.  ``cleared_rows`` brings
+{(x power, d power): numerator}), ``weyl.MatOp`` (four such dicts, one
+per entry) and ``ExactMatrix`` (one dict {column: numerator} per row),
+so sums, products and evaluations run on integers and equal values
+have equal forms.  ``cleared_rows`` brings
 exact values (ints, Fractions, polynomials) into that form at the API
 boundary, and ``ratio`` reads one value back as a Fraction or a
 non-constant ParamPoly, the types of the read-only views.  Polynomials
@@ -1412,13 +1413,14 @@ class ExactMatrix:
     """Matrix over Q or Q[t], stored sparse in the integer normal form.
 
     Row i of ``nums`` is a dict {column: numerator} of its nonzero
-    entries alone, each numerator / ``den`` (normal_form, as ParamPoly
-    and weyl.DiffOp store theirs).  A numerator is an int, or for an
-    entry in Q[t] a non-constant ParamPoly with integral coefficients;
-    both support +, * and bool, so the arithmetic shares one path that
-    touches no zero entry and builds no Fraction.  ``entries`` (and
-    ``m[i]``) is a read-only dense view, built on first use: row tuples
-    of Fractions (zero is Fraction(0)) and non-constant ParamPolys.
+    entries alone, each numerator / ``den`` (normal_form, as ParamPoly,
+    weyl.DiffOp and weyl.MatOp store theirs).  A numerator is an int, or
+    for an entry in Q[t] a non-constant ParamPoly with integral
+    coefficients; both support +, * and bool, so the arithmetic shares
+    one path that touches no zero entry and builds no Fraction.
+    ``entries`` (and ``m[i]``) is a read-only dense view, built on first
+    use: row tuples of Fractions (zero is Fraction(0)) and non-constant
+    ParamPolys.
     """
 
     __slots__ = ("rows", "cols", "den", "nums", "_entries")

@@ -415,8 +415,8 @@ def _closing_constants(residuals):
     coefficients."""
     gcd = ParamPoly.zero("c")
     for _, residual in residuals.values():
-        for entry in (entry for row in residual.entries for entry in row):
-            for num in entry.nums.values():
+        for entry in residual.nums:
+            for num in entry.values():
                 gcd = poly_gcd(gcd, ParamPoly.zero("c") + num)
                 if gcd.degree == 0:
                     return []

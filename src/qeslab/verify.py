@@ -342,9 +342,8 @@ def _quadratic_numerators(residuals):
     return {
         pair: [
             dense_numerators(num.nums) if type(num) is ParamPoly else [num]
-            for row in residual.entries
-            for entry in row
-            for (i, j), num in entry.nums.items()
+            for entry in residual.nums
+            for (i, j), num in entry.items()
             if i + j >= 2
         ]
         for pair, (_, residual) in residuals.items()

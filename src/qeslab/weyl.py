@@ -13,13 +13,15 @@ two-term commutation rule d x = x d + 1, i.e.
 on the numerators, over the product of the two denominators; sums,
 ``apply``, ``specialize`` and ``restrict`` read the numerators too.
 
-``MatOp`` wraps a 2x2 matrix of such operators acting on doublets of
-polynomials; ``specialize`` evaluates the parameter polynomials in the
-coefficients of either at one value.  ``project_span`` projects a
-matrix operator exactly onto the span of others, on integer
-numerators: a ``Span`` holds integer numerators per basis operator and
-an integer Gram inverse over one denominator, and each residual entry
-is normalised once.  ``anticommutator_residuals`` does so for every
+``MatOp`` is a 2x2 matrix of such operators acting on doublets of
+polynomials, stored in the same form: four numerator dicts over one
+denominator, which its products and sums, ``specialize``, ``restrict``
+and the span projection read directly.  ``specialize`` evaluates the
+parameter polynomials in the coefficients of a DiffOp, MatOp or
+ExactMatrix at one value.  ``project_span`` projects a matrix operator
+exactly onto the span of others, on integer numerators: a ``Span``
+reads the numerators of its basis operators and holds an integer Gram
+inverse over one denominator, and each residual is normalised once.  ``anticommutator_residuals`` does so for every
 anticommutator of an odd multiplet.  ``restrict`` turns a matrix
 operator into the exact matrix of its action on a finite doublet of
 polynomial spaces, filled term by term along each term's band, and
@@ -44,6 +46,7 @@ from qeslab.exactnum import (
     ParamPoly,
     SCALAR_VARS,
     added_forms,
+    cleared,
     cleared_rows,
     normal_form,
     ratio,
@@ -81,11 +84,10 @@ def _x_poly(poly) -> ParamPoly:
     return ParamPoly(X_VAR, [poly])
 
 
-def _product_terms(left, right) -> dict:
-    """Numerators of the normal-ordered product of the term lists `left`
-    and `right` ((i, j), numerator), zeros kept: every term pair and
-    every commutation step adds into one dict."""
-    out = {}
+def _product_terms(left, right, out: dict) -> dict:
+    """Add into `out` the numerators of the normal-ordered product of the
+    term lists `left` and `right` ((i, j), numerator), zeros kept: every
+    term pair and every commutation step adds into the one dict."""
     for (a, b), ca in left:
         for (c, d), cb in right:
             coeff = ca * cb
@@ -217,7 +219,7 @@ class DiffOp:
 
     def __mul__(self, other):
         if isinstance(other, DiffOp):
-            out = _product_terms(self.nums.items(), list(other.nums.items()))
+            out = _product_terms(self.nums.items(), list(other.nums.items()), {})
             return DiffOp._form(normal_form(self.den * other.den, (out,)))
         if _is_scalar(other):
             return DiffOp._form(scaled_forms(self.den, (self.nums,), other))
@@ -263,66 +265,78 @@ class DiffOp:
         return f"DiffOp({self.terms!r})"
 
 
-_ZERO = DiffOp()
-
-
 # ----------------------------------------------------------------------
 # 2x2 matrices of operators
 # ----------------------------------------------------------------------
 
-def _as_diffop(value) -> DiffOp:
+def _entry_form(value):
+    """(den, nums): the normal form of an operator, or of a scalar as the
+    operator of degree 0."""
     if isinstance(value, DiffOp):
-        return value
+        return value.den, value.nums
     if _is_scalar(value):
-        return DiffOp({(0, 0): value})
+        den, num = cleared(value)
+        return den, {(0, 0): num} if num else {}
     raise TypeError(f"cannot interpret {value!r} as a scalar operator")
-
-
-def _dot2(x: DiffOp, y: DiffOp, u: DiffOp, v: DiffOp) -> DiffOp:
-    """x*y + u*v, without multiplying by an empty factor."""
-    if x.nums and y.nums:
-        return x * y + u * v if u.nums and v.nums else x * y
-    return u * v if u.nums and v.nums else _ZERO
 
 
 class MatOp:
     """2x2 matrix of scalar operators acting on doublets (top, bottom).
 
-    Products skip every entry pair with an empty factor and sums skip an
-    empty operand; the tees are diagonal and the towers off-diagonal, so
-    most entry products of a mixed word are zero by structure.
+    Stored as ``ExactMatrix`` stores its rows: ``nums`` holds four dicts
+    {(x_power, d_power): numerator}, for the entries 00, 01, 10 and 11,
+    over the one positive int ``den``, in the integer normal form of
+    ``exactnum.normal_form``, so equal operators have equal forms.  Sums
+    and scalar multiples run on that form; a product adds every entry
+    pair's normal-ordered terms into four dicts and normalises once,
+    skipping each pair with an empty factor (the tees are diagonal and
+    the towers off-diagonal, so most entry products of a mixed word are
+    zero by structure).  ``entries`` (and ``op[r]``) is a read-only 2x2
+    grid of DiffOps, built on first read.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("den", "nums", "_entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(_as_diffop(e) for e in row) for row in entries)
+        rows = tuple(tuple(map(_entry_form, row)) for row in entries)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("MatOp needs a 2x2 entry grid")
-        self.entries = rows
+        forms = rows[0] + rows[1]
+        # over the lcm of normal denominators the joint form is normal too
+        self.den = math.lcm(*(d for d, _ in forms))
+        self.nums = tuple(
+            nums if d == self.den else {k: v * (self.den // d) for k, v in nums.items()}
+            for d, nums in forms
+        )
+        self._entries = None
 
     @classmethod
-    def _of(cls, rows) -> "MatOp":
-        """The MatOp on `rows`, a 2x2 tuple grid of DiffOps, unchecked:
-        for results of MatOp arithmetic."""
+    def _of(cls, den: int, nums: tuple) -> "MatOp":
+        """The MatOp on a normal form (den, nums), unchecked: for results
+        of MatOp arithmetic."""
         op = object.__new__(cls)
-        op.entries = rows
+        op.den, op.nums, op._entries = den, nums, None
         return op
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            e = [DiffOp._form(normal_form(self.den, (row,))) for row in self.nums]
+            self._entries = ((e[0], e[1]), (e[2], e[3]))
+        return self._entries
 
     # ------------------------------------------------------------------
     @classmethod
     def zero(cls) -> "MatOp":
-        z = DiffOp.zero()
-        return cls(((z, z), (z, z)))
+        return cls(((0, 0), (0, 0)))
 
     @classmethod
     def identity(cls) -> "MatOp":
-        return cls.diag(DiffOp.one(), DiffOp.one())
+        return cls.diag(1, 1)
 
     @classmethod
     def diag(cls, top, bottom) -> "MatOp":
-        z = DiffOp.zero()
-        return cls(((_as_diffop(top), z), (z, _as_diffop(bottom))))
+        return cls(((top, 0), (0, bottom)))
 
     @classmethod
     def sigma3(cls) -> "MatOp":
@@ -331,97 +345,75 @@ class MatOp:
     @classmethod
     def lower_shift(cls, op=1) -> "MatOp":
         """op in the bottom-left slot: sends (top, bottom) to (0, op top)."""
-        z = DiffOp.zero()
-        return cls(((z, z), (_as_diffop(op), z)))
+        return cls(((0, 0), (op, 0)))
 
     @classmethod
     def raise_shift(cls, op=1) -> "MatOp":
         """op in the top-right slot: sends (top, bottom) to (op bottom, 0)."""
-        z = DiffOp.zero()
-        return cls(((z, _as_diffop(op)), (z, z)))
+        return cls(((0, op), (0, 0)))
 
     # ------------------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
+        return not any(self.nums)
 
     def __getitem__(self, idx):
         return self.entries[idx]
 
     def __eq__(self, other):
         if isinstance(other, MatOp):
-            return self.entries == other.entries
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     __hash__ = None
 
     def __neg__(self) -> "MatOp":
-        return MatOp._of(tuple(tuple(-e for e in row) for row in self.entries))
+        return MatOp._of(self.den, tuple({k: -v for k, v in row.items()} for row in self.nums))
+
+    def _sum(self, other, sign: int):
+        if not isinstance(other, MatOp):
+            return NotImplemented
+        if other.is_zero:
+            return self
+        if self.is_zero and sign == 1:
+            return other
+        return MatOp._of(*added_forms(self.den, self.nums, other.den, other.nums, sign))
 
     def __add__(self, other):
-        if isinstance(other, MatOp):
-            if other.is_zero:
-                return self
-            if self.is_zero:
-                return other
-            return MatOp._of(
-                tuple(
-                    tuple(a + b for a, b in zip(ra, rb))
-                    for ra, rb in zip(self.entries, other.entries)
-                )
-            )
-        return NotImplemented
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        if isinstance(other, MatOp):
-            if other.is_zero:
-                return self
-            return MatOp._of(
-                tuple(
-                    tuple(a - b for a, b in zip(ra, rb))
-                    for ra, rb in zip(self.entries, other.entries)
-                )
-            )
-        return NotImplemented
+        return self._sum(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, MatOp):
-            (a00, a01), (a10, a11) = self.entries
-            (b00, b01), (b10, b11) = other.entries
-            return MatOp._of((
-                (_dot2(a00, b00, a01, b10), _dot2(a00, b01, a01, b11)),
-                (_dot2(a10, b00, a11, b10), _dot2(a10, b01, a11, b11)),
-            ))
+            a, b = self.nums, other.nums
+            out = ({}, {}, {}, {})
+            for r in (0, 2):
+                for c in (0, 1):
+                    for k in (0, 1):
+                        left, right = a[r + k], b[2 * k + c]
+                        if left and right:
+                            _product_terms(left.items(), list(right.items()), out[r + c])
+            return MatOp._of(*normal_form(self.den * other.den, out))
         if _is_scalar(other):
-            return MatOp._of(
-                tuple(tuple(e * other for e in row) for row in self.entries)
-            )
+            return MatOp._of(*scaled_forms(self.den, self.nums, other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if _is_scalar(other):
-            return MatOp._of(
-                tuple(tuple(other * e for e in row) for row in self.entries)
-            )
-        return NotImplemented
+    __rmul__ = __mul__
 
     # ------------------------------------------------------------------
     def apply(self, doublet) -> tuple:
         top, bottom = doublet
-        return (
-            self.entries[0][0].apply(top) + self.entries[0][1].apply(bottom),
-            self.entries[1][0].apply(top) + self.entries[1][1].apply(bottom),
-        )
+        (a, b), (c, d) = self.entries
+        return (a.apply(top) + b.apply(bottom), c.apply(top) + d.apply(bottom))
 
     def scaled_identity_added(self, scalar) -> "MatOp":
         """self + scalar*1, as ``ExactMatrix.scaled_identity_added``."""
         return self + MatOp.diag(scalar, scalar)
 
     def __str__(self):
-        return "[[{}, {}], [{}, {}]]".format(
-            self.entries[0][0], self.entries[0][1],
-            self.entries[1][0], self.entries[1][1],
-        )
+        return "[[{}, {}], [{}, {}]]".format(*self.entries[0], *self.entries[1])
 
     def __repr__(self):
         return f"MatOp({self.entries!r})"
@@ -433,17 +425,15 @@ def specialize(op, value):
     commutes with sums, products and normal ordering.  Each polynomial
     numerator is evaluated by ``ParamPoly.__call__``, and the values over
     op's denominator are cleared once (``exactnum.cleared_rows``)."""
-    if isinstance(op, MatOp):
-        return MatOp._of(
-            tuple(tuple(specialize(e, value) for e in row) for row in op.entries)
-        )
-    rows = op.nums if isinstance(op, ExactMatrix) else (op.nums,)
+    rows = (op.nums,) if isinstance(op, DiffOp) else op.nums
     form = cleared_rows(
         [{k: v(value) if type(v) is ParamPoly else v for k, v in row.items()} for row in rows],
         op.den,
     )
     if isinstance(op, ExactMatrix):
         return ExactMatrix._of(op.cols, *form)
+    if isinstance(op, MatOp):
+        return MatOp._of(*form)
     return DiffOp._form(form)
 
 
@@ -458,17 +448,6 @@ def anticommutator(a, b):
 # ----------------------------------------------------------------------
 # exact span projection
 # ----------------------------------------------------------------------
-
-def _cleared_entries(op: MatOp):
-    """(den, nums): the numerator dicts of op's four entries, row by row,
-    over the lcm den of their denominators."""
-    entries = [e for row in op.entries for e in row]
-    den = math.lcm(*(e.den for e in entries))
-    return den, [
-        e.nums if e.den == den else {k: v * (den // e.den) for k, v in e.nums.items()}
-        for e in entries
-    ]
-
 
 def _dot(a, b):
     """Sum of a[k] * b[k] over the terms k that the entries of two
@@ -489,17 +468,18 @@ class Span:
     inverse.
 
     Inner products treat each normal-ordered matrix term as an
-    orthonormal coordinate.  Basis operator i is held as integer
-    numerators ``nums[i]`` over ``dens[i]``; their Gram matrix is
-    integral, and its inverse, from one ``solve_linear`` here, is held
-    as the int matrix ``inverse`` over the int ``den``.
+    orthonormal coordinate.  Basis operator i is read as its stored
+    integer numerators (``MatOp.nums``) over its ``den``; their Gram
+    matrix is integral, and its inverse, from one ``solve_linear`` here,
+    is held as the int matrix ``inverse`` over the int ``den``.
     """
 
     __slots__ = ("basis", "dens", "nums", "inverse", "den")
 
     def __init__(self, basis):
         self.basis = tuple(basis)
-        self.dens, self.nums = zip(*map(_cleared_entries, self.basis))
+        self.dens = tuple(op.den for op in self.basis)
+        self.nums = tuple(op.nums for op in self.basis)
         size = len(self.basis)
         gram = [[_dot(self.nums[i], self.nums[j]) for j in range(size)] for i in range(size)]
         # one elimination of [gram | I]
@@ -513,25 +493,24 @@ def project_span(op: MatOp, span: Span):
     """Orthogonal projection of `op` = M/E onto `span`, coefficient-exact,
     on integer numerators: with r_j = <N_j, M> and w = inverse r,
     coefficient i is D_i w_i / (den E), and the residual is
-    (den M - sum_i w_i N_i) / (den E), each entry normalised once.
+    (den M - sum_i w_i N_i) / (den E), normalised once.
 
     Returns (coefficients, residual); coefficients may be polynomials in
     a scalar parameter when `op` has such coefficients.
     """
-    op_den, op_nums = _cleared_entries(op)
-    rhs = [(j, r) for j, nums in enumerate(span.nums) if (r := _dot(nums, op_nums))]
+    rhs = [(j, r) for j, nums in enumerate(span.nums) if (r := _dot(nums, op.nums))]
     weights = [sum((r * row[j] for j, r in rhs if row[j]), 0) for row in span.inverse]
-    den = span.den * op_den
-    entries = []
-    for k, m in enumerate(op_nums):
+    den = span.den * op.den
+    outs = []
+    for k, m in enumerate(op.nums):
         out = {key: v * span.den for key, v in m.items()}
         for w, nums in zip(weights, span.nums):
             if w:
                 for key, v in nums[k].items():
                     out[key] = out[key] - w * v if key in out else -w * v
-        entries.append(DiffOp._form(normal_form(den, (out,))))
+        outs.append(out)
     coeffs = [ratio(w * d, den) for w, d in zip(weights, span.dens)]
-    return coeffs, MatOp._of((tuple(entries[:2]), tuple(entries[2:])))
+    return coeffs, MatOp._of(*normal_form(den, outs))
 
 
 def anticommutator_residuals(effs, span: Span) -> dict:
@@ -648,29 +627,25 @@ def leakage(op: MatOp, module: ModuleSpec) -> tuple:
 def restrict(op: MatOp, module: ModuleSpec) -> RestrictedMatrix:
     """Matrix of `op` on the doublet basis, with out-of-space leakage.
 
-    The matrix is filled by band scatter straight into its sparse rows
-    of numerators over L, the least common multiple of the entries'
-    denominators: a term of numerator N over D in x^i d^j of the entry
-    (dest, comp) adds N (L/D) p!/(p-j)! at the row of x^(p+i-j) in dest
-    and the column of x^p in comp, for every j <= p whose image stays
-    within dest's cap; cells that several terms reach are summed.  The
-    images above the cap come from ``leakage``."""
-    den = math.lcm(*(e.den for row in op.entries for e in row))
+    The matrix is filled by band scatter of op's numerators straight
+    into its sparse rows over op's denominator: a term of numerator N in
+    x^i d^j of the entry (dest, comp) adds N p!/(p-j)! at the row of
+    x^(p+i-j) in dest and the column of x^p in comp, for every j <= p
+    whose image stays within dest's cap; cells that several terms reach
+    are summed.  The images above the cap come from ``leakage``."""
     rows = [{} for _ in range(module.dim)]
     offsets = (0, module.top_degree + 1)
     for dest in (0, 1):
         cap = module.degree_cap(dest)
         for comp in (0, 1):
-            entry = op.entries[dest][comp]
-            scale = den // entry.den
-            for (i, j), c in entry.nums.items():
+            for (i, j), c in op.nums[2 * dest + comp].items():
                 # x^p -> x^(p+i-j) for j <= p <= the source cap, within the cap
                 for p in range(j, min(module.degree_cap(comp), cap - i + j) + 1):
                     row = rows[offsets[dest] + p + i - j]
                     col = offsets[comp] + p
-                    term = c * (scale * math.perm(p, j))
+                    term = c * math.perm(p, j)
                     row[col] = row[col] + term if col in row else term
-    matrix = ExactMatrix._normal(module.dim, den, rows)
+    matrix = ExactMatrix._normal(module.dim, op.den, rows)
     return RestrictedMatrix(module, matrix, leakage(op, module))
 
 

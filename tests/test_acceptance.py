@@ -16,6 +16,7 @@ from qeslab.generators import (
     DEFAULT_MIX,
     MixSpec,
     discover_mix,
+    fault_names,
 )
 from qeslab.spectral import (
     HamiltonianSpec,
@@ -256,12 +257,73 @@ GOLDEN_STDOUT = {
         "c6a6fda6f407a5bddc6a31d6c09297d9e37dcadc804c2274ddee1f7b1c2c3a66",
 }
 
-# stdout of runs that exit 1, with their exit status.  The fault in Q1
-# changes the osp(2,2) span= coefficients, so this pins projections onto
-# a perturbed basis; its summary reads `# reports=2679 failures=238`.
+# stdout of runs that exit 1: their summary line and the sha256 of the
+# whole stdout.  The fault in Q1 changes the osp(2,2) span= coefficients,
+# so the first pin holds projections onto a perturbed basis.  The
+# `--n-max 6` pins, one per name of fault_names(4), fix which relations
+# each fault breaks, so a change in the operator arithmetic that flips a
+# status line shows, not only the exit status.
 GOLDEN_FAILING_STDOUT = {
-    ("verify", "--inject-fault", "Q1"):
+    ("verify", "--inject-fault", "Q1"): (
+        "# reports=2679 failures=238",
         "38d6a07f2140ba1f2f0ab9be37c977453672dfe47dc4da57bacdde85d3272824",
+    ),
+    ("verify", "--n-max", "6", "--inject-fault", "T+"): (
+        "# reports=1149 failures=297",
+        "3b7889ea5b44dfbdb94ed135fec6697e13344341f6e7013be649138d968c1625",
+    ),
+    ("verify", "--n-max", "6", "--inject-fault", "T0"): (
+        "# reports=1149 failures=317",
+        "12bcd7da0b4345da1a587f4c3afad3fd5c3189ae7a7be1bb04adcd0fa7204d6b",
+    ),
+    ("verify", "--n-max", "6", "--inject-fault", "T-"): (
+        "# reports=1149 failures=255",
+        "d46e7892e0f4b789fbea2537dab2bca956dda58c87212a2cf78376e9155b4a82",
+    ),
+    ("verify", "--n-max", "6", "--inject-fault", "J"): (
+        "# reports=1149 failures=116",
+        "d18794c6ed9037aba840c3d8694de3e1c80eb27577f96a8978b934fa1b0d1419",
+    ),
+    ("verify", "--n-max", "6", "--inject-fault", "Q1"): (
+        "# reports=1149 failures=106",
+        "5177e840fdc11380dafbba601a7e16c039dc470f7ffa3ff7d4fb5af514b2a082",
+    ),
+    ("verify", "--n-max", "6", "--inject-fault", "QBAR1"): (
+        "# reports=1149 failures=193",
+        "68499d608ab66ac7e3b5ac439d82c34dcff97392738c176053db704043557dc1",
+    ),
+    ("verify", "--n-max", "6", "--inject-fault", "Q2"): (
+        "# reports=1149 failures=150",
+        "be9b4e59d9dfa0ed35b6b7d8843db7ec7af4c58659215eb6085cbac552401b20",
+    ),
+    ("verify", "--n-max", "6", "--inject-fault", "QBAR2"): (
+        "# reports=1149 failures=197",
+        "51a5b7e9e84a47e42fa07f65944070de02103c8147e98d5bc2f58c3098bba11c",
+    ),
+    ("verify", "--n-max", "6", "--inject-fault", "Q3"): (
+        "# reports=1149 failures=108",
+        "1e4f7b9b58a49737b1f7fc83ca0b96a5c10c1f5c977b3ce2ff44f27a7758b805",
+    ),
+    ("verify", "--n-max", "6", "--inject-fault", "QBAR3"): (
+        "# reports=1149 failures=115",
+        "2f841afd7e3f3467b6b9fe3051f3a053fd3557ce5a586a37ab7d3510b32e07da",
+    ),
+    ("verify", "--n-max", "6", "--inject-fault", "Q4"): (
+        "# reports=1149 failures=20",
+        "2537f6ea47a1129719e3dcd1be1291ae2ef41d0bc98d8f6b8633cf32a96ab8b8",
+    ),
+    ("verify", "--n-max", "6", "--inject-fault", "QBAR4"): (
+        "# reports=1149 failures=23",
+        "5ef38bda0749e736da8bd87358b8d63e283c38d6b5d9fab69e2e84aa55e58323",
+    ),
+    ("verify", "--n-max", "6", "--inject-fault", "Q5"): (
+        "# reports=1149 failures=6",
+        "ecf3c5daf1a12b55616a166548a6623312683053c9030691bc54765634cea144",
+    ),
+    ("verify", "--n-max", "6", "--inject-fault", "QBAR5"): (
+        "# reports=1149 failures=6",
+        "ecfb9b342d794e209fcd9bf3d9a12e729ce4be79784af6da18b3d12ce9e7776e",
+    ),
 }
 
 
@@ -274,10 +336,12 @@ def test_golden_stdout_of_verify_and_delta4_scan(capsys):
 
 
 def test_golden_stdout_of_a_failing_verify(capsys):
-    for argv, want in GOLDEN_FAILING_STDOUT.items():
+    pinned = [argv[-1] for argv in GOLDEN_FAILING_STDOUT if "--n-max" in argv]
+    assert pinned == list(fault_names(4))
+    for argv, (summary, want) in GOLDEN_FAILING_STDOUT.items():
         assert main(list(argv)) == 1
         out = capsys.readouterr().out
-        assert out.endswith("# reports=2679 failures=238\n")
+        assert out.endswith(summary + "\n"), f"qeslab {' '.join(argv)}"
         got = hashlib.sha256(out.encode()).hexdigest()
         assert got == want, f"qeslab {' '.join(argv)}: stdout hash {got}"
 

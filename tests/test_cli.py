@@ -498,6 +498,23 @@ def test_openblas_workers_sleep_when_idle_unless_caller_says(given, expected):
     assert out.strip() == expected
 
 
+def test_closed_stdout_is_not_a_failed_verification():
+    # `qeslab verify | head -n 1`: the reader goes away after one line,
+    # while verify still has most of its 2679 report lines to write
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qeslab.cli", "verify"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141
+    assert first.startswith(b"EQ")
+    assert "Traceback" not in err, err
+
+
 def test_delta4_scan_summary(capsys):
     code, out, _ = run(capsys, ["delta4-scan", "--n", "5"])
     assert code == 0

@@ -35,7 +35,7 @@ from qeslab.exactnum import (
     sturm_count,
 )
 from qeslab.spectral import _symbolic_mu_poly
-from qeslab.weyl import DiffOp, specialize
+from qeslab.weyl import DiffOp, MatOp, specialize
 
 F = Fraction
 
@@ -895,6 +895,79 @@ def test_diffop_form_matches_sympy(operands):
     assert a * 6 * F(1, 6) == a == DiffOp(a.terms)
     assert ((a - a).den, (a - a).nums) == (1, {}) and a - a == 0
     assert (a == b) == (sympy.expand(fa - fb) == 0)
+
+
+def dot2(x, y, u, v):
+    """x*y + u*v without multiplying by an empty factor: the entrywise
+    rule of a product of 2x2 grids of DiffOps, the reference for MatOp
+    products."""
+    if x.nums and y.nums:
+        return x * y + u * v if u.nums and v.nums else x * y
+    return u * v if u.nums and v.nums else DiffOp()
+
+
+def matops(coefficients):
+    """2x2 grids of DiffOps, empty entries frequent, built as MatOps."""
+    return st.lists(diffops(coefficients), min_size=4, max_size=4).map(
+        lambda e: MatOp((e[:2], e[2:]))
+    )
+
+
+matop_operands = st.sampled_from([q_entries, c_entries]).flatmap(
+    lambda e: st.tuples(matops(e), matops(e), c_entries, st.fractions(-3, 3, max_denominator=4))
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example((  # a sum that cancels, over mixed denominators
+    MatOp(((DiffOp({(1, 1): F(1, 2)}), F(1, 3)), (0, DiffOp({(0, 2): C * F(1, 6)})))),
+    MatOp(((DiffOp({(1, 1): F(-1, 2)}), F(-1, 3)), (0, DiffOp({(0, 2): C * F(-1, 6)})))),
+    0, F(1),
+))
+@example((  # off-diagonal towers times diagonal tees, in Q[c]
+    MatOp(((0, DiffOp({(0, 2): C + 1, (1, 0): F(1, 6)})), (DiffOp({(2, 1): F(3, 4)}), 0))),
+    MatOp(((DiffOp({(1, 1): C * C}), 0), (0, DiffOp({(0, 0): F(2, 5), (1, 2): -C})))),
+    C, F(2, 3),
+))
+@example((MatOp.zero(), MatOp.sigma3(), F(6), F(-1)))
+@given(matop_operands)
+def test_matop_form_matches_entrywise_diffops(operands):
+    a, b, scalar, value = operands
+    (a00, a01), (a10, a11) = a.entries
+    (b00, b01), (b10, b11) = b.entries
+
+    def each(op, f):
+        return [[f(e) for e in row] for row in op.entries]
+
+    pairs = [list(zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)]
+    results = {
+        "+": (a + b, [[x + y for x, y in row] for row in pairs]),
+        "-": (a - b, [[x - y for x, y in row] for row in pairs]),
+        "-a": (-a, each(a, lambda e: -e)),
+        "*": (a * b, [
+            [dot2(a00, b00, a01, b10), dot2(a00, b01, a01, b11)],
+            [dot2(a10, b00, a11, b10), dot2(a10, b01, a11, b11)],
+        ]),
+        "a*s": (a * scalar, each(a, lambda e: e * scalar)),
+        "s*a": (scalar * a, each(a, lambda e: scalar * e)),
+        "a*q": (a * value, each(a, lambda e: e * value)),
+        "q*a": (value * a, each(a, lambda e: value * e)),
+        "a+sI": (a.scaled_identity_added(scalar), [[a00 + scalar, a01], [a10, a11 + scalar]]),
+        "a(q)": (specialize(a, value), each(a, lambda e: specialize(e, value))),
+    }
+    for kind, (got, want) in results.items():
+        assert type(got) is MatOp, kind
+        assert len(got.nums) == 4, kind
+        assert_normal_numerators(got.den, got.nums)
+        assert [list(row) for row in got.entries] == want, kind
+        assert [got[0], got[1]] == list(got.entries), kind
+        assert got == MatOp(want) == MatOp(got.entries), kind
+        assert got.is_zero == all(e.is_zero for row in want for e in row), kind
+    # equal operators reached over different denominators have equal forms
+    assert (a + b) - b == a
+    assert a * 6 * F(1, 6) == a
+    assert ((a - a).den, (a - a).nums) == (1, ({}, {}, {}, {}))
+    assert (a == b) == (a.entries == b.entries)
 
 
 def test_sparse_form_is_normal_across_denominators():

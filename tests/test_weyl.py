@@ -179,3 +179,24 @@ def test_span_inverts_its_gram_matrix_in_one_solve(monkeypatch):
         coeffs, residual = project_span(member, span)
         assert coeffs == [int(i == k) for i in range(5)]
         assert residual.is_zero
+
+
+def test_matop_product_normalises_once(monkeypatch):
+    # the four entries of a product are summed into four numerator dicts
+    # over one denominator and brought to normal form in one call
+    rng = random.Random(29)
+    a, b = (MatOp([[rand_diffop(rng) for _ in range(2)] for _ in range(2)]) for _ in range(2))
+    calls = []
+    original = weyl.normal_form
+
+    def counted(den, rows):
+        calls.append(len(rows))
+        return original(den, rows)
+
+    monkeypatch.setattr(weyl, "normal_form", counted)
+    product = a * b
+    assert calls == [4]
+    monkeypatch.undo()
+    for r in (0, 1):
+        for c in (0, 1):
+            assert product[r][c] == a[r][0] * b[0][c] + a[r][1] * b[1][c]
