@@ -9,7 +9,9 @@ integral coefficients; ``normal_form`` is the one normaliser, shared by
 {(x power, d power): numerator}), ``weyl.MatOp`` (four such dicts, one
 per entry) and ``ExactMatrix`` (one dict {column: numerator} per row),
 so sums, products and evaluations run on integers and equal values
-have equal forms.  ``cleared_rows`` brings
+have equal forms.  The four inherit from ``NormalForm``, the one home of
+the arithmetic that the form alone decides: equality, negation, sums,
+differences and scalar multiples.  ``cleared_rows`` brings
 exact values (ints, Fractions, polynomials) into that form at the API
 boundary, and ``ratio`` reads one value back as a Fraction or a
 non-constant ParamPoly, the types of the read-only views.  Polynomials
@@ -158,57 +160,115 @@ def ratio(num, den: int):
     return Fraction(num, den)
 
 
-def added_forms(a_den: int, a_rows, b_den: int, b_rows, sign: int = 1):
-    """The normal form of a + sign b, for the forms (a_den, a_rows) and
-    (b_den, b_rows) of values of one shape."""
-    den = math.lcm(a_den, b_den)
-    fa, fb = den // a_den, sign * (den // b_den)
-    out = []
-    for ra, rb in zip(a_rows, b_rows):
-        row = {k: v * fa for k, v in ra.items()} if fa != 1 else dict(ra)
-        for k, v in rb.items():
-            v = v * fb if fb != 1 else v
-            row[k] = row[k] + v if k in row else v
-        out.append(row)
-    return normal_form(den, out)
-
-
-def scaled_forms(den: int, rows, scalar):
-    """The normal form of scalar times the values of the form (den, rows)."""
-    s_den, s_num = cleared(scalar)
-    return normal_form(den * s_den, [{k: v * s_num for k, v in row.items()} for row in rows])
-
-
 def dense_numerators(nums) -> list:
     """The numerators {power: numerator} as a dense ascending list, 0 for
     a missing power."""
     return [nums.get(i, 0) for i in range(max(nums, default=-1) + 1)]
 
 
-class ParamPoly:
-    """Univariate polynomial with exact coefficients, stored in the
-    integer normal form: ``nums`` maps each power with a nonzero
-    coefficient to its numerator over ``den`` (normal_form), so the zero
-    polynomial has no numerators and ``degree == ZERO_DEGREE``.  A
-    numerator is an int, or an integral ParamPoly in a scalar variable
-    for a coefficient in Q[k0], Q[c] or Q[n].  ``coeffs`` is a read-only
-    dense view, built on first read: a Fraction (zero is Fraction(0)) or
-    a non-constant ParamPoly per power.  Instances are immutable by
-    convention; all arithmetic returns new objects.
+class NormalForm:
+    """An exact value in the integer normal form: numerator dicts over
+    one positive int ``den`` (normal_form), and the one home of the
+    arithmetic that this form alone decides: ``is_zero``, truth, ``==``,
+    negation, sums and differences on either side, and scalar multiples
+    in Q or Q[t] (``_scaled``), each result normalised once.  A subclass
+    keeps its checked constructor, ``_of``, its product and its public
+    view, cached in ``_view``, and supplies three hooks: ``_rows``, its
+    numerator dicts as a tuple; ``_same``, a value of its own type and
+    shape on a normal form (den, rows); and ``_pair``, the two operands
+    of a sum in one type and shape, or None, which makes the operation
+    NotImplemented.  Instances are immutable by convention, so a sum
+    with a zero operand may return the other operand itself.
     """
 
-    __slots__ = ("var", "den", "nums", "_coeffs")
+    __slots__ = ("den", "nums", "_view")
+
+    __hash__ = None  # immutable by convention, but never used as a key
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self._rows())
+
+    def __bool__(self) -> bool:
+        return any(self._rows())
+
+    def __eq__(self, other):
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        return a.den == b.den and a.nums == b.nums
+
+    def __neg__(self):
+        return self._same(self.den, tuple({k: -v for k, v in row.items()} for row in self._rows()))
+
+    def _sum(self, other, sign: int):
+        """self + sign * other, on the numerators over the lcm of the two
+        denominators."""
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        a_rows, b_rows = a._rows(), b._rows()
+        if not any(b_rows):
+            return a
+        if sign == 1 and not any(a_rows):
+            return b
+        den = math.lcm(a.den, b.den)
+        fa, fb = den // a.den, sign * (den // b.den)
+        out = []
+        for ra, rb in zip(a_rows, b_rows):
+            row = {k: v * fa for k, v in ra.items()} if fa != 1 else dict(ra)
+            for k, v in rb.items():
+                v = v * fb if fb != 1 else v
+                row[k] = row[k] + v if k in row else v
+            out.append(row)
+        return a._same(*normal_form(den, out))
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __rsub__(self, other):
+        return (-self)._sum(other, 1)
+
+    def _scaled(self, scalar):
+        """scalar times self, for an exact scalar (an int, a Fraction or
+        a ParamPoly in a scalar variable)."""
+        s_den, s_num = (1, scalar) if type(scalar) is int else cleared(scalar)
+        return self._same(*normal_form(
+            self.den * s_den, [{k: v * s_num for k, v in row.items()} for row in self._rows()]
+        ))
+
+
+class ParamPoly(NormalForm):
+    """Univariate polynomial with exact coefficients, stored in the
+    integer normal form (NormalForm, which holds its sums and scalar
+    multiples): ``nums`` maps each power with a nonzero coefficient to
+    its numerator over ``den``, so the zero polynomial has no numerators
+    and ``degree == ZERO_DEGREE``.  A numerator is an int, or an
+    integral ParamPoly in a scalar variable for a coefficient in Q[k0],
+    Q[c] or Q[n].  ``coeffs`` is a read-only dense view, built on first
+    read: a Fraction (zero is Fraction(0)) or a non-constant ParamPoly
+    per power.
+    """
+
+    __slots__ = ("var",)
 
     def __init__(self, var: str, coeffs=()):
         self.var = var
         self.den, (self.nums,) = cleared_rows([dict(enumerate(coeffs))])
-        self._coeffs = None
+        self._view = None
 
     @classmethod
     def _of(cls, var: str, den: int, nums: dict) -> "ParamPoly":
         """Unchecked constructor for a form (den, nums) already normal."""
         self = object.__new__(cls)
-        self.var, self.den, self.nums, self._coeffs = var, den, nums, None
+        self.var, self.den, self.nums, self._view = var, den, nums, None
         return self
 
     @classmethod
@@ -217,6 +277,15 @@ class ParamPoly:
         normal form."""
         den, (nums,) = normal_form(den, (nums,))
         return cls._of(var, den, nums)
+
+    def _rows(self):
+        return (self.nums,)
+
+    def _same(self, den: int, rows) -> "ParamPoly":
+        return ParamPoly._of(self.var, den, rows[0])
+
+    def _pair(self, other):
+        return _common(self, other)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -238,17 +307,10 @@ class ParamPoly:
         return max(self.nums, default=ZERO_DEGREE)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
-    @property
     def coeffs(self) -> tuple:
-        if self._coeffs is None:
-            self._coeffs = tuple(map(self.coeff, range(self.degree + 1)))
-        return self._coeffs
+        if self._view is None:
+            self._view = tuple(map(self.coeff, range(self.degree + 1)))
+        return self._view
 
     def coeff(self, power: int):
         num = self.nums.get(power)
@@ -262,6 +324,8 @@ class ParamPoly:
 
     # ------------------------------------------------------------------
     def __eq__(self, other):
+        """Equal forms in one variable; a constant equals its value in
+        any variable."""
         if isinstance(other, ParamPoly) and other.var == self.var:
             return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction, ParamPoly)):
@@ -270,31 +334,9 @@ class ParamPoly:
             return isinstance(other, ParamPoly) and other.degree <= 0 and self == other.constant()
         return NotImplemented
 
-    __hash__ = None  # mutable-free but unhashable; never used as a key
-
-    def __neg__(self) -> "ParamPoly":
-        return ParamPoly._of(self.var, self.den, {k: -v for k, v in self.nums.items()})
-
-    def __add__(self, other):
-        pair = _common(self, other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        den, (nums,) = added_forms(a.den, (a.nums,), b.den, (b.nums,))
-        return ParamPoly._of(a.var, den, nums)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
-        if type(other) is int:  # the scalar multiples of numerator arithmetic
-            return ParamPoly._normal(self.var, self.den, {k: v * other for k, v in self.nums.items()})
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
         pair = _common(self, other)
         if pair is None:
             return NotImplemented
@@ -1409,12 +1451,12 @@ def _scalar_matrix(value, size: int) -> "ExactMatrix":
     return ExactMatrix._of(size, den, tuple({i: num} if num else {} for i in range(size)))
 
 
-class ExactMatrix:
-    """Matrix over Q or Q[t], stored sparse in the integer normal form.
+class ExactMatrix(NormalForm):
+    """Matrix over Q or Q[t], stored sparse in the integer normal form
+    (NormalForm, which holds its sums and scalar multiples).
 
     Row i of ``nums`` is a dict {column: numerator} of its nonzero
-    entries alone, each numerator / ``den`` (normal_form, as ParamPoly,
-    weyl.DiffOp and weyl.MatOp store theirs).  A numerator is an int, or
+    entries alone, each numerator / ``den``.  A numerator is an int, or
     for an entry in Q[t] a non-constant ParamPoly with integral
     coefficients; both support +, * and bool, so the arithmetic shares
     one path that touches no zero entry and builds no Fraction.
@@ -1423,7 +1465,7 @@ class ExactMatrix:
     ParamPolys.
     """
 
-    __slots__ = ("rows", "cols", "den", "nums", "_entries")
+    __slots__ = ("rows", "cols")
 
     def __init__(self, entries):
         rows = [dict(enumerate(row)) for row in entries]
@@ -1432,14 +1474,14 @@ class ExactMatrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged matrix rows")
-        self.rows, self.cols, self._entries = len(rows), width, None
+        self.rows, self.cols, self._view = len(rows), width, None
         self.den, self.nums = cleared_rows(rows)
 
     @classmethod
     def _of(cls, cols: int, den: int, nums: tuple) -> "ExactMatrix":
         """Unchecked constructor for a form already normal."""
         self = object.__new__(cls)
-        self.rows, self.cols, self._entries = len(nums), cols, None
+        self.rows, self.cols, self._view = len(nums), cols, None
         self.den, self.nums = den, nums
         return self
 
@@ -1448,6 +1490,19 @@ class ExactMatrix:
         """The matrix of the numerator dicts `rows` over den, brought to
         normal form (normal_form)."""
         return cls._of(cols, *normal_form(den, rows))
+
+    def _rows(self):
+        return self.nums
+
+    def _same(self, den: int, rows) -> "ExactMatrix":
+        return ExactMatrix._of(self.cols, den, rows)
+
+    def _pair(self, other):
+        if not isinstance(other, ExactMatrix):
+            return None
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix shapes differ")
+        return self, other
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -1459,7 +1514,7 @@ class ExactMatrix:
 
     @property
     def entries(self) -> tuple:
-        if self._entries is None:
+        if self._view is None:
             zero, den = Fraction(0), self.den
             dense = []
             for row in self.nums:
@@ -1467,42 +1522,21 @@ class ExactMatrix:
                 for j, v in row.items():
                     out[j] = ratio(v, den)
                 dense.append(tuple(out))
-            self._entries = tuple(dense)
-        return self._entries
+            self._view = tuple(dense)
+        return self._view
 
     def __getitem__(self, idx):
         return self.entries[idx]
 
     def __eq__(self, other):
+        """Equal shapes and forms; matrices of two shapes are unequal."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return (self.cols, self.den, self.nums) == (other.cols, other.den, other.nums)
 
-    __hash__ = None
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
-    def _sum(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shapes differ")
-        return ExactMatrix._of(self.cols, *added_forms(self.den, self.nums, other.den, other.nums, sign))
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._sum(other, 1)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._sum(other, -1)
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._of(
-            self.cols, self.den, tuple({j: -v for j, v in row.items()} for row in self.nums)
-        )
-
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
-            return ExactMatrix._of(self.cols, *scaled_forms(self.den, self.nums, other))
+            return self._scaled(other)
         if self.cols != other.rows:
             raise ValueError("matrix shapes incompatible for product")
         # row i of the product is sum_k a_ik * (row k of other), over the

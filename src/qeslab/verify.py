@@ -246,15 +246,16 @@ def _q2_residuals(n, effs, tees, sigma):
     return residuals + [anticommutator(f, sigma) - t * 2 for f, t in zip(effs, tees)]
 
 
-def verify_q2(gens: GeneratorSet, mix: MixSpec = DEFAULT_MIX):
-    """The closed superalgebra table for the mixed gap-2 triplet.
+def verify_q2(gens: GeneratorSet):
+    """The closed superalgebra table for the gap-2 triplet mixed by
+    DEFAULT_MIX.
 
     Checks, exactly: the full 3x3 anticommutator table against
     n^2 * ANTICOMM_METRIC, the pairing of the mixed triplet with
     diag(1,-1) back onto the even triple, and the involution square.
     """
     n = gens.params.n
-    effs = gens.mixed(mix)
+    effs = gens.mixed(DEFAULT_MIX)
     sigma = MatOp.sigma3()
     residuals = _q2_residuals(n, effs, gens.tees, sigma)
     base = [("n", n), ("delta", 2)]
@@ -274,7 +275,7 @@ def verify_q2(gens: GeneratorSet, mix: MixSpec = DEFAULT_MIX):
     return reports
 
 
-def verify_q2_matrix(gens: GeneratorSet, mix: MixSpec = DEFAULT_MIX):
+def verify_q2_matrix(gens: GeneratorSet):
     """Shadow of the superalgebra table on the restricted matrices.
 
     The same relations as ``verify_q2``, on the exact matrices of the
@@ -284,7 +285,7 @@ def verify_q2_matrix(gens: GeneratorSet, mix: MixSpec = DEFAULT_MIX):
     """
     n = gens.params.n
     module = gens.params.module
-    effs = gens.mixed(mix)
+    effs = gens.mixed(DEFAULT_MIX)
     restricted = [restrict(op, module) for op in effs + gens.tees]
     base = (("n", n), ("delta", 2))
     fields = [base + (("alpha", a), ("beta", b)) for a, b in Q2_PAIRS]

@@ -10,25 +10,28 @@ two-term commutation rule d x = x d + 1, i.e.
 
     d^b x^c = sum_s  C(b, s) * c!/(c-s)! * x^(c-s) d^(b-s),
 
-on the numerators, over the product of the two denominators; sums,
+on the numerators, over the product of the two denominators;
 ``apply``, ``specialize`` and ``restrict`` read the numerators too.
 
 ``MatOp`` is a 2x2 matrix of such operators acting on doublets of
 polynomials, stored in the same form: four numerator dicts over one
-denominator, which its products and sums, ``specialize``, ``restrict``
-and the span projection read directly.  ``specialize`` evaluates the
-parameter polynomials in the coefficients of a DiffOp, MatOp or
-ExactMatrix at one value.  ``project_span`` projects a matrix operator
-exactly onto the span of others, on integer numerators: a ``Span``
-reads the numerators of its basis operators and holds an integer Gram
-inverse over one denominator, and each residual is normalised once.  ``anticommutator_residuals`` does so for every
-anticommutator of an odd multiplet.  ``restrict`` turns a matrix
-operator into the exact matrix of its action on a finite doublet of
-polynomial spaces, filled term by term along each term's band, and
-keeps any components that fall outside the target space as explicit
-leakage records instead of silently dropping them.  ``leakage`` finds
-those records alone, from the few top monomials that can overshoot,
-without building the matrix.
+denominator, which its products, ``specialize``, ``restrict``,
+``leakage`` and the span projection read directly.  ``DiffOp`` and
+``MatOp`` inherit equality, negation, sums, differences and scalar
+multiples from ``exactnum.NormalForm``, as ``ParamPoly`` and
+``ExactMatrix`` do.  ``specialize`` evaluates the parameter polynomials
+in the coefficients of a DiffOp, MatOp or ExactMatrix at one value.
+``project_span`` projects a matrix operator exactly onto the span of
+others, on integer numerators: a ``Span`` reads the numerators of its
+basis operators and holds an integer Gram inverse over one denominator,
+and each residual is normalised once.  ``anticommutator_residuals``
+does so for every anticommutator of an odd multiplet.  ``restrict``
+turns a matrix operator into the exact matrix of its action on a finite
+doublet of polynomial spaces, filled term by term along each term's
+band, and keeps any components that fall outside the target space as
+explicit leakage records instead of silently dropping them.
+``leakage`` finds those records alone, from the few top monomials that
+can overshoot, without building the matrix.
 ``RelationReport`` is the one record of an exact relation check, built
 from a residual (``relation_report``) or from leakage records
 (``doublet_report``); the relation suites and the spectral certificates
@@ -43,14 +46,13 @@ from fractions import Fraction
 
 from qeslab.exactnum import (
     ExactMatrix,
+    NormalForm,
     ParamPoly,
     SCALAR_VARS,
-    added_forms,
     cleared,
     cleared_rows,
     normal_form,
     ratio,
-    scaled_forms,
     solve_linear,
 )
 
@@ -61,14 +63,15 @@ def x_monomial(power: int, coeff=1) -> ParamPoly:
     """coeff * x**power as an exact polynomial."""
     if power < 0:
         raise ValueError("negative monomial power")
-    return ParamPoly(X_VAR, [Fraction(0)] * power + [coeff])
+    den, num = cleared(coeff)
+    return ParamPoly._of(X_VAR, den, {power: num} if num else {})
 
 
 def _is_scalar(value) -> bool:
     if isinstance(value, (int, Fraction)):
         return True
     if isinstance(value, ParamPoly):
-        return value.var in SCALAR_VARS or len(value.coeffs) <= 1
+        return value.var in SCALAR_VARS or value.degree <= 0
     return False
 
 
@@ -101,23 +104,20 @@ def _product_terms(left, right, out: dict) -> dict:
     return out
 
 
-class DiffOp:
+class DiffOp(NormalForm):
     """Normal-ordered scalar differential operator.
 
     ``nums`` maps (x_power, d_power) -> numerator over ``den``, in the
-    integer normal form of ``exactnum.normal_form``: only nonzero terms
-    are stored, each an int or a non-constant integral ``ParamPoly`` in
-    a scalar variable, and ``den`` is coprime to their content.  Every
-    arithmetic result goes through that one normaliser, so equal
-    operators have equal forms and the zero operator has no terms.
-    ``terms`` is the read-only view {(x_power, d_power): coefficient},
-    built on first read, each coefficient a ``Fraction`` or a
-    non-constant ``ParamPoly``.  Sums and products touch only stored
-    terms: a sum with an empty operand returns the other operand, and
-    no term is added to a zero seed.
+    integer normal form of ``exactnum``: only nonzero terms are stored,
+    each an int or a non-constant integral ``ParamPoly`` in a scalar
+    variable, so the zero operator has no terms.  Its sums, differences
+    and scalar multiples, with scalars promoted to operators of degree
+    0, are those of ``exactnum.NormalForm``.  ``terms`` is the read-only
+    view {(x_power, d_power): coefficient}, built on first read, each
+    coefficient a ``Fraction`` or a non-constant ``ParamPoly``.
     """
 
-    __slots__ = ("den", "nums", "_terms")
+    __slots__ = ()
 
     def __init__(self, terms=None):
         terms = dict(terms or {})
@@ -125,27 +125,32 @@ class DiffOp:
             if i < 0 or j < 0:
                 raise ValueError(f"negative operator powers {(i, j)}")
         self.den, (self.nums,) = cleared_rows([terms])
-        self._terms = None
+        self._view = None
 
     @classmethod
     def _of(cls, den: int, nums: dict) -> "DiffOp":
         """The operator on the form (den, nums), unchecked: its keys are
         valid powers and the form is normal."""
         op = object.__new__(cls)
-        op.den, op.nums, op._terms = den, nums, None
+        op.den, op.nums, op._view = den, nums, None
         return op
 
-    @classmethod
-    def _form(cls, form) -> "DiffOp":
-        """The operator on a normal form (den, (nums,)) of exactnum."""
-        den, (nums,) = form
-        return cls._of(den, nums)
+    def _rows(self):
+        return (self.nums,)
+
+    def _same(self, den: int, rows) -> "DiffOp":
+        return DiffOp._of(den, rows[0])
+
+    def _pair(self, other):
+        if _is_scalar(other):
+            return self, DiffOp({(0, 0): other})
+        return (self, other) if isinstance(other, DiffOp) else None
 
     @property
     def terms(self) -> dict:
-        if self._terms is None:
-            self._terms = {k: ratio(v, self.den) for k, v in self.nums.items()}
-        return self._terms
+        if self._view is None:
+            self._view = {k: ratio(v, self.den) for k, v in self.nums.items()}
+        return self._view
 
     # ------------------------------------------------------------------
     @classmethod
@@ -170,59 +175,16 @@ class DiffOp:
         return cls({(1, 1): 1})
 
     # ------------------------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
     def coeff(self, x_power: int, d_power: int):
         num = self.nums.get((x_power, d_power))
         return Fraction(0) if num is None else ratio(num, self.den)
 
-    def __eq__(self, other):
-        if _is_scalar(other):
-            other = DiffOp({(0, 0): other})
-        if isinstance(other, DiffOp):
-            return self.den == other.den and self.nums == other.nums
-        return NotImplemented
-
-    __hash__ = None
-
-    # ------------------------------------------------------------------
-    def __neg__(self) -> "DiffOp":
-        return DiffOp._of(self.den, {k: -c for k, c in self.nums.items()})
-
-    def _sum(self, other, sign: int):
-        if _is_scalar(other):
-            other = DiffOp({(0, 0): other})
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        if not other.nums:
-            return self
-        if not self.nums and sign == 1:
-            return other
-        return DiffOp._form(added_forms(self.den, (self.nums,), other.den, (other.nums,), sign))
-
-    def __add__(self, other):
-        return self._sum(other, 1)
-
-    def __radd__(self, other):
-        return self._sum(other, 1)
-
-    def __sub__(self, other):
-        return self._sum(other, -1)
-
-    def __rsub__(self, other):
-        return (-self)._sum(other, 1)
-
     def __mul__(self, other):
         if isinstance(other, DiffOp):
             out = _product_terms(self.nums.items(), list(other.nums.items()), {})
-            return DiffOp._form(normal_form(self.den * other.den, (out,)))
+            return self._same(*normal_form(self.den * other.den, (out,)))
         if _is_scalar(other):
-            return DiffOp._form(scaled_forms(self.den, (self.nums,), other))
+            return self._scaled(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -280,22 +242,22 @@ def _entry_form(value):
     raise TypeError(f"cannot interpret {value!r} as a scalar operator")
 
 
-class MatOp:
+class MatOp(NormalForm):
     """2x2 matrix of scalar operators acting on doublets (top, bottom).
 
     Stored as ``ExactMatrix`` stores its rows: ``nums`` holds four dicts
     {(x_power, d_power): numerator}, for the entries 00, 01, 10 and 11,
     over the one positive int ``den``, in the integer normal form of
-    ``exactnum.normal_form``, so equal operators have equal forms.  Sums
-    and scalar multiples run on that form; a product adds every entry
-    pair's normal-ordered terms into four dicts and normalises once,
-    skipping each pair with an empty factor (the tees are diagonal and
-    the towers off-diagonal, so most entry products of a mixed word are
-    zero by structure).  ``entries`` (and ``op[r]``) is a read-only 2x2
-    grid of DiffOps, built on first read.
+    ``exactnum``, whose ``NormalForm`` holds its sums and scalar
+    multiples.  A product adds every entry pair's normal-ordered terms
+    into four dicts and normalises once, skipping each pair with an
+    empty factor (the tees are diagonal and the towers off-diagonal, so
+    most entry products of a mixed word are zero by structure).
+    ``entries`` (and ``op[r]``) is a read-only 2x2 grid of DiffOps,
+    built on first read.
     """
 
-    __slots__ = ("den", "nums", "_entries")
+    __slots__ = ()
 
     def __init__(self, entries):
         rows = tuple(tuple(map(_entry_form, row)) for row in entries)
@@ -308,22 +270,32 @@ class MatOp:
             nums if d == self.den else {k: v * (self.den // d) for k, v in nums.items()}
             for d, nums in forms
         )
-        self._entries = None
+        self._view = None
 
     @classmethod
     def _of(cls, den: int, nums: tuple) -> "MatOp":
         """The MatOp on a normal form (den, nums), unchecked: for results
         of MatOp arithmetic."""
         op = object.__new__(cls)
-        op.den, op.nums, op._entries = den, nums, None
+        op.den, op.nums, op._view = den, nums, None
         return op
+
+    def _rows(self):
+        return self.nums
+
+    def _same(self, den: int, rows) -> "MatOp":
+        return MatOp._of(den, rows)
+
+    def _pair(self, other):
+        return (self, other) if isinstance(other, MatOp) else None
 
     @property
     def entries(self) -> tuple:
-        if self._entries is None:
-            e = [DiffOp._form(normal_form(self.den, (row,))) for row in self.nums]
-            self._entries = ((e[0], e[1]), (e[2], e[3]))
-        return self._entries
+        if self._view is None:
+            forms = (normal_form(self.den, (row,)) for row in self.nums)
+            e = [DiffOp._of(den, nums) for den, (nums,) in forms]
+            self._view = ((e[0], e[1]), (e[2], e[3]))
+        return self._view
 
     # ------------------------------------------------------------------
     @classmethod
@@ -353,37 +325,8 @@ class MatOp:
         return cls(((0, op), (0, 0)))
 
     # ------------------------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def __getitem__(self, idx):
         return self.entries[idx]
-
-    def __eq__(self, other):
-        if isinstance(other, MatOp):
-            return self.den == other.den and self.nums == other.nums
-        return NotImplemented
-
-    __hash__ = None
-
-    def __neg__(self) -> "MatOp":
-        return MatOp._of(self.den, tuple({k: -v for k, v in row.items()} for row in self.nums))
-
-    def _sum(self, other, sign: int):
-        if not isinstance(other, MatOp):
-            return NotImplemented
-        if other.is_zero:
-            return self
-        if self.is_zero and sign == 1:
-            return other
-        return MatOp._of(*added_forms(self.den, self.nums, other.den, other.nums, sign))
-
-    def __add__(self, other):
-        return self._sum(other, 1)
-
-    def __sub__(self, other):
-        return self._sum(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, MatOp):
@@ -397,7 +340,7 @@ class MatOp:
                             _product_terms(left.items(), list(right.items()), out[r + c])
             return MatOp._of(*normal_form(self.den * other.den, out))
         if _is_scalar(other):
-            return MatOp._of(*scaled_forms(self.den, self.nums, other))
+            return self._scaled(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -425,16 +368,8 @@ def specialize(op, value):
     commutes with sums, products and normal ordering.  Each polynomial
     numerator is evaluated by ``ParamPoly.__call__``, and the values over
     op's denominator are cleared once (``exactnum.cleared_rows``)."""
-    rows = (op.nums,) if isinstance(op, DiffOp) else op.nums
-    form = cleared_rows(
-        [{k: v(value) if type(v) is ParamPoly else v for k, v in row.items()} for row in rows],
-        op.den,
-    )
-    if isinstance(op, ExactMatrix):
-        return ExactMatrix._of(op.cols, *form)
-    if isinstance(op, MatOp):
-        return MatOp._of(*form)
-    return DiffOp._form(form)
+    rows = [{k: v(value) if type(v) is ParamPoly else v for k, v in row.items()} for row in op._rows()]
+    return op._same(*cleared_rows(rows, op.den))
 
 
 def commutator(a, b):
@@ -599,15 +534,17 @@ def leakage(op: MatOp, module: ModuleSpec) -> tuple:
     power, destination, image power).  A term x^i d^j sends x^p to
     x^(p+i-j), so an entry with largest shift i - j can overshoot the cap
     only from the powers p > cap - shift; the entry is applied to those
-    monomials alone."""
+    monomials alone, read from op's numerators over op's denominator
+    (``apply`` normalises each image)."""
     tasks = []
     for comp in (0, 1):
         for dest in (0, 1):
-            entry = op.entries[dest][comp]
-            if not entry.nums:
+            nums = op.nums[2 * dest + comp]
+            if not nums:
                 continue
+            entry = DiffOp._of(op.den, nums)
             cap = module.degree_cap(dest)
-            first = max(cap + 1 - max(i - j for i, j in entry.nums), 0)
+            first = max(cap + 1 - max(i - j for i, j in nums), 0)
             tasks += [
                 (comp, power, dest, entry, cap)
                 for power in range(first, module.degree_cap(comp) + 1)

@@ -718,6 +718,24 @@ def assert_normal_poly(p):
     assert p.degree == len(p.coeffs) - 1 and (p.is_zero or p.coeffs[-1] != 0)
 
 
+def assert_shared_arithmetic(a, b, value):
+    """The arithmetic that all four normal-form types inherit from
+    exactnum.NormalForm, on operands a and b of one type and shape and
+    the Fraction `value`."""
+    zero = a - a
+    rows = zero.nums if isinstance(zero.nums, tuple) else (zero.nums,)
+    assert zero.is_zero and not zero and zero.den == 1 and not any(rows)
+    assert (a + b) - b == a and a + (b - a) == b
+    assert -(-a) == a and -a + a == zero
+    for got in (a + zero, zero + a, a - zero, zero - (-a), -(zero - a)):
+        assert got == a
+    # scalar multiples by a Fraction and by a polynomial in c
+    assert a * value + a * value == a * (value * 2) == (value * 2) * a
+    assert a * C - a * C == zero and a * C + a == a * (C + 1) == (C + 1) * a
+    # equal values reached over different denominators compare equal
+    assert a * F(1, 3) * 3 == a * 6 * F(1, 6) == a
+
+
 # entries over Q, or over Q[c] with constant polynomials among them;
 # zeros are frequent in both
 q_entries = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=6))
@@ -771,6 +789,16 @@ def test_sparse_matrix_matches_sympy(operands):
     assert (a + b) - b == a
     assert a * 6 * F(1, 6) == a == ExactMatrix(a.entries)
     assert (a == b) == vanishes(sa - sb)
+    assert_shared_arithmetic(a, b, F(-3, 4))
+    # a scalar is no matrix, and two shapes do not add
+    for refused in (lambda: a + 1, lambda: 1 + a, lambda: a - F(1, 2), lambda: 1 - a):
+        with pytest.raises(TypeError):
+            refused()
+    wider = ExactMatrix.zeros(a.rows, a.cols + 1)
+    for refused in (lambda: a + wider, lambda: wider - a, lambda: a - ExactMatrix.identity(a.rows + 1)):
+        with pytest.raises(ValueError):
+            refused()
+    assert a != wider
     lam = sympy.Symbol("lam")
     for m, sm in ((a, sa), (b, sb), (a * b, sa * sb)):
         assert sympy.expand(to_sympy(m.char_poly("lam")) - sm.charpoly(lam).as_expr()) == 0
@@ -804,6 +832,9 @@ def test_polynomial_form_matches_sympy(operands):
         "s*a": (scalar * a, sa * s),
         "a+s": (a + scalar, sa + s),
         "a'": (a.derivative(), sympy.diff(sa, var)),
+        "0+a": (0 + a, sa),
+        "1-a": (1 - a, 1 - sa),
+        "s-a": (scalar - a, s - sa),
     }
     for kind, (got, want) in results.items():
         want = sympy.expand(want)
@@ -820,6 +851,10 @@ def test_polynomial_form_matches_sympy(operands):
     assert a * 6 * F(1, 6) == a == ParamPoly(a.var, a.coeffs)
     assert ((a - a).den, (a - a).nums) == (1, {})
     assert (a == b) == (sympy.expand(sa - sb) == 0)
+    assert_shared_arithmetic(a, b, value)
+    # two scalar variables never mix
+    with pytest.raises(VariableMismatchError):
+        (C + value) + ParamPoly("k0", [value, 1])
 
 
 def test_constant_polynomial_operands_collapse_first():
@@ -880,6 +915,9 @@ def test_diffop_form_matches_sympy(operands):
         "a*s": (a * scalar, fa * s),
         "s*a": (scalar * a, fa * s),
         "a+s": (a + scalar, fa + s * FX),
+        "0+a": (0 + a, fa),
+        "1-a": (1 - a, FX - fa),
+        "s-a": (scalar - a, s * FX - fa),
     }
     for kind, (got, want) in results.items():
         want = sympy.expand(want)
@@ -895,6 +933,7 @@ def test_diffop_form_matches_sympy(operands):
     assert a * 6 * F(1, 6) == a == DiffOp(a.terms)
     assert ((a - a).den, (a - a).nums) == (1, {}) and a - a == 0
     assert (a == b) == (sympy.expand(fa - fb) == 0)
+    assert_shared_arithmetic(a, b, value)
 
 
 def dot2(x, y, u, v):
@@ -968,6 +1007,11 @@ def test_matop_form_matches_entrywise_diffops(operands):
     assert a * 6 * F(1, 6) == a
     assert ((a - a).den, (a - a).nums) == (1, ({}, {}, {}, {}))
     assert (a == b) == (a.entries == b.entries)
+    assert_shared_arithmetic(a, b, value)
+    # a scalar is no matrix operator
+    for refused in (lambda: a + 1, lambda: 1 + a, lambda: a - scalar, lambda: 1 - a):
+        with pytest.raises(TypeError):
+            refused()
 
 
 def test_sparse_form_is_normal_across_denominators():

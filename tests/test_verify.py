@@ -214,14 +214,16 @@ def test_perturb_changes_first_populated_entry():
     assert bumped[1][1] != DiffOp.euler()
 
 
-def test_wrong_mix_constant_fails():
-    reports = verify_q2(generator_set(4, 2), mix=MixSpec(F(1), F(1), F(-1)))
-    assert failures(reports)
+def test_wrong_mix_constant_fails(monkeypatch):
+    monkeypatch.setattr(verify, "DEFAULT_MIX", MixSpec(F(1), F(1), F(-1)))
+    assert failures(verify_q2(generator_set(4, 2)))
+    assert failures(verify_q2_matrix(generator_set(4, 2)))
 
 
-def test_wrong_sign_matrix_fails():
-    reports = verify_q2(generator_set(4, 2), mix=MixSpec(F(-1), F(1), F(1)))
-    assert failures(reports)
+def test_wrong_sign_matrix_fails(monkeypatch):
+    monkeypatch.setattr(verify, "DEFAULT_MIX", MixSpec(F(-1), F(1), F(1)))
+    assert failures(verify_q2(generator_set(4, 2)))
+    assert failures(verify_q2_matrix(generator_set(4, 2)))
 
 
 def test_matrix_shadow_consistency():

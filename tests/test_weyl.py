@@ -104,6 +104,16 @@ def test_cancellation_leaves_normal_form():
     op = DiffOp({(0, 1): k0 + 2}) - DiffOp({(0, 1): k0})
     assert op.terms == {(0, 1): F(2)} and type(op.terms[(0, 1)]) is Fraction
     assert (MatOp.diag(op, op) - MatOp.diag(op, op)).is_zero
+    # a scalar adds as the operator of degree 0, on either side, and a
+    # sum with a zero operand is the other operand
+    assert (1 - op).terms == {(0, 0): F(1), (0, 1): F(-2)} == (-(op - 1)).terms
+    assert 0 + op == op + DiffOp.zero() == op - 0 == op
+    assert DiffOp.zero() - op == -op and -(-op) == op
+    mat = MatOp.diag(op, k0)
+    assert MatOp.zero() + mat == mat - MatOp.zero() == -(-mat) == mat
+    for refused in (lambda: mat + 1, lambda: 1 + mat, lambda: mat - k0, lambda: k0 - mat):
+        with pytest.raises(TypeError):
+            refused()
 
 
 def test_module_spec_basis_layout():
