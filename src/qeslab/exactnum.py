@@ -17,13 +17,15 @@ boundary, and ``ratio`` reads one value back as a Fraction or a
 non-constant ParamPoly, the types of the read-only views.  Polynomials
 in a scalar variable (SCALAR_VARS) nest inside the coefficients of a
 polynomial in any other variable (a characteristic polynomial in
-``lam`` with coefficients in Q[k0], say).  Determinants, resultants
-and characteristic polynomials of matrices over Q or Q[t] share one
-path over the integers: integer determinants at sample points by
-fraction-free Bareiss, and interpolation from forward differences, in
-lam for a characteristic polynomial and in t up to a certified degree
-bound; in u = t^2 after a diagonal similarity when the entries' parities
-allow one, and for lam^k only to its own bound (the triangle).  Root
+``lam`` with coefficients in Q[k0], say).  Exact linear algebra has
+one elimination, fraction-free Bareiss on integers (``_echelon``).
+Determinants, resultants and characteristic polynomials over Q or Q[t]
+take integer determinants at sample points and interpolate from forward
+differences, in lam for a characteristic polynomial and in t up to a
+certified degree bound; in u = t^2 after a diagonal similarity when the
+entries' parities allow one, and for lam^k only to its own bound (the
+triangle).  Kernels are back-substituted on integers over the last
+pivot, and a linear solve is the kernel of [rows | -rhs].  Root
 finding runs on the integer numerators too: square-free parts by Yun's
 algorithm on a modular gcd that trial division certifies, and real roots
 isolated by Descartes bisection in dyadic brackets (for an even
@@ -1310,16 +1312,19 @@ def _int_horner(coeffs, x: int) -> int:
     return y
 
 
-def _int_det(rows) -> int:
-    """Determinant of a square int matrix (a list of row lists, consumed)
-    by fraction-free Bareiss elimination with row pivoting: each step
-    eliminates the first column of the trailing block, and every
-    division by the previous pivot is exact."""
-    sign, prev = 1, 1
-    while len(rows) > 1:
+def _echelon(rows, width: int):
+    """Fraction-free Bareiss elimination with row pivoting of `rows`, int
+    row lists of `width` entries (consumed): each step eliminates the
+    first column of the trailing block, skipped if it is zero, and every
+    division by the previous pivot is exact.  Returns the pivot columns,
+    ascending, each pivot row from its pivot column on (its pivot is the
+    minor of the pivot rows and columns so far), and the swaps' sign."""
+    pivots, tops, sign, prev = [], [], 1, 1
+    for col in range(width):
         pivot = next((i for i, row in enumerate(rows) if row[0]), None)
         if pivot is None:
-            return 0
+            rows = [row[1:] for row in rows]
+            continue
         if pivot:
             rows[0], rows[pivot] = rows[pivot], rows[0]
             sign = -sign
@@ -1331,8 +1336,19 @@ def _int_det(rows) -> int:
             else [a * p // prev for a in row[1:]]
             for row in rows[1:]
         ]
+        pivots.append(col)
+        tops.append(top)
         prev = p
-    return sign * rows[0][0]
+    return pivots, tops, sign
+
+
+def _int_det(rows) -> int:
+    """Determinant of a square int matrix (a list of row lists, consumed):
+    the sign of the swaps times the last pivot of _echelon, the minor of
+    the whole matrix, or 0 when a column has no pivot."""
+    n = len(rows)
+    pivots, tops, sign = _echelon(rows, n)
+    return sign * tops[-1][0] if len(pivots) == n else 0
 
 
 def _degree_bound(degrees):
@@ -1665,20 +1681,22 @@ class ExactMatrix(NormalForm):
         return ratio(_in_t(t, _interpolate(values), step), self.den**self.rows)
 
     def nullspace(self):
-        """Basis of the exact kernel (rational entries only)."""
-        m = [list(row) for row in self.entries]
-        for row in m:
-            for e in row:
-                if not isinstance(e, Fraction):
-                    raise TypeError("nullspace needs rational entries")
-        pivots = _row_reduce(m, self.cols)
+        """Basis of the exact kernel (rational entries only): per free
+        column of the echelon form of the numerators (_echelon), the kernel
+        vector that is 1 there and 0 at the other free columns.  With d
+        the last pivot, d times it is integral (Cramer's rule), so it is
+        back-substituted on integers and every division is exact."""
+        cols = self.cols
+        if any(type(v) is not int for row in self.nums for v in row.values()):
+            raise TypeError("nullspace needs rational entries")
+        pivots, tops, _ = _echelon([[row.get(j, 0) for j in range(cols)] for row in self.nums], cols)
+        d = tops[-1][0] if tops else 1
         basis = []
-        for f in (c for c in range(self.cols) if c not in pivots):
-            vec = [Fraction(0)] * self.cols
-            vec[f] = Fraction(1)
-            for prow, pcol in enumerate(pivots):
-                vec[pcol] = -m[prow][f]
-            basis.append(tuple(vec))
+        for free in (c for c in range(cols) if c not in pivots):
+            x = [d if c == free else 0 for c in range(cols)]
+            for c, top in zip(reversed(pivots), reversed(tops)):
+                x[c] = -sum(a * b for a, b in zip(top[1:], x[c + 1:])) // top[0]
+            basis.append(tuple(Fraction(v, d) for v in x))
         return tuple(basis)
 
     def __repr__(self):
@@ -1707,35 +1725,19 @@ def resultant(p: ParamPoly, q: ParamPoly):
     return ExactMatrix(shifted_rows(p, k) + shifted_rows(q, m)).det()
 
 
-def _row_reduce(m, width: int):
-    """Gauss-Jordan elimination of the rational rows `m`, in place, with
-    pivots taken in the first `width` columns only: the reduced row
-    echelon form there.  Returns the pivot columns, ascending."""
-    pivots = []
-    for c in range(width):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
-        pivots.append(c)
-    return pivots
-
-
 def solve_linear(rows, rhs):
-    """Solve the square exact rational system rows * x = rhs; raises on
-    singular systems.  As in numpy.linalg.solve, rhs is one right-hand
-    side or a matrix (a sequence of rows) whose columns are several; one
-    reduction of [rows | rhs] solves them all, in the shape of rhs."""
+    """Solve the square exact rational system rows * x = rhs, rows n x n
+    and rhs n rows, else ValueError, as on singular systems.  As in
+    numpy.linalg.solve, rhs is one right-hand side or a matrix whose
+    columns are several; rows is nonsingular iff the kernel basis of
+    [rows | -rhs] (nullspace) is the identity on the right-hand columns,
+    and then basis vector j is (solution j, e_j)."""
     n = len(rows)
     vector = not isinstance(rhs[0], (list, tuple))
-    m = [list(map(Fraction, [*row, *([b] if vector else b)])) for row, b in zip(rows, rhs)]
-    if len(_row_reduce(m, n)) < n:
+    if len(rhs) != n or any(len(row) != n for row in rows):
+        raise ValueError("solve_linear needs n x n rows and n right-hand rows")
+    sides = [[b] if vector else b for b in rhs]
+    kernel = ExactMatrix([[*row, *(-b for b in bs)] for row, bs in zip(rows, sides)]).nullspace()
+    if tuple(vec[n:] for vec in kernel) != ExactMatrix.identity(len(sides[0])).entries:
         raise ValueError("singular linear system")
-    return tuple(row[n] for row in m) if vector else [tuple(row[n:]) for row in m]
+    return kernel[0][:n] if vector else list(zip(*(vec[:n] for vec in kernel)))

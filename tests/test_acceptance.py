@@ -369,8 +369,8 @@ GOLDEN_LEVEL_STDOUT = {
     ("sweep", "--n", "3", "--c-min", "48989794855/10000000000",
      "--c-max", "48989804855/10000000000", "--steps", "50"):
         "79eb5b36cd245f4aac7a729b417f82f828f66d3a2a8203f9e46edfc5fb22f6e5",
-    # exact levels -8, 0 and 8, the E = 0 kernel two-dimensional
-    # (nullspace and the doublet normalisation in rational arithmetic)
+    # exact levels -8, 0 and 8, the E = 0 kernel two-dimensional (the
+    # nullspace back-substituted on integers, the doublets normalised)
     ("spectrum", "--n", "4", "--c", "0"):
         "486555db92283ec2e4b9f3cbafe9b5170c3b46dbe300c577c2622ad6b52b7553",
     # the gauge sum k0 p_top' + p_bottom at a rational k0

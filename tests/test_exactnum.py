@@ -644,6 +644,8 @@ def test_nullspace_vectors_annihilate():
         ]
         m = ExactMatrix(prod)
         kernel = m.nullspace()
+        # eliminated on the stored numerators: no Fraction view is built
+        assert m._view is None
         assert len(kernel) >= 2
         for vec in kernel:
             image = [
@@ -651,6 +653,8 @@ def test_nullspace_vectors_annihilate():
                 for i in range(4)
             ]
             assert all(entry == 0 for entry in image)
+    # one elimination serves determinants, kernels and solves
+    assert not hasattr(exactnum_mod, "_row_reduce")
 
 
 # ----------------------------------------------------------------------
@@ -1043,6 +1047,10 @@ def test_solve_linear_roundtrip():
         inverse = solve_linear(m.entries, [[int(i == j) for j in range(3)] for i in range(3)])
         assert ExactMatrix(inverse) * m == ExactMatrix.identity(3)
         solved += 1
+    # a system of the wrong shape is refused, not truncated to fit
+    for rows, rhs in (([[1, 0, 0], [0, 1, 0]], [5, 6]), ([[1, 0], [0, 1]], [5, 6, 7])):
+        with pytest.raises(ValueError):
+            solve_linear(rows, rhs)
 
 
 def test_resultant_matches_root_product():

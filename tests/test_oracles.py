@@ -1,7 +1,7 @@
 """Independent oracles for the exact kernels, used by tests only.
 
 sympy recomputes determinants, resultants, characteristic polynomials,
-adjugates, gcds, square-free decompositions, real roots, root counts
+kernels, linear solves, adjugates, gcds, square-free decompositions, real roots, root counts
 and projections onto a span of operators; hypothesis checks algebraic identities of operators and
 polynomials on small random inputs (a fixed, small number of
 deterministic examples), that the zero-skipping kernels return
@@ -38,6 +38,7 @@ from qeslab.exactnum import (
     real_roots,
     resultant,
     sign_variations,
+    solve_linear,
     square_free_decomposition,
     square_free_part,
     sturm_count,
@@ -671,6 +672,67 @@ def test_det_rejects_other_entry_rings():
     for matrix in (two_variables, tower):
         with pytest.raises(TypeError):
             matrix.det()
+
+
+def _kernel_rows(rows: int, cols: int):
+    """rows x cols lists of rationals, zeros frequent: drawn entry by
+    entry, or the product of rows x k and k x cols draws, k = 1-3, whose
+    rank is at most k."""
+    def dense(r, c):
+        entry = st.one_of(st.just(0), fractions)
+        return st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)
+
+    products = st.integers(1, 3).flatmap(lambda k: st.tuples(dense(rows, k), dense(k, cols)))
+    return st.one_of(
+        dense(rows, cols),
+        products.map(lambda lr: (ExactMatrix(lr[0]) * ExactMatrix(lr[1])).entries),
+    )
+
+
+kernel_matrices = st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(
+    lambda shape: _kernel_rows(*shape)
+).map(ExactMatrix)
+linear_systems = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(_kernel_rows(n, n), st.lists(fractions, min_size=n, max_size=n))
+)
+
+
+def _sympy_rows(rows):
+    return sympy.Matrix([[to_sympy(e) for e in row] for row in rows])
+
+
+def _fractions(vector):
+    return tuple(Fraction(int(x.p), int(x.q)) for x in vector)
+
+
+@SMALL
+@example(ExactMatrix.zeros(2, 3))  # the zero matrix
+@example(ExactMatrix([[0, 1, 2], [0, 2, 5]]))  # a zero first column, skipped
+@example(ExactMatrix([[0, 1, F(1, 2)], [3, 0, 1]]))  # the first pivot needs a row swap
+@example(ExactMatrix([[F(-5, 3)]]))  # 1 x 1
+@example(ExactMatrix([[0]]))  # 1 x 1 and zero
+@given(kernel_matrices)
+def test_nullspace_matches_sympy(matrix):
+    # the same basis, vector for vector: 1 at its free column, 0 at the others
+    want = [_fractions(vec) for vec in _sympy_rows(matrix.entries).nullspace()]
+    assert list(matrix.nullspace()) == want
+
+
+@SMALL
+@example(([[1, 0], [0, 0]], [0, 1]))  # [A | b] of full rank, A singular
+@example(([[0, 0], [0, 0]], [0, 0]))  # the zero matrix
+@example(([[0, 1], [2, 0]], [3, 4]))  # the first pivot needs a row swap
+@example(([[F(-5, 3)]], [F(1, 2)]))  # 1 x 1
+@given(linear_systems)
+def test_solve_linear_matches_sympy(system):
+    rows, rhs = system
+    a = _sympy_rows(rows)
+    if a.det() == 0:
+        with pytest.raises(ValueError):
+            solve_linear(rows, rhs)
+        return
+    want = _fractions(a.LUsolve(sympy.Matrix([to_sympy(b) for b in rhs])))
+    assert solve_linear(rows, rhs) == want
 
 
 def _single_parity(draw, parity: int, nonconstant: bool = False):

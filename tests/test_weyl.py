@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qeslab import weyl
+from qeslab import exactnum, weyl
 from qeslab.exactnum import ExactMatrix, ParamPoly
 from qeslab.weyl import (
     DiffOp,
@@ -182,8 +182,18 @@ def test_span_inverts_its_gram_matrix_in_one_solve(monkeypatch):
         return original(rows, rhs)
 
     monkeypatch.setattr(weyl, "solve_linear", counted)
+    # the solve is one elimination of [gram | -I], 5 x 10
+    widths = []
+    echelon = exactnum._echelon
+
+    def counted_echelon(rows, width):
+        widths.append(width)
+        return echelon(rows, width)
+
+    monkeypatch.setattr(exactnum, "_echelon", counted_echelon)
     span = Span(basis)
     assert solves == [5]
+    assert widths == [10]
     # each basis member projects onto its own unit vector, with no residual
     for k, member in enumerate(basis):
         coeffs, residual = project_span(member, span)
