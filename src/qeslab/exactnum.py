@@ -393,37 +393,6 @@ class ParamPoly(NormalForm):
         nums = self.nums if lead > 0 else {k: -v for k, v in self.nums.items()}
         return ParamPoly._normal(self.var, abs(lead), nums)
 
-    def __divmod__(self, other: "ParamPoly"):
-        self._require_rational()
-        other._require_rational()
-        if not isinstance(other, ParamPoly) or other.var != self.var:
-            if isinstance(other, ParamPoly) and other.degree <= 0:
-                other = ParamPoly(self.var, other.coeffs)
-            else:
-                raise VariableMismatchError("divmod needs matching variables")
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dd = len(div) - 1
-        lead = div[-1]
-        quot = [Fraction(0)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            q = c / lead
-            quot[i - dd] = q
-            for k in range(dd + 1):
-                rem[i - dd + k] = rem[i - dd + k] - q * div[k]
-        return ParamPoly(self.var, quot), ParamPoly(self.var, rem[:dd])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     # ------------------------------------------------------------------
     def __repr__(self):
         return f"ParamPoly({self.var!r}, {list(self.coeffs)!r})"
@@ -534,9 +503,9 @@ def _int_sub(a, b):
     return out
 
 
-def _int_divexact(a, b):
-    """a / b for the int polys a and b != 0, or None when that is not an
-    int poly."""
+def _int_divmod(a, b):
+    """(quotient, remainder) of the int polys a and b != 0, or None at the
+    first quotient coefficient that is not an integer."""
     db = len(b) - 1
     lead = b[-1]
     rem = list(a)
@@ -548,7 +517,17 @@ def _int_divexact(a, b):
         if c:
             quot[i - db] = c
             rem[i - db : i] = [x - c * y for x, y in zip(rem[i - db : i], b)]
-    return None if any(rem[:db]) else quot
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _int_divexact(a, b):
+    """a / b for the int polys a and b != 0, or None when that is not an
+    int poly."""
+    out = _int_divmod(a, b)
+    return None if out is None or out[1] else out[0]
 
 
 # The moduli of _int_gcd: primes below 2^61, descending from the Mersenne
@@ -880,34 +859,28 @@ def count_real_roots(p: ParamPoly, ends):
 # ----------------------------------------------------------------------
 # Sturm chains: sturm_sequence, sturm_count, isolate_real_roots and
 # cauchy_bound stay only because perfbench/tracer.py wraps them by name;
-# no command calls them
+# no command calls them.  The chain's remainders come from the integer
+# kernel's one long division, _int_divmod
 # ----------------------------------------------------------------------
 
-def _remainders(a: ParamPoly, b: ParamPoly):
-    """a, b and each negated remainder of Euclid's algorithm, scaled by
-    1/|leading coefficient| (signs kept, growth checked); the last
-    member is gcd(a, b) up to a factor.  b must be nonzero."""
-    seq = [a, b]
-    while seq[-1].degree > 0:
-        rem = seq[-2] % seq[-1]
-        if rem.is_zero:
-            break
-        seq.append(rem * (-1 / abs(rem.leading())))
-    return seq
-
-
 def sturm_sequence(p: ParamPoly):
-    """Sturm chain of any nonzero p: the remainder sequence of (p, p'),
-    rerun on p / (last member) when that is not constant (p then has a
-    repeated root), so it is the chain of p's square-free part."""
-    while True:
-        d = p.derivative()
-        if d.is_zero:
-            return [p]
-        chain = _remainders(p, d)
-        if chain[-1].degree <= 0:
-            return chain
-        p = p // chain[-1]
+    """Sturm chain of any nonzero p, as the chain of its square-free part
+    f (_square_free_ints): f, f' and then each negated pseudo-remainder
+    -prem(a, b), prem(a, b) = |lc b|^(deg a - deg b + 1) a mod b, over
+    its content, until a constant (Collins, J. ACM 14 (1967) 128).  Every
+    scaling is positive, so the signs are those of Sturm's remainders.
+    A constant p is its own chain."""
+    if p.degree <= 0:
+        return [p]
+    chain = [_square_free_ints(p)]
+    chain.append(_int_derivative(chain[0]))
+    while len(chain[-1]) > 1:
+        a, b = chain[-2:]
+        scale = abs(b[-1]) ** (len(a) - len(b) + 1)
+        rem = _int_divmod([c * scale for c in a], b)[1]
+        g = math.gcd(*rem)
+        chain.append([-c // g for c in rem])
+    return [ParamPoly._of(p.var, 1, {i: c for i, c in enumerate(q) if c}) for q in chain]
 
 
 def sign_variations(chain, x: Fraction) -> int:
@@ -931,18 +904,9 @@ def cauchy_bound(p: ParamPoly) -> Fraction:
 
 def sturm_count(p: ParamPoly, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in the half-open interval
-    (lo, hi], from one Sturm chain; p need not be square-free."""
-    p._require_rational()
-    if p.is_zero:
-        raise ValueError("root count of the zero polynomial")
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    if lo > hi:
-        raise ValueError("empty interval")
-    chain = sturm_sequence(p)
-    # dropping zero entries from the sign sequence makes the variation
-    # count at a root equal its right-hand limit, so (lo, hi] comes out
-    return sign_variations(chain, lo) - sign_variations(chain, hi)
+    (lo, hi] (count_real_roots); p need not be square-free.  (lo, lo] is
+    empty, and its one end still has count_real_roots check p."""
+    return sum(count_real_roots(p, (lo, hi) if lo != hi else (lo,)))
 
 
 def isolate_real_roots(p: ParamPoly):
@@ -1727,15 +1691,15 @@ def resultant(p: ParamPoly, q: ParamPoly):
 
 def solve_linear(rows, rhs):
     """Solve the square exact rational system rows * x = rhs, rows n x n
-    and rhs n rows, else ValueError, as on singular systems.  As in
-    numpy.linalg.solve, rhs is one right-hand side or a matrix whose
+    with n >= 1 and rhs n rows, else ValueError, as on singular systems.
+    As in numpy.linalg.solve, rhs is one right-hand side or a matrix whose
     columns are several; rows is nonsingular iff the kernel basis of
     [rows | -rhs] (nullspace) is the identity on the right-hand columns,
     and then basis vector j is (solution j, e_j)."""
     n = len(rows)
+    if not n or len(rhs) != n or any(len(row) != n for row in rows):
+        raise ValueError("solve_linear needs n x n rows and n right-hand rows, n >= 1")
     vector = not isinstance(rhs[0], (list, tuple))
-    if len(rhs) != n or any(len(row) != n for row in rows):
-        raise ValueError("solve_linear needs n x n rows and n right-hand rows")
     sides = [[b] if vector else b for b in rhs]
     kernel = ExactMatrix([[*row, *(-b for b in bs)] for row, bs in zip(rows, sides)]).nullspace()
     if tuple(vec[n:] for vec in kernel) != ExactMatrix.identity(len(sides[0])).entries:

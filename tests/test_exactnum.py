@@ -35,7 +35,7 @@ from qeslab.exactnum import (
     sturm_count,
 )
 from qeslab.spectral import _symbolic_mu_poly
-from qeslab.weyl import DiffOp, MatOp, specialize
+from qeslab.weyl import DiffOp, MatOp, Span, specialize
 
 F = Fraction
 
@@ -103,18 +103,6 @@ def test_two_nonscalar_variables_do_not_mix():
         _ = (x + 1) * (lam + 1)
 
 
-def test_divmod_reconstructs():
-    rng = random.Random(13)
-    for _ in range(20):
-        f = rand_poly(rng)
-        g = rand_poly(rng)
-        if g.is_zero:
-            continue
-        q, r = divmod(f, g)
-        assert q * g + r == f
-        assert r.is_zero or r.degree < g.degree
-
-
 def test_gcd_divides_both_and_contains_common_factor():
     rng = random.Random(17)
     for _ in range(15):
@@ -122,9 +110,16 @@ def test_gcd_divides_both_and_contains_common_factor():
         if f.is_zero or g.is_zero or h.is_zero:
             continue
         d = poly_gcd(f * h, g * h)
-        assert (f * h) % d == ParamPoly.zero("t")
-        assert (g * h) % d == ParamPoly.zero("t")
-        assert d % h.monic() == ParamPoly.zero("t")
+        assert _divides(d, f * h)
+        assert _divides(d, g * h)
+        assert _divides(h, d)
+
+
+def _divides(d, a):
+    """Whether the polynomial d in t divides a, by sympy's Poly.rem on
+    the sympy images."""
+    a, d = (sympy.Poly(to_sympy(p), sympy.Symbol("t"), domain="QQ") for p in (a, d))
+    return a.rem(d).is_zero
 
 
 def test_modular_gcd_drops_unlucky_primes_and_checks_stable_lifts():
@@ -180,6 +175,19 @@ def test_sturm_counts_on_known_intervals():
     assert sturm_count(t * t - 1, F(0), F(1)) == 1
     # a repeated root counts once
     assert sturm_count((t - 1) ** 2 * (t + 2), F(-2), F(1)) == 1
+    # (lo, lo] is empty; a reversed interval and the zero polynomial are errors
+    assert sturm_count(t * t - 1, F(1), F(1)) == 0
+    zero = ParamPoly.zero("t")
+    for p, lo, hi in ((t * t - 1, F(2), F(1)), (zero, F(0), F(1)), (zero, F(1), F(1))):
+        with pytest.raises(ValueError):
+            sturm_count(p, lo, hi)
+
+
+def test_polynomial_division_runs_only_on_integers():
+    # the integer kernel's _int_divmod is the one long division
+    for name in ("__divmod__", "__floordiv__", "__mod__"):
+        assert not hasattr(ParamPoly, name), name
+    assert not hasattr(exactnum_mod, "_remainders")
 
 
 def test_sturm_against_companion_matrix_oracle():
@@ -485,11 +493,11 @@ def test_real_roots_certify_a_square_free_q_by_one_gcd_image(monkeypatch):
         return images[-1]
 
     def forbidden(*args):
-        raise AssertionError("real_roots ran a Fraction remainder sequence")
+        raise AssertionError("real_roots built a Sturm chain")
 
     monkeypatch.setattr(exactnum_mod, "_gcd_mod", counted)
-    monkeypatch.setattr(exactnum_mod, "_remainders", forbidden)
-    monkeypatch.setattr(ParamPoly, "__divmod__", forbidden)
+    for name in ("sturm_sequence", "sign_variations", "sturm_count"):
+        monkeypatch.setattr(exactnum_mod, name, forbidden)
     t = ParamPoly.gen("t")
     polys = [
         *_sweep_char_polys(3, F(1, 8), F(81, 8), 5),  # even, on q
@@ -1047,10 +1055,16 @@ def test_solve_linear_roundtrip():
         inverse = solve_linear(m.entries, [[int(i == j) for j in range(3)] for i in range(3)])
         assert ExactMatrix(inverse) * m == ExactMatrix.identity(3)
         solved += 1
-    # a system of the wrong shape is refused, not truncated to fit
-    for rows, rhs in (([[1, 0, 0], [0, 1, 0]], [5, 6]), ([[1, 0], [0, 1]], [5, 6, 7])):
+    # a system of the wrong shape, the empty one included, is refused,
+    # not truncated to fit
+    for call in (
+        lambda: solve_linear([[1, 0, 0], [0, 1, 0]], [5, 6]),
+        lambda: solve_linear([[1, 0], [0, 1]], [5, 6, 7]),
+        lambda: solve_linear([], []),
+        lambda: Span([]),  # its Gram inverse is an empty solve
+    ):
         with pytest.raises(ValueError):
-            solve_linear(rows, rhs)
+            call()
 
 
 def test_resultant_matches_root_product():

@@ -944,19 +944,11 @@ def test_unchecked_results_equal_checked_construction(p, scalar):
 
 
 @SMALL
-@given(t_polys, t_polys.filter(bool))
-def test_divmod_identity(a, b):
-    q, r = divmod(a, b)
-    assert q * b + r == a
-    assert r.degree < b.degree
-
-
-@SMALL
 @given(t_polys, t_polys)
 def test_gcd_divides_both_arguments(a, b):
     assume(a or b)
-    g = poly_gcd(a, b)
-    assert (a % g).is_zero and (b % g).is_zero
+    g = _sympy_poly(poly_gcd(a, b))
+    assert _sympy_poly(a).rem(g).is_zero and _sympy_poly(b).rem(g).is_zero
 
 
 T = ParamPoly.gen("t")
@@ -993,12 +985,19 @@ def _sympy_monic(expr):
 
 
 @SMALL
+# a repeated root under a negative leading coefficient
+@example((-2 * (T - 1) ** 2 * (T + 3), T - 1, F(-5), F(1)))
+@example((ParamPoly.one("t") * F(-3, 2), T, F(-1), F(1)))  # a constant p
+@example(((T - 1) ** 2 * (T + 2), (T - 1) * (T + 2), F(-2), F(1)))
+# the remainder of f' drops two degrees, so an odd power of a negative
+# leading coefficient scales the next one
+@example((T**4 + 4 * T - 1, T - 1, F(-3), F(1)))
 @given(factored_pairs())
 def test_remainder_sequence_matches_sympy(case):
     a, b, lo, hi = case
     sa, sb = to_sympy(a), to_sympy(b)
     assert _sympy_monic(to_sympy(poly_gcd(a, b))) == _sympy_monic(sympy.gcd(sa, sb))
-    square_free = _sympy_monic(sympy.sqf_part(sa))
+    square_free = _sympy_poly(a).sqf_part().monic()
     assert _sympy_monic(to_sympy(square_free_part(a))) == square_free
     roots = sympy.real_roots(square_free)
     assert sturm_count(a, lo, hi) == sum(1 for r in roots if lo < r <= hi)
@@ -1007,6 +1006,7 @@ def test_remainder_sequence_matches_sympy(case):
     at_top = sign_variations(chain, math.inf)
     assert at_top == sum(1 for u, v in zip(leads, leads[1:]) if u != v)
     assert sign_variations(chain, hi) - at_top == sum(1 for r in roots if r > hi)
+    assert sign_variations(chain, lo) - sign_variations(chain, hi) == sturm_count(a, lo, hi)
 
 
 # ----------------------------------------------------------------------

@@ -286,7 +286,7 @@ def test_one_square_free_certificate_per_node_count(monkeypatch):
 
     monkeypatch.setattr(spectral_mod, "count_real_roots", counted)
     monkeypatch.setattr(exactnum_mod, "_gcd_mod", counted_images)
-    for name in ("sturm_sequence", "_remainders", "sign_variations"):
+    for name in ("sturm_sequence", "sign_variations", "sturm_count"):
         monkeypatch.setattr(exactnum_mod, name, forbidden)
     funcs = eigenvectors_y(spectrum)
     # 16 simple levels, two nonzero components each: 32 node counts, each
