@@ -12,10 +12,12 @@ rational or a symbolic coupling, certifies the parity symmetry that
 puts the restricted matrix in the block form [[0, B], [C, 0]] once per
 n over Q[c] (BlockForm), evaluates that form at each coupling to get
 spectra and eigenvectors (with node counts in y), sweeps the coupling,
-computes every spectral quantity from det(mu - BC)
+computes every spectral quantity from q(mu) = det(mu - BC)
 with mu = E^2 (so the spectrum is even under E -> -E by construction),
-locates the exact level-collision locus, and cross-checks everything
-against a finite-difference discretization of the physical operator.
+taken over Q[c] once and evaluated where a sweep or a collision search
+needs many couplings, locates the exact level-collision locus, and
+cross-checks everything against a finite-difference discretization of
+the physical operator.
 """
 
 from __future__ import annotations
@@ -244,6 +246,26 @@ def symbolic_char_poly(n: int, variable: str = "c") -> ParamPoly:
 # algebraic spectrum
 # ----------------------------------------------------------------------
 
+def _levels(q: ParamPoly) -> tuple:
+    """The certified levels of M = [[0, B], [C, 0]] at one rational
+    coupling, from q(mu) = det(mu - BC) there: each printing correctly
+    rounded (see exactnum.real_roots).  SpectralError unless all 2n are
+    real."""
+    # det(lam - M) = q(lam^2), so real_roots isolates in mu = lam^2 on q,
+    # of degree n: each root mu >= 0 gives the levels +-sqrt(mu), and
+    # negative or complex mu give none.  The levels add up to 2n with
+    # multiplicity iff all n roots of q are real and nonnegative.
+    levels = tuple(real_roots(even_poly(q, "lam")))
+    if sum(lv.multiplicity for lv in levels) != 2 * q.degree:
+        raise SpectralError("characteristic polynomial has nonreal roots")
+    return levels
+
+
+def _values(levels) -> tuple:
+    """The level values with multiplicity, ascending."""
+    return tuple(lv.value for lv in levels for _ in range(lv.multiplicity))
+
+
 @dataclass(frozen=True)
 class AlgebraicSpectrum:
     """Certified levels of one operator: `form` is the block form of its
@@ -258,31 +280,16 @@ class AlgebraicSpectrum:
     @property
     def values(self):
         """All 2n levels with multiplicity, ascending."""
-        out = []
-        for lv in self.levels:
-            out.extend([lv.value] * lv.multiplicity)
-        return out
+        return list(_values(self.levels))
 
 
-def algebraic_spectrum(
-    spec: HamiltonianSpec, form: BlockForm | None = None
-) -> AlgebraicSpectrum:
-    """Exact characteristic polynomial and its certified-real roots,
-    each printing correctly rounded (see exactnum.real_roots).  `form`
-    is block_form(spec.n), built here when not given; callers with many
-    couplings at one n pass it in, so the operator is restricted once."""
-    if form is None:
-        form = block_form(spec.n)
+def algebraic_spectrum(spec: HamiltonianSpec) -> AlgebraicSpectrum:
+    """Exact characteristic polynomial q(lam^2) and its certified-real
+    roots (_levels), from BC of block_form(spec.n) at spec's coupling."""
+    form = block_form(spec.n)
     bc = specialize(form.bc, form.coupling(spec))
-    cp = even_poly(_mu_char_poly(bc), "lam")
-    # cp = q(lam^2), so real_roots isolates in mu = lam^2 on q, of degree
-    # n: each root mu >= 0 gives the levels +-sqrt(mu), and negative or
-    # complex mu give none.  The levels add up to 2n with multiplicity
-    # iff all n roots of q are real and nonnegative.
-    levels = tuple(real_roots(cp))
-    if sum(lv.multiplicity for lv in levels) != 2 * spec.n:
-        raise SpectralError("characteristic polynomial has nonreal roots")
-    return AlgebraicSpectrum(spec, form, bc, cp, levels)
+    q = _mu_char_poly(bc)
+    return AlgebraicSpectrum(spec, form, bc, even_poly(q, "lam"), _levels(q))
 
 
 # ----------------------------------------------------------------------
@@ -496,16 +503,29 @@ class SweepResult:
 
 
 def sweep(n: int, c_min, c_max, steps: int) -> SweepResult:
+    """The algebraic spectrum at `steps` >= 2 evenly spaced rational
+    couplings from c_min to c_max, both included: one row (c, values) per
+    coupling, the 2n levels with multiplicity ascending, each a double
+    that prints correctly rounded to PRINT_DIGITS digits (_levels).
+
+    Every row evaluates q(mu) = det(mu - BC) at its c, from one block
+    form.  When 2 steps >= n + 3, q is taken once over Q[c] and each row
+    evaluates its coefficients; below that, each row takes q of BC at its
+    c.  One q over Q[c] costs n + n(n + 1)/2 integer determinants, and q
+    at one c costs n, so the rule picks the route with fewer.  Evaluation
+    is a ring map and commutes with det, so both routes give the same q,
+    and the same rows, at every c."""
     if steps < 2:
         raise ValueError("need at least two sweep steps")
     c_min = Fraction(c_min)
     c_max = Fraction(c_max)
-    form = block_form(n)
+    bc = block_form(n).bc
+    q = _mu_char_poly(bc) if 2 * steps >= n + 3 else None
     rows = []
     for k in range(steps):
         c = c_min + (c_max - c_min) * Fraction(k, steps - 1)
-        spectrum = algebraic_spectrum(HamiltonianSpec.from_c(n, c), form)
-        rows.append((c, tuple(spectrum.values)))
+        at_c = _mu_char_poly(specialize(bc, c)) if q is None else specialize(q, c)
+        rows.append((c, _values(_levels(at_c))))
     return SweepResult(n=n, rows=tuple(rows))
 
 
@@ -549,8 +569,8 @@ def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
     comparison with c_min and c_max (Root.compare) decides whether it
     lies inside.  The gap and levels are the exact spectrum at c* (at
     its float value, within one ulp of c* and itself a rational, when c*
-    is irrational).  q and that spectrum come from one block form, so
-    the operator is restricted once.
+    is irrational), whose levels come from q evaluated there: one
+    restriction and one characteristic polynomial in all.
 
     Raises NoDegeneracyError when no collision lies inside the bracket.
     """
@@ -558,8 +578,7 @@ def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
     c_max = Fraction(c_max)
     if not c_min < c_max:
         raise ValueError("empty coupling bracket")
-    form = block_form(n)
-    q = _mu_char_poly(form.bc)
+    q = _mu_char_poly(block_form(n).bc)
     locus = ParamPoly.one("c") * q.constant() * resultant(q, q.derivative())
     if locus.is_zero:
         raise SpectralError("levels collide at every coupling")
@@ -571,7 +590,7 @@ def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
         raise NoDegeneracyError(f"no level collision inside ({c_min}, {c_max})")
     root = inside[0]
     c_star = Fraction(root.value) if root.exact is None else root.exact
-    values = algebraic_spectrum(HamiltonianSpec.from_c(n, c_star), form).values
+    values = _values(_levels(specialize(q, c_star)))
     gaps = [b - a for a, b in zip(values, values[1:])]
     idx = min(range(len(gaps)), key=gaps.__getitem__)
     return DegeneracyResult(

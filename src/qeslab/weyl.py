@@ -363,11 +363,12 @@ class MatOp(NormalForm):
 
 
 def specialize(op, value):
-    """`op` (a DiffOp, MatOp or ExactMatrix) with every polynomial
-    coefficient evaluated at the rational `value`: a ring map, so it
-    commutes with sums, products and normal ordering.  Each polynomial
-    numerator is evaluated by ``ParamPoly.__call__``, and the values over
-    op's denominator are cleared once (``exactnum.cleared_rows``)."""
+    """`op` (a ParamPoly, DiffOp, MatOp or ExactMatrix) with every
+    polynomial coefficient evaluated at the rational `value`: a ring map,
+    so it commutes with sums, products, normal ordering and determinants.
+    Each polynomial numerator is evaluated by ``ParamPoly.__call__``, and
+    the values over op's denominator are cleared once
+    (``exactnum.cleared_rows``)."""
     rows = [{k: v(value) if type(v) is ParamPoly else v for k, v in row.items()} for row in op._rows()]
     return op._same(*cleared_rows(rows, op.den))
 

@@ -423,6 +423,33 @@ def test_magnitude_branches_stay_separated_away_from_collision():
         assert min(b - a for a, b in zip(mags, mags[1:])) > 1e-6
 
 
+def _rule_steps(n):
+    """The step counts just below and at the one-q rule of sweep,
+    2 steps >= n + 3."""
+    at = (n + 4) // 2
+    return at - 1, at
+
+
+@pytest.mark.parametrize(
+    "n, c_min, c_max, step_counts",
+    [(n, F(-3), F(-1, 2), _rule_steps(n)) for n in range(2, 9)]
+    + [(n, F(1, 8), F(41, 8), _rule_steps(n)) for n in range(2, 9)]
+    # through c = 0, where q is not square-free: level 0 of multiplicity 2
+    + [(4, F(-1), F(1), (3, 5))]
+    # across the collision at c* = sqrt(24)
+    + [(3, F(4), F(6), (2, 21))],
+)
+def test_sweep_rows_are_the_spectra_at_their_couplings(n, c_min, c_max, step_counts):
+    # below the rule every row takes q of BC at its c, at or above it
+    # every row evaluates one q over Q[c]: both are the spectrum there
+    for steps in step_counts:
+        rows = sweep(n, c_min, c_max, steps).rows
+        assert len(rows) == steps
+        for k, (c, values) in enumerate(rows):
+            assert c == c_min + (c_max - c_min) * F(k, steps - 1)
+            assert values == tuple(algebraic_spectrum(HamiltonianSpec.from_c(n, c)).values)
+
+
 def test_collision_search_finds_interior_minimum():
     # c^2 = 24: a zero mode doubles at E = 0
     result = find_degeneracy(3, F(0), F(10))
@@ -614,6 +641,53 @@ def test_symbolic_char_polys_sample_the_triangle_in_u(monkeypatch):
     for n in range(2, 7):
         reflection_check(n)
     assert len(sizes) <= 185
+    # the rule of sweep, one q over Q[c] at 2 steps >= n + 3, rests on it
+    for n in range(2, 13):
+        sizes.clear()
+        symbolic_char_poly(n, "c")
+        assert len(sizes) <= n + n * (n + 1) // 2, n
+
+
+def _char_poly_entry_vars(monkeypatch):
+    """The variable of the entries of every matrix whose characteristic
+    polynomial is taken from here on, None over Q."""
+    variables = []
+    real = ExactMatrix.char_poly
+
+    def spy(self, var="lam"):
+        variables.append(self._int_rows()[0])
+        return real(self, var)
+
+    monkeypatch.setattr(ExactMatrix, "char_poly", spy)
+    return variables
+
+
+def test_sweeps_and_collisions_take_one_q_where_it_is_cheaper(monkeypatch):
+    sizes = _int_det_sizes(monkeypatch)
+    variables = _char_poly_entry_vars(monkeypatch)
+    # 200 points at n = 3: one q over Q[c], 9 determinants, not 600
+    sweep(3, F(0), F(10), 200)
+    assert variables == ["c"]
+    assert len(sizes) <= 3 + 3 * 4 // 2
+    # 2 points at n = 20: q of BC at each, 40 determinants, not 230
+    sizes.clear()
+    variables.clear()
+    sweep(20, F(0), F(1), 2)
+    assert variables == [None, None]
+    assert sizes == [20] * 40
+    # the rule's edge, 2 steps >= n + 3
+    for n in range(2, 9):
+        below, at = _rule_steps(n)
+        variables.clear()
+        sweep(n, F(0), F(1), below)
+        assert variables == [None] * below
+        variables.clear()
+        sweep(n, F(0), F(1), at)
+        assert variables == ["c"]
+    # the levels at c* come from the q that locates it
+    variables.clear()
+    find_degeneracy(3, F(2), F(7))
+    assert variables == ["c"]
 
 
 def test_collision_resultant_samples_half_the_points_in_c_squared(monkeypatch):
