@@ -19,13 +19,14 @@ in a scalar variable (SCALAR_VARS) nest inside the coefficients of a
 polynomial in any other variable (a characteristic polynomial in
 ``lam`` with coefficients in Q[k0], say).  Exact linear algebra has
 one elimination, fraction-free Bareiss on integers (``_echelon``).
-Determinants, resultants and characteristic polynomials over Q or Q[t]
-take integer determinants at sample points and interpolate from forward
+Determinants and characteristic polynomials over Q or Q[t] take
+integer determinants at sample points and interpolate from forward
 differences, in lam for a characteristic polynomial and in t up to a
 certified degree bound; in u = t^2 after a diagonal similarity when the
 entries' parities allow one, and for lam^k only to its own bound (the
 triangle).  Kernels are back-substituted on integers over the last
-pivot, and a linear solve is the kernel of [rows | -rhs].  Root
+pivot, and a linear solve is the kernel of [rows | -rhs].  Power sums
+of roots need no division (power_sums, Newton's identities).  Root
 finding runs on the integer numerators too: square-free parts by Yun's
 algorithm on a modular gcd that trial division certifies, and real roots
 isolated by Descartes bisection in dyadic brackets (for an even
@@ -1029,12 +1030,10 @@ def _int_sign(a, t) -> int:
 
 
 def _float_coeffs(a):
-    """The int poly a's coefficients rounded to doubles, or None when one
-    of them leaves the double range."""
-    try:
-        return tuple(map(float, a))
-    except OverflowError:
-        return None
+    """The int poly a's coefficients as doubles, over one power of two that
+    cuts the largest to at most 1000 bits: same roots, correctly rounded, finite."""
+    shift = max(0, max(abs(c).bit_length() for c in a) - 1000)
+    return tuple(c / (1 << shift) for c in a)
 
 
 # a bound on the iterations of _newton_guess
@@ -1043,7 +1042,7 @@ _NEWTON_STEPS = 64
 
 def _newton_guess(coeffs, lo, hi, sign_lo: int):
     """A double near the one root of a in (lo, hi), not certified:
-    Newton's method in doubles on a's rounded coefficients `coeffs`,
+    Newton's method in doubles on a's scaled doubles `coeffs`,
     started at the midpoint.  The float sign of a at each iterate
     shrinks a float bracket; a step that leaves that bracket, or a zero
     derivative, gives way to the bracket's midpoint.  Stops when a step
@@ -1070,27 +1069,26 @@ def _newton_guess(coeffs, lo, hi, sign_lo: int):
 
 def _refine(a, coeffs, lo, hi, sign_lo: int):
     """(value, exact) for the one root of the square-free int poly a in
-    (lo, hi), where a(lo) has the sign sign_lo and a(hi) the other sign;
-    coeffs are a's coefficients as doubles (_float_coeffs), or None.
+    (lo, hi), where a(lo) has the sign sign_lo and a(hi) the other sign.
 
     Every bracket update rests on the exact sign of a at a double
-    (_int_sign).  First a double guess from float Newton on coeffs
-    (_newton_guess), which need not be right, narrows the bracket: its
-    sign moves one end to it, then steps of 1, 2, 4, ... ulps away from
-    it, towards the root, move that end until a step crosses the root
-    and moves the other end, or leaves the bracket.  Then bisection at
-    doubles runs until no double is left inside the bracket, so the
-    value is within one ulp of the root.  The final bracket is the same
-    whatever the guess: its ends are the doubles nearest the root on
-    either side, or the given ends where no double lies between them
-    and the root.  If the doubles a <= lo and b >= hi then print the
-    same PRINT_DIGITS digits, every number between them, the root
-    included, rounds to that string; if not, the exact sign at the
-    rounding boundary between them decides which of a and b prints the
-    root's correctly rounded value.  A root that a tested double hits,
-    or that is the rational of denominator at most EXACT_DENOMINATOR
-    nearest the value, checked to lie in the final bracket and to be a
-    root, is returned exactly.
+    (_int_sign).  First a double guess from float Newton (_newton_guess)
+    on coeffs, a's scaled doubles (_float_coeffs), which need not be
+    right, narrows the bracket: its sign moves one end to it, then steps
+    of 1, 2, 4, ... ulps away from it, towards the root, move that end
+    until a step crosses the root and moves the other end, or leaves the
+    bracket.  Then bisection at doubles runs until no double is left
+    inside the bracket, so the value is within one ulp of the root.  The
+    final bracket is the same whatever the guess: its ends are the
+    doubles nearest the root on either side, or the given ends where no
+    double lies between them and the root.  If the doubles a <= lo and
+    b >= hi print the same PRINT_DIGITS digits, every number between
+    them, the root included, rounds to that string; if not, the exact
+    sign at the rounding boundary between them decides which of a and b
+    prints the root's correctly rounded value.  A root that a tested
+    double hits, or that is the rational of denominator at most
+    EXACT_DENOMINATOR nearest the value, checked to lie in the final
+    bracket and to be a root, is returned exactly.
 
     Ends may be doubles or rationals.  Ends beyond the double range,
     which are never doubles, are first moved exactly to -+ the largest
@@ -1108,8 +1106,8 @@ def _refine(a, coeffs, lo, hi, sign_lo: int):
                     hi = end
         if lo < -_MAX_DOUBLE or hi > _MAX_DOUBLE:
             raise ValueError(_BEYOND_DOUBLES)
-    guess = _newton_guess(coeffs, lo, hi, sign_lo) if coeffs else None
-    if guess is not None and lo < guess < hi:
+    guess = _newton_guess(coeffs, lo, hi, sign_lo)
+    if lo < guess < hi:
         s = _int_sign(a, guess)
         if not s:
             return guess, Fraction(guess)
@@ -1195,8 +1193,8 @@ def _factor_roots(factor: ParamPoly, mult: int, even: bool, roots):
     _positive_roots (for odd factors also on a(-x)); a root that
     bisection hits exactly is divided out and the rest isolated again,
     so no bracket end is a root.  Each bracket is then refined on the
-    same int poly (_refine), whose doubles are computed once here, and
-    the root's side (_bracket_side) evaluates that int poly too."""
+    same int poly (_refine), whose scaled doubles (_float_coeffs) are
+    computed once here, and the root's side evaluates it too."""
     nums = dense_numerators(factor.nums)
     if not nums[0]:
         roots.append(Root(0.0, 2 * mult if even else mult, Fraction(0)))
@@ -1667,26 +1665,20 @@ class ExactMatrix(NormalForm):
         return f"ExactMatrix({[list(r) for r in self.entries]!r})"
 
 
-def resultant(p: ParamPoly, q: ParamPoly):
-    """res(p, q) = lc(p)^deg(q) * prod q(r) over the roots r of p.
-
-    The determinant of the Sylvester matrix (ExactMatrix.det), so
-    coefficients may be rationals or polynomials in one variable t, the
-    result then interpolated in t from integer determinants.
-    """
-    if p.is_zero or q.is_zero:
-        raise ValueError("resultant with the zero polynomial")
-    m, k = p.degree, q.degree
-    if not m or not k:
-        return as_exact(p.leading() ** k * q.leading() ** m)
-
-    def shifted_rows(poly, count):
-        top_down = list(reversed(poly.coeffs))
-        return [
-            [0] * s + top_down + [0] * (count - 1 - s) for s in range(count)
-        ]
-
-    return ExactMatrix(shifted_rows(p, k) + shifted_rows(q, m)).det()
+def power_sums(p: ParamPoly, count: int) -> list:
+    """[s_0, ..., s_count], s_k the sum of the k-th powers of the roots of
+    p = x^n + e_1 x^(n-1) + ... + e_n over Q or Q[t], by Newton's identities
+    s_k = -(k e_k + sum_(0 < i < k) e_i s_(k-i)), e_i = 0 for i > n, which
+    divide by nothing as p is monic; any other p raises ValueError."""
+    n = p.degree
+    if n < 1 or p.nums[n] != p.den:
+        raise ValueError("power sums need a monic polynomial of degree at least 1")
+    e = [p.coeff(n - i) for i in range(n + 1)]
+    s = [Fraction(n)]
+    for k in range(1, count + 1):
+        head = k * e[k] if k <= n else 0
+        s.append(-sum((e[i] * s[k - i] for i in range(1, min(k - 1, n) + 1)), head))
+    return s
 
 
 def solve_linear(rows, rhs):

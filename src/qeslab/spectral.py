@@ -47,8 +47,8 @@ from qeslab.exactnum import (
     as_exact,
     count_real_roots,
     even_poly,
+    power_sums,
     real_roots,
-    resultant,
 )
 from qeslab.weyl import (
     DiffOp,
@@ -558,13 +558,20 @@ class DegeneracyResult:
     levels: tuple
 
 
+def _collision_locus(q: ParamPoly) -> ParamPoly:
+    """(-1)^n q(0) disc(q) = (-1)^(n(n+1)/2) q(0) res(q, q') for q monic of degree n:
+    det [s_(i+j+1)] over the power sums of its roots r, as V^T diag(r) V, V = (r_k^i)."""
+    n, s = q.degree, power_sums(q, 2 * q.degree - 1)
+    return ParamPoly.one("c") * ExactMatrix([[s[i + j + 1] for j in range(n)] for i in range(n)]).det()
+
+
 def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
     """The first exact level collision strictly inside (c_min, c_max).
 
     The levels are E = +-sqrt(mu) over the roots mu of q(mu) = det(mu - BC),
-    symbolic in c.  Two levels meet exactly where a mu-root doubles,
-    res_mu(q, q') = 0, or where mu = 0 joins +E and -E, q(0) = 0; c* is
-    the smallest real root of q(0) * res_mu(q, q') strictly inside the
+    symbolic in c.  Two levels meet exactly where a mu-root doubles or
+    where mu = 0 joins +E and -E; c* is the smallest real root of the
+    collision locus q(0) disc(q) (_collision_locus) strictly inside the
     bracket.  real_roots isolates the roots once, and each root's exact
     comparison with c_min and c_max (Root.compare) decides whether it
     lies inside.  The gap and levels are the exact spectrum at c* (at
@@ -579,7 +586,7 @@ def find_degeneracy(n: int, c_min, c_max) -> DegeneracyResult:
     if not c_min < c_max:
         raise ValueError("empty coupling bracket")
     q = _mu_char_poly(block_form(n).bc)
-    locus = ParamPoly.one("c") * q.constant() * resultant(q, q.derivative())
+    locus = _collision_locus(q)
     if locus.is_zero:
         raise SpectralError("levels collide at every coupling")
     # a root at c_min or at c_max is not inside

@@ -1,7 +1,8 @@
 """Independent oracles for the exact kernels, used by tests only.
 
-sympy recomputes determinants, resultants, characteristic polynomials,
-kernels, linear solves, adjugates, gcds, square-free decompositions, real roots, root counts
+sympy recomputes determinants, the collision locus (from its
+discriminant), power sums (from traces of powers of the companion
+matrix), characteristic polynomials, kernels, linear solves, adjugates, gcds, square-free decompositions, real roots, root counts
 and projections onto a span of operators; hypothesis checks algebraic identities of operators and
 polynomials on small random inputs (a fixed, small number of
 deterministic examples), that the zero-skipping kernels return
@@ -35,8 +36,8 @@ from qeslab.exactnum import (
     as_exact,
     count_real_roots,
     poly_gcd,
+    power_sums,
     real_roots,
-    resultant,
     sign_variations,
     solve_linear,
     square_free_decomposition,
@@ -49,6 +50,7 @@ from qeslab.spectral import (
     HamiltonianSpec,
     _adjugate_column,
     _adjugate_terms,
+    _collision_locus,
     _symbolic_mu_poly,
     algebraic_spectrum,
     eigenvectors,
@@ -86,17 +88,23 @@ def to_sympy(value):
 
 
 # ----------------------------------------------------------------------
-# sympy: resultants and characteristic polynomials
+# sympy: the collision locus, power sums and characteristic polynomials
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_collision_resultant_matches_sympy(n):
+    # the locus of find_degeneracy, (-1)^n q(0) disc(q), which is
+    # q(0) res_mu(q, q') up to sign, from sympy's discriminant: no power sums
     q = _symbolic_mu_poly(n, "c")
     expr = to_sympy(q)
     mu = sympy.Symbol("mu")
-    want = sympy.resultant(expr, sympy.diff(expr, mu), mu)
-    got = to_sympy(ParamPoly.one("c") * resultant(q, q.derivative()))
-    assert sympy.expand(got - want) == 0
+    want = (-1) ** n * expr.subs(mu, 0) * sympy.discriminant(expr, mu)
+    assert sympy.expand(to_sympy(_collision_locus(q)) - want) == 0
+    # q = mu^2 - s mu + p has the locus p (s^2 - 4p)
+    c = ParamPoly.gen("c")
+    s, p = c * c * 2 + 64, c * c * (c * c + 32)
+    quadratic = ParamPoly("mu", (p, -s, 1))
+    assert _collision_locus(quadratic) == p * (s * s - p * 4)
 
 
 def _sympy_char_poly(matrix: ExactMatrix):
@@ -581,6 +589,48 @@ def test_int_sign_matches_exact_fraction_horner(case):
 
 
 c_polys = st.lists(fractions, min_size=2, max_size=3).map(lambda cs: ParamPoly("c", cs))
+
+
+def _companion_power_traces(p: ParamPoly, count: int):
+    """trace(C^k), k = 0..count, C the companion matrix of p by sympy."""
+    mu = sympy.Symbol(p.var)
+    companion = sympy.Matrix.companion(sympy.Poly(to_sympy(p), mu))
+    traces, power = [], sympy.eye(p.degree)
+    for _ in range(count + 1):
+        traces.append(sympy.expand(power.trace()))
+        power = power * companion
+    return traces
+
+
+monic_mu_polys = st.lists(c_polys_or_rationals, min_size=1, max_size=6).map(
+    lambda cs: ParamPoly("mu", (*cs, 1))
+)
+
+
+@SMALL
+@example(ParamPoly("mu", (4, -4, 1)), 4)  # a repeated root, (mu - 2)^2
+@example(ParamPoly("mu", (0, F(-1, 3), 0, 1)), 5)  # a root at 0
+@example(ParamPoly("mu", (ParamPoly.gen("c"), 1)), 3)  # degree 1, root -c
+@example(ParamPoly("mu", (1, 2, 3, 4, 5, 6, 1)), 2)  # count below the degree
+@given(monic_mu_polys, st.integers(0, 12))
+def test_power_sums_match_companion_traces(p, count):
+    got = power_sums(p, count)
+    assert len(got) == count + 1
+    want = _companion_power_traces(p, count)
+    assert all(sympy.expand(to_sympy(g) - w) == 0 for g, w in zip(got, want))
+
+
+def test_power_sums_need_a_monic_non_constant_polynomial():
+    c = ParamPoly.gen("c")
+    for p in (
+        ParamPoly("mu", (1, 2)),
+        ParamPoly("mu", (1, c)),
+        ParamPoly("mu", (1, 1, c + 1)),
+        ParamPoly("mu", (1,)),
+        ParamPoly.zero("mu"),
+    ):
+        with pytest.raises(ValueError):
+            power_sums(p, 3)
 
 
 @SMALL

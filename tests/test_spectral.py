@@ -690,12 +690,14 @@ def test_sweeps_and_collisions_take_one_q_where_it_is_cheaper(monkeypatch):
     assert variables == ["c"]
 
 
-def test_collision_resultant_samples_half_the_points_in_c_squared(monkeypatch):
-    # the 19 x 19 Sylvester matrix of q and q' at n = 10 has degree bound
-    # 180 in c (181 sample points); in u = c^2 it is 90
+def test_collision_locus_takes_only_n_by_n_determinants_in_c_squared(monkeypatch):
+    # at n = 10, q over Q[c] takes at most 65 determinants and the 10 x 10
+    # power-sum matrix of the locus 101 (bound n^2 = 100 in u = c^2;
+    # sampling in c would take 201 points for the locus alone)
     sizes = _int_det_sizes(monkeypatch)
     find_degeneracy(10, F(0), F(20))
-    assert sizes.count(19) <= 91
+    assert set(sizes) == {10}
+    assert len(sizes) <= 166
 
 
 def test_quartic_hook_breaks_reflection(add_quartic_hook):
