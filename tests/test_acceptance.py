@@ -255,6 +255,15 @@ GOLDEN_STDOUT = {
     # span basis
     ("delta4-scan", "--n", "8"):
         "c6a6fda6f407a5bddc6a31d6c09297d9e37dcadc804c2274ddee1f7b1c2c3a66",
+    # recorded before the scan read its residuals off one bilinear
+    # expansion in the mix parameters: the two smallest degrees and a
+    # larger one
+    ("delta4-scan", "--n", "4"):
+        "3035ed4f79658b2359dd8133f9f927ed506ef15409bc6ac8d05e8de793ea27a8",
+    ("delta4-scan", "--n", "5"):
+        "01d7d93cf544d9cc007820b8900c58d0a37594502b609be821221c68e1c45bf4",
+    ("delta4-scan", "--n", "12"):
+        "00d3a13b6cf1b4a2776df045566a79bd940706efad29f4154608ebfc76a84cba",
 }
 
 # stdout of runs that exit 1: their summary line and the sha256 of the
