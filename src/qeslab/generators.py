@@ -11,20 +11,33 @@ fault name, with at most one generator perturbed, which every relation
 suite, the mix discovery and the gap-4 scan read.  At gap 2 the towers
 transform as spin-1 triplets and at gap 4 as spin-2 quintets;
 ``GeneratorSet.mixed`` mixes them with the even multiplet of the same
-spin, as one ``MixSpec`` spells it.  ``sign_matrix_scan``, the one loop
-over the sign matrices, feeds both the gap-4 scan and ``discover_mix``:
-at gap 2 one exact rational mixing closes into a finite superalgebra,
-and the discovery finds that mixing (and the resulting anticommutator
-table) by computation instead of assuming it.
+spin, as one ``MixSpec`` spells it.  A mix is linear in its parameters
+(1, c, d_top, d_bottom), so ``mix_expansion`` normal-orders and projects
+the mixed anticommutators once, over Q, as polynomials of degree <= 2 in
+them; every mix is then read off that ``MixExpansion`` with no
+arithmetic over Q[c].  The gap-4 scan reads it per sign matrix, and
+``sign_matrix_scan`` reads it at each sign matrix with c symbolic for
+``discover_mix``: at gap 2 one exact rational mixing closes into a
+finite superalgebra, and the discovery finds that mixing (and the
+resulting anticommutator table) by computation instead of assuming it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from qeslab.exactnum import ParamPoly, as_exact, poly_gcd, real_roots
+from qeslab.exactnum import (
+    ParamPoly,
+    as_exact,
+    normal_form,
+    poly_gcd,
+    ratio,
+    real_roots,
+)
 from qeslab.weyl import (
     DiffOp,
     MatOp,
@@ -32,6 +45,7 @@ from qeslab.weyl import (
     Span,
     anticommutator,
     anticommutator_residuals,
+    project_span,
 )
 
 
@@ -330,7 +344,7 @@ def q2_gens(params: AlgebraParams, mix: MixSpec = DEFAULT_MIX) -> Q2Set:
 
 
 # ----------------------------------------------------------------------
-# mix discovery
+# the expansion in the mix parameters, and mix discovery
 # ----------------------------------------------------------------------
 
 SIGN_MATRICES = (
@@ -341,12 +355,128 @@ SIGN_MATRICES = (
 )
 
 
+# The mix parameters lambda = (1, c, d_top, d_bottom) and the ten
+# monomials lambda_i lambda_j (i <= j) of degree <= 2 in them.
+MIX_MONOMIALS = tuple((i, j) for i in range(4) for j in range(i, 4))
+
+
+@dataclass(frozen=True)
+class MixExpansion:
+    """The projected anticommutators of every mix of one generator set,
+    as polynomials in the mix parameters.
+
+    F_a = Qbar_a + c P_a + d_top diag(1,0) E_a + d_bottom diag(0,1) E_a
+    is linear in lambda = (1, c, d_top, d_bottom), so every projection
+    coefficient and residual term of {F_a, F_b} has total degree <= 2 in
+    lambda.  ``pairs`` maps (a, b), a <= b, to (den, coeffs, residual):
+    per basis operator of the span, and per term of each of the four
+    residual entries ({(x power, d power): vector}), the vector of the
+    ten int numerators over den of the MIX_MONOMIALS; a residual term
+    whose vector is zero is absent.
+    """
+
+    pairs: dict
+
+    def in_c(self, d_top, d_bottom) -> dict:
+        """{(a, b): (den, coeffs, residual)} at the rational diagonal
+        diag(d_top, d_bottom) with c free: each coefficient and residual
+        term an int triple (A0, A1, A2), the value (A0 + A1 c + A2 c^2)
+        over den; residual terms that vanish identically in c dropped."""
+        d_top, d_bottom = Fraction(d_top), Fraction(d_bottom)
+        scale = math.lcm(d_top.denominator, d_bottom.denominator)
+        lam = (scale, scale, int(d_top * scale), int(d_bottom * scale))
+        w0, w1, w2 = weights = [[0] * len(MIX_MONOMIALS) for _ in range(3)]
+        for m, (i, j) in enumerate(MIX_MONOMIALS):
+            weights[(i == 1) + (j == 1)][m] = lam[i] * lam[j]
+
+        def triple(vec):
+            mul = operator.mul
+            return sum(map(mul, vec, w0)), sum(map(mul, vec, w1)), sum(map(mul, vec, w2))
+
+        out = {}
+        for pair, (den, coeffs, residual) in self.pairs.items():
+            rows = tuple(
+                {key: t for key, vec in row.items() if any(t := triple(vec))}
+                for row in residual
+            )
+            out[pair] = (den * scale * scale, [triple(v) for v in coeffs], rows)
+        return out
+
+    def residuals(self, mix: "MixSpec") -> dict:
+        """What ``anticommutator_residuals(gens.mixed(mix), span)``
+        returns, read off the expansion: at a rational c_mix, or at the
+        symbolic c_mix = c, where the values lie in Q[c]."""
+        c = mix.c_mix
+        if isinstance(c, ParamPoly):
+            if c != ParamPoly.gen("c"):
+                raise ValueError(f"expansion read at c or a rational, not at {c}")
+            k = 1
+
+            def value(t):
+                return ParamPoly._of("c", 1, {p: a for p, a in enumerate(t) if a})
+        else:
+            m, k = c.numerator, c.denominator
+
+            def value(t):
+                return t[0] * k * k + t[1] * m * k + t[2] * m * m
+
+        out = {}
+        for pair, (den, coeffs, rows) in self.in_c(mix.d_top, mix.d_bottom).items():
+            den *= k * k
+            residual = [{key: value(t) for key, t in row.items()} for row in rows]
+            out[pair] = (
+                [ratio(value(t), den) for t in coeffs],
+                MatOp._of(*normal_form(den, residual)),
+            )
+        return out
+
+
+def mix_expansion(gens: GeneratorSet, span: Span) -> MixExpansion:
+    """The MixExpansion of `gens` onto `span`: for each pair and each
+    monomial lambda_i lambda_j, the symmetrised anticommutator of the
+    pieces i and j of F_a and F_b, projected by ``project_span``, which
+    is linear; all over Q, without the mix."""
+    qbar, pees = gens.odd_multiplets
+    top, bottom = MatOp.diag(1, 0), MatOp.diag(0, 1)
+    pieces = [
+        (q, p, top * e, bottom * e)
+        for q, p, e in zip(qbar, pees, gens._even_multiplet)
+    ]
+    size = len(pieces)
+    pairs = {}
+    for a in range(size):
+        for b in range(a, size):
+            parts = []
+            for m, (i, j) in enumerate(MIX_MONOMIALS):
+                acom = anticommutator(pieces[a][i], pieces[b][j])
+                if i != j:
+                    acom = acom + anticommutator(pieces[a][j], pieces[b][i])
+                if acom:
+                    parts.append((m, *project_span(acom, span)))
+            den = math.lcm(
+                *(r.den for _, _, r in parts),
+                *(v.denominator for _, coeffs, _ in parts for v in coeffs),
+            )
+            coeffs = [[0] * len(MIX_MONOMIALS) for _ in span.basis]
+            residual = ({}, {}, {}, {})
+            for m, part_coeffs, part in parts:
+                for vec, v in zip(coeffs, part_coeffs):
+                    vec[m] = v.numerator * (den // v.denominator)
+                for row, nums in zip(residual, part.nums):
+                    for key, v in nums.items():
+                        row.setdefault(key, [0] * len(MIX_MONOMIALS))[m] = v * (den // part.den)
+            pairs[(a + 1, b + 1)] = (den, coeffs, residual)
+    return MixExpansion(pairs)
+
+
 def sign_matrix_scan(gens: GeneratorSet, span: Span):
     """For each of SIGN_MATRICES: the mix with c symbolic, and the
-    residuals of its anticommutators projected onto `span`."""
+    residuals of its anticommutators projected onto `span`, read off one
+    ``mix_expansion``."""
+    expansion = mix_expansion(gens, span)
     for d_top, d_bottom in SIGN_MATRICES:
         mix = MixSpec(ParamPoly.gen("c"), d_top, d_bottom)
-        yield mix, anticommutator_residuals(gens.mixed(mix), span)
+        yield mix, expansion.residuals(mix)
 
 
 # the degree of the discovery scan, and the second degree whose metric

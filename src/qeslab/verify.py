@@ -11,9 +11,10 @@ n = ``ParamPoly.gen("n")``; ``specialize_reports`` reads their reports
 off at each integer n.  The checks that need a concrete module (leakage,
 the OSP22 projection, the q(2) matrix shadow) run on one set per
 (n, gap) point.  The q(2) checks and the gap-4 scan spell their mix as
-one ``generators.MixSpec``, and the scan walks the sign matrices through
-``generators.sign_matrix_scan``, the loop that also runs the gap-2 mix
-discovery.  Fault injection perturbs a single named generator
+one ``generators.MixSpec``.  The scan reads every sign matrix and every
+grid coupling off one ``generators.mix_expansion``, the projected
+anticommutators as polynomials in the mix parameters, which also serves
+the gap-2 mix discovery.  Fault injection perturbs a single named generator
 coefficient there, so the sensitivity of every family can be
 demonstrated with one switch.
 
@@ -25,13 +26,15 @@ format
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qeslab.exactnum import ParamPoly, dense_numerators, scaled_horner
+from qeslab.exactnum import ParamPoly
 from qeslab.generators import (
     ANTICOMM_METRIC,
     DEFAULT_MIX,
+    SIGN_MATRICES,
     GeneratorSet,
     MixSpec,
     QUINTET_GAP,
@@ -39,7 +42,7 @@ from qeslab.generators import (
     check_fault,
     fault_names,
     generator_set,
-    sign_matrix_scan,
+    mix_expansion,
 )
 from qeslab.weyl import (
     DiffOp,
@@ -336,59 +339,98 @@ def _span_basis(tees):
     return basis
 
 
-def _quadratic_numerators(residuals):
-    """Per pair, the numerators in c of every quadratic (i + j >= 2) term
-    of its projection residual, read off the stored form as dense int
-    coefficient lists."""
-    return {
-        pair: [
-            dense_numerators(num.nums) if type(num) is ParamPoly else [num]
-            for entry in residual.nums
-            for (i, j), num in entry.items()
-            if i + j >= 2
-        ]
-        for pair, (_, residual) in residuals.items()
-    }
-
-
-def _obstruction_report(quadratic, mix: MixSpec):
-    """Total quadratic norm and first worst pair of the projection
-    residuals: per pair, the number of its _quadratic_numerators that are
-    nonzero at c = mix.c_mix, decided by Horner on integers."""
-    m, k = mix.c_mix.numerator, mix.c_mix.denominator
-    norms = {
-        pair: sum(1 for nums in polys if scaled_horner(nums, m, k)[0])
-        for pair, polys in quadratic.items()
-    }
+def _report(mix: MixSpec, norms: dict) -> ObstructionReport:
+    """The report of per-pair quadratic term counts `norms` at `mix`: their
+    total, and the first pair with the largest count."""
     return ObstructionReport(mix, sum(norms.values()), max(norms, key=norms.get))
 
 
-def scan_point(n: int, mix: MixSpec) -> ObstructionReport:
-    """Exact residual analysis of one rational mix at gap 4."""
+def _scan_setup(n: int):
+    """The gap-4 generator set at n and the degree-<=1 span onto which
+    its anticommutators are projected."""
+    if n < QUINTET_GAP:
+        raise ValueError(
+            f"the gap-4 scan needs n >= {QUINTET_GAP}, so that P(n - 4) exists; got n={n}"
+        )
     gens = generator_set(n, QUINTET_GAP)
-    span = Span(_span_basis(gens.tees))
+    return gens, Span(_span_basis(gens.tees))
+
+
+def _rational_roots(a0: int, a1: int, a2: int) -> set:
+    """The distinct rational roots of a0 + a1 c + a2 c^2, not identically
+    zero, as ``Fraction.as_integer_ratio`` pairs: at most two, from the
+    discriminant by ``math.isqrt``, and a double root once."""
+    if a2:
+        disc = a1 * a1 - 4 * a2 * a0
+        root = math.isqrt(disc) if disc >= 0 else -1
+        if root * root != disc:
+            return set()
+        ratios = ((-a1 - root, 2 * a2), (-a1 + root, 2 * a2))
+    elif a1:
+        ratios = ((-a0, a1),)
+    else:
+        return set()
+    reduced = set()
+    for p, q in ratios:
+        g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+        reduced.add((p // g, q // g))
+    return reduced
+
+
+def _obstruction_reports(quadratics: dict, d_top, d_bottom):
+    """The reports at every c of ``default_scan_grid`` for the sign matrix
+    diag(d_top, d_bottom), from `quadratics`, per pair the int triples
+    (a0, a1, a2) of its residual terms a0 + a1 c + a2 c^2 with i + j >= 2,
+    none identically zero.  A pair's count at c is its number of terms
+    less the number of them that have c as a rational root."""
+    grid = default_scan_grid()
+    index = {c.as_integer_ratio(): k for k, c in enumerate(grid)}
+    counts = {}
+    for pair, terms in quadratics.items():
+        row = counts[pair] = [len(terms)] * len(grid)
+        for t in terms:
+            for root in _rational_roots(*t):
+                if root in index:
+                    row[index[root]] -= 1
+    return [
+        _report(MixSpec(c, d_top, d_bottom), {pair: row[k] for pair, row in counts.items()})
+        for k, c in enumerate(grid)
+    ]
+
+
+def scan_point(n: int, mix: MixSpec) -> ObstructionReport:
+    """Exact residual analysis of one rational mix at gap 4: the
+    anticommutators of ``GeneratorSet.mixed(mix)`` projected directly,
+    and per pair the number of residual terms with i + j >= 2."""
+    gens, span = _scan_setup(n)
     residuals = anticommutator_residuals(gens.mixed(mix), span)
-    return _obstruction_report(_quadratic_numerators(residuals), mix)
+    return _report(mix, {
+        pair: sum(1 for entry in residual.nums for i, j in entry if i + j >= 2)
+        for pair, (_, residual) in residuals.items()
+    })
 
 
 def delta4_scan(n: int = 6):
     """Grid certificate for the gap-4 obstruction.
 
-    ``sign_matrix_scan`` keeps the mix constant symbolic for each sign
-    matrix, normal-orders the fifteen unordered anticommutators once and
-    projects them onto the degree-<=1 span with an exact linear solve;
-    their quadratic coefficients are tested on ``default_scan_grid``.
-    Every report should have a positive residual norm; a zero would be
-    a counterexample to the no-closure claim.
+    ``generators.mix_expansion`` projects the fifteen unordered
+    anticommutators onto the degree-<=1 span once, over Q, as
+    polynomials in (c, d_top, d_bottom).  Per sign matrix each quadratic
+    residual term (i + j >= 2) is read off it as a polynomial of degree
+    <= 2 in c, and ``_obstruction_reports`` counts the terms that are
+    nonzero at each c of ``default_scan_grid`` from their rational
+    roots.  Every report should have a positive residual norm; a zero
+    would be a counterexample to the no-closure claim.
     """
-    gens = generator_set(n, QUINTET_GAP)
+    gens, span = _scan_setup(n)
+    expansion = mix_expansion(gens, span)
     reports = []
-    for mix, residuals in sign_matrix_scan(gens, Span(_span_basis(gens.tees))):
-        quadratic = _quadratic_numerators(residuals)
-        reports += [
-            _obstruction_report(quadratic, MixSpec(c_val, mix.d_top, mix.d_bottom))
-            for c_val in default_scan_grid()
-        ]
+    for d_top, d_bottom in SIGN_MATRICES:
+        quadratics = {
+            pair: [t for row in rows for (i, j), t in row.items() if i + j >= 2]
+            for pair, (_, _, rows) in expansion.in_c(d_top, d_bottom).items()
+        }
+        reports += _obstruction_reports(quadratics, d_top, d_bottom)
     return reports
 
 

@@ -179,18 +179,27 @@ def test_mix_spec_coerces_the_mix_constant():
         MixSpec(ParamPoly.gen("x"), 1, -1)
 
 
-def test_discovery_makes_six_projections(monkeypatch):
-    # four sign matrices, then the selected metric table at n = 5 and 8
-    calls = []
-    original = generators.anticommutator_residuals
+def test_scan_and_discovery_read_one_expansion_with_no_arithmetic_in_q_c(monkeypatch):
+    # the gap-4 scan reads every residual off one expansion over Q: it
+    # makes no sum or product of polynomials in c (the per-sign-matrix
+    # projections over Q[c] made 3686 sums and 3414 products at n = 6)
+    calls = {"sum": 0, "product": 0, "expansion": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(kind, original):
+        def wrapper(*args):
+            calls[kind] += 1
+            return original(*args)
+        return wrapper
 
-    monkeypatch.setattr(generators, "anticommutator_residuals", counted)
+    monkeypatch.setattr(ParamPoly, "_sum", counted("sum", ParamPoly._sum))
+    monkeypatch.setattr(ParamPoly, "__mul__", counted("product", ParamPoly.__mul__))
+    expansion = generators.MixExpansion
+    monkeypatch.setattr(expansion, "__init__", counted("expansion", expansion.__init__))
+    assert len(delta4_scan(6)) == 100
+    assert calls == {"sum": 0, "product": 0, "expansion": 1}
+    calls["expansion"] = 0
     discover_mix()
-    assert len(calls) == 6
+    assert calls["expansion"] == 1
 
 
 def test_gap4_quintet_closes_for_no_c():

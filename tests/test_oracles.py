@@ -12,6 +12,7 @@ construction kept here as their reference; mpmath recomputes the roots of q(mu) 
 which every printed level must be correctly rounded.
 """
 
+import functools
 import itertools
 import math
 from decimal import Decimal, localcontext
@@ -45,7 +46,14 @@ from qeslab.exactnum import (
     sturm_count,
     sturm_sequence,
 )
-from qeslab.generators import fault_names, generator_set
+from qeslab.generators import (
+    SIGN_MATRICES,
+    GeneratorSet,
+    MixSpec,
+    fault_names,
+    generator_set,
+    mix_expansion,
+)
 from qeslab.spectral import (
     HamiltonianSpec,
     _adjugate_column,
@@ -58,12 +66,14 @@ from qeslab.spectral import (
     restricted_hamiltonian,
     sweep,
 )
+from qeslab.verify import _span_basis
 from qeslab.weyl import (
     DiffOp,
     LeakageTerm,
     MatOp,
     ModuleSpec,
     Span,
+    anticommutator_residuals,
     commutator,
     leakage,
     project_span,
@@ -1267,3 +1277,60 @@ def test_large_spectrum_prints_correctly_rounded_levels():
     c = F(17, 8)
     spectrum = algebraic_spectrum(HamiltonianSpec.from_c(12, c))
     _assert_printed_levels_exact(12, [(c, spectrum.values)])
+
+
+# ----------------------------------------------------------------------
+# the bilinear mix expansion against direct projection of each mix
+# ----------------------------------------------------------------------
+
+def _dressed(gens: GeneratorSet) -> GeneratorSet:
+    """`gens` with a full 2x2 operator added to every generator: on the
+    block structure of the true generators three of the ten monomials of
+    the expansion vanish (Qbar Qbar, P P, and the top and bottom halves
+    of the diagonal E), and c^2 with them; here none does."""
+    named = {
+        name: op + MatOp(((k, DiffOp.x()), (DiffOp.d(k % 2 + 1), DiffOp.x(k % 3))))
+        for k, (name, op) in enumerate(gens.named.items(), 1)
+    }
+    return GeneratorSet(gens.params, named)
+
+
+# gap 2 at n = 3..6, gap 4 at n = 4..7, and one dressed set per gap
+EXPANSION_POINTS = [(2, n) for n in range(3, 7)] + [(4, n) for n in range(4, 8)]
+EXPANSION_POINTS += [(2, 4, False, True), (4, 5, False, True)]
+
+
+@functools.lru_cache(maxsize=None)
+def _expansion(gap, n, scalars_only=False, dressed=False):
+    gens = generator_set(n, gap)
+    span = Span([MatOp.identity()] if scalars_only else _span_basis(gens.tees))
+    if dressed:
+        gens = _dressed(gens)
+    return gens, span, mix_expansion(gens, span)
+
+
+# every sign matrix has d_top^2 = d_bottom^2 = 1, so it cannot tell those
+# monomials from 1 or from each other: draw other diagonals, 0 included
+diagonals = st.one_of(st.just(F(0)), fractions.filter(lambda d: abs(d) != 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example((4, 4), F(0), F(0), F(0))
+@example((2, 3), F(-1), F(2), F(0))
+@example((4, 7), F(5, 3), F(0), F(-3, 2))
+@given(st.sampled_from(EXPANSION_POINTS), fractions, diagonals, diagonals)
+def test_mix_expansion_equals_direct_projection(point, c, d_top, d_bottom):
+    gens, span, expansion = _expansion(*point)
+    mix = MixSpec(c, d_top, d_bottom)
+    assert expansion.residuals(mix) == anticommutator_residuals(gens.mixed(mix), span)
+
+
+@pytest.mark.parametrize(
+    "point", [(2, 5, True), (2, 4), (4, 4), (4, 6), (4, 5, False, True)]
+)
+def test_mix_expansion_equals_direct_projection_in_c(point):
+    gens, span, expansion = _expansion(*point)
+    c = ParamPoly.gen("c")
+    for d_top, d_bottom in SIGN_MATRICES + ((F(2, 3), F(0)), (F(-5, 2), F(3))):
+        mix = MixSpec(c, d_top, d_bottom)
+        assert expansion.residuals(mix) == anticommutator_residuals(gens.mixed(mix), span)

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from qeslab import cli, generators, spectral, verify, weyl
-from qeslab.exactnum import ParamPoly, VariableMismatchError
+from qeslab.exactnum import ParamPoly, VariableMismatchError, scaled_horner
 from qeslab.generators import ANTICOMM_METRIC, DEFAULT_MIX, SIGN_MATRICES, MixSpec, perturb
 from qeslab.verify import (
     default_scan_grid,
@@ -322,3 +322,33 @@ def test_scan_point_matches_symbolic_scan():
         for c in c_values
     ]
     assert reports == expected
+
+
+def test_scan_needs_the_gap4_doublet():
+    for call in (lambda: delta4_scan(3), lambda: scan_point(3, MixSpec(1, 1, -1))):
+        with pytest.raises(ValueError, match="gap-4 scan needs n >= 4"):
+            call()
+
+
+def test_root_counts_equal_horner_at_every_grid_point():
+    # residual terms a0 + a1 c + a2 c^2 as (a0, a1, a2)
+    quadratics = {
+        (1, 1): [(1, 2, 1)],  # (c + 1)^2: a double root on the grid
+        (1, 2): [(1, -2, 0), (0, 3, 0)],  # linear, roots 1/2 and 0
+        (1, 3): [(5, 0, 0)],  # a nonzero constant
+        (2, 2): [(-2, 0, 1), (1, 1, 1)],  # irrational and complex roots
+        (2, 3): [(-5, 34, 7)],  # (7c - 1)(c + 5): rational, off the grid
+        (3, 3): [(2, -9, 4), (4, 4, 1), (-4, 0, 1)],  # 1/4 and 2, -2 twice, +-2
+    }
+    for d_top, d_bottom in SIGN_MATRICES:
+        reports = verify._obstruction_reports(quadratics, d_top, d_bottom)
+        assert [r.mix.c_mix for r in reports] == list(default_scan_grid())
+        for report in reports:
+            c = report.mix.c_mix
+            norms = {
+                pair: sum(1 for t in terms if scaled_horner(t, c.numerator, c.denominator)[0])
+                for pair, terms in quadratics.items()
+            }
+            assert report == verify.ObstructionReport(
+                MixSpec(c, d_top, d_bottom), sum(norms.values()), max(norms, key=norms.get)
+            )
